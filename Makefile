@@ -1,4 +1,4 @@
-.PHONY: all build test test-force test-metrics bench bench-tables bench-micro bench-codec bench-obs bench-sched bench-chaos bench-cohort bench-multichannel bench-gate chaos lint tsan examples audit doc clean
+.PHONY: all build test test-force test-metrics bench bench-tables bench-micro bench-codec bench-obs bench-sched bench-chaos bench-cohort bench-multichannel bench-gate perfbench-smoke chaos lint tsan examples audit doc clean
 
 all: build
 
@@ -80,6 +80,16 @@ bench-gate: bench-sched bench-codec bench-chaos bench-cohort bench-multichannel
 	  --kind multichannel --fresh BENCH_multichannel.json \
 	  --baseline bench/baselines/BENCH_multichannel.baseline.json \
 	  --summary bench_gate_summary.md --append
+
+# One short untraced pass of each end-to-end pipeline workload
+# (perfbench/README.md). Gates no numbers: it exists to run the
+# benchmark's correctness gates (byte identity, certification, replay
+# determinism), which exit non-zero on failure.
+perfbench-smoke:
+	@for w in air-bytes fleet-exact population; do \
+	  dune exec --root . --display quiet ./perfbench/main.exe -- \
+	    --workload $$w --seed 1 --seconds 1 --trace 0 || exit 1; \
+	done
 
 # Full test suite with metrics recording force-enabled (determinism
 # regression: instrumentation must not change any observable output).

@@ -83,10 +83,10 @@ let () =
         Transport.retrieve transport ~file:r.Designer.id ~start:5
           ~fault:(tunnel ~seed:(r.Designer.id + 1)) ()
       with
-      | Some bytes ->
+      | Ok bytes ->
           Format.printf "  %-10s reconstructed: %d bytes, prefix %S@."
             r.Designer.name (Bytes.length bytes)
             (Bytes.sub_string bytes 0 (min 24 (Bytes.length bytes)))
-      | None -> Format.printf "  %-10s FAILED to reconstruct@." r.Designer.name)
+      | Error _ -> Format.printf "  %-10s FAILED to reconstruct@." r.Designer.name)
     requirements;
   Sys.remove path

@@ -66,10 +66,10 @@ let () =
       ~loss_bad:0.6 ~seed
   in
   (match Transport.retrieve transport ~file:0 ~start:11 ~fault:(tunnel_channel ~seed:3) () with
-  | Some bytes ->
+  | Ok bytes ->
       Format.printf "Vehicle reconstructed the incident report through the tunnel:@.  %S@.@."
         (Bytes.to_string bytes)
-  | None -> Format.printf "Vehicle failed to reconstruct the incident report!@.@.");
+  | Error _ -> Format.printf "Vehicle failed to reconstruct the incident report!@.@.");
 
   (* Fleet measurement: deadline-miss ratio for the pinwheel/AIDA program
      versus a flat non-IDA program carrying the same files. *)

@@ -59,8 +59,12 @@ let () =
   (* 4. A client tunes in mid-broadcast and retrieves "positions" while 15%
      of blocks are lost; IDA redundancy absorbs the losses. *)
   let outcome =
-    Client.retrieve ~program ~file:1 ~needed:4 ~start:13
-      ~fault:(Fault.bernoulli ~p:0.15 ~seed:7) ()
+    match
+      Client.retrieve ~program ~file:1 ~needed:4 ~start:13
+        ~fault:(Fault.bernoulli ~p:0.15 ~seed:7) ()
+    with
+    | Ok o -> o
+    | Error e -> Format.kasprintf failwith "request rejected: %a" Client.pp_error e
   in
   Format.printf "@.Client retrieving 'positions' under 15%% block loss:@.  %a@."
     Client.pp_outcome outcome;

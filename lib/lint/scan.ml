@@ -203,7 +203,7 @@ let on_ident st ~loc path =
       emit st ~rule:"L2" ~loc
         (Printf.sprintf
            "bare %s in a transport/retrieve path; return a typed error \
-            ([retrieve_result]-style) instead"
+            (a [result] value) instead"
            r)
   | _ -> ());
   (if

@@ -38,7 +38,7 @@ let error_message = function
 
 let pp_error ppf e = Format.pp_print_string ppf (error_message e)
 
-(* The retrieval loop proper; inputs are validated by the entry points
+(* The retrieval loop proper; inputs are validated by [retrieve]
    below. *)
 let retrieve_loop ?max_slots ?report ~program ~file ~needed ~start ~fault () =
   let max_slots =
@@ -109,9 +109,8 @@ let retrieve_loop ?max_slots ?report ~program ~file ~needed ~start ~fault () =
 
 (* With adaptive degradation a file can be shed from the program while
    clients still want it, so "not in program" is a runtime condition,
-   not only a caller bug — hence the typed entry point (lint rule L2). *)
-let retrieve_checked ?max_slots ?report ~program ~file ~needed ~start ~fault ()
-    =
+   not only a caller bug — hence the typed result (lint rule L2). *)
+let retrieve ?max_slots ?report ~program ~file ~needed ~start ~fault () =
   if start < 0 then Error (Bad_request "negative start")
   else if needed < 1 then Error (Bad_request "needed must be >= 1")
   else
@@ -122,15 +121,6 @@ let retrieve_checked ?max_slots ?report ~program ~file ~needed ~start ~fault ()
         Error Never_broadcast
     | _ ->
         Ok (retrieve_loop ?max_slots ?report ~program ~file ~needed ~start ~fault ())
-
-(* Legacy raising wrapper over [retrieve_checked]; kept for the many
-   existing call sites (allow-listed under lint rule L2). *)
-let retrieve ?max_slots ?report ~program ~file ~needed ~start ~fault () =
-  match
-    retrieve_checked ?max_slots ?report ~program ~file ~needed ~start ~fault ()
-  with
-  | Ok o -> o
-  | Error e -> invalid_arg ("Client.retrieve: " ^ error_message e)
 
 let deadline_met o ~deadline =
   match o.elapsed with Some e -> e <= deadline | None -> false

@@ -26,29 +26,21 @@ type error =
 
 val pp_error : Format.formatter -> error -> unit
 
-val retrieve_checked :
-  ?max_slots:int -> ?report:(slot:int -> file:int -> lost:bool -> unit) ->
-  program:Pindisk.Program.t -> file:int -> needed:int ->
-  start:int -> fault:Fault.t -> unit -> (outcome, error) result
-(** Typed variant of {!retrieve}: the conditions the raising API treats
-    as caller bugs become values. [Unknown_file] in particular is a
-    live runtime condition once {!Pindisk_adapt} sheds files from a
-    degraded program while clients still request them. *)
-
 val retrieve :
   ?max_slots:int -> ?report:(slot:int -> file:int -> lost:bool -> unit) ->
   program:Pindisk.Program.t -> file:int -> needed:int ->
-  start:int -> fault:Fault.t -> unit -> outcome
+  start:int -> fault:Fault.t -> unit -> (outcome, error) result
 (** [retrieve ~program ~file ~needed ~start ~fault ()] simulates one
     retrieval. The fault process is {!Fault.reset_to} the start slot and
     advanced once per slot. [max_slots] (default [100 * data_cycle])
     bounds the wait: on overrun [completed_at = None]. [report], when
     given, is called for every busy slot the client watches with the
     reception outcome — the feedback path a server-side loss estimator
-    (e.g. [Pindisk_adapt.Estimator]) consumes. Raises
-    [Invalid_argument] when [needed] exceeds the file's capacity (the
-    client could never finish) or the file is not broadcast — a legacy
-    wrapper over {!retrieve_checked}, which returns those as values. *)
+    (e.g. [Pindisk_adapt.Estimator]) consumes. A request the client
+    could never serve is an [Error], never an exception: [Unknown_file]
+    in particular is a live runtime condition once {!Pindisk_adapt}
+    sheds files from a degraded program while clients still request
+    them. *)
 
 val deadline_met : outcome -> deadline:int -> bool
 (** Whether the retrieval finished within [deadline] slots of tuning in. *)

@@ -1,4 +1,5 @@
 module Plan = Pindisk_pinwheel.Plan
+module Schedule = Pindisk_pinwheel.Schedule
 module Intmath = Pindisk_util.Intmath
 module Pool = Pindisk_util.Pool
 module Obs = Pindisk_obs
@@ -11,6 +12,53 @@ let obs_analytic = Obs.Registry.counter "cohort.analytic"
 
 type key = { file : int; phase : int; needed : int; deadline : int }
 type cls = { key : key; weight : int }
+
+(* One period of warm-up dispatch, done once per plan: the sorted slot
+   offsets each file occupies within a period. Their lengths are the
+   per-file occurrence counts (validation and the data cycle); the
+   offsets themselves are each class's occurrence pattern. O(period·log
+   n) time, O(period) memory, no slot array. The plan is kept so a prep
+   handed back to [run] can be checked against the plan it came from. *)
+type prep = {
+  plan : Plan.t;
+  period : int;
+  offsets : (int, int array) Hashtbl.t;
+}
+
+let prepare plan =
+  let d = Plan.create plan in
+  let period = Plan.period plan in
+  let rev_offsets = Hashtbl.create 64 in
+  for s = 0 to period - 1 do
+    let f = Plan.next d in
+    if f <> Schedule.idle then
+      Hashtbl.replace rev_offsets f
+        (s :: Option.value ~default:[] (Hashtbl.find_opt rev_offsets f))
+  done;
+  let offsets = Hashtbl.create 64 in
+  Hashtbl.iter
+    (fun f rev -> Hashtbl.replace offsets f (Array.of_list (List.rev rev)))
+    rev_offsets;
+  { plan; period; offsets }
+
+(* Slots after which the (occurrence count mod capacity) phase of every
+   file realigns with slot 0 — the block-cycling period of the whole
+   broadcast; [100 ·] it is the default retrieval window. *)
+let data_cycle prep ~capacity =
+  Hashtbl.fold
+    (fun f offs acc ->
+      let n = capacity f in
+      Intmath.lcm acc (n / Intmath.gcd n (Array.length offs)))
+    prep.offsets 1
+  * prep.period
+
+let key_of_request ~period (r : Workload.request) =
+  {
+    file = r.Workload.file;
+    phase = r.Workload.issued mod period;
+    needed = r.Workload.needed;
+    deadline = r.Workload.deadline;
+  }
 
 (* Why this key suffices: the broadcast repeats every period, block
    indices cycle (global occurrence count mod capacity), and each client
@@ -29,14 +77,7 @@ let classes_of_trace ~period trace =
     (fun (r : Workload.request) ->
       if r.Workload.issued < 0 then
         invalid_arg "Cohort.classes_of_trace: negative start";
-      let key =
-        {
-          file = r.Workload.file;
-          phase = r.Workload.issued mod period;
-          needed = r.Workload.needed;
-          deadline = r.Workload.deadline;
-        }
-      in
+      let key = key_of_request ~period r in
       Hashtbl.replace tbl key
         (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key)))
     trace;
@@ -81,27 +122,58 @@ let capacity_fn ~who capacities =
     | Some n -> n
     | None -> invalid_arg (who ^ ": file not in plan capacities")
 
-let prep_for ~who ?prep plan =
-  match prep with
-  | Some p ->
-      if Drive.period p <> Plan.period plan then
-        invalid_arg (who ^ ": prep was built from a different plan");
-      p
-  | None -> Drive.prepare plan
+(* Shared front matter of both entry points: the capacity lookup, the
+   warm-up (a caller's prep must come from this very plan — one from a
+   different plan of the same period would silently misattribute slots)
+   and the default retrieval window. *)
+let setup ~who ?prep ?max_slots ~plan capacities =
+  let capacity = capacity_fn ~who capacities in
+  let prep =
+    match prep with
+    | Some p ->
+        if not (p.plan == plan || p.plan = plan) then
+          invalid_arg (who ^ ": prep was built from a different plan");
+        p
+    | None -> prepare plan
+  in
+  let max_slots =
+    match max_slots with
+    | Some m -> m
+    | None -> 100 * data_cycle prep ~capacity
+  in
+  (capacity, prep, max_slots)
+
+let check_request ~who ~capacity prep ~file ~needed =
+  if needed < 1 then invalid_arg (who ^ ": needed must be >= 1");
+  if needed > capacity file then
+    invalid_arg (who ^ ": needed exceeds the file's capacity");
+  if not (Hashtbl.mem prep.offsets file) then
+    invalid_arg (who ^ ": file never broadcast")
+
+let slot_offsets prep file =
+  Option.value ~default:[||] (Hashtbl.find_opt prep.offsets file)
 
 (* mask.(o) = the plan broadcasts the file at slot offset o. *)
-let mask_of prep ~period file =
-  let mask = Array.make period false in
-  Array.iter (fun o -> mask.(o) <- true) (Drive.slot_offsets prep file);
+let mask_of prep file =
+  let mask = Array.make prep.period false in
+  Array.iter (fun o -> mask.(o) <- true) (slot_offsets prep file);
   mask
 
-(* One member's retrieval, mirroring [Drive.run]'s per-request walk: the
-   fault process (already reset to the issue slot) advances once per
-   slot; own-file occurrences are lost or collected; collection tracks
+let masks_of prep files =
+  let masks = Hashtbl.create 16 in
+  Array.iter
+    (fun f ->
+      if not (Hashtbl.mem masks f) then Hashtbl.add masks f (mask_of prep f))
+    files;
+  masks
+
+(* One member's retrieval, mirroring [Client.retrieve]'s walk: the fault
+   process (already reset to the issue slot) advances once per slot;
+   own-file occurrences are lost or collected; collection tracks
    distinct residues of the relative occurrence ordinal mod capacity —
    a constant shift of the global block index, so the distinct count
-   (and hence completion slot and losses) matches Drive exactly.
-   Returns (elapsed, losses, slots swept). *)
+   (and hence completion slot and losses) matches the per-client walk
+   exactly. Returns (elapsed, losses, slots swept). *)
 let sweep_member ~mask ~period ~phase ~cap ~needed ~max_slots fault =
   let seen = Array.make cap false in
   let distinct = ref 0 and losses = ref 0 in
@@ -159,42 +231,25 @@ let rows_of_hist ~file ~deadline elapsed_counts ~expired ~losses =
   | [] -> []
   | first :: rest -> { first with Retire.losses } :: rest
 
-(* ---- Trace mode: exact Drive.run replay, class-shared sweep ---- *)
+(* ---- Trace mode: exact per-client replay, class-shared sweep ---- *)
 
 let run ?pool ?prep ?max_slots ~plan ~capacities ~fault ~seed trace =
   let who = "Cohort.run" in
-  let capacity = capacity_fn ~who capacities in
-  let prep = prep_for ~who ?prep plan in
-  let period = Drive.period prep in
-  let occ = Drive.occurrences prep in
-  let max_slots =
-    match max_slots with
-    | Some m -> m
-    | None -> 100 * Drive.data_cycle prep ~capacity
-  in
+  let capacity, prep, max_slots = setup ~who ?prep ?max_slots ~plan capacities in
+  let period = prep.period in
   List.iter
     (fun (r : Workload.request) ->
       if r.Workload.issued < 0 then invalid_arg (who ^ ": negative start");
-      if r.Workload.needed < 1 then invalid_arg (who ^ ": needed must be >= 1");
-      if r.Workload.needed > capacity r.Workload.file then
-        invalid_arg (who ^ ": needed exceeds the file's capacity");
-      if not (Hashtbl.mem occ r.Workload.file) then
-        invalid_arg (who ^ ": file never broadcast"))
+      check_request ~who ~capacity prep ~file:r.Workload.file
+        ~needed:r.Workload.needed)
     trace;
   let reqs = Array.of_list trace in
   let n = Array.length reqs in
   (* Group member trace-indices by class; members stay in trace order. *)
   let groups : (key, int list ref) Hashtbl.t = Hashtbl.create 64 in
   Array.iteri
-    (fun k (r : Workload.request) ->
-      let key =
-        {
-          file = r.Workload.file;
-          phase = r.Workload.issued mod period;
-          needed = r.Workload.needed;
-          deadline = r.Workload.deadline;
-        }
-      in
+    (fun k r ->
+      let key = key_of_request ~period r in
       match Hashtbl.find_opt groups key with
       | Some l -> l := k :: !l
       | None -> Hashtbl.add groups key (ref [ k ]))
@@ -204,12 +259,7 @@ let run ?pool ?prep ?max_slots ~plan ~capacities ~fault ~seed trace =
     |> List.sort compare
     |> Array.of_list
   in
-  let masks = Hashtbl.create 16 in
-  Array.iter
-    (fun (key, _) ->
-      if not (Hashtbl.mem masks key.file) then
-        Hashtbl.add masks key.file (mask_of prep ~period key.file))
-    classes;
+  let masks = masks_of prep (Array.map (fun (key, _) -> key.file) classes) in
   let outcomes = Array.make n (None, 0) in
   let obs = Obs.Control.enabled () in
   for_classes ?pool ~n:(Array.length classes) (fun ci ->
@@ -402,36 +452,20 @@ let sampled_class ~model ~seed ~key ~weight ~mask ~period ~cap ~max_slots =
 let run_population ?pool ?prep ?max_slots ?(sampled = false) ~plan ~capacities
     ~model ~seed classes =
   let who = "Cohort.run_population" in
-  let capacity = capacity_fn ~who capacities in
-  let prep = prep_for ~who ?prep plan in
-  let period = Drive.period prep in
-  let occ = Drive.occurrences prep in
+  let capacity, prep, max_slots = setup ~who ?prep ?max_slots ~plan capacities in
+  let period = prep.period in
   let classes = canonicalize ~who classes in
   Array.iter
     (fun c ->
       if c.key.phase < 0 || c.key.phase >= period then
         invalid_arg (who ^ ": phase out of [0, period)");
-      if c.key.needed < 1 then invalid_arg (who ^ ": needed must be >= 1");
-      if c.key.needed > capacity c.key.file then
-        invalid_arg (who ^ ": needed exceeds the file's capacity");
-      if not (Hashtbl.mem occ c.key.file) then
-        invalid_arg (who ^ ": file never broadcast"))
+      check_request ~who ~capacity prep ~file:c.key.file ~needed:c.key.needed)
     classes;
-  let max_slots =
-    match max_slots with
-    | Some m -> m
-    | None -> 100 * Drive.data_cycle prep ~capacity
-  in
   let analytic =
     (not sampled) && (match model with No_loss | Bernoulli _ -> true | Burst _ -> false)
   in
   let p = loss_rate_of_model model in
-  let masks = Hashtbl.create 16 in
-  Array.iter
-    (fun c ->
-      if not (Hashtbl.mem masks c.key.file) then
-        Hashtbl.add masks c.key.file (mask_of prep ~period c.key.file))
-    classes;
+  let masks = masks_of prep (Array.map (fun c -> c.key.file) classes) in
   let nclasses = Array.length classes in
   let rows = Array.make nclasses [] in
   let obs = Obs.Control.enabled () in
@@ -441,7 +475,7 @@ let run_population ?pool ?prep ?max_slots ?(sampled = false) ~plan ~capacities
       if analytic then begin
         rows.(ci) <-
           analytic_class
-            ~offs:(Drive.slot_offsets prep c.key.file)
+            ~offs:(slot_offsets prep c.key.file)
             ~period ~phase:c.key.phase ~cap ~needed:c.key.needed
             ~deadline:c.key.deadline ~max_slots ~p ~weight:c.weight
             ~file:c.key.file;

@@ -11,18 +11,22 @@
     weighted classes: one dispatcher-shaped sweep per class instead of
     one per client (the argument is spelled out in DESIGN §5i).
 
-    Two entry points share the class machinery:
+    This is the production single-channel engine; {!Engine.run}, which
+    walks {!Client.retrieve} once per request, is kept as the oracle it
+    is tested against. Two entry points share the class machinery:
 
     - {!run} replays a concrete trace through the class sweep and is
-      {e exactly} equal to {!Drive.run} — same fault seeds (trace
-      index), same [Engine.result] to the last float. The test suite
-      pins this.
+      {e exactly} equal to {!Engine.run} on the program the plan
+      materializes to — same fault seeds (trace index), same
+      [Engine.result] to the last float. The test suite pins this.
     - {!run_population} takes a closed-form population (a class list).
       Memoryless fault models ([No_loss] / [Bernoulli]) fold
-      analytically — exact completion-ordinal law via a Poisson-binomial
-      DP, integer weights apportioned by largest remainder, losses by
-      Wald's identity — at O(1) cost in the class weight, which is what
-      makes 10M clients a few milliseconds. Time-correlated models
+      analytically — the completion-ordinal law is exact (a
+      Poisson-binomial DP), and the integer class weight is apportioned
+      over it by largest remainder, so each completion bucket holds
+      weight × mass rounded to within one client; losses follow from
+      Wald's identity. The cost is O(1) in the class weight, which is
+      what makes 10M clients a few milliseconds. Time-correlated models
       ([Burst]) fall back to per-member seeded sampling (content-derived
       seeds: invariant under class-list permutation).
 
@@ -45,6 +49,14 @@ type key = {
   deadline : int;
 }
 
+type prep
+(** The per-plan warm-up: one period of dispatch recording each file's
+    slot offsets within the period. Built in O(period·log n); reusable
+    across any number of {!run} / {!run_population} calls over the
+    {e same} plan, so repeated runs don't pay the warm-up again. *)
+
+val prepare : Pindisk_pinwheel.Plan.t -> prep
+
 type cls = { key : key; weight : int }
 
 val classes_of_trace : period:int -> Workload.request list -> cls list
@@ -66,12 +78,12 @@ type model =
     }
 
 val fault_of_model : model -> seed:int -> Fault.t
-(** The {!Fault} process a given model describes — what {!Drive.run}
-    should be handed when cross-checking a sampled population run. *)
+(** The {!Fault} process a given model describes — what {!run} should be
+    handed when cross-checking a sampled population run. *)
 
 val run :
   ?pool:Pindisk_util.Pool.t ->
-  ?prep:Drive.prep ->
+  ?prep:prep ->
   ?max_slots:int ->
   plan:Pindisk_pinwheel.Plan.t ->
   capacities:(int * int) list ->
@@ -79,17 +91,24 @@ val run :
   seed:int ->
   Workload.request list ->
   Engine.result
-(** Drop-in replacement for {!Drive.run} (same validation, same
-    defaults, same result — exactly, including float accumulation
-    order), but sweeping per class: the occurrence pattern and warm-up
-    work are shared by all members of a class rather than recomputed per
-    request. [pool] shards classes across domains (default: inline
-    sequential); [fault] must be pure construction, as it is called from
-    worker domains. *)
+(** [run ~plan ~capacities ~fault ~seed trace] retires every request of
+    the trace; request [k] gets [fault ~seed:(Intmath.mix64 (seed + k))],
+    reset at its issue slot and advanced once per slot, exactly as
+    {!Engine.run} does — and the result equals {!Engine.run}'s, including
+    float accumulation order. Members of a class share the occurrence
+    pattern and the warm-up instead of re-walking the dispatcher per
+    request. [max_slots] is each request's retrieval window (default
+    [100 ·] the plan's data cycle). [prep] (from {!prepare} on this
+    [plan]) skips the warm-up. [pool] shards classes across domains
+    (default: inline sequential); [fault] must be pure construction, as
+    it is called from worker domains. Raises [Invalid_argument] on a
+    prep built from a different plan, a capacity below 1, a request
+    naming a file without a capacity or never broadcast, [needed < 1]
+    or beyond the file's capacity, or a negative issue slot. *)
 
 val run_population :
   ?pool:Pindisk_util.Pool.t ->
-  ?prep:Drive.prep ->
+  ?prep:prep ->
   ?max_slots:int ->
   ?sampled:bool ->
   plan:Pindisk_pinwheel.Plan.t ->
@@ -103,9 +122,11 @@ val run_population :
     is invariant under permutation or splitting of the input.
     [No_loss]/[Bernoulli] classes fold analytically unless
     [~sampled:true] forces per-member sampling; [Burst] always samples.
-    The analytic fold is exact to double precision: the per-ordinal
-    completion law is truncated only once its residual mass is below
-    [1e-15] (the leftover rides the expiry bucket). [seed] feeds the
+    The analytic completion law is exact to double precision: it is
+    truncated only once its residual mass is below [1e-15] (the leftover
+    rides the expiry bucket). The integer apportionment of the class
+    weight over that law is not: each bucket holds weight × mass
+    rounded up or down, so within one client of it. [seed] feeds the
     sampled path's content-derived member seeds; the analytic path
     ignores it. [max_slots] defaults to [100 ·] the plan's data cycle.
     Raises [Invalid_argument] for a class with [phase] outside

@@ -33,9 +33,14 @@ let run ?max_slots ~program ~fault ~seed trace =
     List.mapi
       (fun k (r : Workload.request) ->
         let outcome =
-          Client.retrieve ?max_slots ~program ~file:r.Workload.file
-            ~needed:r.Workload.needed ~start:r.Workload.issued
-            ~fault:(fault ~seed:(Pindisk_util.Intmath.mix64 (seed + k))) ()
+          match
+            Client.retrieve ?max_slots ~program ~file:r.Workload.file
+              ~needed:r.Workload.needed ~start:r.Workload.issued
+              ~fault:(fault ~seed:(Pindisk_util.Intmath.mix64 (seed + k))) ()
+          with
+          | Ok o -> o
+          | Error e ->
+              invalid_arg (Format.asprintf "Engine.run: %a" Client.pp_error e)
         in
         {
           Retire.file = r.Workload.file;

@@ -3,8 +3,9 @@
     Requests are independent clients (broadcast reception does not
     contend), so the engine maps the trace through {!Client.retrieve},
     each request with its own deterministic fault process, and aggregates
-    global and per-file statistics with percentiles — the measurement
-    harness behind the program-comparison experiments. *)
+    global and per-file statistics with percentiles. It is the simplest
+    engine, kept as the oracle the production engine {!Cohort.run} is
+    tested against (equal results, to the last float). *)
 
 type file_stats = Retire.file_stats = {
   file : int;
@@ -38,7 +39,10 @@ val run :
 (** [run ~program ~fault ~seed trace] executes every request; request [k]
     gets the fault process [fault ~seed:(Intmath.mix64 (seed + k))] — the
     splitmix64 finalizer decorrelates adjacent requests' fault streams,
-    which plain [seed + k] does not. *)
+    which plain [seed + k] does not. Raises [Invalid_argument] on a
+    request {!Client.retrieve} rejects (unknown or never-broadcast file,
+    [needed] below 1 or beyond the file's capacity, negative issue
+    slot). *)
 
 val pp_result : Format.formatter -> result -> unit
 (** The global summary followed by one {!pp_file_stats} line per file,

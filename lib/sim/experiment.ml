@@ -27,8 +27,13 @@ let run ?max_slots ~program ~file ~needed ~deadline ~fault ~trials ~seed () =
   for k = 0 to trials - 1 do
     let start = Random.State.int rng cycle in
     let outcome =
-      Client.retrieve ?max_slots ~program ~file ~needed ~start
-        ~fault:(fault ~seed:(Pindisk_util.Intmath.mix64 (seed + k))) ()
+      match
+        Client.retrieve ?max_slots ~program ~file ~needed ~start
+          ~fault:(fault ~seed:(Pindisk_util.Intmath.mix64 (seed + k))) ()
+      with
+      | Ok o -> o
+      | Error e ->
+          invalid_arg (Format.asprintf "Experiment.run: %a" Client.pp_error e)
     in
     total_losses := !total_losses + outcome.Client.losses;
     (match outcome.Client.elapsed with

@@ -23,7 +23,9 @@ val run :
 (** [run ~program ~file ~needed ~deadline ~fault ~trials ~seed ()] starts
     [trials] clients at uniformly random tune-in slots within one data
     cycle (deterministic in [seed]), each with a fresh fault process
-    [fault ~seed:k]. *)
+    [fault ~seed:k]. Raises [Invalid_argument] when [trials < 1] or when
+    {!Client.retrieve} rejects the request (unknown or never-broadcast
+    file, [needed] below 1 or beyond the file's capacity). *)
 
 val miss_ratio : summary -> float
 (** [missed_deadline / trials]. *)

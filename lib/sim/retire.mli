@@ -1,11 +1,11 @@
 (** The shared retirement fold behind every simulation engine.
 
-    {!Engine.run} (per-client), {!Drive.run} (single-sweep) and
-    {!Cohort.run} (weighted classes) all end the same way: a sequence of
-    per-request outcomes is folded into global and per-file statistics
-    plus [lib/obs] counters and wait histograms. This module owns that
-    fold — and the result types the engines share — so the three paths
-    cannot drift apart.
+    {!Engine.run} (the per-client oracle), {!Cohort.run} /
+    {!Cohort.run_population} (weighted classes) and {!Multi.run} all end
+    the same way: a sequence of per-request outcomes is folded into
+    global and per-file statistics plus [lib/obs] counters and wait
+    histograms. This module owns that fold — and the result types the
+    engines share — so the paths cannot drift apart.
 
     A {!row} is one outcome with a [weight]: how many statistically
     identical clients it stands for. Weight-1 rows folded in trace order

@@ -2,9 +2,6 @@ module Program = Pindisk.Program
 module Ida = Pindisk_ida.Ida
 module Obs = Pindisk_obs
 
-module Schedule = Pindisk_pinwheel.Schedule
-module Plan = Pindisk_pinwheel.Plan
-
 let obs_requests = Obs.Registry.counter "sim.transport.requests"
 let obs_reconstructs = Obs.Registry.counter "sim.transport.reconstructs"
 let obs_retries = Obs.Registry.counter "sim.transport.retries"
@@ -72,115 +69,6 @@ let find_source_blocks t file =
   | Some s -> Some s.m
   | None -> None
 
-let source_blocks t file =
-  match find_source_blocks t file with
-  | Some m -> m
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Transport.source_blocks: unknown file %d" file)
-
-(* ------------------------------------------------------------------ *)
-(* Online streaming: air the program from a dispatch plan               *)
-(* ------------------------------------------------------------------ *)
-
-type streamer = {
-  transport : t;
-  disp : Plan.dispatcher;
-  counts : (int, int) Hashtbl.t;
-}
-
-let obs_streamed = Obs.Registry.counter "sim.transport.streamed"
-
-(* A mismatched plan would silently air a different program; with
-   [validate] the first hyperperiod is cross-checked against the
-   program's schedule before any slot goes on the air. *)
-let validate_plan t plan =
-  let sched = Program.schedule t.program in
-  let sp = Schedule.period sched in
-  let pp = Plan.period plan in
-  if pp mod sp <> 0 then
-    invalid_arg
-      (Printf.sprintf
-         "Transport.streamer: plan period %d is not a multiple of the \
-          program period %d"
-         pp sp);
-  let d = Plan.create plan in
-  for slot = 0 to pp - 1 do
-    let aired = Plan.next d in
-    let expected = Schedule.task_at sched slot in
-    if aired <> expected then
-      invalid_arg
-        (Printf.sprintf
-           "Transport.streamer: plan airs %d at slot %d where the program \
-            airs %d"
-           aired slot expected)
-  done
-
-let streamer ?(validate = false) t plan =
-  if validate then validate_plan t plan;
-  { transport = t; disp = Plan.create plan; counts = Hashtbl.create 16 }
-
-let streamer_slot s = Plan.slot s.disp
-
-let stream_next s =
-  let slot = Plan.slot s.disp in
-  match Plan.next s.disp with
-  | f when f = Schedule.idle -> None
-  | f ->
-      let stored =
-        match Hashtbl.find_opt s.transport.store f with
-        | Some st -> st
-        | None -> invalid_arg "Transport.stream_next: file not stored"
-      in
-      let c = Option.value ~default:0 (Hashtbl.find_opt s.counts f) in
-      Hashtbl.replace s.counts f (c + 1);
-      let piece = stored.pieces.(c mod Array.length stored.pieces) in
-      Obs.Trace.record (Obs.Trace.Slot { slot; file = f; index = piece.Ida.index });
-      Some (f, piece)
-
-let retrieve_streamed ?max_slots s ~file ~fault () =
-  let stored =
-    match Hashtbl.find_opt s.transport.store file with
-    | Some st -> st
-    | None -> invalid_arg "Transport.retrieve_streamed: unknown file"
-  in
-  let max_slots =
-    match max_slots with
-    | Some m -> m
-    | None -> 100 * Program.data_cycle s.transport.program
-  in
-  let start = streamer_slot s in
-  Fault.reset_to fault start;
-  let obs = Obs.Control.enabled () in
-  if obs then Obs.Registry.incr obs_requests;
-  let collected = Hashtbl.create 16 in
-  let result = ref None in
-  let streamed = ref 0 in
-  while !result = None && streamer_slot s - start < max_slots do
-    let lost = Fault.advance fault in
-    let slot = streamer_slot s in
-    incr streamed;
-    (match stream_next s with
-    | Some (f, piece) when f = file && not lost ->
-        if not (Hashtbl.mem collected piece.Ida.index) then begin
-          Hashtbl.replace collected piece.Ida.index piece;
-          if Hashtbl.length collected >= stored.m then begin
-            let pieces = Hashtbl.fold (fun _ p acc -> p :: acc) collected [] in
-            result := Some (Ida.reconstruct stored.ida ~length:stored.length pieces);
-            if obs then begin
-              Obs.Registry.incr obs_reconstructs;
-              Obs.Histogram.observe obs_wait (slot - start + 1);
-              Obs.Trace.record
-                (Obs.Trace.Reconstruct
-                   { file; pieces = stored.m; bytes = stored.length })
-            end
-          end
-        end
-    | Some _ | None -> ())
-  done;
-  if obs then Obs.Registry.add obs_streamed !streamed;
-  !result
-
 (* One tuning attempt: listen from [start] for at most [budget] slots,
    adding received pieces of [file] to [collected] (which may already hold
    pieces from earlier attempts — dispersal is fixed, so they stay valid).
@@ -234,42 +122,19 @@ let collect_once ?report t ~stored ~collected ~file ~start ~budget ~fault =
              needed = stored.m;
            })
 
-let retrieve_result ?max_slots ?report t ~file ~start ~fault () =
+let retrieve ?(attempts = 1) ?backoff ?max_slots ?report t ~file ~start ~fault
+    () =
   if start < 0 then invalid_arg "Transport.retrieve: negative start";
-  match Hashtbl.find_opt t.store file with
-  | None -> Error (Unknown_file file)
-  | Some stored ->
-      let budget =
-        match max_slots with
-        | Some m -> m
-        | None -> 100 * Program.data_cycle t.program
-      in
-      if Obs.Control.enabled () then Obs.Registry.incr obs_requests;
-      let collected = Hashtbl.create 16 in
-      collect_once ?report t ~stored ~collected ~file ~start ~budget ~fault
-
-let retrieve ?max_slots ?report t ~file ~start ~fault () =
-  if start < 0 then invalid_arg "Transport.retrieve: negative start";
-  if not (Hashtbl.mem t.store file) then
-    invalid_arg "Transport.retrieve: unknown file";
-  match retrieve_result ?max_slots ?report t ~file ~start ~fault () with
-  | Ok bytes -> Some bytes
-  | Error _ -> None
-
-let retrieve_resilient ?(attempts = 4) ?backoff ?max_slots ?report t ~file
-    ~start ~fault () =
-  if start < 0 then invalid_arg "Transport.retrieve_resilient: negative start";
-  if attempts < 1 then
-    invalid_arg "Transport.retrieve_resilient: attempts must be >= 1";
+  if attempts < 1 then invalid_arg "Transport.retrieve: attempts must be >= 1";
   (match backoff with
-  | Some b when b < 1 ->
-      invalid_arg "Transport.retrieve_resilient: backoff must be >= 1"
+  | Some b when b < 1 -> invalid_arg "Transport.retrieve: backoff must be >= 1"
   | _ -> ());
   match Hashtbl.find_opt t.store file with
   | None -> Error (Unknown_file file)
   | Some stored ->
-      let cycle = Program.data_cycle t.program in
-      let budget = Option.value max_slots ~default:cycle in
+      let budget =
+        Option.value max_slots ~default:(100 * Program.data_cycle t.program)
+      in
       let backoff0 = Option.value backoff ~default:(Program.period t.program) in
       let obs = Obs.Control.enabled () in
       if obs then Obs.Registry.incr obs_requests;
@@ -281,19 +146,14 @@ let retrieve_resilient ?(attempts = 4) ?backoff ?max_slots ?report t ~file
           collect_once ?report t ~stored ~collected ~file ~start:at ~budget
             ~fault
         with
-        | Ok bytes -> Ok bytes
-        | Error (Reconstruct_failed _ as e) -> Error e
-        | Error (Timeout _ as e) ->
-            if i >= attempts then Error e
-            else begin
-              let pause = backoff0 * (1 lsl (i - 1)) in
-              if obs then begin
-                Obs.Registry.incr obs_retries;
-                Obs.Trace.record
-                  (Obs.Trace.Retry { file; attempt = i; backoff = pause })
-              end;
-              attempt (i + 1) (at + budget + pause)
-            end
-        | Error (Unknown_file _ as e) -> Error e
+        | Error (Timeout _) when i < attempts ->
+            let pause = backoff0 * (1 lsl (i - 1)) in
+            if obs then begin
+              Obs.Registry.incr obs_retries;
+              Obs.Trace.record
+                (Obs.Trace.Retry { file; attempt = i; backoff = pause })
+            end;
+            attempt (i + 1) (at + budget + pause)
+        | r -> r
       in
       attempt 1 start

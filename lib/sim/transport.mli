@@ -23,22 +23,17 @@ val on_air : t -> int -> (int * Pindisk_ida.Ida.piece) option
 (** [on_air t slot] is the (file, dispersed piece) broadcast in that slot,
     or [None] for an idle slot. *)
 
-val source_blocks : t -> int -> int
-(** The [m] a client needs for the file; raises [Invalid_argument] naming
-    the file id for unknown files (see {!find_source_blocks} for the
-    non-raising variant). *)
-
 val find_source_blocks : t -> int -> int option
 (** The [m] a client needs for the file, or [None] for unknown files. *)
 
 (** {1 Typed retrieval errors}
 
-    The retrieve paths distinguish the three ways a retrieval goes wrong,
-    so callers can react differently: a {!Timeout} is transient (re-tune
-    in later — {!retrieve_resilient} automates that), an {!Unknown_file}
-    is a caller bug, and a {!Reconstruct_failed} means the collected
-    pieces were inconsistent (corruption — there is no point retrying with
-    the same pieces). *)
+    {!retrieve} distinguishes the three ways a retrieval goes wrong, so
+    callers can react differently: a {!Timeout} is transient (re-tune in
+    later — [~attempts] automates that), an {!Unknown_file} is a caller
+    bug, and a {!Reconstruct_failed} means the collected pieces were
+    inconsistent (corruption — there is no point retrying with the same
+    pieces). *)
 
 type error =
   | Timeout of { slots : int; collected : int; needed : int }
@@ -50,74 +45,24 @@ type error =
 
 val pp_error : Format.formatter -> error -> unit
 
-(** {1 Online streaming}
-
-    The eager air path ({!on_air}) asks [Program.block_at] for each slot,
-    which needs the materialized schedule and its per-file prefix arrays.
-    A {!streamer} instead airs the program straight from a
-    {!Pindisk_pinwheel.Plan} dispatcher: per-file occurrence counters
-    cycle each file's pieces, so for a plan that materializes to the
-    program's schedule (and zero phases) the streamed sequence equals
-    {!on_air} slot for slot — with O(files + tasks) state. *)
-
-type streamer
-
-val streamer : ?validate:bool -> t -> Pindisk_pinwheel.Plan.t -> streamer
-(** A streamer positioned at slot 0. The plan should materialize to the
-    transport's program schedule (the tests pin the equivalence). By
-    default this is not checked — a mismatched plan simply airs a
-    different program; with [~validate:true] the plan's first hyperperiod
-    is cross-checked against the program's schedule (and the plan period
-    must be a multiple of the program period), raising [Invalid_argument]
-    on the first mismatching slot instead of airing it. *)
-
-val streamer_slot : streamer -> int
-(** The next slot {!stream_next} will air. *)
-
-val stream_next : streamer -> (int * Pindisk_ida.Ida.piece) option
-(** The (file, piece) aired in the current slot ([None] when idle);
-    advances the streamer. Matches [on_air t slot] for zero-phase
-    programs. *)
-
-val retrieve_streamed :
-  ?max_slots:int -> streamer -> file:int -> fault:Fault.t -> unit ->
-  bytes option
-(** Like {!retrieve}, but tuning in at the streamer's {e current} position
-    and consuming {!stream_next} — the client and the server share one
-    online dispatch, no schedule materialized. The streamer advances past
-    the slots consumed. *)
-
-val retrieve_result :
-  ?max_slots:int -> ?report:(slot:int -> file:int -> lost:bool -> unit) ->
-  t -> file:int -> start:int -> fault:Fault.t -> unit ->
-  (bytes, error) result
-(** {!retrieve} with a typed verdict: [Ok bytes] on reconstruction,
-    [Error] describing why the retrieval failed otherwise. Never raises
-    for unknown files (that is [Error (Unknown_file _)]); still raises
-    [Invalid_argument] for a negative [start]. *)
-
-val retrieve_resilient :
+val retrieve :
   ?attempts:int -> ?backoff:int -> ?max_slots:int ->
   ?report:(slot:int -> file:int -> lost:bool -> unit) ->
   t -> file:int -> start:int -> fault:Fault.t -> unit ->
   (bytes, error) result
-(** Bounded-retry retrieval: tune in at [start] with a per-attempt budget
-    of [max_slots] (default one data cycle); on timeout, back off
-    exponentially — attempt [i] waits [backoff * 2^(i-1)] slots (default
-    [backoff] is one broadcast period) — and re-tune in, up to [attempts]
-    (default 4) attempts in total. Pieces collected before a timeout are
-    kept across re-tune-ins (dispersal is fixed), so attempts make
-    monotone progress. Each re-tune-in records an [Obs.Trace.Retry] span
-    and bumps the [sim.transport.retries] counter. *)
-
-val retrieve :
-  ?max_slots:int -> ?report:(slot:int -> file:int -> lost:bool -> unit) ->
-  t -> file:int -> start:int -> fault:Fault.t -> unit ->
-  bytes option
 (** Collect pieces of [file] from slot [start] under the fault process
-    until [m] distinct pieces arrive, then reconstruct and return the
-    original bytes. [None] if the slot budget (default 100 data cycles)
-    runs out first. The result, when present, is bit-exact equal to the
-    stored content (the tests assert it). [report], when given, receives
-    every busy slot's reception outcome — the feedback path a server-side
-    loss estimator (e.g. [Pindisk_adapt.Estimator]) consumes. *)
+    until [m] distinct pieces arrive, then reconstruct: [Ok bytes] is
+    bit-exact equal to the stored content (the tests assert it), and
+    every way the retrieval can fail is an [Error]. Each attempt listens
+    for at most [max_slots] slots (default 100 data cycles). On timeout
+    the client backs off exponentially — attempt [i] waits
+    [backoff * 2^(i-1)] slots (default [backoff] is one broadcast period)
+    — and re-tunes in, up to [attempts] (default 1) attempts in total.
+    Pieces collected before a timeout are kept across re-tune-ins
+    (dispersal is fixed), so attempts make monotone progress. Each
+    re-tune-in records an [Obs.Trace.Retry] span and bumps the
+    [sim.transport.retries] counter. [report], when given, receives every
+    busy slot's reception outcome — the feedback path a server-side loss
+    estimator (e.g. [Pindisk_adapt.Estimator]) consumes. Raises
+    [Invalid_argument] only on a malformed request: a negative [start],
+    [attempts < 1] or [backoff < 1]. *)

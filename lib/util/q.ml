@@ -11,10 +11,21 @@ let of_int n = { num = n; den = 1 }
 let zero = of_int 0
 let one = of_int 1
 
+let add_exn x y =
+  let s = x + y in
+  if (x >= 0) = (y >= 0) && (s >= 0) <> (x >= 0) then raise Intmath.Overflow
+  else s
+
+(* Sums scale both sides to the lcm of the denominators, not their
+   product: LPT load sums over many distinct windows would otherwise
+   overflow on perfectly ordinary inputs. *)
 let add a b =
+  let g = Intmath.gcd a.den b.den in
   make
-    (Intmath.mul_exn a.num b.den + Intmath.mul_exn b.num a.den)
-    (Intmath.mul_exn a.den b.den)
+    (add_exn
+       (Intmath.mul_exn a.num (b.den / g))
+       (Intmath.mul_exn b.num (a.den / g)))
+    (Intmath.mul_exn a.den (b.den / g))
 
 let neg a = { a with num = -a.num }
 let sub a b = add a (neg b)
@@ -26,8 +37,18 @@ let inv a =
 
 let div a b = mul a (inv b)
 
-let compare a b =
-  Stdlib.compare (Intmath.mul_exn a.num b.den) (Intmath.mul_exn b.num a.den)
+(* [a/b] against [c/d] (b, d > 0) without forming a cross product, so no
+   comparison of two representable values can overflow: integer parts
+   first, then the reciprocals of the two remainders — the continued
+   fractions of both values, term by term. *)
+let rec compare_frac a b c d =
+  let q = Intmath.floor_div a b and q' = Intmath.floor_div c d in
+  if q <> q' then Stdlib.compare q q'
+  else
+    let r = a - (q * b) and r' = c - (q' * d) in
+    if r = 0 || r' = 0 then Stdlib.compare r r' else compare_frac d r' b r
+
+let compare a b = compare_frac a.num a.den b.num b.den
 
 let equal a b = compare a b = 0
 let ( <= ) a b = compare a b <= 0

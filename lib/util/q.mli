@@ -7,8 +7,10 @@
     density computations therefore use this module.
 
     Values are kept in normal form: the denominator is positive and
-    [gcd |num| den = 1]. Intermediate products that would overflow a native
-    [int] raise {!Pindisk_util.Intmath.Overflow}. *)
+    [gcd |num| den = 1]. Arithmetic whose intermediate products would
+    overflow a native [int] raises {!Pindisk_util.Intmath.Overflow}; sums
+    scale by the lcm of the denominators, not their product, and
+    comparisons never overflow. *)
 
 type t = private { num : int; den : int }
 

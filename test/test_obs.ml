@@ -363,14 +363,13 @@ module Pw = Pindisk_pinwheel
 let cohort_counters snap =
   List.filter
     (fun (name, _) ->
-      String.length name >= 6
-      && (String.sub name 0 6 = "cohort" || String.sub name 0 6 = "drive."))
+      String.length name >= 7 && String.sub name 0 7 = "cohort.")
     snap.Snapshot.counters
 
 (* Cohort classes shard across pool domains, but the sharded registry
    and the caller-side retirement fold must make the pooled run
    indistinguishable from the 1-domain run: same Engine.result, same
-   merged drive.* / cohort.* counters. *)
+   merged cohort.* counters. *)
 let test_cohort_pool_matches_sequential () =
   with_metrics true @@ fun () ->
   let program = Program.of_layout
@@ -414,7 +413,7 @@ let test_cohort_pool_matches_sequential () =
   check_string "pooled population byte-identical"
     (Format.asprintf "%a" Engine.pp_result seq_pop)
     (Format.asprintf "%a" Engine.pp_result par_pop);
-  check_bool "merged drive.*/cohort.* counters identical" true
+  check_bool "merged cohort.* counters identical" true
     (seq_counts = par_counts)
 
 let toy_layout =

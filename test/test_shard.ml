@@ -99,6 +99,28 @@ let prop_channels_k1_matches_scheduler =
           render_schedule (Plan.to_schedule single)
           = render_schedule (Plan.to_schedule shard.Channels.plan))
 
+let test_channels_no_overflow () =
+  (* Total density 0.78, no task above 1/3, and every exact load has a
+     denominator dividing lcm = 2.1e14 — but the product of the
+     denominators overflows a native int, so sums or comparisons that
+     multiply full denominators cannot place these tasks. *)
+  let windows =
+    [ 43; 48; 41; 47; 47; 5; 42; 29; 13; 43; 24; 27; 19; 10; 27; 23 ]
+  in
+  let sys = List.mapi (fun id b -> Task.unit ~id ~b) windows in
+  let assignment, shed = Channels.partition ~channels:2 sys in
+  check_int "nothing shed" 0 (List.length shed);
+  check_int "every task placed once" (List.length sys) (List.length assignment);
+  let load = Array.make 2 Q.zero in
+  List.iter
+    (fun (c, t) -> load.(c) <- Q.add load.(c) (Task.density t))
+    assignment;
+  check_bool "loads sum to the system density" true
+    (Q.equal (Q.add load.(0) load.(1)) (Task.system_density sys));
+  Array.iter
+    (fun l -> check_bool "each shard within 5/6" true (Q.( <= ) l (Q.make 5 6)))
+    load
+
 (* qcheck: every task lands on exactly one channel (or is shed), and for
    inputs inside the LPT bound — individual densities <= 1/3, total
    <= K/2 — every shard stays within the Kawamura 5/6 guarantee with
@@ -110,15 +132,21 @@ let prop_channels_partition_balanced =
     QCheck2.Gen.(triple (int_range 2 6) (int_range 4 24) (int_bound 1_000_000))
     (fun (k, n, seed) ->
       (* Unit tasks with windows >= 3 (density <= 1/3 each), admitted
-         only while the running total stays within the K/2 LPT budget. *)
+         only while the running total stays within the K/2 LPT budget. A
+         candidate whose exact running total has no native-int
+         representation (its reduced denominator passes 2^62) is skipped
+         like one over budget: no exact density of that system exists to
+         check a bound against. *)
       let st = Random.State.make [| seed |] in
       let budget = Q.make k 2 in
       let sys =
         List.init n (fun i -> Task.unit ~id:i ~b:(3 + Random.State.int st 46))
         |> List.fold_left
              (fun (acc, total) t ->
-               let total' = Q.add total (Task.density t) in
-               if Q.( <= ) total' budget then (t :: acc, total') else (acc, total))
+               match Q.add total (Task.density t) with
+               | total' when Q.( <= ) total' budget -> (t :: acc, total')
+               | _ -> (acc, total)
+               | exception Pindisk_util.Intmath.Overflow -> (acc, total))
              ([], Q.zero)
         |> fst |> List.rev
       in
@@ -535,6 +563,8 @@ let () =
           Alcotest.test_case "sheds infeasible" `Quick
             test_channels_sheds_infeasible;
           Alcotest.test_case "bad args" `Quick test_channels_bad_args;
+          Alcotest.test_case "no overflow summing 16 windows" `Quick
+            test_channels_no_overflow;
         ] );
       ( "channels-properties",
         List.map QCheck_alcotest.to_alcotest

@@ -8,6 +8,14 @@ module Experiment = Pindisk_sim.Experiment
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
+(* [Client.retrieve] on a request the test knows to be well-formed. *)
+let retrieve_ok ?max_slots ?report ~program ~file ~needed ~start ~fault () =
+  match
+    Client.retrieve ?max_slots ?report ~program ~file ~needed ~start ~fault ()
+  with
+  | Ok o -> o
+  | Error e -> Alcotest.failf "unexpected error: %a" Client.pp_error e
+
 let toy_layout =
   [ (0, 0); (1, 0); (0, 1); (0, 2); (1, 1); (0, 3); (1, 2); (0, 4) ]
 
@@ -106,7 +114,7 @@ let test_client_error_free () =
   let p = toy_ida () in
   (* Tuning in at slot 0, file A needs 5 distinct blocks: occurrences at
      0,2,3,5,7 -> done at slot 7, elapsed 8. *)
-  let o = Client.retrieve ~program:p ~file:0 ~needed:5 ~start:0 ~fault:(Fault.none ()) () in
+  let o = retrieve_ok ~program:p ~file:0 ~needed:5 ~start:0 ~fault:(Fault.none ()) () in
   Alcotest.(check (option int)) "completed at 7" (Some 7) o.Client.completed_at;
   Alcotest.(check (option int)) "elapsed 8" (Some 8) o.Client.elapsed;
   check_int "receptions" 5 o.Client.receptions;
@@ -116,7 +124,7 @@ let test_client_b_from_slot_2 () =
   let p = toy_ida () in
   (* File B occurrences at 1,4,6 (blocks B1,B2,B3). From slot 2: B at 4, 6,
      9 -> elapsed 8. *)
-  let o = Client.retrieve ~program:p ~file:1 ~needed:3 ~start:2 ~fault:(Fault.none ()) () in
+  let o = retrieve_ok ~program:p ~file:1 ~needed:3 ~start:2 ~fault:(Fault.none ()) () in
   Alcotest.(check (option int)) "completed at 9" (Some 9) o.Client.completed_at;
   Alcotest.(check (option int)) "elapsed 8" (Some 8) o.Client.elapsed
 
@@ -126,13 +134,13 @@ let test_client_single_loss_ida_vs_flat () =
      period later. *)
   let lose_first = Fault.deterministic (fun t -> t = 0) in
   let o_ida =
-    Client.retrieve ~program:(toy_ida ()) ~file:0 ~needed:5 ~start:0 ~fault:lose_first ()
+    retrieve_ok ~program:(toy_ida ()) ~file:0 ~needed:5 ~start:0 ~fault:lose_first ()
   in
   Alcotest.(check (option int)) "ida: done at 8" (Some 8) o_ida.Client.completed_at;
   check_int "one loss" 1 o_ida.Client.losses;
   let lose_first' = Fault.deterministic (fun t -> t = 0) in
   let o_flat =
-    Client.retrieve ~program:(toy_flat ()) ~file:0 ~needed:5 ~start:0 ~fault:lose_first' ()
+    retrieve_ok ~program:(toy_flat ()) ~file:0 ~needed:5 ~start:0 ~fault:lose_first' ()
   in
   (* A1 returns at slot 8. *)
   Alcotest.(check (option int)) "flat: done at 8" (Some 8) o_flat.Client.completed_at
@@ -142,71 +150,64 @@ let test_client_flat_worst_loss () =
      A5 at slot 7 lost -> A5 returns at slot 15. *)
   let lose = Fault.deterministic (fun t -> t = 7) in
   let o =
-    Client.retrieve ~program:(toy_flat ()) ~file:0 ~needed:5 ~start:0 ~fault:lose ()
+    retrieve_ok ~program:(toy_flat ()) ~file:0 ~needed:5 ~start:0 ~fault:lose ()
   in
   Alcotest.(check (option int)) "done at 15" (Some 15) o.Client.completed_at;
   (* Same loss under IDA: A6 arrives at slot 8. *)
   let lose' = Fault.deterministic (fun t -> t = 7) in
   let o' =
-    Client.retrieve ~program:(toy_ida ()) ~file:0 ~needed:5 ~start:0 ~fault:lose' ()
+    retrieve_ok ~program:(toy_ida ()) ~file:0 ~needed:5 ~start:0 ~fault:lose' ()
   in
   Alcotest.(check (option int)) "ida done at 8" (Some 8) o'.Client.completed_at
 
 let test_client_max_slots () =
   let all_lost = Fault.deterministic (fun _ -> true) in
   let o =
-    Client.retrieve ~max_slots:50 ~program:(toy_ida ()) ~file:0 ~needed:5 ~start:0
+    retrieve_ok ~max_slots:50 ~program:(toy_ida ()) ~file:0 ~needed:5 ~start:0
       ~fault:all_lost ()
   in
   check_bool "never completes" true (o.Client.completed_at = None);
   check_bool "deadline missed" false (Client.deadline_met o ~deadline:1000)
 
-let test_client_validation () =
-  Alcotest.check_raises "needed beyond capacity"
-    (Invalid_argument "Client.retrieve: needed exceeds the file's capacity")
-    (fun () ->
-      ignore
-        (Client.retrieve ~program:(toy_flat ()) ~file:0 ~needed:6 ~start:0
-           ~fault:(Fault.none ()) ()));
-  Alcotest.check_raises "unknown file"
-    (Invalid_argument "Client.retrieve: file not in program") (fun () ->
-      ignore
-        (Client.retrieve ~program:(toy_flat ()) ~file:9 ~needed:1 ~start:0
-           ~fault:(Fault.none ()) ()))
-
 let check_client_error = Alcotest.(check (result reject (of_pp Client.pp_error)))
 
-let test_client_retrieve_checked () =
-  (* Every raising case has a typed counterpart... *)
+let test_client_validation () =
+  (* A request the client could never serve is a typed error... *)
   check_client_error "unknown file" (Error Client.Unknown_file)
-    (Client.retrieve_checked ~program:(toy_flat ()) ~file:9 ~needed:1 ~start:0
+    (Client.retrieve ~program:(toy_flat ()) ~file:9 ~needed:1 ~start:0
        ~fault:(Fault.none ()) ());
   check_client_error "needed beyond capacity"
     (Error (Client.Needed_exceeds_capacity 5))
-    (Client.retrieve_checked ~program:(toy_flat ()) ~file:0 ~needed:6 ~start:0
+    (Client.retrieve ~program:(toy_flat ()) ~file:0 ~needed:6 ~start:0
+       ~fault:(Fault.none ()) ());
+  check_client_error "needed below one"
+    (Error (Client.Bad_request "needed must be >= 1"))
+    (Client.retrieve ~program:(toy_flat ()) ~file:0 ~needed:0 ~start:0
        ~fault:(Fault.none ()) ());
   check_client_error "negative start" (Error (Client.Bad_request "negative start"))
-    (Client.retrieve_checked ~program:(toy_flat ()) ~file:0 ~needed:5 ~start:(-1)
+    (Client.retrieve ~program:(toy_flat ()) ~file:0 ~needed:5 ~start:(-1)
        ~fault:(Fault.none ()) ());
-  (* ...and the Ok path is the same simulation as the raising API. *)
-  match
-    Client.retrieve_checked ~program:(toy_flat ()) ~file:0 ~needed:5 ~start:0
-      ~fault:(Fault.none ()) ()
-  with
-  | Error e -> Alcotest.failf "unexpected error: %a" Client.pp_error e
-  | Ok o ->
-      let o' =
-        Client.retrieve ~program:(toy_flat ()) ~file:0 ~needed:5 ~start:0
-          ~fault:(Fault.none ()) ()
-      in
-      check_bool "checked and raising APIs agree" true (o = o')
+  (* ...which the population runners turn into the Invalid_argument they
+     document. *)
+  let bad = [ { Pindisk_sim.Workload.issued = 0; file = 9; needed = 1; deadline = 5 } ] in
+  Alcotest.check_raises "Engine.run raises"
+    (Invalid_argument "Engine.run: file not in program") (fun () ->
+      ignore
+        (Pindisk_sim.Engine.run ~program:(toy_flat ())
+           ~fault:(fun ~seed:_ -> Fault.none ()) ~seed:0 bad));
+  Alcotest.check_raises "Experiment.run raises"
+    (Invalid_argument "Experiment.run: needed exceeds the file's capacity")
+    (fun () ->
+      ignore
+        (Experiment.run ~program:(toy_flat ()) ~file:0 ~needed:6 ~deadline:5
+           ~fault:(fun ~seed:_ -> Fault.none ()) ~trials:1 ~seed:0 ()))
 
 let test_client_report_hook () =
   let p = toy_ida () in
   let reports = ref [] in
   let report ~slot ~file ~lost = reports := (slot, file, lost) :: !reports in
   let o =
-    Client.retrieve ~report ~program:p ~file:0 ~needed:5 ~start:0
+    retrieve_ok ~report ~program:p ~file:0 ~needed:5 ~start:0
       ~fault:(Fault.deterministic (fun t -> t = 0)) ()
   in
   let reports = List.rev !reports in
@@ -293,7 +294,7 @@ let test_adversary_dominates_random_clients () =
     let start = Random.State.int rng 16 in
     let seed = Random.State.int rng 10_000 in
     let fault = Fault.bernoulli ~p:0.2 ~seed in
-    let o = Client.retrieve ~program:p ~file:0 ~needed:5 ~start ~fault () in
+    let o = retrieve_ok ~program:p ~file:0 ~needed:5 ~start ~fault () in
     match (o.Client.elapsed, o.Client.losses) with
     | Some e, losses when losses <= 5 ->
         let wc = Adversary.worst_case_retrieval p ~file:0 ~needed:5 ~errors:losses in
@@ -330,18 +331,18 @@ let test_transport_on_air () =
   (match Transport.on_air t 8 with
   | Some (0, piece) -> check_int "slot 8 carries A piece 5" 5 piece.Ida.index
   | _ -> Alcotest.fail "slot 8 is file A");
-  check_int "m for A" 5 (Transport.source_blocks t 0)
+  Alcotest.(check (option int)) "m for A" (Some 5) (Transport.find_source_blocks t 0)
 
 let test_transport_roundtrip_error_free () =
   let t = toy_transport () in
   (match Transport.retrieve t ~file:0 ~start:3 ~fault:(Fault.none ()) () with
-  | Some bytes ->
+  | Ok bytes ->
       Alcotest.(check string) "bytes back" "intelligent vehicle highway system db"
         (Bytes.to_string bytes)
-  | None -> Alcotest.fail "retrieval must complete");
+  | Error _ -> Alcotest.fail "retrieval must complete");
   match Transport.retrieve t ~file:1 ~start:5 ~fault:(Fault.none ()) () with
-  | Some bytes -> Alcotest.(check string) "B back" "awacs feed" (Bytes.to_string bytes)
-  | None -> Alcotest.fail "retrieval must complete"
+  | Ok bytes -> Alcotest.(check string) "B back" "awacs feed" (Bytes.to_string bytes)
+  | Error _ -> Alcotest.fail "retrieval must complete"
 
 let test_transport_roundtrip_under_loss () =
   let t = toy_transport () in
@@ -351,10 +352,10 @@ let test_transport_roundtrip_under_loss () =
       Transport.retrieve t ~file:0 ~start:(seed mod 16)
         ~fault:(Fault.bernoulli ~p:0.2 ~seed) ()
     with
-    | Some bytes ->
+    | Ok bytes ->
         Alcotest.(check string) "bit-exact under loss"
           "intelligent vehicle highway system db" (Bytes.to_string bytes)
-    | None -> Alcotest.fail "20% loss must not exhaust 100 data cycles"
+    | Error _ -> Alcotest.fail "20% loss must not exhaust 100 data cycles"
   done
 
 let test_transport_validation () =
@@ -380,11 +381,11 @@ let test_transport_report_hook () =
       Transport.retrieve t ~report ~file:0 ~start:0
         ~fault:(Fault.bernoulli ~p:0.3 ~seed:13) ()
     with
-    | Some bytes ->
+    | Ok bytes ->
         Alcotest.(check string) "payload still bit-exact"
           "intelligent vehicle highway system db" (Bytes.to_string bytes);
         (!count, !losses)
-    | None -> Alcotest.fail "retrieval must complete"
+    | Error _ -> Alcotest.fail "retrieval must complete"
   in
   let count, losses = run () in
   check_bool "at least m busy slots reported" true (count >= 5);
@@ -676,10 +677,10 @@ let test_engine_pp_result_lists_per_file_ratios () =
     r.Engine.per_file
 
 (* ------------------------------------------------------------------ *)
-(* Drive: the online-dispatch population engine                        *)
+(* Cohort: the production population engine, against the Engine oracle *)
 (* ------------------------------------------------------------------ *)
 
-module Drive = Pindisk_sim.Drive
+module Cohort = Pindisk_sim.Cohort
 module Pw = Pindisk_pinwheel
 
 let stats_eq label (a : Stats.t) (b : Stats.t) =
@@ -709,7 +710,7 @@ let result_eq (a : Engine.result) (b : Engine.result) =
 
 (* A dyadic 4-file broadcast system (density 1/2) whose plan and program
    are two views of the same construction. *)
-let drive_plan_and_program () =
+let dyadic_plan_and_program () =
   let sys =
     [ Pw.Task.unit ~id:0 ~b:4; Pw.Task.unit ~id:1 ~b:8;
       Pw.Task.unit ~id:2 ~b:16; Pw.Task.unit ~id:3 ~b:16 ]
@@ -723,81 +724,27 @@ let drive_plan_and_program () =
   (plan, Program.make ~schedule:(Pw.Plan.to_schedule plan) ~capacities,
    capacities)
 
-let drive_trace () =
-  List.concat_map
-    (fun k ->
-      let file = k mod 4 in
-      [
-        { Workload.issued = 3 * k; file; needed = (if file = 0 then 2 else 1);
-          deadline = 60 };
-        (* A hopeless deadline, to exercise the missed path in both. *)
-        { Workload.issued = (3 * k) + 1; file; needed = 1; deadline = 0 };
-      ])
-    (List.init 12 Fun.id)
+(* The toy layout with both files' block cycles starting mid-way (file 0
+   at block 3, file 1 at block 4): Engine reads the phased block indices,
+   Cohort counts from 0, and a constant shift must not change a result. *)
+let toy_phased () =
+  Program.of_layout
+    [ (0, 3); (1, 4); (0, 4); (0, 5); (1, 5); (0, 6); (1, 0); (0, 7) ]
+    ~capacities:[ (0, 10); (1, 6) ]
 
-let test_drive_equals_engine_error_free () =
-  let plan, program, capacities = drive_plan_and_program () in
-  let fault ~seed:_ = Fault.none () in
-  let trace = drive_trace () in
-  result_eq
-    (Engine.run ~program ~fault ~seed:3 trace)
-    (Drive.run ~plan ~capacities ~fault ~seed:3 trace)
-
-let test_drive_equals_engine_under_loss () =
-  let plan, program, capacities = drive_plan_and_program () in
-  let fault ~seed = Fault.bernoulli ~p:0.25 ~seed in
-  let trace = drive_trace () in
-  let r = Engine.run ~program ~fault ~seed:17 trace in
-  result_eq r (Drive.run ~plan ~capacities ~fault ~seed:17 trace);
-  check_bool "losses happened" true (r.Engine.losses > 0);
-  (* Same equivalence at a different max_slots cap. *)
-  result_eq
-    (Engine.run ~max_slots:24 ~program ~fault ~seed:17 trace)
-    (Drive.run ~max_slots:24 ~plan ~capacities ~fault ~seed:17 trace)
-
-let test_drive_occurrences_per_period () =
-  let plan, program, _ = drive_plan_and_program () in
-  let occ = Drive.occurrences_per_period plan in
-  List.iter
-    (fun f ->
-      check_int
-        (Printf.sprintf "file %d occurrences" f)
-        (Program.occurrences_per_period program f)
-        (Option.value (Hashtbl.find_opt occ f) ~default:0))
-    (Program.files program)
-
-let test_drive_validation () =
-  let plan, _, capacities = drive_plan_and_program () in
-  let run trace =
-    ignore (Drive.run ~plan ~capacities ~fault:(fun ~seed:_ -> Fault.none ())
-              ~seed:0 trace)
-  in
-  Alcotest.check_raises "unknown file"
-    (Invalid_argument "Drive.run: file not in plan capacities") (fun () ->
-      run [ { Workload.issued = 0; file = 9; needed = 1; deadline = 5 } ]);
-  Alcotest.check_raises "needed beyond capacity"
-    (Invalid_argument "Drive.run: needed exceeds the file's capacity")
-    (fun () ->
-      run [ { Workload.issued = 0; file = 3; needed = 2; deadline = 5 } ])
-
-(* ------------------------------------------------------------------ *)
-(* Cohort: weighted-class population engine                            *)
-(* ------------------------------------------------------------------ *)
-
-module Cohort = Pindisk_sim.Cohort
-
-(* Three program shapes for the equivalence matrix: the dyadic pinwheel
-   plan plus the two toy layouts replayed through explicit plans. *)
+(* Four program shapes for the equivalence matrix: the dyadic pinwheel
+   plan plus three toy layouts replayed through explicit plans. *)
 let cohort_systems () =
   let dyadic =
-    let plan, _, capacities = drive_plan_and_program () in
-    ("dyadic", plan, capacities,
+    let plan, program, capacities = dyadic_plan_and_program () in
+    ("dyadic", plan, program, capacities,
      List.concat_map
        (fun k ->
          let file = k mod 4 in
          [
            { Workload.issued = (3 * k) + (k mod 2); file;
              needed = (if file = 0 then 2 else 1); deadline = 40 };
+           (* A hopeless deadline, to exercise the missed path. *)
            { Workload.issued = (3 * k) + 1; file; needed = 1; deadline = 0 };
          ])
        (List.init 12 Fun.id))
@@ -807,7 +754,7 @@ let cohort_systems () =
     let capacities =
       List.map (fun f -> (f, Program.capacity program f)) (Program.files program)
     in
-    (name, plan, capacities,
+    (name, plan, program, capacities,
      List.concat_map
        (fun k ->
          let file = k mod 2 in
@@ -822,6 +769,7 @@ let cohort_systems () =
     dyadic;
     of_program "flat" (toy_flat ()) (fun file -> if file = 0 then 3 else 2);
     of_program "ida" (toy_ida ()) (fun file -> if file = 0 then 5 else 3);
+    of_program "phased" (toy_phased ()) (fun file -> if file = 0 then 5 else 3);
   ]
 
 let cohort_fault_models =
@@ -835,46 +783,115 @@ let cohort_fault_models =
     ("deterministic", fun ~seed:_ -> Fault.deterministic (fun t -> t mod 7 = 2));
   ]
 
-let test_cohort_run_equals_drive () =
-  (* The tentpole pin: sampled-fault Cohort.run reproduces Drive.run's
-     Engine.result exactly — programs x fault models x seeds. *)
+let test_cohort_run_equals_engine () =
+  (* The tentpole pin: sampled-fault Cohort.run reproduces the per-client
+     oracle's Engine.result exactly — programs x fault models x seeds. *)
   List.iter
-    (fun (sys, plan, capacities, trace) ->
+    (fun (_, plan, program, capacities, trace) ->
       List.iter
-        (fun (model, fault) ->
+        (fun (_, fault) ->
           List.iter
             (fun seed ->
-              ignore (sys, model);
               result_eq
-                (Drive.run ~plan ~capacities ~fault ~seed trace)
+                (Engine.run ~program ~fault ~seed trace)
                 (Cohort.run ~plan ~capacities ~fault ~seed trace))
             [ 3; 17; 91 ])
         cohort_fault_models)
     (cohort_systems ())
 
-let test_cohort_run_equals_drive_max_slots () =
-  let _, plan, capacities, trace = List.hd (cohort_systems ()) in
+let test_cohort_run_equals_engine_max_slots () =
   let fault ~seed = Fault.bernoulli ~p:0.3 ~seed in
   List.iter
-    (fun max_slots ->
-      result_eq
-        (Drive.run ~max_slots ~plan ~capacities ~fault ~seed:5 trace)
-        (Cohort.run ~max_slots ~plan ~capacities ~fault ~seed:5 trace))
-    [ 1; 16; 24; 128 ]
+    (fun (_, plan, program, capacities, trace) ->
+      List.iter
+        (fun max_slots ->
+          result_eq
+            (Engine.run ~max_slots ~program ~fault ~seed:5 trace)
+            (Cohort.run ~max_slots ~plan ~capacities ~fault ~seed:5 trace))
+        [ 1; 16; 24; 128 ])
+    (cohort_systems ())
+
+let test_cohort_run_validation () =
+  let plan, _, capacities = dyadic_plan_and_program () in
+  let run ?(capacities = capacities) trace =
+    ignore
+      (Cohort.run ~plan ~capacities ~fault:(fun ~seed:_ -> Fault.none ())
+         ~seed:0 trace)
+  in
+  let req ?(issued = 0) ?(needed = 1) file =
+    { Workload.issued; file; needed; deadline = 5 }
+  in
+  Alcotest.check_raises "unknown file"
+    (Invalid_argument "Cohort.run: file not in plan capacities") (fun () ->
+      run [ req 9 ]);
+  Alcotest.check_raises "needed beyond capacity"
+    (Invalid_argument "Cohort.run: needed exceeds the file's capacity")
+    (fun () -> run [ req ~needed:2 3 ]);
+  Alcotest.check_raises "negative start"
+    (Invalid_argument "Cohort.run: negative start") (fun () ->
+      run [ req ~issued:(-1) 0 ]);
+  Alcotest.check_raises "never broadcast"
+    (Invalid_argument "Cohort.run: file never broadcast") (fun () ->
+      run ~capacities:((7, 1) :: capacities) [ req 7 ])
 
 let test_cohort_prep_reuse () =
-  let _, plan, capacities, trace = List.hd (cohort_systems ()) in
+  let _, plan, _, capacities, trace = List.hd (cohort_systems ()) in
   let fault ~seed = Fault.bernoulli ~p:0.25 ~seed in
-  let prep = Drive.prepare plan in
-  result_eq
-    (Drive.run ~plan ~capacities ~fault ~seed:7 trace)
-    (Drive.run ~prep ~plan ~capacities ~fault ~seed:7 trace);
+  let prep = Cohort.prepare plan in
   result_eq
     (Cohort.run ~plan ~capacities ~fault ~seed:7 trace)
-    (Cohort.run ~prep ~plan ~capacities ~fault ~seed:7 trace)
+    (Cohort.run ~prep ~plan ~capacities ~fault ~seed:7 trace);
+  let classes = Cohort.classes_of_trace ~period:(Pw.Plan.period plan) trace in
+  let model = Cohort.Bernoulli { p = 0.25 } in
+  result_eq
+    (Cohort.run_population ~plan ~capacities ~model ~seed:7 classes)
+    (Cohort.run_population ~prep ~plan ~capacities ~model ~seed:7 classes);
+  (* A prep from a separately built but equal plan is the same warm-up. *)
+  let plan', _, _ = dyadic_plan_and_program () in
+  result_eq
+    (Cohort.run ~plan ~capacities ~fault ~seed:7 trace)
+    (Cohort.run ~prep ~plan:plan' ~capacities ~fault ~seed:7 trace)
+
+let test_cohort_prep_from_other_plan () =
+  (* Files 0 and 3 trade places: same period, different broadcast. The
+     old prep would hand file 0's slots to file 3 and back, swapping
+     their per-file results without a word, so both entry points must
+     refuse it. *)
+  let plan, _, capacities = dyadic_plan_and_program () in
+  let sched = Pw.Plan.to_schedule plan in
+  let swapped =
+    Pw.Plan.explicit
+      (Pw.Schedule.make
+         (Array.init (Pw.Schedule.period sched) (fun t ->
+              match Pw.Schedule.task_at sched t with
+              | 0 -> 3
+              | 3 -> 0
+              | f -> f)))
+  in
+  check_int "same period" (Pw.Plan.period plan) (Pw.Plan.period swapped);
+  let prep = Cohort.prepare plan in
+  let trace =
+    List.init 20 (fun k ->
+        { Workload.issued = k; file = (if k mod 2 = 0 then 0 else 3);
+          needed = 1; deadline = 2 })
+  in
+  Alcotest.check_raises "run"
+    (Invalid_argument "Cohort.run: prep was built from a different plan")
+    (fun () ->
+      ignore
+        (Cohort.run ~prep ~plan:swapped ~capacities
+           ~fault:(fun ~seed:_ -> Fault.none ()) ~seed:0 trace));
+  Alcotest.check_raises "run_population"
+    (Invalid_argument
+       "Cohort.run_population: prep was built from a different plan")
+    (fun () ->
+      ignore
+        (Cohort.run_population ~prep ~plan:swapped ~capacities
+           ~model:Cohort.No_loss ~seed:0
+           (Cohort.classes_of_trace ~period:(Pw.Plan.period plan) trace)))
 
 let test_cohort_classes_of_trace () =
-  let _, plan, _, trace = List.hd (cohort_systems ()) in
+  let _, plan, _, _, trace = List.hd (cohort_systems ()) in
   let period = Pw.Plan.period plan in
   let classes = Cohort.classes_of_trace ~period trace in
   check_int "weights sum to trace length" (List.length trace)
@@ -890,12 +907,12 @@ let test_cohort_classes_of_trace () =
     (Invalid_argument "Cohort.classes_of_trace: period must be >= 1") (fun () ->
       ignore (Cohort.classes_of_trace ~period:0 trace))
 
-let test_cohort_population_no_loss_equals_drive () =
+let test_cohort_population_no_loss_equals_engine () =
   (* With no losses every member of a class completes at the same slot
-     distance, so the analytic fold must equal a per-client Drive run on
+     distance, so the analytic fold must equal the per-client oracle on
      a trace that realizes the same classes (members spread over period
      echoes of the same phase). *)
-  let _, plan, capacities, _ = List.hd (cohort_systems ()) in
+  let _, plan, program, capacities, _ = List.hd (cohort_systems ()) in
   let period = Pw.Plan.period plan in
   let trace =
     List.concat_map
@@ -910,13 +927,12 @@ let test_cohort_population_no_loss_equals_drive () =
   in
   let classes = Cohort.classes_of_trace ~period trace in
   result_eq
-    (Drive.run ~plan ~capacities ~fault:(fun ~seed:_ -> Fault.none ()) ~seed:0
-       trace)
+    (Engine.run ~program ~fault:(fun ~seed:_ -> Fault.none ()) ~seed:0 trace)
     (Cohort.run_population ~plan ~capacities ~model:Cohort.No_loss ~seed:0
        classes)
 
 let test_cohort_population_mass_conservation () =
-  let _, plan, capacities, trace = List.hd (cohort_systems ()) in
+  let _, plan, _, capacities, trace = List.hd (cohort_systems ()) in
   let period = Pw.Plan.period plan in
   let classes =
     List.map
@@ -942,7 +958,7 @@ let test_cohort_population_mass_conservation () =
        0 r.Engine.per_file)
 
 let test_cohort_population_analytic_close_to_sampled () =
-  let _, plan, capacities, trace = List.hd (cohort_systems ()) in
+  let _, plan, _, capacities, trace = List.hd (cohort_systems ()) in
   let period = Pw.Plan.period plan in
   let classes =
     List.map
@@ -973,7 +989,7 @@ let test_cohort_population_analytic_close_to_sampled () =
     < 0.1)
 
 let test_cohort_population_validation () =
-  let _, plan, capacities, _ = List.hd (cohort_systems ()) in
+  let _, plan, _, capacities, _ = List.hd (cohort_systems ()) in
   let run classes =
     ignore
       (Cohort.run_population ~plan ~capacities ~model:Cohort.No_loss ~seed:0
@@ -1033,7 +1049,7 @@ let prop_cohort_permutation_invariant =
   QCheck2.Test.make ~name:"cohort result is permutation-invariant" ~count:40
     gen
     (fun (raw, salt) ->
-      let _, plan, capacities, _ = List.hd (cohort_systems ()) in
+      let _, plan, _, capacities, _ = List.hd (cohort_systems ()) in
       let period = Pw.Plan.period plan in
       let trace =
         List.map
@@ -1228,58 +1244,6 @@ let test_ycsb_validation () =
       run ~arrivals:(Workload.Flash { at = -1; magnitude = 2.0; width = 2 }) ())
 
 (* ------------------------------------------------------------------ *)
-(* Transport streaming                                                 *)
-(* ------------------------------------------------------------------ *)
-
-let streamed_transport () =
-  let sys = [ Pw.Task.unit ~id:0 ~b:2; Pw.Task.unit ~id:1 ~b:4 ] in
-  let plan =
-    match Pw.Scheduler.plan sys with
-    | Some p -> p
-    | None -> Alcotest.fail "density 3/4 system schedules"
-  in
-  let program =
-    Program.make ~schedule:(Pw.Plan.to_schedule plan)
-      ~capacities:[ (0, 3); (1, 2) ]
-  in
-  let t =
-    Transport.create ~program
-      [ (0, 2, Bytes.of_string "the hot file payload");
-        (1, 1, Bytes.of_string "cold") ]
-  in
-  (t, plan)
-
-let test_streamer_matches_on_air () =
-  let t, plan = streamed_transport () in
-  let s = Transport.streamer t plan in
-  let dc = Program.data_cycle (Transport.program t) in
-  for slot = 0 to (2 * dc) - 1 do
-    check_int "position" slot (Transport.streamer_slot s);
-    let eager = Transport.on_air t slot and streamed = Transport.stream_next s in
-    check_bool
-      (Printf.sprintf "slot %d agrees" slot)
-      true (eager = streamed)
-  done
-
-let test_retrieve_streamed_roundtrip () =
-  let t, plan = streamed_transport () in
-  let s = Transport.streamer t plan in
-  (* Advance into the cycle first: tuning in mid-stream must still work. *)
-  for _ = 1 to 5 do ignore (Transport.stream_next s) done;
-  (match Transport.retrieve_streamed s ~file:0 ~fault:(Fault.none ()) () with
-  | Some bytes ->
-      Alcotest.(check string) "hot file reconstructs" "the hot file payload"
-        (Bytes.to_string bytes)
-  | None -> Alcotest.fail "error-free streamed retrieval completes");
-  match Transport.retrieve_streamed s ~file:1
-          ~fault:(Fault.deterministic (fun t -> t mod 5 = 0)) ()
-  with
-  | Some bytes ->
-      Alcotest.(check string) "cold file survives losses" "cold"
-        (Bytes.to_string bytes)
-  | None -> Alcotest.fail "streamed retrieval under loss completes"
-
-(* ------------------------------------------------------------------ *)
 (* Typed errors and the resilient retrieve path                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -1318,27 +1282,17 @@ let prop_burst_loss_rate_converges =
 
 let test_transport_unknown_file_typed () =
   let t = toy_transport () in
-  Alcotest.check_raises "source_blocks names the file"
-    (Invalid_argument "Transport.source_blocks: unknown file 9") (fun () ->
-      ignore (Transport.source_blocks t 9));
   check_bool "find_source_blocks known" true
     (Transport.find_source_blocks t 0 = Some 5);
   check_bool "find_source_blocks unknown" true
     (Transport.find_source_blocks t 9 = None);
-  (match
-     Transport.retrieve_result t ~file:9 ~start:0 ~fault:(Fault.none ()) ()
-   with
+  match Transport.retrieve t ~file:9 ~start:0 ~fault:(Fault.none ()) () with
   | Error (Transport.Unknown_file 9) -> ()
-  | _ -> Alcotest.fail "expected Unknown_file 9");
-  Alcotest.check_raises "legacy retrieve still raises"
-    (Invalid_argument "Transport.retrieve: unknown file") (fun () ->
-      ignore (Transport.retrieve t ~file:9 ~start:0 ~fault:(Fault.none ()) ()))
+  | _ -> Alcotest.fail "expected Unknown_file 9"
 
-let test_retrieve_result_typed () =
+let test_retrieve_typed () =
   let t = toy_transport () in
-  (match
-     Transport.retrieve_result t ~file:0 ~start:3 ~fault:(Fault.none ()) ()
-   with
+  (match Transport.retrieve t ~file:0 ~start:3 ~fault:(Fault.none ()) () with
   | Ok bytes ->
       Alcotest.(check string) "bit-exact"
         "intelligent vehicle highway system db" (Bytes.to_string bytes)
@@ -1347,20 +1301,23 @@ let test_retrieve_result_typed () =
      and the error carries the exact accounting. *)
   let lose_all = Fault.deterministic (fun _ -> true) in
   match
-    Transport.retrieve_result ~max_slots:10 t ~file:0 ~start:0 ~fault:lose_all
-      ()
+    Transport.retrieve ~max_slots:10 t ~file:0 ~start:0 ~fault:lose_all ()
   with
   | Error (Transport.Timeout { slots = 10; collected = 0; needed = 5 }) -> ()
   | Error e -> Alcotest.failf "unexpected error: %a" Transport.pp_error e
   | Ok _ -> Alcotest.fail "cannot succeed under total loss"
 
-let test_retrieve_resilient_retries_across_cycles () =
+let test_retrieve_retries_across_cycles () =
   let t = toy_transport () in
   let dc = Program.data_cycle (Transport.program t) in
-  (* Blackout for the whole first attempt's budget: attempt 1 times out,
-     the client backs off one period and re-tunes in error-free. *)
+  (* Blackout for the whole first attempt's one-data-cycle budget:
+     attempt 1 times out, the client backs off one period and re-tunes in
+     error-free. *)
   let blackout = Fault.deterministic (fun slot -> slot < dc) in
-  (match Transport.retrieve_resilient t ~file:0 ~start:0 ~fault:blackout () with
+  (match
+     Transport.retrieve ~attempts:4 ~max_slots:dc t ~file:0 ~start:0
+       ~fault:blackout ()
+   with
   | Ok bytes ->
       Alcotest.(check string) "bit-exact after retry"
         "intelligent vehicle highway system db" (Bytes.to_string bytes)
@@ -1369,7 +1326,7 @@ let test_retrieve_resilient_retries_across_cycles () =
   (* Pieces collected before a timeout survive the re-tune-in: a budget
      too small for any single attempt still completes across attempts. *)
   (match
-     Transport.retrieve_resilient ~max_slots:5 t ~file:0 ~start:0
+     Transport.retrieve ~attempts:4 ~max_slots:5 t ~file:0 ~start:0
        ~fault:(Fault.none ()) ()
    with
   | Ok bytes ->
@@ -1380,13 +1337,13 @@ let test_retrieve_resilient_retries_across_cycles () =
         e);
   (* Total loss exhausts every attempt and reports the final timeout. *)
   match
-    Transport.retrieve_resilient ~attempts:3 t ~file:0 ~start:0
+    Transport.retrieve ~attempts:3 ~max_slots:dc t ~file:0 ~start:0
       ~fault:(Fault.deterministic (fun _ -> true)) ()
   with
   | Error (Transport.Timeout _) -> ()
   | _ -> Alcotest.fail "total loss must exhaust attempts"
 
-let test_retrieve_resilient_records_retries () =
+let test_retrieve_records_retries () =
   let module Obs = Pindisk_obs in
   Obs.Control.with_enabled true (fun () ->
       Obs.Registry.reset ();
@@ -1395,7 +1352,8 @@ let test_retrieve_resilient_records_retries () =
       let dc = Program.data_cycle (Transport.program t) in
       let blackout = Fault.deterministic (fun slot -> slot < dc) in
       (match
-         Transport.retrieve_resilient t ~file:0 ~start:0 ~fault:blackout ()
+         Transport.retrieve ~attempts:4 ~max_slots:dc t ~file:0 ~start:0
+           ~fault:blackout ()
        with
       | Ok _ -> ()
       | Error e -> Alcotest.failf "failed: %a" Transport.pp_error e);
@@ -1408,28 +1366,6 @@ let test_retrieve_resilient_records_retries () =
              | Obs.Trace.Retry { file = 0; attempt = 1; _ } -> true
              | _ -> false)
            (Obs.Trace.events ())))
-
-let test_streamer_validate () =
-  let t, plan = streamed_transport () in
-  (* The program's own plan validates, and the streamer then airs it. *)
-  let s = Transport.streamer ~validate:true t plan in
-  check_bool "validated streamer airs slot 0" true
-    (Transport.stream_next s = Transport.on_air t 0);
-  (* A plan whose period is no multiple of the program's is rejected. *)
-  let period = Program.period (Transport.program t) in
-  let odd = Pw.Plan.explicit (Pw.Schedule.make (Array.make (period + 1) 0)) in
-  (match Transport.streamer ~validate:true t odd with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "period mismatch must be rejected");
-  (* A right-period plan airing the wrong tasks fails fast, before any
-     slot goes out. *)
-  let sched = Program.schedule (Transport.program t) in
-  let wrong =
-    Pw.Plan.explicit (Pw.Schedule.rotate sched 1)
-  in
-  match Transport.streamer ~validate:true t wrong with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "mismatched plan must be rejected"
 
 let () =
   Alcotest.run "sim"
@@ -1454,8 +1390,6 @@ let () =
           Alcotest.test_case "flat worst single loss" `Quick test_client_flat_worst_loss;
           Alcotest.test_case "max_slots cap" `Quick test_client_max_slots;
           Alcotest.test_case "validation" `Quick test_client_validation;
-          Alcotest.test_case "typed retrieve_checked" `Quick
-            test_client_retrieve_checked;
           Alcotest.test_case "report hook" `Quick test_client_report_hook;
         ] );
       ( "adversary",
@@ -1511,27 +1445,20 @@ let () =
           Alcotest.test_case "lossy monotone" `Quick test_experiment_lossy_monotone;
           Alcotest.test_case "ida beats flat" `Quick test_experiment_ida_beats_flat_under_loss;
         ] );
-      ( "drive",
-        [
-          Alcotest.test_case "equals engine (error-free)" `Quick
-            test_drive_equals_engine_error_free;
-          Alcotest.test_case "equals engine (under loss)" `Quick
-            test_drive_equals_engine_under_loss;
-          Alcotest.test_case "occurrences per period" `Quick
-            test_drive_occurrences_per_period;
-          Alcotest.test_case "validation" `Quick test_drive_validation;
-        ] );
       ( "cohort",
         [
-          Alcotest.test_case "run equals drive (programs x faults x seeds)"
-            `Quick test_cohort_run_equals_drive;
-          Alcotest.test_case "run equals drive under max_slots" `Quick
-            test_cohort_run_equals_drive_max_slots;
+          Alcotest.test_case "run equals engine (programs x faults x seeds)"
+            `Quick test_cohort_run_equals_engine;
+          Alcotest.test_case "run equals engine under max_slots" `Quick
+            test_cohort_run_equals_engine_max_slots;
+          Alcotest.test_case "run validation" `Quick test_cohort_run_validation;
           Alcotest.test_case "prep reuse" `Quick test_cohort_prep_reuse;
+          Alcotest.test_case "prep from another plan" `Quick
+            test_cohort_prep_from_other_plan;
           Alcotest.test_case "classes of trace" `Quick
             test_cohort_classes_of_trace;
-          Alcotest.test_case "population no-loss equals drive" `Quick
-            test_cohort_population_no_loss_equals_drive;
+          Alcotest.test_case "population no-loss equals engine" `Quick
+            test_cohort_population_no_loss_equals_engine;
           Alcotest.test_case "population mass conservation" `Quick
             test_cohort_population_mass_conservation;
           Alcotest.test_case "analytic close to sampled" `Quick
@@ -1553,23 +1480,14 @@ let () =
           Alcotest.test_case "flash crowd" `Quick test_ycsb_flash_crowd;
           Alcotest.test_case "validation" `Quick test_ycsb_validation;
         ] );
-      ( "streaming",
-        [
-          Alcotest.test_case "streamer matches on_air" `Quick
-            test_streamer_matches_on_air;
-          Alcotest.test_case "retrieve_streamed roundtrip" `Quick
-            test_retrieve_streamed_roundtrip;
-          Alcotest.test_case "streamer validate" `Quick test_streamer_validate;
-        ] );
       ( "resilience",
         [
           Alcotest.test_case "typed unknown-file errors" `Quick
             test_transport_unknown_file_typed;
-          Alcotest.test_case "retrieve_result verdicts" `Quick
-            test_retrieve_result_typed;
+          Alcotest.test_case "retrieve verdicts" `Quick test_retrieve_typed;
           Alcotest.test_case "resilient retry across cycles" `Quick
-            test_retrieve_resilient_retries_across_cycles;
+            test_retrieve_retries_across_cycles;
           Alcotest.test_case "resilient retries observable" `Quick
-            test_retrieve_resilient_records_retries;
+            test_retrieve_records_retries;
         ] );
     ]

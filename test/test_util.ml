@@ -78,6 +78,9 @@ let test_q_arith () =
   Alcotest.check q "2/3 * 3/4" (Q.make 1 2) (Q.mul (Q.make 2 3) (Q.make 3 4));
   Alcotest.check q "div" (Q.make 8 9) (Q.div (Q.make 2 3) (Q.make 3 4));
   Alcotest.check q "sum" Q.one (Q.sum [ Q.make 1 2; Q.make 1 3; Q.make 1 6 ]);
+  Alcotest.check q "sum scales by the lcm, not the product"
+    (Q.make 3 (1 lsl 41))
+    (Q.add (Q.make 1 (1 lsl 40)) (Q.make 1 (1 lsl 41)));
   Alcotest.check_raises "div by zero" Division_by_zero (fun () ->
       ignore (Q.div Q.one Q.zero))
 
@@ -87,6 +90,12 @@ let test_q_compare () =
   check_bool "boundary 1/2+1/6+1/3 <= 1" true Q.(Q.sum [ Q.make 1 2; Q.make 1 6; Q.make 1 3 ] <= Q.one);
   check_bool "just above 1" false
     Q.(Q.sum [ Q.make 1 2; Q.make 1 6; Q.make 1 3; Q.make 1 1000 ] <= Q.one);
+  (* Representable values compare even where the cross products
+     overflow a native int. *)
+  let near_one = Q.make (max_int - 1) max_int in
+  check_bool "near 1 below 3/2" true Q.(near_one < Q.make 3 2);
+  check_bool "near 1 above its neighbour" true
+    Q.(near_one > Q.make (max_int - 2) (max_int - 1));
   Alcotest.check q "min" (Q.make 1 3) (Q.min (Q.make 1 2) (Q.make 1 3));
   Alcotest.check q "max" (Q.make 1 2) (Q.max (Q.make 1 2) (Q.make 1 3))
 
