@@ -171,7 +171,7 @@ let test_client_max_slots () =
 
 let check_client_error = Alcotest.(check (result reject (of_pp Client.pp_error)))
 
-let test_client_validation () =
+let test_client_retrieve_checked () =
   (* A request the client could never serve is a typed error... *)
   check_client_error "unknown file" (Error Client.Unknown_file)
     (Client.retrieve ~program:(toy_flat ()) ~file:9 ~needed:1 ~start:0
@@ -187,8 +187,21 @@ let test_client_validation () =
   check_client_error "negative start" (Error (Client.Bad_request "negative start"))
     (Client.retrieve ~program:(toy_flat ()) ~file:0 ~needed:5 ~start:(-1)
        ~fault:(Fault.none ()) ());
-  (* ...which the population runners turn into the Invalid_argument they
-     document. *)
+  (* ...and a well-formed one is the plain simulation: file A's five
+     distinct blocks air at 0,2,3,5,7. *)
+  match
+    Client.retrieve ~program:(toy_flat ()) ~file:0 ~needed:5 ~start:0
+      ~fault:(Fault.none ()) ()
+  with
+  | Error e -> Alcotest.failf "unexpected error: %a" Client.pp_error e
+  | Ok o ->
+      Alcotest.(check (option int)) "completed at 7" (Some 7) o.Client.completed_at;
+      check_int "receptions" 5 o.Client.receptions;
+      check_int "losses" 0 o.Client.losses
+
+let test_client_validation () =
+  (* The population runners turn the client's typed errors into the
+     Invalid_argument they document. *)
   let bad = [ { Pindisk_sim.Workload.issued = 0; file = 9; needed = 1; deadline = 5 } ] in
   Alcotest.check_raises "Engine.run raises"
     (Invalid_argument "Engine.run: file not in program") (fun () ->
@@ -1390,6 +1403,8 @@ let () =
           Alcotest.test_case "flat worst single loss" `Quick test_client_flat_worst_loss;
           Alcotest.test_case "max_slots cap" `Quick test_client_max_slots;
           Alcotest.test_case "validation" `Quick test_client_validation;
+          Alcotest.test_case "typed retrieve_checked" `Quick
+            test_client_retrieve_checked;
           Alcotest.test_case "report hook" `Quick test_client_report_hook;
         ] );
       ( "adversary",
