@@ -108,7 +108,8 @@ let of_layout slots ~capacities =
   let counts = Hashtbl.create 8 in
   let cap f =
     match List.assoc_opt f capacities with
-    | Some n -> n
+    | Some n when n >= 1 -> n
+    | Some _ -> invalid_arg "Program.of_layout: capacity must be >= 1"
     | None -> invalid_arg (Printf.sprintf "Program.of_layout: file %d has no capacity" f)
   in
   List.iter

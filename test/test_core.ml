@@ -125,7 +125,10 @@ let test_of_layout_rejects_bad_cycling () =
     (Invalid_argument
        "Program.of_layout: file 0 occurrence 1 carries block 0, expected 1 \
         (capacity 5)") (fun () ->
-      ignore (Program.of_layout [ (0, 0); (0, 0) ] ~capacities:[ (0, 5) ]))
+      ignore (Program.of_layout [ (0, 0); (0, 0) ] ~capacities:[ (0, 5) ]));
+  Alcotest.check_raises "zero capacity"
+    (Invalid_argument "Program.of_layout: capacity must be >= 1") (fun () ->
+      ignore (Program.of_layout [ (0, 0) ] ~capacities:[ (0, 0) ]))
 
 let test_of_layout_idle () =
   let p = Program.of_layout [ (0, 0); (-1, 0); (0, 1) ] ~capacities:[ (0, 2) ] in
@@ -416,7 +419,11 @@ let test_codec_rejects_garbage () =
   (* Inconsistent cycling is re-validated on parse. *)
   check_bool "broken cycling" true
     (Result.is_error
-       (Codec.of_string "pindisk-program v1\ncapacity 0 5\nlayout 0:0 0:0"))
+       (Codec.of_string "pindisk-program v1\ncapacity 0 5\nlayout 0:0 0:0"));
+  (* A zero capacity is an Error, not a division by zero (a fuzz find). *)
+  check_bool "zero capacity" true
+    (Result.is_error
+       (Codec.of_string "pindisk-program v1\ncapacity 0 0\nlayout 0:0"))
 
 let test_codec_file_io () =
   let p = toy_flat () in
