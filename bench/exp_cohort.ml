@@ -113,7 +113,6 @@ let run () =
     | None -> failwith "exp_cohort: density-1/8 system schedules"
   in
   let period = Plan.period plan in
-  let prep = Cohort.prepare plan in
   let program = Program.make ~schedule:(Plan.to_schedule plan) ~capacities in
   (* --- analytic population throughput ----------------------------- *)
   let clients = if quick then 2_000_000 else 20_000_000 in
@@ -124,7 +123,7 @@ let run () =
   let model = Cohort.Bernoulli { p = 0.1 } in
   let analytic_ns =
     mean_ns (fun () ->
-        Cohort.run_population ~prep ~plan ~capacities ~model ~seed:1 classes)
+        Cohort.run_population ~program ~model ~seed:1 classes)
   in
   let analytic_clients_per_sec = float_of_int total *. 1e9 /. analytic_ns in
   (* --- sampled population throughput ------------------------------ *)
@@ -137,8 +136,7 @@ let run () =
   in
   let sampled_ns =
     mean_ns (fun () ->
-        Cohort.run_population ~sampled:true ~prep ~plan ~capacities ~model
-          ~seed:1 sampled_pop)
+        Cohort.run_population ~sampled:true ~program ~model ~seed:1 sampled_pop)
   in
   let sampled_clients_per_sec =
     float_of_int sampled_total *. 1e9 /. sampled_ns
@@ -166,7 +164,7 @@ let run () =
           (fun seed ->
             render (Engine.run ~program ~fault ~seed ycsb_trace)
             = render
-                (Cohort.run ~prep ~plan ~capacities ~fault ~seed ycsb_trace))
+                (Cohort.run ~program ~fault ~seed ycsb_trace))
           [ 1; 2; 3 ])
       faults
   in
@@ -178,7 +176,7 @@ let run () =
     mean_ns (fun () -> Engine.run ~program ~fault ~seed:1 trace)
   in
   let cohort_ns =
-    mean_ns (fun () -> Cohort.run ~prep ~plan ~capacities ~fault ~seed:1 trace)
+    mean_ns (fun () -> Cohort.run ~program ~fault ~seed:1 trace)
   in
   Format.printf
     "  population %d clients in %d classes: analytic %.2e clients/s, \

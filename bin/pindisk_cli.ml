@@ -996,18 +996,37 @@ module Cohort = Pindisk_sim.Cohort
 module SimEngine = Pindisk_sim.Engine
 module SimStats = Pindisk_util.Stats
 
+(* One row per file the result covers, then the overall row; the
+   cohort modes print a header above it. *)
+let print_file_table ~header (r : SimEngine.result) files =
+  if header then
+    Format.printf "  %-12s %9s %9s %9s %9s@." "file" "requests" "missed" "miss%"
+      "mean wait";
+  let row name requests missed miss latency =
+    Format.printf "  %-12s %9d %9d %8.1f%% %9.2f@." name requests missed
+      (100.0 *. miss) (SimStats.mean latency)
+  in
+  List.iter
+    (fun f ->
+      match
+        List.find_opt
+          (fun (pf : SimEngine.file_stats) -> pf.SimEngine.file = f.File_spec.id)
+          r.SimEngine.per_file
+      with
+      | None -> ()
+      | Some pf ->
+          row f.File_spec.name pf.SimEngine.requests pf.SimEngine.missed
+            (SimEngine.file_miss_ratio pf) pf.SimEngine.latency)
+    files;
+  row "overall" r.SimEngine.requests r.SimEngine.missed (SimEngine.miss_ratio r)
+    r.SimEngine.latency
+
 (* Closed-form cohort run: [clients] spread uniformly over every file at
    up to 16 phases across the period, folded analytically under
    Bernoulli loss. No RNG anywhere, so the output is a stable golden
    (exercised by test/cli/cohort.t). *)
 let simulate_cohort ~program ~bandwidth ~loss ~seed ~clients files =
-  let plan = P.Plan.explicit (Program.schedule program) in
-  let period = P.Plan.period plan in
-  let capacities =
-    List.map
-      (fun f -> (f.File_spec.id, Program.capacity program f.File_spec.id))
-      files
-  in
+  let period = Program.period program in
   let phases = min period 16 in
   let per_class = max 1 (clients / (List.length files * phases)) in
   let classes =
@@ -1027,32 +1046,12 @@ let simulate_cohort ~program ~bandwidth ~loss ~seed ~clients files =
       files
   in
   let r =
-    Cohort.run_population ~plan ~capacities
-      ~model:(Cohort.Bernoulli { p = loss })
-      ~seed classes
+    Cohort.run_population ~program ~model:(Cohort.Bernoulli { p = loss }) ~seed
+      classes
   in
   Format.printf "cohort: %d clients in %d classes (analytic fold)@."
     r.SimEngine.requests (List.length classes);
-  Format.printf "  %-12s %9s %9s %9s %9s@." "file" "requests" "missed"
-    "miss%" "mean wait";
-  List.iter
-    (fun f ->
-      match
-        List.find_opt
-          (fun (pf : SimEngine.file_stats) -> pf.SimEngine.file = f.File_spec.id)
-          r.SimEngine.per_file
-      with
-      | None -> ()
-      | Some pf ->
-          Format.printf "  %-12s %9d %9d %8.1f%% %9.2f@." f.File_spec.name
-            pf.SimEngine.requests pf.SimEngine.missed
-            (100.0 *. SimEngine.file_miss_ratio pf)
-            (SimStats.mean pf.SimEngine.latency))
-    files;
-  Format.printf "  %-12s %9d %9d %8.1f%% %9.2f@." "overall" r.SimEngine.requests
-    r.SimEngine.missed
-    (100.0 *. SimEngine.miss_ratio r)
-    (SimStats.mean r.SimEngine.latency);
+  print_file_table ~header:true r files;
   Format.printf "  losses absorbed: %d@." r.SimEngine.losses
 
 (* The sharded analogue of [simulate_cohort]: members spread over every
@@ -1077,32 +1076,12 @@ let simulate_multi_cohort ~design ~tuners ~loss ~seed ~clients files =
   in
   let r =
     Multi.run_population ~design ~tuners
-      ~model:(fun ~channel:_ -> Pindisk_sim.Cohort.Bernoulli { p = loss })
+      ~model:(fun ~channel:_ -> Cohort.Bernoulli { p = loss })
       ~seed members
   in
   Format.printf "cohort: %d clients in %d classes (per-channel fold)@."
     r.SimEngine.requests (List.length members);
-  Format.printf "  %-12s %9s %9s %9s %9s@." "file" "requests" "missed" "miss%"
-    "mean wait";
-  List.iter
-    (fun f ->
-      match
-        List.find_opt
-          (fun (pf : SimEngine.file_stats) ->
-            pf.SimEngine.file = f.File_spec.id)
-          r.SimEngine.per_file
-      with
-      | None -> ()
-      | Some pf ->
-          Format.printf "  %-12s %9d %9d %8.1f%% %9.2f@." f.File_spec.name
-            pf.SimEngine.requests pf.SimEngine.missed
-            (100.0 *. SimEngine.file_miss_ratio pf)
-            (SimStats.mean pf.SimEngine.latency))
-    files;
-  Format.printf "  %-12s %9d %9d %8.1f%% %9.2f@." "overall"
-    r.SimEngine.requests r.SimEngine.missed
-    (100.0 *. SimEngine.miss_ratio r)
-    (SimStats.mean r.SimEngine.latency);
+  print_file_table ~header:true r files;
   Format.printf "  losses absorbed: %d@." r.SimEngine.losses
 
 (* Per-request sampled run over the sharded design: [trials] clients per
@@ -1125,25 +1104,7 @@ let simulate_multi_trials ~design ~tuners ~loss ~trials ~seed files =
       ~fault:(fun ~channel:_ ~seed -> Pindisk_sim.Fault.bernoulli ~p:loss ~seed)
       ~seed trace
   in
-  List.iter
-    (fun f ->
-      match
-        List.find_opt
-          (fun (pf : SimEngine.file_stats) ->
-            pf.SimEngine.file = f.File_spec.id)
-          r.SimEngine.per_file
-      with
-      | None -> ()
-      | Some pf ->
-          Format.printf "  %-12s %9d %9d %8.1f%% %9.2f@." f.File_spec.name
-            pf.SimEngine.requests pf.SimEngine.missed
-            (100.0 *. SimEngine.file_miss_ratio pf)
-            (SimStats.mean pf.SimEngine.latency))
-    files;
-  Format.printf "  %-12s %9d %9d %8.1f%% %9.2f@." "overall"
-    r.SimEngine.requests r.SimEngine.missed
-    (100.0 *. SimEngine.miss_ratio r)
-    (SimStats.mean r.SimEngine.latency)
+  print_file_table ~header:false r files
 
 let simulate_multichannel ~channels ~tuners ~loss ~trials ~seed ~cohort
     ~clients files =

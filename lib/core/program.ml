@@ -2,58 +2,70 @@ module Schedule = Pindisk_pinwheel.Schedule
 module Scheduler = Pindisk_pinwheel.Scheduler
 module Intmath = Pindisk_util.Intmath
 
+(* Per file: its on-air block count, the block index its first
+   occurrence carries, and its ascending slot offsets within a period. *)
+type entry = { capacity : int; phase : int; offsets : int array }
+
 type t = {
   schedule : Schedule.t;
-  capacities : (int, int) Hashtbl.t;
-  (* Per file: occurrence counts in slots [0, k) of one period, k <= P. *)
-  prefix : (int, int array) Hashtbl.t;
-  (* Per file: block index carried by its first occurrence. *)
-  phase : (int, int) Hashtbl.t;
+  entries : (int, entry) Hashtbl.t;
+  (* Per slot of one period: how many earlier slots carry its file. *)
+  ordinal : int array;
 }
 
-let build ~schedule ~capacities ~phases =
-  let p = Schedule.period schedule in
-  let ids = Schedule.task_ids schedule in
-  let cap_tbl = Hashtbl.create 16 in
+(* One pass numbers every busy slot within its file; a second files the
+   slot under that number in its file's offsets. O(period) words. *)
+let build ~schedule ~capacities ~phase =
+  let slots = schedule.Schedule.slots in
+  let counts = Hashtbl.create 16 in
+  let ordinal =
+    Array.map
+      (fun f ->
+        if f = Schedule.idle then 0
+        else begin
+          let k = Option.value ~default:0 (Hashtbl.find_opt counts f) in
+          Hashtbl.replace counts f (k + 1);
+          k
+        end)
+      slots
+  in
+  let entries = Hashtbl.create 16 in
   List.iter
     (fun (f, n) ->
       if n < 1 then invalid_arg "Program.make: capacity must be >= 1";
       if f < 0 then invalid_arg "Program.make: negative file id";
-      Hashtbl.replace cap_tbl f n)
+      let occ = Option.value ~default:0 (Hashtbl.find_opt counts f) in
+      Hashtbl.replace entries f
+        { capacity = n; phase = phase f; offsets = Array.make occ 0 })
     capacities;
-  List.iter
-    (fun f ->
-      if not (Hashtbl.mem cap_tbl f) then
-        invalid_arg (Printf.sprintf "Program.make: file %d has no capacity" f))
-    ids;
-  let prefix = Hashtbl.create 16 in
-  List.iter
-    (fun f ->
-      let pre = Array.make (p + 1) 0 in
-      for s = 0 to p - 1 do
-        pre.(s + 1) <- (pre.(s) + if Schedule.task_at schedule s = f then 1 else 0)
-      done;
-      Hashtbl.replace prefix f pre)
-    ids;
-  let phase = Hashtbl.create 16 in
-  List.iter (fun (f, ph) -> Hashtbl.replace phase f ph) phases;
-  { schedule; capacities = cap_tbl; prefix; phase }
+  Array.iteri
+    (fun s f ->
+      if f <> Schedule.idle then
+        match Hashtbl.find_opt entries f with
+        | Some e -> e.offsets.(ordinal.(s)) <- s
+        | None ->
+            invalid_arg
+              (Printf.sprintf "Program.make: file %d has no capacity" f))
+    slots;
+  { schedule; entries; ordinal }
 
-let make ~schedule ~capacities = build ~schedule ~capacities ~phases:[]
+let make ~schedule ~capacities = build ~schedule ~capacities ~phase:(fun _ -> 0)
 
 let schedule t = t.schedule
 let period t = Schedule.period t.schedule
 let files t = Schedule.task_ids t.schedule
 
 let capacity t f =
-  match Hashtbl.find_opt t.capacities f with
-  | Some n -> n
+  match Hashtbl.find_opt t.entries f with
+  | Some e -> e.capacity
   | None -> raise Not_found
 
-let occurrences_per_period t f =
-  match Hashtbl.find_opt t.prefix f with
-  | Some pre -> pre.(period t)
-  | None -> 0
+let offsets t f =
+  match Hashtbl.find_opt t.entries f with
+  | Some e -> e.offsets
+  | None -> [||]
+
+let occurrences_per_period t f = Array.length (offsets t f)
 
 let block_at t slot =
   if slot < 0 then invalid_arg "Program.block_at: negative slot";
@@ -61,24 +73,19 @@ let block_at t slot =
   if f = Schedule.idle then None
   else begin
     let p = period t in
-    let pre = Hashtbl.find t.prefix f in
-    let count = ((slot / p) * pre.(p)) + pre.(slot mod p) in
-    let n = Hashtbl.find t.capacities f in
-    let ph = match Hashtbl.find_opt t.phase f with Some v -> v | None -> 0 in
-    Some (f, (ph + count) mod n)
+    let e = Hashtbl.find t.entries f in
+    let count = ((slot / p) * Array.length e.offsets) + t.ordinal.(slot mod p) in
+    Some (f, (e.phase + count) mod e.capacity)
   end
 
 let data_cycle t =
-  let p = period t in
-  List.fold_left
-    (fun acc f ->
-      let occ = occurrences_per_period t f in
+  Hashtbl.fold
+    (fun _ e acc ->
+      let occ = Array.length e.offsets in
       if occ = 0 then acc
-      else
-        let n = capacity t f in
-        Intmath.lcm acc (n / Intmath.gcd n occ))
-    1 (files t)
-  * p
+      else Intmath.lcm acc (e.capacity / Intmath.gcd e.capacity occ))
+    t.entries 1
+  * period t
 
 let delta t f = Schedule.max_gap t.schedule f
 
@@ -132,8 +139,8 @@ let of_layout slots ~capacities =
         Hashtbl.replace counts f (k + 1)
       end)
     slots;
-  build ~schedule:sched ~capacities
-    ~phases:(Hashtbl.fold (fun f ph acc -> (f, ph) :: acc) phases [])
+  build ~schedule:sched ~capacities ~phase:(fun f ->
+      Option.value ~default:0 (Hashtbl.find_opt phases f))
 
 (* Earliest-virtual-deadline interleaving: file i's k-th slot has virtual
    deadline (k+1)/m_i; serve the smallest deadline first. Spreads each

@@ -15,7 +15,12 @@
 
     With [N_i = m_i] and no dispersal this degenerates to the flat program
     of Figure 5 (the same physical block returns only once per data
-    cycle); with IDA it is the AIDA-based program of Figure 6. *)
+    cycle); with IDA it is the AIDA-based program of Figure 6.
+
+    A program is indexed once, when it is built: each file's slot
+    offsets within the period, plus each slot's occurrence ordinal
+    within its file. That is O(period) words, and {!block_at} is O(1)
+    for any slot. *)
 
 module Schedule = Pindisk_pinwheel.Schedule
 
@@ -50,6 +55,12 @@ val delta : t -> int -> int option
     if the file never appears. *)
 
 val occurrences_per_period : t -> int -> int
+
+val offsets : t -> int -> int array
+(** [offsets p i] are the slots of one period that carry file [i],
+    ascending ([[||]] if it never appears); their count is
+    {!occurrences_per_period}. The array is the program's own: do not
+    mutate it. *)
 
 val pp : Format.formatter -> t -> unit
 

@@ -45,12 +45,12 @@ let place_file ~channels ~load ~members ~window ~file ~shares =
                  not (List.mem_assoc c !chosen))
           |> List.stable_sort (fun a b -> Q.compare load.(a) load.(b))
         in
+        (* A share larger than its window fits no channel, and is not
+           even a task. *)
+        n_j <= window
+        &&
         let task = P.Task.make ~id:file ~a:n_j ~b:window in
-        match
-          List.find_opt
-            (fun c -> n_j <= window && feasible members.(c) task)
-            candidates
-        with
+        match List.find_opt (fun c -> feasible members.(c) task) candidates with
         | Some c ->
             chosen := (c, j) :: !chosen;
             true

@@ -1,4 +1,4 @@
-module Plan = Pindisk_pinwheel.Plan
+module Program = Pindisk.Program
 module Schedule = Pindisk_pinwheel.Schedule
 module Intmath = Pindisk_util.Intmath
 module Pool = Pindisk_util.Pool
@@ -12,45 +12,6 @@ let obs_analytic = Obs.Registry.counter "cohort.analytic"
 
 type key = { file : int; phase : int; needed : int; deadline : int }
 type cls = { key : key; weight : int }
-
-(* One period of warm-up dispatch, done once per plan: the sorted slot
-   offsets each file occupies within a period. Their lengths are the
-   per-file occurrence counts (validation and the data cycle); the
-   offsets themselves are each class's occurrence pattern. O(period·log
-   n) time, O(period) memory, no slot array. The plan is kept so a prep
-   handed back to [run] can be checked against the plan it came from. *)
-type prep = {
-  plan : Plan.t;
-  period : int;
-  offsets : (int, int array) Hashtbl.t;
-}
-
-let prepare plan =
-  let d = Plan.create plan in
-  let period = Plan.period plan in
-  let rev_offsets = Hashtbl.create 64 in
-  for s = 0 to period - 1 do
-    let f = Plan.next d in
-    if f <> Schedule.idle then
-      Hashtbl.replace rev_offsets f
-        (s :: Option.value ~default:[] (Hashtbl.find_opt rev_offsets f))
-  done;
-  let offsets = Hashtbl.create 64 in
-  Hashtbl.iter
-    (fun f rev -> Hashtbl.replace offsets f (Array.of_list (List.rev rev)))
-    rev_offsets;
-  { plan; period; offsets }
-
-(* Slots after which the (occurrence count mod capacity) phase of every
-   file realigns with slot 0 — the block-cycling period of the whole
-   broadcast; [100 ·] it is the default retrieval window. *)
-let data_cycle prep ~capacity =
-  Hashtbl.fold
-    (fun f offs acc ->
-      let n = capacity f in
-      Intmath.lcm acc (n / Intmath.gcd n (Array.length offs)))
-    prep.offsets 1
-  * prep.period
 
 let key_of_request ~period (r : Workload.request) =
   {
@@ -110,94 +71,77 @@ let class_tag ~seed k =
   let m = Intmath.mix64 in
   m (m (m (m (seed + k.file) + k.phase) + k.needed) + k.deadline)
 
-let capacity_fn ~who capacities =
-  let caps = Hashtbl.create 16 in
-  List.iter
-    (fun (f, n) ->
-      if n < 1 then invalid_arg (who ^ ": capacity must be >= 1");
-      Hashtbl.replace caps f n)
-    capacities;
-  fun f ->
-    match Hashtbl.find_opt caps f with
-    | Some n -> n
-    | None -> invalid_arg (who ^ ": file not in plan capacities")
+(* The default window, 100 data cycles, lets every file's block phase
+   realign with slot 0 many times over. *)
+let window ?max_slots program =
+  match max_slots with Some m -> m | None -> 100 * Program.data_cycle program
 
-(* Shared front matter of both entry points: the capacity lookup, the
-   warm-up (a caller's prep must come from this very plan — one from a
-   different plan of the same period would silently misattribute slots)
-   and the default retrieval window. *)
-let setup ~who ?prep ?max_slots ~plan capacities =
-  let capacity = capacity_fn ~who capacities in
-  let prep =
-    match prep with
-    | Some p ->
-        if not (p.plan == plan || p.plan = plan) then
-          invalid_arg (who ^ ": prep was built from a different plan");
-        p
-    | None -> prepare plan
-  in
-  let max_slots =
-    match max_slots with
-    | Some m -> m
-    | None -> 100 * data_cycle prep ~capacity
-  in
-  (capacity, prep, max_slots)
-
-let check_request ~who ~capacity prep ~file ~needed =
+let check_request ~who program ~file ~needed =
   if needed < 1 then invalid_arg (who ^ ": needed must be >= 1");
-  if needed > capacity file then
+  let cap =
+    match Program.capacity program file with
+    | n -> n
+    | exception Not_found -> invalid_arg (who ^ ": file not in the program")
+  in
+  if needed > cap then
     invalid_arg (who ^ ": needed exceeds the file's capacity");
-  if not (Hashtbl.mem prep.offsets file) then
+  if Program.occurrences_per_period program file = 0 then
     invalid_arg (who ^ ": file never broadcast")
 
-let slot_offsets prep file =
-  Option.value ~default:[||] (Hashtbl.find_opt prep.offsets file)
+(* One tuned channel of one member's retrieval, and where the sweep is
+   on it: the slot offset [pos] into the channel's period and the
+   residue [ord] (mod [cap]) of the next own-file occurrence's ordinal.
+   A lane is used up by the sweep it is handed to. *)
+type lane = {
+  slots : int array;
+  cap : int;
+  fault : Fault.t;
+  seen : bool array;
+  mutable pos : int;
+  mutable ord : int;
+}
 
-(* mask.(o) = the plan broadcasts the file at slot offset o. *)
-let mask_of prep file =
-  let mask = Array.make prep.period false in
-  Array.iter (fun o -> mask.(o) <- true) (slot_offsets prep file);
-  mask
+let lane program ~file ~issued fault =
+  let sched = Program.schedule program in
+  let cap = Program.capacity program file in
+  {
+    slots = sched.Schedule.slots;
+    cap;
+    fault;
+    seen = Array.make cap false;
+    pos = issued mod Schedule.period sched;
+    ord = 0;
+  }
 
-let masks_of prep files =
-  let masks = Hashtbl.create 16 in
-  Array.iter
-    (fun f ->
-      if not (Hashtbl.mem masks f) then Hashtbl.add masks f (mask_of prep f))
-    files;
-  masks
-
-(* One member's retrieval, mirroring [Client.retrieve]'s walk: the fault
-   process (already reset to the issue slot) advances once per slot;
-   own-file occurrences are lost or collected; collection tracks
-   distinct residues of the relative occurrence ordinal mod capacity —
-   a constant shift of the global block index, so the distinct count
-   (and hence completion slot and losses) matches the per-client walk
-   exactly. Returns (elapsed, losses, slots swept). *)
-let sweep_member ~mask ~period ~phase ~cap ~needed ~max_slots fault =
-  let seen = Array.make cap false in
-  let distinct = ref 0 and losses = ref 0 in
-  let j = ref 0 and o = ref phase in
-  let elapsed = ref None in
-  let d = ref 0 in
-  while !elapsed = None && !d < max_slots do
-    let lost = Fault.advance fault in
-    if mask.(!o) then begin
-      (if lost then incr losses
-       else begin
-         let r = !j mod cap in
-         if not seen.(r) then begin
-           seen.(r) <- true;
-           incr distinct;
-           if !distinct >= needed then elapsed := Some (!d + 1)
-         end
-       end);
-      incr j
-    end;
-    o := (if !o + 1 = period then 0 else !o + 1);
+(* One member's retrieval, mirroring [Client.retrieve]'s walk on every
+   lane at once: each lane's fault process (already reset to the issue
+   slot) advances once per slot; own-file occurrences are lost or
+   collected; a lane collects distinct residues of its relative
+   occurrence ordinal mod its capacity — a constant shift of the block
+   index it airs, so the distinct count (and hence completion slot and
+   losses) matches the per-slot walk exactly, and lanes add up because
+   their pieces are disjoint. The completing slot still runs on every
+   lane. Returns (elapsed, losses, slots swept). *)
+let sweep ~file ~needed ~max_slots lanes =
+  let distinct = ref 0 and losses = ref 0 and d = ref 0 in
+  while !distinct < needed && !d < max_slots do
+    for c = 0 to Array.length lanes - 1 do
+      let l = lanes.(c) in
+      let lost = Fault.advance l.fault in
+      let o = l.pos in
+      if l.slots.(o) = file then begin
+        (if lost then incr losses
+         else if not l.seen.(l.ord) then begin
+           l.seen.(l.ord) <- true;
+           incr distinct
+         end);
+        l.ord <- (if l.ord + 1 = l.cap then 0 else l.ord + 1)
+      end;
+      l.pos <- (if o + 1 = Array.length l.slots then 0 else o + 1)
+    done;
     incr d
   done;
-  (!elapsed, !losses, !d)
+  ((if !distinct >= needed then Some !d else None), !losses, !d)
 
 let for_classes ?pool ~n f =
   match pool with
@@ -233,15 +177,14 @@ let rows_of_hist ~file ~deadline elapsed_counts ~expired ~losses =
 
 (* ---- Trace mode: exact per-client replay, class-shared sweep ---- *)
 
-let run ?pool ?prep ?max_slots ~plan ~capacities ~fault ~seed trace =
+let run ?pool ?max_slots ~program ~fault ~seed trace =
   let who = "Cohort.run" in
-  let capacity, prep, max_slots = setup ~who ?prep ?max_slots ~plan capacities in
-  let period = prep.period in
+  let max_slots = window ?max_slots program in
+  let period = Program.period program in
   List.iter
     (fun (r : Workload.request) ->
       if r.Workload.issued < 0 then invalid_arg (who ^ ": negative start");
-      check_request ~who ~capacity prep ~file:r.Workload.file
-        ~needed:r.Workload.needed)
+      check_request ~who program ~file:r.Workload.file ~needed:r.Workload.needed)
     trace;
   let reqs = Array.of_list trace in
   let n = Array.length reqs in
@@ -259,21 +202,18 @@ let run ?pool ?prep ?max_slots ~plan ~capacities ~fault ~seed trace =
     |> List.sort compare
     |> Array.of_list
   in
-  let masks = masks_of prep (Array.map (fun (key, _) -> key.file) classes) in
   let outcomes = Array.make n (None, 0) in
   let obs = Obs.Control.enabled () in
   for_classes ?pool ~n:(Array.length classes) (fun ci ->
       let key, members = classes.(ci) in
-      let mask = Hashtbl.find masks key.file in
-      let cap = capacity key.file in
       let swept = ref 0 in
       List.iter
         (fun k ->
           let f = fault ~seed:(Intmath.mix64 (seed + k)) in
           Fault.reset_to f reqs.(k).Workload.issued;
           let elapsed, losses, d =
-            sweep_member ~mask ~period ~phase:key.phase ~cap
-              ~needed:key.needed ~max_slots f
+            sweep ~file:key.file ~needed:key.needed ~max_slots
+              [| lane program ~file:key.file ~issued:key.phase f |]
           in
           outcomes.(k) <- (elapsed, losses);
           swept := !swept + d)
@@ -424,7 +364,7 @@ let analytic_class ~offs ~period ~phase ~cap ~needed ~deadline ~max_slots ~p
   let losses = int_of_float (Float.round (p *. !ordinals)) in
   rows_of_hist ~file ~deadline elapsed_counts ~expired:!expired ~losses
 
-let sampled_class ~model ~seed ~key ~weight ~mask ~period ~cap ~max_slots =
+let sampled_class ~model ~seed ~key ~weight ~program ~max_slots =
   let tag = class_tag ~seed key in
   let elapsed_counts = Hashtbl.create 32 in
   let expired = ref 0 and losses = ref 0 and swept = ref 0 in
@@ -432,8 +372,8 @@ let sampled_class ~model ~seed ~key ~weight ~mask ~period ~cap ~max_slots =
     let f = fault_of_model model ~seed:(Intmath.mix64 (tag + i)) in
     Fault.reset_to f key.phase;
     let elapsed, l, d =
-      sweep_member ~mask ~period ~phase:key.phase ~cap ~needed:key.needed
-        ~max_slots f
+      sweep ~file:key.file ~needed:key.needed ~max_slots
+        [| lane program ~file:key.file ~issued:key.phase f |]
     in
     (match elapsed with
     | Some e ->
@@ -449,43 +389,42 @@ let sampled_class ~model ~seed ~key ~weight ~mask ~period ~cap ~max_slots =
   in
   (rows, !swept)
 
-let run_population ?pool ?prep ?max_slots ?(sampled = false) ~plan ~capacities
-    ~model ~seed classes =
+let run_population ?pool ?max_slots ?(sampled = false) ~program ~model ~seed
+    classes =
   let who = "Cohort.run_population" in
-  let capacity, prep, max_slots = setup ~who ?prep ?max_slots ~plan capacities in
-  let period = prep.period in
+  let max_slots = window ?max_slots program in
+  let period = Program.period program in
   let classes = canonicalize ~who classes in
   Array.iter
     (fun c ->
       if c.key.phase < 0 || c.key.phase >= period then
         invalid_arg (who ^ ": phase out of [0, period)");
-      check_request ~who ~capacity prep ~file:c.key.file ~needed:c.key.needed)
+      check_request ~who program ~file:c.key.file ~needed:c.key.needed)
     classes;
   let analytic =
     (not sampled) && (match model with No_loss | Bernoulli _ -> true | Burst _ -> false)
   in
   let p = loss_rate_of_model model in
-  let masks = masks_of prep (Array.map (fun c -> c.key.file) classes) in
   let nclasses = Array.length classes in
   let rows = Array.make nclasses [] in
   let obs = Obs.Control.enabled () in
   for_classes ?pool ~n:nclasses (fun ci ->
       let c = classes.(ci) in
-      let cap = capacity c.key.file in
       if analytic then begin
         rows.(ci) <-
           analytic_class
-            ~offs:(slot_offsets prep c.key.file)
-            ~period ~phase:c.key.phase ~cap ~needed:c.key.needed
+            ~offs:(Program.offsets program c.key.file)
+            ~period ~phase:c.key.phase
+            ~cap:(Program.capacity program c.key.file)
+            ~needed:c.key.needed
             ~deadline:c.key.deadline ~max_slots ~p ~weight:c.weight
             ~file:c.key.file;
         if obs then Obs.Registry.incr obs_analytic
       end
       else begin
         let r, swept =
-          sampled_class ~model ~seed ~key:c.key ~weight:c.weight
-            ~mask:(Hashtbl.find masks c.key.file)
-            ~period ~cap ~max_slots
+          sampled_class ~model ~seed ~key:c.key ~weight:c.weight ~program
+            ~max_slots
         in
         rows.(ci) <- r;
         if obs then Obs.Registry.add obs_swept swept

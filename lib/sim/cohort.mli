@@ -2,23 +2,23 @@
 
     The broadcast channel is shared, so clients never contend: a
     client's outcome depends only on what the channel shows it and on
-    its own fault process. The channel repeats every plan period and
+    its own fault process. The channel repeats every broadcast period and
     block indices cycle each file's capacity, so all requests with the
     same [(file, issued mod period, needed, deadline)] key see their
     file at the same slot distances and — up to a constant residue
     shift, which is a bijection and so preserves distinct-block counts —
     the same block-index pattern. Populations therefore collapse into
-    weighted classes: one dispatcher-shaped sweep per class instead of
-    one per client (the argument is spelled out in DESIGN §5i).
+    weighted classes whose members share one occurrence pattern (the
+    argument is spelled out in DESIGN §5i).
 
     This is the production single-channel engine; {!Engine.run}, which
     walks {!Client.retrieve} once per request, is kept as the oracle it
     is tested against. Two entry points share the class machinery:
 
     - {!run} replays a concrete trace through the class sweep and is
-      {e exactly} equal to {!Engine.run} on the program the plan
-      materializes to — same fault seeds (trace index), same
-      [Engine.result] to the last float. The test suite pins this.
+      {e exactly} equal to {!Engine.run} on the same program — same
+      fault seeds (trace index), same [Engine.result] to the last float.
+      The test suite pins this.
     - {!run_population} takes a closed-form population (a class list).
       Memoryless fault models ([No_loss] / [Bernoulli]) fold
       analytically — the completion-ordinal law is exact (a
@@ -29,6 +29,11 @@
       what makes 10M clients a few milliseconds. Time-correlated models
       ([Burst]) fall back to per-member seeded sampling (content-derived
       seeds: invariant under class-list permutation).
+
+    Both read the broadcast from the program's own one-period index
+    ({!Pindisk.Program.offsets} and its slot array); nothing is
+    re-indexed per run. The member sweep ({!sweep}) is shared with
+    {!Multi.run}, which passes one lane per tuned channel.
 
     Classes shard across {!Pindisk_util.Pool} domains; workers touch
     only per-class slots and sharded [cohort.*] counters, and the final
@@ -44,18 +49,10 @@
 
 type key = {
   file : int;
-  phase : int;  (** issue slot mod plan period *)
+  phase : int;  (** issue slot mod the broadcast period *)
   needed : int;
   deadline : int;
 }
-
-type prep
-(** The per-plan warm-up: one period of dispatch recording each file's
-    slot offsets within the period. Built in O(period·log n); reusable
-    across any number of {!run} / {!run_population} calls over the
-    {e same} plan, so repeated runs don't pay the warm-up again. *)
-
-val prepare : Pindisk_pinwheel.Plan.t -> prep
 
 type cls = { key : key; weight : int }
 
@@ -81,38 +78,56 @@ val fault_of_model : model -> seed:int -> Fault.t
 (** The {!Fault} process a given model describes — what {!run} should be
     handed when cross-checking a sampled population run. *)
 
+type lane
+(** One tuned channel of one member's retrieval: the channel program's
+    slot array, the file's block count on it, the lane's fault process,
+    and how far the sweep has got. A lane is used up by one {!sweep}. *)
+
+val lane : Pindisk.Program.t -> file:int -> issued:int -> Fault.t -> lane
+(** The lane of a program for a request for [file] issued at [issued];
+    [fault] must already be reset to [issued]. Raises [Not_found] if the
+    program has no capacity for [file]. *)
+
+val sweep :
+  file:int -> needed:int -> max_slots:int -> lane array -> int option * int * int
+(** [sweep ~file ~needed ~max_slots lanes] walks one member's retrieval
+    slot by slot on every lane at once, for at most [max_slots] slots:
+    each lane's fault advances once per slot, and an own-file slot is
+    either lost or collected. A lane collects distinct residues of its
+    occurrence ordinal mod the file's block count on its channel, so
+    lanes must air disjoint pieces.
+    The member completes once [needed] are collected; the completing
+    slot still runs on every lane. Returns [(elapsed, losses, swept)]:
+    the completion distance in slots ([None] if the window ran out), the
+    own-file slots lost, and the slots walked. *)
+
 val run :
   ?pool:Pindisk_util.Pool.t ->
-  ?prep:prep ->
   ?max_slots:int ->
-  plan:Pindisk_pinwheel.Plan.t ->
-  capacities:(int * int) list ->
+  program:Pindisk.Program.t ->
   fault:(seed:int -> Fault.t) ->
   seed:int ->
   Workload.request list ->
   Engine.result
-(** [run ~plan ~capacities ~fault ~seed trace] retires every request of
-    the trace; request [k] gets [fault ~seed:(Intmath.mix64 (seed + k))],
+(** [run ~program ~fault ~seed trace] retires every request of the
+    trace; request [k] gets [fault ~seed:(Intmath.mix64 (seed + k))],
     reset at its issue slot and advanced once per slot, exactly as
-    {!Engine.run} does — and the result equals {!Engine.run}'s, including
-    float accumulation order. Members of a class share the occurrence
-    pattern and the warm-up instead of re-walking the dispatcher per
-    request. [max_slots] is each request's retrieval window (default
-    [100 ·] the plan's data cycle). [prep] (from {!prepare} on this
-    [plan]) skips the warm-up. [pool] shards classes across domains
-    (default: inline sequential); [fault] must be pure construction, as
-    it is called from worker domains. Raises [Invalid_argument] on a
-    prep built from a different plan, a capacity below 1, a request
-    naming a file without a capacity or never broadcast, [needed < 1]
-    or beyond the file's capacity, or a negative issue slot. *)
+    {!Engine.run} does — and the result equals {!Engine.run}'s on the
+    same program, including float accumulation order. Members of a
+    class share the occurrence pattern instead of re-walking the
+    program per request. [max_slots] is each request's retrieval window
+    (default [100 ·] the program's data cycle). [pool] shards classes
+    across domains (default: inline sequential); [fault] must be pure
+    construction, as it is called from worker domains. Raises
+    [Invalid_argument] on a request naming a file the program has no
+    capacity for or never broadcasts, [needed < 1] or beyond the file's
+    capacity, or a negative issue slot. *)
 
 val run_population :
   ?pool:Pindisk_util.Pool.t ->
-  ?prep:prep ->
   ?max_slots:int ->
   ?sampled:bool ->
-  plan:Pindisk_pinwheel.Plan.t ->
-  capacities:(int * int) list ->
+  program:Pindisk.Program.t ->
   model:model ->
   seed:int ->
   cls list ->
@@ -128,8 +143,7 @@ val run_population :
     weight over that law is not: each bucket holds weight × mass
     rounded up or down, so within one client of it. [seed] feeds the
     sampled path's content-derived member seeds; the analytic path
-    ignores it. [max_slots] defaults to [100 ·] the plan's data cycle.
-    Raises [Invalid_argument] for a class with [phase] outside
-    [[0, period)], [needed < 1] or beyond the file's capacity, a file
-    never broadcast, a negative weight, or capacities/prep errors as in
-    {!run}. *)
+    ignores it. [max_slots] defaults to [100 ·] the program's data
+    cycle. Raises [Invalid_argument] for a class with [phase] outside
+    [[0, period)], a negative weight, or a file or [needed] {!run}
+    rejects. *)

@@ -1,4 +1,3 @@
-module P = Pindisk_pinwheel
 module Obs = Pindisk_obs
 module Intmath = Pindisk_util.Intmath
 module Shard = Pindisk.Shard
@@ -49,15 +48,8 @@ let spec_table (design : Shard.t) =
     (design.Shard.specs @ design.Shard.shed);
   t
 
-let share_size (design : Shard.t) file channel =
-  match
-    List.find_opt
-      (fun (p : Shard.placement) ->
-        p.Shard.file = file && p.Shard.channel = channel)
-      design.Shard.placements
-  with
-  | Some p -> Array.length p.Shard.pieces
-  | None -> 0
+let channel_program (design : Shard.t) c =
+  design.Shard.channels.(c).Shard.program
 
 let rec take n = function
   | [] -> []
@@ -98,7 +90,10 @@ let run ?max_slots ~design ~tuners ~fault ~seed trace =
         validate_member ~what:"Multi.run" ~spec_of m;
         let listen = take tuners (Shard.channels_of design m.file) in
         let reachable =
-          List.fold_left (fun acc c -> acc + share_size design m.file c) 0 listen
+          List.fold_left
+            (fun acc c ->
+              acc + Program.capacity (channel_program design c) m.file)
+            0 listen
         in
         if listen = [] || reachable < m.needed then begin
           (* Shed file, or the tuner budget cannot see [needed] distinct
@@ -117,43 +112,28 @@ let run ?max_slots ~design ~tuners ~fault ~seed trace =
             Obs.Registry.incr obs_assigned;
             List.iter (fun c -> Obs.Registry.incr (obs_chan_requests c)) listen
           end;
-          let faults =
-            List.map
-              (fun c ->
-                let fl =
-                  fault ~channel:c
-                    ~seed:(Intmath.mix64 (Intmath.mix64 (seed + k) + c))
-                in
-                Fault.reset_to fl m.issued;
-                (c, fl))
-              listen
+          let lanes =
+            Array.of_list
+              (List.map
+                 (fun c ->
+                   let fl =
+                     fault ~channel:c
+                       ~seed:(Intmath.mix64 (Intmath.mix64 (seed + k) + c))
+                   in
+                   Fault.reset_to fl m.issued;
+                   Cohort.lane (channel_program design c) ~file:m.file
+                     ~issued:m.issued fl)
+                 listen)
           in
-          let got = Hashtbl.create 8 in
-          let losses = ref 0 in
-          let elapsed = ref None in
-          let s = ref m.issued in
-          while !elapsed = None && !s < m.issued + window do
-            List.iter
-              (fun (c, fl) ->
-                let lost = Fault.advance fl in
-                match Shard.block_at design ~channel:c !s with
-                | Some (f, piece) when f = m.file ->
-                    if lost then incr losses
-                    else if not (Hashtbl.mem got piece) then begin
-                      Hashtbl.replace got piece ();
-                      if Hashtbl.length got = m.needed && !elapsed = None then
-                        elapsed := Some (!s - m.issued + 1)
-                    end
-                | _ -> ())
-              faults;
-            incr s
-          done;
+          let elapsed, losses, _ =
+            Cohort.sweep ~file:m.file ~needed:m.needed ~max_slots:window lanes
+          in
           {
             Retire.file = m.file;
             deadline = m.deadline;
-            elapsed = !elapsed;
+            elapsed;
             weight = 1;
-            losses = !losses;
+            losses;
           }
         end)
       trace
@@ -183,7 +163,10 @@ let run_population ?pool ?max_slots ?sampled ~design ~tuners ~model ~seed
          listened prefix is the only candidate worth checking. *)
       let listen = take tuners (Shard.channels_of design m.file) in
       let best =
-        List.find_opt (fun c -> share_size design m.file c >= m.needed) listen
+        List.find_opt
+          (fun c ->
+            Program.capacity (channel_program design c) m.file >= m.needed)
+          listen
       in
       match best with
       | Some c ->
@@ -200,16 +183,8 @@ let run_population ?pool ?max_slots ?sampled ~design ~tuners ~model ~seed
     match List.rev per_channel.(c) with
     | [] -> None
     | ms ->
-        let ch = design.Shard.channels.(c) in
-        let period = P.Plan.period ch.Shard.plan in
-        let capacities =
-          List.filter_map
-            (fun (p : Shard.placement) ->
-              if p.Shard.channel = c then
-                Some (p.Shard.file, Array.length p.Shard.pieces)
-              else None)
-            design.Shard.placements
-        in
+        let program = channel_program design c in
+        let period = Program.period program in
         let classes =
           List.map
             (fun (m : member) ->
@@ -226,8 +201,8 @@ let run_population ?pool ?max_slots ?sampled ~design ~tuners ~model ~seed
             ms
         in
         Some
-          (Cohort.run_population ?pool ?sampled ~max_slots:window
-             ~plan:ch.Shard.plan ~capacities ~model:(model ~channel:c)
+          (Cohort.run_population ?pool ?sampled ~max_slots:window ~program
+             ~model:(model ~channel:c)
              ~seed:(Intmath.mix64 (seed + c))
              classes)
   in

@@ -45,9 +45,11 @@ val run :
   seed:int ->
   Workload.request list ->
   Engine.result
-(** Exact per-request simulation. Request [k] listening to channel [c]
-    gets [fault ~channel:c ~seed:(mix64 (mix64 (seed + k) + c))], reset
-    to its issue slot. A request for a shed file (or one whose stripe
+(** Exact per-request simulation: one {!Cohort.sweep} per request, with
+    one lane per listened channel read off that channel's program.
+    Request [k] listening to channel [c] gets
+    [fault ~channel:c ~seed:(mix64 (mix64 (seed + k) + c))], reset to
+    its issue slot. A request for a shed file (or one whose stripe
     set the tuner budget cannot cover [needed] distinct pieces of)
     retires as missed; an unknown file, [needed < 1] or beyond the
     file's capacity, a negative issue slot, or [tuners < 1] raise
@@ -65,12 +67,13 @@ val run_population :
   member list ->
   Engine.result
 (** Population-scale analogue: members collapse to per-channel weighted
-    classes and each channel folds through {!Cohort.run_population}
-    (analytic for memoryless models), then the K per-channel results
-    merge in channel order via {!Retire.merge}. Each member is served by
-    the {e best} listened channel — the largest-share channel among its
-    first [min tuners stripe] preferred ones that alone carries
-    [needed] pieces; members with no such channel retire as missed.
+    classes and each channel folds through {!Cohort.run_population} on
+    its own program (analytic for memoryless models), then the K
+    per-channel results merge in channel order via {!Retire.merge}.
+    Each member is served by the {e best} listened channel — the
+    largest-share channel among its first [min tuners stripe] preferred
+    ones that alone carries [needed] pieces; members with no such
+    channel retire as missed.
     For unstriped designs (stripe = 1, the default) this is exact: the
     file's one channel carries its full capacity. For striped designs it
     is a conservative lower bound — cross-channel piece pooling is

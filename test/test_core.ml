@@ -533,6 +533,87 @@ let prop_data_cycle_periodicity =
       done;
       !ok)
 
+(* A random program over a random one-period schedule: each file gets a
+   random capacity, and (through of_layout) a random phase — the block
+   its first occurrence carries. Returns the program with the raw slot
+   array, capacities and phases it was built from. *)
+let gen_program =
+  QCheck2.Gen.(
+    let* period = int_range 1 10 in
+    let* files = int_range 1 4 in
+    let* slots = array_size (return period) (int_range (-1) (files - 1)) in
+    let* caps = array_size (return files) (int_range 1 5) in
+    let* phases = array_size (return files) (int_bound 4) in
+    let* phased = bool in
+    let capacities = List.init files (fun f -> (f, caps.(f))) in
+    let phases =
+      Array.mapi (fun f ph -> if phased then ph mod caps.(f) else 0) phases
+    in
+    let program =
+      if phased then
+        let k = Array.make files 0 in
+        Program.of_layout
+          (Array.to_list
+             (Array.map
+                (fun f ->
+                  if f < 0 then (-1, 0)
+                  else begin
+                    let blk = (phases.(f) + k.(f)) mod caps.(f) in
+                    k.(f) <- k.(f) + 1;
+                    (f, blk)
+                  end)
+                slots))
+          ~capacities
+      else Program.make ~schedule:(Schedule.make slots) ~capacities
+    in
+    return (program, slots, caps, phases))
+
+let prop_block_at_matches_recount =
+  QCheck2.Test.make ~name:"block_at equals a naive recount" ~count:200
+    gen_program (fun (p, slots, caps, phases) ->
+      let period = Array.length slots in
+      let naive t =
+        let f = slots.(t mod period) in
+        if f < 0 then None
+        else begin
+          let earlier = ref 0 in
+          for u = 0 to t - 1 do
+            if slots.(u mod period) = f then incr earlier
+          done;
+          Some (f, (phases.(f) + !earlier) mod caps.(f))
+        end
+      in
+      List.for_all
+        (fun t -> Program.block_at p t = naive t)
+        (List.init (2 * Program.data_cycle p) Fun.id))
+
+let prop_offsets_count_occurrences =
+  QCheck2.Test.make ~name:"offsets are the occurrences per period" ~count:200
+    gen_program (fun (p, slots, caps, _) ->
+      List.for_all
+        (fun f ->
+          let offs = Program.offsets p f in
+          Array.length offs = Program.occurrences_per_period p f
+          && Array.to_list offs
+             = List.filter (fun s -> slots.(s) = f)
+                 (List.init (Array.length slots) Fun.id))
+        (List.init (Array.length caps) Fun.id))
+
+let test_program_memory () =
+  (* 256 files sharing a 4096-slot period: the index is O(period) words,
+     not a table per file. *)
+  let period = 4096 and files = 256 in
+  let p =
+    Program.make
+      ~schedule:(Schedule.make (Array.init period (fun s -> s mod files)))
+      ~capacities:(List.init files (fun f -> (f, 3)))
+  in
+  let words = Obj.reachable_words (Obj.repr p) in
+  check_bool
+    (Printf.sprintf "%d words under 16 x period" words)
+    true
+    (words < 16 * period)
+
 let () =
   Alcotest.run "core"
     [
@@ -562,6 +643,8 @@ let () =
           Alcotest.test_case "auto builder" `Quick test_auto_builder;
           Alcotest.test_case "consecutive blocks distinct" `Quick
             test_block_at_distinct_consecutive;
+          Alcotest.test_case "index is O(period) words" `Quick
+            test_program_memory;
         ] );
       ( "generalized",
         [
@@ -603,5 +686,7 @@ let () =
             prop_data_cycle_periodicity;
             prop_codec_roundtrip_random;
             prop_codec_never_crashes_on_garbage;
+            prop_block_at_matches_recount;
+            prop_offsets_count_occurrences;
           ] );
     ]

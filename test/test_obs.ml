@@ -358,7 +358,6 @@ let test_ida_parallel_counters_match_sequential () =
     (counter_of par_snap "pool.tasks.fanned" > 0)
 
 module Cohort = Pindisk_sim.Cohort
-module Pw = Pindisk_pinwheel
 
 let cohort_counters snap =
   List.filter
@@ -376,8 +375,6 @@ let test_cohort_pool_matches_sequential () =
       [ (0, 0); (1, 0); (0, 1); (0, 2); (1, 1); (0, 3); (1, 2); (0, 4) ]
       ~capacities:[ (0, 10); (1, 6) ]
   in
-  let plan = Pw.Plan.explicit (Program.schedule program) in
-  let capacities = [ (0, 10); (1, 6) ] in
   let trace =
     Workload.generate ~program ~rate:0.2 ~theta:0.8
       ~needed_of:(fun f -> if f = 0 then 5 else 3)
@@ -390,11 +387,9 @@ let test_cohort_pool_matches_sequential () =
       { p_good_to_bad = 0.2; p_bad_to_good = 0.4; loss_good = 0.05;
         loss_bad = 0.5 }
   in
-  let classes = Cohort.classes_of_trace ~period:(Pw.Plan.period plan) trace in
-  let seq = Cohort.run ~plan ~capacities ~fault ~seed:5 trace in
-  let seq_pop =
-    Cohort.run_population ~plan ~capacities ~model ~seed:5 classes
-  in
+  let classes = Cohort.classes_of_trace ~period:(Program.period program) trace in
+  let seq = Cohort.run ~program ~fault ~seed:5 trace in
+  let seq_pop = Cohort.run_population ~program ~model ~seed:5 classes in
   let seq_counts = cohort_counters (Snapshot.take ()) in
   Snapshot.reset ();
   let pool = Pool.create ~domains:4 () in
@@ -402,9 +397,8 @@ let test_cohort_pool_matches_sequential () =
     Fun.protect
       ~finally:(fun () -> Pool.shutdown pool)
       (fun () ->
-        ( Cohort.run ~pool ~plan ~capacities ~fault ~seed:5 trace,
-          Cohort.run_population ~pool ~plan ~capacities ~model ~seed:5 classes
-        ))
+        ( Cohort.run ~pool ~program ~fault ~seed:5 trace,
+          Cohort.run_population ~pool ~program ~model ~seed:5 classes ))
   in
   let par_counts = cohort_counters (Snapshot.take ()) in
   check_string "pooled run byte-identical"

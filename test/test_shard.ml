@@ -330,6 +330,28 @@ let test_shard_bad_args () =
   check_bool "empty files" true
     (Result.is_error (Shard.design ~channels:2 ~bandwidth:1 []))
 
+let test_shard_sheds_share_beyond_window () =
+  (* File 0 needs 4 pieces inside a 2-slot window: no channel can air
+     them, so it is shed rather than raising from Task.make. *)
+  let specs =
+    [
+      File_spec.make ~id:0 ~blocks:3 ~tolerance:1 ~latency:2 ();
+      File_spec.make ~id:1 ~blocks:1 ~latency:8 ();
+    ]
+  in
+  List.iter
+    (fun channels ->
+      match Shard.design ~channels ~bandwidth:1 specs with
+      | Error e -> Alcotest.failf "design failed: %s" e
+      | Ok t ->
+          Alcotest.(check (list int))
+            "file 0 shed" [ 0 ]
+            (List.map (fun f -> f.File_spec.id) t.Shard.shed);
+          Alcotest.(check (list int))
+            "file 1 served" [ 1 ]
+            (List.map (fun f -> f.File_spec.id) t.Shard.specs))
+    [ 1; 2 ]
+
 (* qcheck: global piece indices aired by a striped channel all share the
    stripe residue, and every admitted file's shares are disjoint across
    channels and cover its capacity. *)
@@ -379,6 +401,9 @@ module Cohort = Pindisk_sim.Cohort
 module Engine = Pindisk_sim.Engine
 module Workload = Pindisk_sim.Workload
 module Fault = Pindisk_sim.Fault
+module Retire = Pindisk_sim.Retire
+module Stats = Pindisk_util.Stats
+module Intmath = Pindisk_util.Intmath
 module Shardcheck = Pindisk_check.Shardcheck
 module Ladder = Pindisk_adapt.Ladder
 
@@ -469,6 +494,144 @@ let test_multi_population_lossless_completes () =
   in
   check_int "all weighted clients complete" 1000 r.Engine.completed;
   check_int "none missed" 0 r.Engine.missed
+
+let rec take n = function
+  | x :: rest when n > 0 -> x :: take (n - 1) rest
+  | _ -> []
+
+(* The reference walk Multi.run is checked against, slot by slot: every
+   tuned channel's slot is resolved through Shard.block_at into a global
+   piece index, and the slot that completes the request still runs its
+   later channels, whose losses count. *)
+let multi_oracle ~max_slots ~design ~tuners ~fault ~seed trace =
+  let rows =
+    List.mapi
+      (fun k (r : Workload.request) ->
+        let listen = take tuners (Shard.channels_of design r.Workload.file) in
+        let reachable =
+          List.fold_left
+            (fun acc (p : Shard.placement) ->
+              if List.mem p.Shard.channel listen then
+                acc + Array.length p.Shard.pieces
+              else acc)
+            0
+            (Shard.placements_of design r.Workload.file)
+        in
+        let row elapsed losses =
+          {
+            Retire.file = r.Workload.file;
+            deadline = r.Workload.deadline;
+            elapsed;
+            weight = 1;
+            losses;
+          }
+        in
+        if listen = [] || reachable < r.Workload.needed then row None 0
+        else begin
+          let faults =
+            List.map
+              (fun c ->
+                let fl =
+                  fault ~channel:c
+                    ~seed:(Intmath.mix64 (Intmath.mix64 (seed + k) + c))
+                in
+                Fault.reset_to fl r.Workload.issued;
+                (c, fl))
+              listen
+          in
+          let got = Hashtbl.create 8 in
+          let losses = ref 0 and elapsed = ref None in
+          let s = ref r.Workload.issued in
+          while !elapsed = None && !s < r.Workload.issued + max_slots do
+            List.iter
+              (fun (c, fl) ->
+                let lost = Fault.advance fl in
+                match Shard.block_at design ~channel:c !s with
+                | Some (f, piece) when f = r.Workload.file ->
+                    if lost then incr losses
+                    else if not (Hashtbl.mem got piece) then begin
+                      Hashtbl.replace got piece ();
+                      if Hashtbl.length got = r.Workload.needed then
+                        elapsed := Some (!s - r.Workload.issued + 1)
+                    end
+                | _ -> ())
+              faults;
+            incr s
+          done;
+          row !elapsed !losses
+        end)
+      trace
+  in
+  Retire.retire ~sinks:(Retire.sinks ~prefix:"oracle") rows
+
+(* Every count, loss, latency accumulator and per-file stat, exactly
+   (floats in hex). *)
+let render_result (r : Engine.result) =
+  let stats s =
+    if Stats.count s = 0 then "0"
+    else
+      Printf.sprintf "%d %h %h %h" (Stats.count s) (Stats.total s)
+        (Stats.min_value s) (Stats.max_value s)
+  in
+  String.concat "\n"
+    (Printf.sprintf "%d requests %d completed %d missed %d losses; %s"
+       r.Engine.requests r.Engine.completed r.Engine.missed r.Engine.losses
+       (stats r.Engine.latency)
+    :: List.map
+         (fun (f : Engine.file_stats) ->
+           Printf.sprintf "file %d: %d requests %d missed; %s" f.Engine.file
+             f.Engine.requests f.Engine.missed (stats f.Engine.latency))
+         r.Engine.per_file)
+
+let prop_multi_run_matches_oracle =
+  QCheck2.Test.make ~name:"Multi.run equals the per-slot block_at walk"
+    ~count:150
+    QCheck2.Gen.(
+      quad (int_range 1 4) (int_range 1 3) (int_range 1 3) (int_bound 1_000_000))
+    (fun (channels, stripe, tuners, seed) ->
+      let st = Random.State.make [| seed |] in
+      let specs =
+        List.init
+          (2 + Random.State.int st 5)
+          (fun i ->
+            File_spec.make ~id:i
+              ~blocks:(1 + Random.State.int st 3)
+              ~tolerance:(Random.State.int st 3)
+              ~latency:(8 * (1 + Random.State.int st 3))
+              ())
+      in
+      let design = design_exn ~stripe ~channels ~bandwidth:2 specs in
+      let trace =
+        List.init
+          (5 + Random.State.int st 20)
+          (fun _ ->
+            let f = List.nth specs (Random.State.int st (List.length specs)) in
+            {
+              Workload.issued = Random.State.int st 200;
+              file = f.File_spec.id;
+              needed = 1 + Random.State.int st f.File_spec.capacity;
+              deadline = Random.State.int st 48;
+            })
+      in
+      let burst = Random.State.bool st in
+      let fault ~channel ~seed =
+        if burst then
+          Fault.burst
+            ~p_good_to_bad:(0.05 *. float_of_int (channel + 1))
+            ~p_bad_to_good:0.3 ~loss_good:0.05 ~loss_bad:0.6 ~seed
+        else Fault.bernoulli ~p:(0.1 *. float_of_int (channel + 1)) ~seed
+      in
+      let max_slots = 1 + Random.State.int st 40 in
+      let fault_seed = Random.State.int st 1000 in
+      let exact =
+        Multi.run ~max_slots ~design ~tuners ~fault ~seed:fault_seed trace
+      in
+      let oracle =
+        multi_oracle ~max_slots ~design ~tuners ~fault ~seed:fault_seed trace
+      in
+      render_result exact = render_result oracle
+      || QCheck2.Test.fail_reportf "Multi.run:\n%s\noracle:\n%s"
+           (render_result exact) (render_result oracle))
 
 (* ------------------------------------------------------------------ *)
 (* Shardcheck: independent certification                              *)
@@ -589,6 +752,8 @@ let () =
           Alcotest.test_case "more channels serve more" `Quick
             test_shard_more_channels_serve_more;
           Alcotest.test_case "bad args" `Quick test_shard_bad_args;
+          Alcotest.test_case "sheds a share beyond its window" `Quick
+            test_shard_sheds_share_beyond_window;
         ] );
       ( "shard-properties",
         List.map QCheck_alcotest.to_alcotest
@@ -604,6 +769,8 @@ let () =
           Alcotest.test_case "lossless population completes" `Quick
             test_multi_population_lossless_completes;
         ] );
+      ( "multi-properties",
+        List.map QCheck_alcotest.to_alcotest [ prop_multi_run_matches_oracle ] );
       ( "shardcheck",
         [
           Alcotest.test_case "certifies a sound design" `Quick

@@ -721,9 +721,9 @@ let result_eq (a : Engine.result) (b : Engine.result) =
       stats_eq "file latency" fa.Engine.latency fb.Engine.latency)
     a.Engine.per_file b.Engine.per_file
 
-(* A dyadic 4-file broadcast system (density 1/2) whose plan and program
-   are two views of the same construction. *)
-let dyadic_plan_and_program () =
+(* A dyadic 4-file broadcast system (density 1/2), planned by the
+   pinwheel scheduler. *)
+let dyadic_program () =
   let sys =
     [ Pw.Task.unit ~id:0 ~b:4; Pw.Task.unit ~id:1 ~b:8;
       Pw.Task.unit ~id:2 ~b:16; Pw.Task.unit ~id:3 ~b:16 ]
@@ -733,9 +733,8 @@ let dyadic_plan_and_program () =
     | Some p -> p
     | None -> Alcotest.fail "dyadic density-1/2 system schedules"
   in
-  let capacities = [ (0, 4); (1, 2); (2, 2); (3, 1) ] in
-  (plan, Program.make ~schedule:(Pw.Plan.to_schedule plan) ~capacities,
-   capacities)
+  Program.make ~schedule:(Pw.Plan.to_schedule plan)
+    ~capacities:[ (0, 4); (1, 2); (2, 2); (3, 1) ]
 
 (* The toy layout with both files' block cycles starting mid-way (file 0
    at block 3, file 1 at block 4): Engine reads the phased block indices,
@@ -746,11 +745,10 @@ let toy_phased () =
     ~capacities:[ (0, 10); (1, 6) ]
 
 (* Four program shapes for the equivalence matrix: the dyadic pinwheel
-   plan plus three toy layouts replayed through explicit plans. *)
+   plan plus three toy layouts. *)
 let cohort_systems () =
   let dyadic =
-    let plan, program, capacities = dyadic_plan_and_program () in
-    ("dyadic", plan, program, capacities,
+    ("dyadic", dyadic_program (),
      List.concat_map
        (fun k ->
          let file = k mod 4 in
@@ -763,11 +761,7 @@ let cohort_systems () =
        (List.init 12 Fun.id))
   in
   let of_program name program needed_of =
-    let plan = Pw.Plan.explicit (Program.schedule program) in
-    let capacities =
-      List.map (fun f -> (f, Program.capacity program f)) (Program.files program)
-    in
-    (name, plan, program, capacities,
+    (name, program,
      List.concat_map
        (fun k ->
          let file = k mod 2 in
@@ -800,14 +794,14 @@ let test_cohort_run_equals_engine () =
   (* The tentpole pin: sampled-fault Cohort.run reproduces the per-client
      oracle's Engine.result exactly — programs x fault models x seeds. *)
   List.iter
-    (fun (_, plan, program, capacities, trace) ->
+    (fun (_, program, trace) ->
       List.iter
         (fun (_, fault) ->
           List.iter
             (fun seed ->
               result_eq
                 (Engine.run ~program ~fault ~seed trace)
-                (Cohort.run ~plan ~capacities ~fault ~seed trace))
+                (Cohort.run ~program ~fault ~seed trace))
             [ 3; 17; 91 ])
         cohort_fault_models)
     (cohort_systems ())
@@ -815,27 +809,26 @@ let test_cohort_run_equals_engine () =
 let test_cohort_run_equals_engine_max_slots () =
   let fault ~seed = Fault.bernoulli ~p:0.3 ~seed in
   List.iter
-    (fun (_, plan, program, capacities, trace) ->
+    (fun (_, program, trace) ->
       List.iter
         (fun max_slots ->
           result_eq
             (Engine.run ~max_slots ~program ~fault ~seed:5 trace)
-            (Cohort.run ~max_slots ~plan ~capacities ~fault ~seed:5 trace))
+            (Cohort.run ~max_slots ~program ~fault ~seed:5 trace))
         [ 1; 16; 24; 128 ])
     (cohort_systems ())
 
 let test_cohort_run_validation () =
-  let plan, _, capacities = dyadic_plan_and_program () in
-  let run ?(capacities = capacities) trace =
+  let program = dyadic_program () in
+  let run ?(program = program) trace =
     ignore
-      (Cohort.run ~plan ~capacities ~fault:(fun ~seed:_ -> Fault.none ())
-         ~seed:0 trace)
+      (Cohort.run ~program ~fault:(fun ~seed:_ -> Fault.none ()) ~seed:0 trace)
   in
   let req ?(issued = 0) ?(needed = 1) file =
     { Workload.issued; file; needed; deadline = 5 }
   in
   Alcotest.check_raises "unknown file"
-    (Invalid_argument "Cohort.run: file not in plan capacities") (fun () ->
+    (Invalid_argument "Cohort.run: file not in the program") (fun () ->
       run [ req 9 ]);
   Alcotest.check_raises "needed beyond capacity"
     (Invalid_argument "Cohort.run: needed exceeds the file's capacity")
@@ -845,67 +838,18 @@ let test_cohort_run_validation () =
       run [ req ~issued:(-1) 0 ]);
   Alcotest.check_raises "never broadcast"
     (Invalid_argument "Cohort.run: file never broadcast") (fun () ->
-      run ~capacities:((7, 1) :: capacities) [ req 7 ])
-
-let test_cohort_prep_reuse () =
-  let _, plan, _, capacities, trace = List.hd (cohort_systems ()) in
-  let fault ~seed = Fault.bernoulli ~p:0.25 ~seed in
-  let prep = Cohort.prepare plan in
-  result_eq
-    (Cohort.run ~plan ~capacities ~fault ~seed:7 trace)
-    (Cohort.run ~prep ~plan ~capacities ~fault ~seed:7 trace);
-  let classes = Cohort.classes_of_trace ~period:(Pw.Plan.period plan) trace in
-  let model = Cohort.Bernoulli { p = 0.25 } in
-  result_eq
-    (Cohort.run_population ~plan ~capacities ~model ~seed:7 classes)
-    (Cohort.run_population ~prep ~plan ~capacities ~model ~seed:7 classes);
-  (* A prep from a separately built but equal plan is the same warm-up. *)
-  let plan', _, _ = dyadic_plan_and_program () in
-  result_eq
-    (Cohort.run ~plan ~capacities ~fault ~seed:7 trace)
-    (Cohort.run ~prep ~plan:plan' ~capacities ~fault ~seed:7 trace)
-
-let test_cohort_prep_from_other_plan () =
-  (* Files 0 and 3 trade places: same period, different broadcast. The
-     old prep would hand file 0's slots to file 3 and back, swapping
-     their per-file results without a word, so both entry points must
-     refuse it. *)
-  let plan, _, capacities = dyadic_plan_and_program () in
-  let sched = Pw.Plan.to_schedule plan in
-  let swapped =
-    Pw.Plan.explicit
-      (Pw.Schedule.make
-         (Array.init (Pw.Schedule.period sched) (fun t ->
-              match Pw.Schedule.task_at sched t with
-              | 0 -> 3
-              | 3 -> 0
-              | f -> f)))
-  in
-  check_int "same period" (Pw.Plan.period plan) (Pw.Plan.period swapped);
-  let prep = Cohort.prepare plan in
-  let trace =
-    List.init 20 (fun k ->
-        { Workload.issued = k; file = (if k mod 2 = 0 then 0 else 3);
-          needed = 1; deadline = 2 })
-  in
-  Alcotest.check_raises "run"
-    (Invalid_argument "Cohort.run: prep was built from a different plan")
-    (fun () ->
-      ignore
-        (Cohort.run ~prep ~plan:swapped ~capacities
-           ~fault:(fun ~seed:_ -> Fault.none ()) ~seed:0 trace));
-  Alcotest.check_raises "run_population"
-    (Invalid_argument
-       "Cohort.run_population: prep was built from a different plan")
-    (fun () ->
-      ignore
-        (Cohort.run_population ~prep ~plan:swapped ~capacities
-           ~model:Cohort.No_loss ~seed:0
-           (Cohort.classes_of_trace ~period:(Pw.Plan.period plan) trace)))
+      let program =
+        Program.make ~schedule:(Program.schedule program)
+          ~capacities:
+            ((7, 1)
+            :: List.map (fun f -> (f, Program.capacity program f))
+                 (Program.files program))
+      in
+      run ~program [ req 7 ])
 
 let test_cohort_classes_of_trace () =
-  let _, plan, _, _, trace = List.hd (cohort_systems ()) in
-  let period = Pw.Plan.period plan in
+  let _, program, trace = List.hd (cohort_systems ()) in
+  let period = Program.period program in
   let classes = Cohort.classes_of_trace ~period trace in
   check_int "weights sum to trace length" (List.length trace)
     (List.fold_left (fun acc (c : Cohort.cls) -> acc + c.Cohort.weight) 0 classes);
@@ -925,8 +869,8 @@ let test_cohort_population_no_loss_equals_engine () =
      distance, so the analytic fold must equal the per-client oracle on
      a trace that realizes the same classes (members spread over period
      echoes of the same phase). *)
-  let _, plan, program, capacities, _ = List.hd (cohort_systems ()) in
-  let period = Pw.Plan.period plan in
+  let _, program, _ = List.hd (cohort_systems ()) in
+  let period = Program.period program in
   let trace =
     List.concat_map
       (fun m ->
@@ -941,12 +885,12 @@ let test_cohort_population_no_loss_equals_engine () =
   let classes = Cohort.classes_of_trace ~period trace in
   result_eq
     (Engine.run ~program ~fault:(fun ~seed:_ -> Fault.none ()) ~seed:0 trace)
-    (Cohort.run_population ~plan ~capacities ~model:Cohort.No_loss ~seed:0
+    (Cohort.run_population ~program ~model:Cohort.No_loss ~seed:0
        classes)
 
 let test_cohort_population_mass_conservation () =
-  let _, plan, _, capacities, trace = List.hd (cohort_systems ()) in
-  let period = Pw.Plan.period plan in
+  let _, program, trace = List.hd (cohort_systems ()) in
+  let period = Program.period program in
   let classes =
     List.map
       (fun (c : Cohort.cls) -> { c with Cohort.weight = c.Cohort.weight * 1000 })
@@ -956,7 +900,7 @@ let test_cohort_population_mass_conservation () =
     List.fold_left (fun acc (c : Cohort.cls) -> acc + c.Cohort.weight) 0 classes
   in
   let r =
-    Cohort.run_population ~plan ~capacities
+    Cohort.run_population ~program
       ~model:(Cohort.Bernoulli { p = 0.3 })
       ~seed:0 classes
   in
@@ -971,8 +915,8 @@ let test_cohort_population_mass_conservation () =
        0 r.Engine.per_file)
 
 let test_cohort_population_analytic_close_to_sampled () =
-  let _, plan, _, capacities, trace = List.hd (cohort_systems ()) in
-  let period = Pw.Plan.period plan in
+  let _, program, trace = List.hd (cohort_systems ()) in
+  let period = Program.period program in
   let classes =
     List.map
       (fun (c : Cohort.cls) -> { c with Cohort.weight = c.Cohort.weight * 500 })
@@ -980,10 +924,10 @@ let test_cohort_population_analytic_close_to_sampled () =
   in
   let model = Cohort.Bernoulli { p = 0.3 } in
   let analytic =
-    Cohort.run_population ~plan ~capacities ~model ~seed:11 classes
+    Cohort.run_population ~program ~model ~seed:11 classes
   in
   let sampled =
-    Cohort.run_population ~sampled:true ~plan ~capacities ~model ~seed:11
+    Cohort.run_population ~sampled:true ~program ~model ~seed:11
       classes
   in
   check_int "same population" analytic.Engine.requests sampled.Engine.requests;
@@ -1002,10 +946,10 @@ let test_cohort_population_analytic_close_to_sampled () =
     < 0.1)
 
 let test_cohort_population_validation () =
-  let _, plan, _, capacities, _ = List.hd (cohort_systems ()) in
+  let _, program, _ = List.hd (cohort_systems ()) in
   let run classes =
     ignore
-      (Cohort.run_population ~plan ~capacities ~model:Cohort.No_loss ~seed:0
+      (Cohort.run_population ~program ~model:Cohort.No_loss ~seed:0
          classes)
   in
   let cls ?(file = 0) ?(phase = 0) ?(needed = 1) ?(deadline = 5) weight =
@@ -1018,7 +962,7 @@ let test_cohort_population_validation () =
     (Invalid_argument "Cohort.run_population: needed exceeds the file's capacity")
     (fun () -> run [ cls ~file:3 ~needed:2 5 ]);
   Alcotest.check_raises "unknown file"
-    (Invalid_argument "Cohort.run_population: file not in plan capacities")
+    (Invalid_argument "Cohort.run_population: file not in the program")
     (fun () -> run [ cls ~file:9 5 ]);
   Alcotest.check_raises "negative weight"
     (Invalid_argument "Cohort.run_population: negative class weight")
@@ -1062,8 +1006,8 @@ let prop_cohort_permutation_invariant =
   QCheck2.Test.make ~name:"cohort result is permutation-invariant" ~count:40
     gen
     (fun (raw, salt) ->
-      let _, plan, _, capacities, _ = List.hd (cohort_systems ()) in
-      let period = Pw.Plan.period plan in
+      let _, program, _ = List.hd (cohort_systems ()) in
+      let period = Program.period program in
       let trace =
         List.map
           (fun (file, issued, needed, deadline) ->
@@ -1085,7 +1029,7 @@ let prop_cohort_permutation_invariant =
             loss_bad = 0.5 }
       in
       let run cs =
-        Cohort.run_population ~max_slots:64 ~plan ~capacities ~model ~seed:9 cs
+        Cohort.run_population ~max_slots:64 ~program ~model ~seed:9 cs
       in
       classes = classes'
       && result_equal_bool (run classes) (run (List.rev classes))
@@ -1467,9 +1411,6 @@ let () =
           Alcotest.test_case "run equals engine under max_slots" `Quick
             test_cohort_run_equals_engine_max_slots;
           Alcotest.test_case "run validation" `Quick test_cohort_run_validation;
-          Alcotest.test_case "prep reuse" `Quick test_cohort_prep_reuse;
-          Alcotest.test_case "prep from another plan" `Quick
-            test_cohort_prep_from_other_plan;
           Alcotest.test_case "classes of trace" `Quick
             test_cohort_classes_of_trace;
           Alcotest.test_case "population no-loss equals engine" `Quick
