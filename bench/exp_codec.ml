@@ -250,6 +250,8 @@ type headline = {
   engine_over_table : float;
   sys_engine_over_table : float; (* r=0: the systematic-prefix fast path *)
   scaling : float; (* engine pool-domains over engine 1-domain *)
+  recon_engine_over_baseline : float;
+      (* reconstruct at r=2 from pieces 2..9: two erased rows *)
 }
 
 let headline cells ~pool_domains =
@@ -257,8 +259,8 @@ let headline cells ~pool_domains =
      fault-tolerant shape, where the engine still pays the SWAR sweep
      for the coded rows) and at r=0 (pure systematic prefix: dispersal
      degenerates to blits). *)
-  let pick ?(n = 10) impl domains =
-    find cells ~op:"disperse" ~impl ~m:8 ~n ~size:65536 ~domains
+  let pick ?(op = "disperse") ?(n = 10) impl domains =
+    find cells ~op ~impl ~m:8 ~n ~size:65536 ~domains
   in
   match
     ( pick "baseline" 1,
@@ -266,9 +268,11 @@ let headline cells ~pool_domains =
       pick "engine" 1,
       pick "engine" pool_domains,
       pick ~n:8 "table" 1,
-      pick ~n:8 "engine" 1 )
+      pick ~n:8 "engine" 1,
+      pick ~op:"reconstruct" "baseline" 1,
+      pick ~op:"reconstruct" "engine" 1 )
   with
-  | Some b, Some t1, Some e1, Some en, Some st, Some se ->
+  | Some b, Some t1, Some e1, Some en, Some st, Some se, Some rb, Some re ->
       Some
         {
           table_over_baseline = t1.mb_per_s /. b.mb_per_s;
@@ -276,6 +280,7 @@ let headline cells ~pool_domains =
           engine_over_table = e1.mb_per_s /. t1.mb_per_s;
           sys_engine_over_table = se.mb_per_s /. st.mb_per_s;
           scaling = en.mb_per_s /. e1.mb_per_s;
+          recon_engine_over_baseline = re.mb_per_s /. rb.mb_per_s;
         }
   | _ -> None
 
@@ -303,7 +308,9 @@ let write_json ~path ~quick ~pool_domains cells =
         h.engine_over_table;
       out "  \"disperse_m8n8_64KiB_engine_over_table\": %.2f,\n"
         h.sys_engine_over_table;
-      out "  \"disperse_m8_64KiB_scaling_4dom_over_1dom\": %.2f,\n" h.scaling
+      out "  \"disperse_m8_64KiB_scaling_4dom_over_1dom\": %.2f,\n" h.scaling;
+      out "  \"reconstruct_m8_64KiB_engine_over_baseline\": %.2f,\n"
+        h.recon_engine_over_baseline
   | None -> ());
   out "  \"results\": [\n";
   List.iteri
@@ -381,9 +388,11 @@ let run () =
       Format.printf
         "  headline (disperse m=8 n=10 64KiB): engine/v1-table %.2fx, \
          engine/seed %.2fx, v1-table/seed %.2fx, %d-domain/1-domain %.2fx; \
-         systematic n=8: engine/v1-table %.2fx@."
+         systematic n=8: engine/v1-table %.2fx; reconstruct from pieces \
+         2..9: engine/seed %.2fx@."
         h.engine_over_table h.engine_over_baseline h.table_over_baseline
         pool_domains h.scaling h.sys_engine_over_table
+        h.recon_engine_over_baseline
   | None -> ());
   (* PINDISK_CODEC_OUT redirects the artifact so the metrics-overhead run
      (`make bench-obs`, PINDISK_METRICS=1) does not clobber the baseline

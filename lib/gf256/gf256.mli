@@ -117,7 +117,9 @@ val encode_lanes :
     a prefix of its rows. The [pos]/[len] window is how callers block the
     columns into cache-sized parallel tasks: distinct blocks write
     disjoint byte ranges, so tasks never race. No alignment is required
-    of [pos], [len] or [stride]. Raises [Invalid_argument] when [dsts] is
+    of [pos], [len] or [stride]. The kernel allocates nothing: its
+    accumulators stay in registers whatever [len] and the number of
+    destinations. Raises [Invalid_argument] when [dsts] is
     empty or larger than the group, any destination is shorter than
     [pos + len], or [src] is shorter than [(width-1) * stride + pos +
     len]. *)

@@ -19,16 +19,17 @@ type piece = { index : int; data : bytes }
 
 (* One cached reconstruction inverse. Entries are immutable: publication
    into the lock-free cache below is a CAS of the whole entry, so a
-   reader either sees nothing or sees the complete inverse with its
+   reader either sees nothing or sees the complete entry with its
    prebuilt lane tables — no seqlock or per-field synchronization is
-   needed. [sys] marks the all-systematic row subset 0..m-1, whose
-   inverse is the identity: reconstruction is then pure blits. *)
+   needed. Each inverse row is classified once: row [j] equal to the
+   unit vector e_k means source block [j] arrived verbatim as chosen
+   piece [k] (every systematic piece, and every piece when m = 1), so
+   only the remaining, erased rows carry lane tables. *)
 type inverse_entry = {
   key : int array; (* sorted piece indices *)
-  inv : Matrix.t;
-  inv_rows : int array array;
-  inv_lanes : Gf256.lanes array; (* groups of up to 4 rows of [inv] *)
-  sys : bool;
+  verbatim : int array; (* verbatim.(j) = k if row j is e_k, else -1 *)
+  erased : int array; (* the rows j with verbatim.(j) = -1, ascending *)
+  erased_lanes : Gf256.lanes array; (* groups of up to 4 [erased] rows *)
   stamp : int; (* creation order, for oldest-first replacement *)
 }
 
@@ -257,6 +258,14 @@ let cache_insert cache e =
     | None -> ()
   end
 
+(* [k] if [row] is the unit vector e_k, else -1. *)
+let unit_column row =
+  match
+    List.filter (fun c -> row.(c) <> 0) (List.init (Array.length row) Fun.id)
+  with
+  | [ k ] when row.(k) = 1 -> k
+  | _ -> -1
+
 let build_entry t indices =
   let sub = Matrix.select_rows t.dispersal indices in
   match Matrix.invert sub with
@@ -266,23 +275,24 @@ let build_entry t indices =
       assert false
   | Some inv ->
       let inv_rows = Array.init t.m (row_coeffs inv) in
-      let sys = indices.(t.m - 1) < t.m in
-      let inv_lanes =
-        if sys then [||]
-        else
-          Array.init
-            ((t.m + row_group - 1) / row_group)
-            (fun g ->
-              let lo = row_group * g in
-              let w = min row_group (t.m - lo) in
-              Gf256.lanes (Array.sub inv_rows lo w))
+      let verbatim = Array.map unit_column inv_rows in
+      let erased =
+        Array.of_list
+          (List.filter (fun j -> verbatim.(j) < 0) (List.init t.m Fun.id))
       in
+      let e = Array.length erased in
       {
         key = Array.copy indices;
-        inv;
-        inv_rows;
-        inv_lanes;
-        sys;
+        verbatim;
+        erased;
+        erased_lanes =
+          Array.init
+            ((e + row_group - 1) / row_group)
+            (fun g ->
+              let lo = row_group * g in
+              Gf256.lanes
+                (Array.init (min row_group (e - lo)) (fun r ->
+                     inv_rows.(erased.(lo + r)))));
         stamp = Atomic.fetch_and_add t.stamp 1;
       }
 
@@ -330,8 +340,15 @@ let set_cache_cap t cap =
 
 let reconstruct ?pool t ~length pieces =
   if length < 0 then invalid_arg "Ida.reconstruct: negative length";
-  (* Keep the first piece seen for each index (deterministic even when a
-     corrupted duplicate disagrees with the original), in index order. *)
+  (* Range-check every supplied index, extras included, before any is
+     chosen. Then keep the first piece seen for each index
+     (deterministic even when a corrupted duplicate disagrees with the
+     original), in index order. *)
+  List.iter
+    (fun p ->
+      if p.index < 0 || p.index > 254 then
+        invalid_arg "Ida.reconstruct: piece index out of range")
+    pieces;
   let seen = Hashtbl.create 16 in
   let uniq =
     List.filter
@@ -351,8 +368,6 @@ let reconstruct ?pool t ~length pieces =
   let s = Bytes.length chosen.(0).data in
   Array.iter
     (fun p ->
-      if p.index < 0 || p.index > 254 then
-        invalid_arg "Ida.reconstruct: piece index out of range";
       if Bytes.length p.data <> s then
         invalid_arg "Ida.reconstruct: piece sizes disagree")
     chosen;
@@ -364,42 +379,42 @@ let reconstruct ?pool t ~length pieces =
     Obs.Registry.incr obs_reconstruct_calls;
     Obs.Registry.add obs_reconstruct_bytes (t.m * s)
   end;
-  let out = Bytes.create length in
-  if entry.sys then
-    (* All m systematic pieces arrived: they are the source blocks
-       verbatim, so reconstruction is pure memcpy from the pieces. *)
-    for j = 0 to t.m - 1 do
-      let off = j * s in
-      let blen = min s (length - off) in
-      if blen > 0 then Bytes.blit chosen.(j).data 0 out off blen
-    done
-  else begin
-    (* Source block j = sum over received pieces k of inv[j][k] * piece_k.
-       Pieces are gathered into one contiguous buffer (a single
-       memcpy-speed pass) so the lane kernel rebuilds up to four blocks
-       per pass over the piece units, 2-D decomposed exactly like
-       disperse; a final blit trims the padding. *)
+  (* Source block j is chosen piece k verbatim when verbatim.(j) = k;
+     every other block is rebuilt into a buffer of its own. *)
+  let blocks =
+    Array.map
+      (fun k -> if k >= 0 then chosen.(k).data else Bytes.create s)
+      entry.verbatim
+  in
+  let erased = Array.length entry.erased in
+  if erased > 0 then begin
+    (* Erased block j = sum over chosen pieces k of inv[j][k] * piece_k.
+       The pieces are gathered into one contiguous buffer (a single
+       memcpy-speed pass) so the lane kernel rebuilds up to four erased
+       blocks per pass over the piece units, 2-D decomposed exactly like
+       disperse. *)
     let gathered = Bytes.create (t.m * s) in
     Array.iteri (fun k p -> Bytes.blit p.data 0 gathered (k * s) s) chosen;
-    let blocks_out = Array.init t.m (fun _ -> Bytes.create s) in
-    let groups = Array.length entry.inv_lanes in
-    let blocks = (s + col_block - 1) / col_block in
-    run_tasks pool ~work:(t.m * s * t.m) ~n:(groups * blocks) (fun ti ->
+    let groups = Array.length entry.erased_lanes in
+    let col_blocks = (s + col_block - 1) / col_block in
+    run_tasks pool ~work:(erased * s * t.m) ~n:(groups * col_blocks)
+      (fun ti ->
         if obs then Obs.Registry.incr obs_tasks;
-        let g = ti / blocks and b = ti mod blocks in
+        let g = ti / col_blocks and b = ti mod col_blocks in
         let pos = b * col_block in
-        let blen = min col_block (s - pos) in
         let lo = row_group * g in
-        let w = min row_group (t.m - lo) in
-        Gf256.encode_lanes entry.inv_lanes.(g)
-          ~dsts:(Array.sub blocks_out lo w)
-          ~src:gathered ~stride:s ~pos ~len:blen);
-    for j = 0 to t.m - 1 do
-      let off = j * s in
-      let blen = min s (length - off) in
-      if blen > 0 then Bytes.blit blocks_out.(j) 0 out off blen
-    done
+        Gf256.encode_lanes entry.erased_lanes.(g)
+          ~dsts:
+            (Array.init (min row_group (erased - lo)) (fun r ->
+                 blocks.(entry.erased.(lo + r))))
+          ~src:gathered ~stride:s ~pos ~len:(min col_block (s - pos)))
   end;
+  let out = Bytes.create length in
+  for j = 0 to t.m - 1 do
+    let off = j * s in
+    let blen = min s (length - off) in
+    if blen > 0 then Bytes.blit blocks.(j) 0 out off blen
+  done;
   ignore (Atomic.fetch_and_add passes t.m);
   out
 

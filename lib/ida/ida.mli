@@ -65,13 +65,18 @@ val piece_size : t -> file_size:int -> int
 
 val reconstruct : ?pool:Pindisk_util.Pool.t -> t -> length:int -> piece list -> bytes
 (** [reconstruct t ~length pieces] rebuilds the original file of [length]
-    bytes from any [>= m t] distinct pieces (extras are ignored; duplicate
-    indices keep the {e first} occurrence in list order, so the result is
-    deterministic even when a corrupted duplicate disagrees). Raises
-    [Invalid_argument] if fewer than [m] distinct indices are supplied, if
-    piece sizes disagree, or if [length] exceeds what the pieces encode.
-    [pool] parallelizes source-block rebuilding exactly as in
-    {!disperse}. *)
+    bytes from any [>= m t] distinct pieces: the [m] lowest distinct
+    indices are used and extras are ignored; duplicate indices keep the
+    {e first} occurrence in list order, so the result is deterministic
+    even when a corrupted duplicate disagrees. Only erased source blocks
+    cost field arithmetic: a block that arrived verbatim (every
+    systematic piece, and every piece when [m = 1]) is copied straight
+    into the result, and the SWAR kernel runs over the gathered pieces
+    for the remaining rows alone. Raises [Invalid_argument] if any
+    supplied index, extras included, lies outside [0 .. 254], if fewer
+    than [m] distinct indices are supplied, if the chosen pieces' sizes
+    disagree, or if [length] exceeds what the pieces encode. [pool]
+    parallelizes the erased-block rebuild exactly as in {!disperse}. *)
 
 val cached_inverses : t -> int
 (** Number of reconstruction inverses currently cached (always

@@ -57,7 +57,9 @@ let sched_checks =
    rows still pay an op-bound SWAR sweep), >= 10x over v1 on the pure
    systematic shape (n=8, dispersal degenerates to blits), and 4-domain
    dispersal must scale >= 2x over 1-domain wherever the runner actually
-   has the cores to show it. *)
+   has the cores to show it. Reconstruction from pieces 2..9 of n=10
+   (two erased rows) must beat the seed codec >= 8x; that floor alone
+   gates it. *)
 let codec_checks =
   [
     { metric = "disperse_m8_64KiB_table_over_baseline";
@@ -75,6 +77,9 @@ let codec_checks =
     { metric = "disperse_m8_64KiB_scaling_4dom_over_1dom";
       dir = Higher_is_better; floor = Some 2.0; gate_vs_baseline = false;
       requires = Some "parallel_capable" };
+    { metric = "reconstruct_m8_64KiB_engine_over_baseline";
+      dir = Higher_is_better; floor = Some 8.0; gate_vs_baseline = false;
+      requires = None };
   ]
 
 (* Chaos metrics are slot-domain and fully deterministic under the fixed

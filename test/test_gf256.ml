@@ -312,6 +312,28 @@ let test_lanes_windows_and_prefix () =
         ~dsts:[| Bytes.create 4 |]
         ~src:(Bytes.create 8) ~stride:8 ~pos:2 ~len:3)
 
+(* The kernel keeps its accumulators in registers and stores through
+   one loop, so a bulk window allocates nothing per 8-byte unit: the
+   whole 64 KiB call stays under a fixed handful of minor words. *)
+let test_encode_lanes_allocation_free () =
+  let k = 4 and len = 65536 in
+  let src = Bytes.init (k * len) (fun i -> Char.chr ((i * 131) land 0xff)) in
+  for g = 1 to 4 do
+    let l =
+      Gf.lanes
+        (Array.init g (fun r ->
+             Array.init k (fun j -> ((((r * k) + j) * 37) + 1) land 0xff)))
+    in
+    let dsts = Array.init g (fun _ -> Bytes.create len) in
+    Gf.encode_lanes l ~dsts ~src ~stride:len ~pos:0 ~len;
+    let before = Gc.minor_words () in
+    Gf.encode_lanes l ~dsts ~src ~stride:len ~pos:0 ~len;
+    let words = Gc.minor_words () -. before in
+    Alcotest.(check bool)
+      (Printf.sprintf "g = %d: %.0f minor words < 64" g words)
+      true (words < 64.)
+  done
+
 let kernel_props =
   let gen =
     QCheck2.Gen.(
@@ -470,6 +492,8 @@ let () =
             test_wide_tables_build_once_under_race;
           Alcotest.test_case "lanes windows and prefix" `Quick
             test_lanes_windows_and_prefix;
+          Alcotest.test_case "encode_lanes allocates nothing per unit" `Quick
+            test_encode_lanes_allocation_free;
         ] );
       ("kernel-properties", List.map QCheck_alcotest.to_alcotest kernel_props);
       ( "matrix",

@@ -1,5 +1,8 @@
 module Ida = Pindisk_ida.Ida
 module Aida = Pindisk_ida.Aida
+module Gf256 = Pindisk_gf256.Gf256
+module Matrix = Pindisk_gf256.Matrix
+module Obs = Pindisk_obs
 
 let bytes_of_string = Bytes.of_string
 
@@ -128,6 +131,66 @@ let test_duplicate_keeps_first () =
       [ pieces.(0); forged; pieces.(1); pieces.(2) ]
   in
   Alcotest.(check bool) "forged first corrupts" false (Bytes.equal file bad)
+
+let test_every_index_range_checked () =
+  (* The range check covers every supplied index, not only the m that
+     sort lowest: an out-of-range extra fails wherever it sorts. *)
+  let ida = Ida.create ~m:2 in
+  let pieces = Ida.disperse ida ~n:3 (bytes_of_string "range") in
+  List.iter
+    (fun index ->
+      Alcotest.check_raises
+        (Printf.sprintf "extra index %d" index)
+        (Invalid_argument "Ida.reconstruct: piece index out of range")
+        (fun () ->
+          ignore
+            (Ida.reconstruct ida ~length:5
+               [ pieces.(0); pieces.(1); { pieces.(2) with Ida.index } ])))
+    [ -1; 300 ]
+
+let random_bytes seed len =
+  let rng = Random.State.make [| seed |] in
+  Bytes.init len (fun _ -> Char.chr (Random.State.int rng 256))
+
+let test_reconstruct_allocation () =
+  (* Only the lost block runs the kernel, and the kernel allocates
+     nothing per unit: a 256 KiB coded rebuild stays under 1 024 minor
+     words once its inverse is cached. *)
+  let m = 4 and s = 65536 in
+  let file = random_bytes 17 (m * s) in
+  let ida = Ida.create ~m in
+  let pieces = Ida.disperse ida ~n:(m + 2) file in
+  let subset = [ pieces.(0); pieces.(2); pieces.(3); pieces.(4) ] in
+  ignore (Ida.reconstruct ida ~length:(m * s) subset);
+  let before = Gc.minor_words () in
+  let back = Ida.reconstruct ida ~length:(m * s) subset in
+  let words = Gc.minor_words () -. before in
+  check_bytes "rebuilt" file back;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words < 1024" words)
+    true (words < 1024.)
+
+let test_reconstruct_kernel_tasks () =
+  (* Kernel tasks run only for erased rows: one per (group of up to four
+     erased rows) x (16 KiB column block). *)
+  Obs.Control.with_enabled true @@ fun () ->
+  let groups = Obs.Registry.counter "ida.encode.groups" in
+  let tasks ida ~file pieces =
+    let before = Obs.Registry.counter_value groups in
+    let back = Ida.reconstruct ida ~length:(Bytes.length file) pieces in
+    check_bytes "rebuilt" file back;
+    Obs.Registry.counter_value groups - before
+  in
+  let file = random_bytes 5 40_000 in
+  let ida = Ida.create ~m:1 in
+  let pieces = Ida.disperse ida ~n:3 file in
+  Alcotest.(check int) "m = 1 from piece 2 is a copy" 0
+    (tasks ida ~file [ pieces.(2) ]);
+  let file = random_bytes 6 (512 * 1024) in
+  let ida = Ida.create ~m:8 in
+  let pieces = Ida.disperse ida ~n:10 file in
+  Alcotest.(check int) "m = 8 from pieces 2..9 rebuilds two rows" 4
+    (tasks ida ~file (Array.to_list (Array.sub pieces 2 8)))
 
 (* Golden dispersal: the wire format must never drift. Expected bytes are
    pinned literally and re-derived from an independent scalar GF(256)
@@ -381,6 +444,99 @@ let test_multi_domain_reconstruct_shared_context () =
 
 (* qcheck: random files, parameters and subsets *)
 
+(* Scalar oracle: invert the chosen dispersal rows and apply the
+   inverse byte by byte through [Gf256.mul], sharing no bulk kernel
+   with the library. *)
+let oracle_reconstruct ~m ~length chosen =
+  let inv =
+    Option.get
+      (Matrix.invert
+         (Matrix.select_rows
+            (Matrix.systematic ~rows:255 ~cols:m)
+            (Array.map (fun p -> p.Ida.index) chosen)))
+  in
+  let s = Bytes.length chosen.(0).Ida.data in
+  Bytes.init length (fun i ->
+      let j = i / s and b = i mod s in
+      let acc = ref 0 in
+      for k = 0 to m - 1 do
+        acc :=
+          !acc
+          lxor Gf256.mul (Matrix.get inv j k)
+                 (Char.code (Bytes.get chosen.(k).Ida.data b))
+      done;
+      Char.chr !acc)
+
+let prop_erasure_reconstruct_matches_oracle =
+  (* Chosen subsets of k systematic and m - k coded rows, for every k
+     the field admits; lengths spanning several 16 KiB column blocks
+     with unaligned tails; valid extras above the chosen rows, and
+     corrupted duplicates after the originals. *)
+  QCheck2.Test.make ~name:"erasure-only reconstruct == scalar oracle" ~count:60
+    QCheck2.Gen.(
+      triple
+        (frequency
+           [ (6, int_range 1 8); (3, int_range 9 32); (1, int_range 33 255) ])
+        (int_bound 41_000) (int_bound 1_000_000))
+    (fun (m, len, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let pick k lo hi =
+        (* [k] distinct values of [lo, hi), ascending *)
+        let a = Array.init (hi - lo) (fun i -> lo + i) in
+        for i = 0 to k - 1 do
+          let r = i + Random.State.int rng (hi - lo - i) in
+          let t = a.(i) in
+          a.(i) <- a.(r);
+          a.(r) <- t
+        done;
+        List.sort compare (Array.to_list (Array.sub a 0 k))
+      in
+      let k_min = max 0 ((2 * m) - 255) in
+      let k = k_min + Random.State.int rng (m - k_min + 1) in
+      let rows = pick k 0 m @ pick (m - k) m 255 in
+      let top = List.fold_left max 0 rows in
+      let extras =
+        pick (min (254 - top) (Random.State.int rng 3)) (top + 1) 255
+      in
+      let n = List.fold_left max top extras + 1 in
+      let file = Bytes.init len (fun _ -> Char.chr (Random.State.int rng 256)) in
+      let ida = Ida.create ~m in
+      let dispersed = Ida.disperse ida ~n file in
+      let genuine =
+        List.sort
+          (fun _ _ -> Random.State.int rng 3 - 1)
+          (List.map (fun i -> dispersed.(i)) (rows @ extras))
+      in
+      let forged =
+        List.filter_map
+          (fun i ->
+            let flip c = Char.chr (Char.code c lxor 0x5a) in
+            if Random.State.bool rng then
+              Some { Ida.index = i; data = Bytes.map flip dispersed.(i).Ida.data }
+            else None)
+          rows
+      in
+      let supplied = genuine @ forged in
+      let chosen = Array.of_list (List.map (fun i -> dispersed.(i)) rows) in
+      let expect = oracle_reconstruct ~m ~length:len chosen in
+      let passes f =
+        let before = Ida.encode_passes () in
+        let back = f () in
+        (back, Ida.encode_passes () - before)
+      in
+      let seq, seq_passes =
+        passes (fun () -> Ida.reconstruct ida ~length:len supplied)
+      in
+      let pool = Pindisk_util.Pool.create ~domains:2 () in
+      let par, par_passes =
+        Fun.protect
+          ~finally:(fun () -> Pindisk_util.Pool.shutdown pool)
+          (fun () ->
+            passes (fun () -> Ida.reconstruct ~pool ida ~length:len supplied))
+      in
+      Bytes.equal expect file && Bytes.equal seq file && Bytes.equal par file
+      && seq_passes = m && par_passes = m)
+
 let prop_dispersal_linear =
   (* IDA is a linear code: dispersing the XOR of two equal-length files
      gives the XOR of their dispersals, block by block. *)
@@ -511,6 +667,12 @@ let () =
           Alcotest.test_case "overhead" `Quick test_overhead;
           Alcotest.test_case "duplicate keeps first occurrence" `Quick
             test_duplicate_keeps_first;
+          Alcotest.test_case "every index range-checked" `Quick
+            test_every_index_range_checked;
+          Alcotest.test_case "reconstruct allocation" `Quick
+            test_reconstruct_allocation;
+          Alcotest.test_case "kernel tasks only for erased rows" `Quick
+            test_reconstruct_kernel_tasks;
           Alcotest.test_case "golden dispersal" `Quick test_golden_dispersal;
           Alcotest.test_case "inverse cache capped" `Quick test_inverse_cache_capped;
           Alcotest.test_case "cache replaces oldest" `Quick test_cache_replaces_oldest;
@@ -524,6 +686,7 @@ let () =
             prop_dispersal_linear;
             prop_any_loss_pattern_up_to_redundancy;
             prop_parallel_matches_sequential;
+            prop_erasure_reconstruct_matches_oracle;
           ] );
       ( "aida",
         [
