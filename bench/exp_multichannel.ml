@@ -22,6 +22,11 @@
        (per-channel witnesses, cover, disjointness), and the K = 1
        design must be byte-identical to the single-channel
        Program.pinwheel pipeline on a schedulable subset.
+     - size independence: the mean cost of one one-slot request
+       against a 768-file design over the same request against a
+       32-file design, both from perfbench's fleet generator at K = 4,
+       stripe 2. A request reads only its own file's index entries, so
+       the ratio stays near 1; the gate holds it at <= 3.
 
    Results land in BENCH_multichannel.json; scripts/bench_gate.ml gates
    the floors (`--kind multichannel`). Quick mode
@@ -34,6 +39,8 @@ module Shard = Pindisk.Shard
 module Multi = Pindisk_sim.Multi
 module Cohort = Pindisk_sim.Cohort
 module Engine = Pindisk_sim.Engine
+module Fault = Pindisk_sim.Fault
+module Workload = Pindisk_sim.Workload
 module Shardcheck = Pindisk_check.Shardcheck
 module Q = Pindisk_util.Q
 
@@ -64,6 +71,28 @@ let specs () =
         ~latency:16 ())
 
 let bandwidth = 1
+
+(* perfbench's fleet generator (perfbench/gen.ml), copied: m 1..4,
+   tolerance 0..2 and latency 16..128 s on cycles of 4, 3 and 5. *)
+let fleet_specs ~files =
+  List.init files (fun id ->
+      File_spec.make ~id
+        ~blocks:(1 + (id mod 4))
+        ~tolerance:(id mod 3)
+        ~latency:(16 lsl (id mod 5 mod 4))
+        ())
+
+(* Mean cost of one one-slot request for file 0, two tuners, on a
+   [files]-file fleet design at K = 4, stripe 2, bandwidth 32. *)
+let request_ns ~files =
+  match Shard.design ~stripe:2 ~channels:4 ~bandwidth:32 (fleet_specs ~files) with
+  | Error e -> failwith ("exp_multichannel: " ^ e)
+  | Ok design ->
+      let trace = [ { Workload.issued = 0; file = 0; needed = 1; deadline = 1 } ] in
+      mean_ns (fun () ->
+          Multi.run ~max_slots:1 ~design ~tuners:2
+            ~fault:(fun ~channel:_ ~seed:_ -> Fault.none ())
+            ~seed:1 trace)
 
 (* Uniform closed-form population: every file (served or shed) at 8
    phases; a shed file's clients retire as missed, so completions track
@@ -153,11 +182,17 @@ let run () =
   in
   let ns = mean_ns run4 in
   let clients_per_sec = float_of_int total_weight *. 1e9 /. ns in
+  let request_ns_n32 = request_ns ~files:32 in
+  let request_ns_n768 = request_ns ~files:768 in
+  let request_cost_ratio = request_ns_n768 /. request_ns_n32 in
   Format.printf
     "  aggregate files K4/K1: %.2fx; completed clients K4/K1: %.2fx@."
     files_ratio completed_ratio;
   Format.printf "  K=4 cohort fold: %.2e clients/s; certified %b, K=1 identity %b@."
     clients_per_sec all_certified identity_ok;
+  Format.printf
+    "  one request, 768 over 32 files: %.0f ns / %.0f ns = %.2fx@."
+    request_ns_n768 request_ns_n32 request_cost_ratio;
   let path =
     Option.value
       (Sys.getenv_opt "PINDISK_MULTICHANNEL_OUT")
@@ -175,6 +210,7 @@ let run () =
   out "  \"shard_coverage_ok\": %.1f,\n" (if all_certified then 1.0 else 0.0);
   out "  \"k1_identity_ok\": %.1f,\n" (if identity_ok then 1.0 else 0.0);
   out "  \"multi_cohort_clients_per_sec\": %.0f,\n" clients_per_sec;
+  out "  \"multi_request_cost_n768_over_n32\": %.2f,\n" request_cost_ratio;
   out "  \"results\": [\n";
   List.iteri
     (fun i (k, design, served, (r : Engine.result), certified) ->

@@ -24,7 +24,7 @@ let pp_rung ppf = function
         to_channel
 
 (* Channel-outage response: re-place every share of the failing channel
-   onto the least-loaded surviving channel that stays plausibly feasible,
+   onto the least-loaded surviving channel whose load still admits it,
    committing loads as we go; shares that fit nowhere are stranded. *)
 let evacuate (design : Pindisk.Shard.t) ~channel =
   let module P = Pindisk_pinwheel in
@@ -34,63 +34,43 @@ let evacuate (design : Pindisk.Shard.t) ~channel =
   let k = Array.length design.Shard.channels in
   if channel < 0 || channel >= k then
     invalid_arg "Ladder.evacuate: no such channel";
-  let window f = File_spec.window f ~bandwidth:design.Shard.bandwidth in
-  let spec_of id =
-    List.find (fun f -> f.File_spec.id = id) design.Shard.specs
+  let task_of (p : Shard.placement) =
+    let f = Option.get (Shard.spec design p.Shard.file) in
+    P.Task.make ~id:p.Shard.file ~a:(Array.length p.Shard.pieces)
+      ~b:(File_spec.window f ~bandwidth:design.Shard.bandwidth)
   in
-  let load = Array.make k Q.zero in
-  let members : P.Task.t list array = Array.make k [] in
+  let load = Array.make k P.Density.empty in
   List.iter
     (fun (p : Shard.placement) ->
-      let f = spec_of p.Shard.file in
-      let task =
-        P.Task.make ~id:p.Shard.file ~a:(Array.length p.Shard.pieces)
-          ~b:(window f)
-      in
-      load.(p.Shard.channel) <- Q.add load.(p.Shard.channel) (P.Task.density task);
-      members.(p.Shard.channel) <- task :: members.(p.Shard.channel))
+      load.(p.Shard.channel) <- P.Density.add load.(p.Shard.channel) (task_of p))
     design.Shard.placements;
   let evicted =
     design.Shard.placements
-    |> List.filter (fun (p : Shard.placement) -> p.Shard.channel = channel)
-    |> List.stable_sort (fun (a : Shard.placement) b ->
-           let d (p : Shard.placement) =
-             Q.make (Array.length p.Shard.pieces) (window (spec_of p.Shard.file))
-           in
-           Q.compare (d b) (d a))
+    |> List.filter_map (fun (p : Shard.placement) ->
+           if p.Shard.channel = channel then Some (p.Shard.file, task_of p)
+           else None)
+    |> List.stable_sort (fun (_, a) (_, b) ->
+           Q.compare (P.Task.density b) (P.Task.density a))
   in
   let rungs = ref [] and stranded = ref [] in
   List.iter
-    (fun (p : Shard.placement) ->
-      let f = spec_of p.Shard.file in
-      let task =
-        P.Task.make ~id:p.Shard.file ~a:(Array.length p.Shard.pieces)
-          ~b:(window f)
-      in
+    (fun (file, task) ->
       let holds c =
         List.exists
-          (fun (q : Shard.placement) ->
-            q.Shard.file = p.Shard.file && q.Shard.channel = c)
-          design.Shard.placements
+          (fun (q : Shard.placement) -> q.Shard.channel = c)
+          (Shard.placements_of design file)
       in
       let candidates =
         List.init k Fun.id
         |> List.filter (fun c -> c <> channel && not (holds c))
-        |> List.stable_sort (fun a b -> Q.compare load.(a) load.(b))
+        |> List.stable_sort (fun a b ->
+               Q.compare (P.Density.density load.(a)) (P.Density.density load.(b)))
       in
-      let feasible c =
-        match P.Density.classify (task :: members.(c)) with
-        | P.Density.Infeasible _ -> false
-        | P.Density.Guaranteed _ | P.Density.Unknown -> true
-      in
-      match List.find_opt feasible candidates with
+      match List.find_opt (fun c -> P.Density.admits load.(c) task) candidates with
       | Some c ->
-          load.(c) <- Q.add load.(c) (P.Task.density task);
-          members.(c) <- task :: members.(c);
-          rungs :=
-            Migrate { file = p.Shard.file; from_channel = channel; to_channel = c }
-            :: !rungs
-      | None -> stranded := p.Shard.file :: !stranded)
+          load.(c) <- P.Density.add load.(c) task;
+          rungs := Migrate { file; from_channel = channel; to_channel = c } :: !rungs
+      | None -> stranded := file :: !stranded)
     evicted;
   (List.rev !rungs, List.rev !stranded)
 

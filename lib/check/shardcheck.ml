@@ -29,75 +29,62 @@ type t = {
   stripe : int;
 }
 
-(* Densities are recomputed from the placement map — share size over the
-   file's window — not read off the channel record, so a lying optimizer
-   is caught by arithmetic, not echoed. *)
-let channel_density (design : Shard.t) c =
-  List.fold_left
-    (fun acc (p : Shard.placement) ->
-      if p.Shard.channel <> c then acc
-      else
-        let spec =
-          List.find
-            (fun f -> f.File_spec.id = p.Shard.file)
-            design.Shard.specs
-        in
-        Q.add acc
-          (Q.make (Array.length p.Shard.pieces)
-             (File_spec.window spec ~bandwidth:design.Shard.bandwidth)))
-    Q.zero design.Shard.placements
-
-let channel_tasks (design : Shard.t) c =
-  List.filter_map
-    (fun (f : File_spec.t) ->
-      design.Shard.placements
-      |> List.find_opt (fun (p : Shard.placement) ->
-             p.Shard.file = f.File_spec.id && p.Shard.channel = c)
-      |> Option.map (fun (p : Shard.placement) ->
-             P.Task.make ~id:f.File_spec.id
-               ~a:(Array.length p.Shard.pieces)
-               ~b:(File_spec.window f ~bandwidth:design.Shard.bandwidth)))
-    design.Shard.specs
-
-let check_channel (design : Shard.t) (ch : Shard.channel) =
-  let tasks = channel_tasks design ch.Shard.index in
-  let schedule = Program.schedule ch.Shard.program in
-  {
-    channel = ch.Shard.index;
-    files = List.length tasks;
-    period = P.Schedule.period schedule;
-    density = channel_density design ch.Shard.index;
-    witnessed = tasks = [] || P.Verify.satisfies schedule tasks;
-  }
-
-let check_file (design : Shard.t) (f : File_spec.t) =
-  let ps = Shard.placements_of design f.File_spec.id in
-  let chans = List.map (fun (p : Shard.placement) -> p.Shard.channel) ps in
-  let pieces =
-    List.concat_map
-      (fun (p : Shard.placement) -> Array.to_list p.Shard.pieces)
-      ps
-  in
-  let sorted = List.sort compare pieces in
-  {
-    file = f.File_spec.id;
-    name = f.File_spec.name;
-    capacity = f.File_spec.capacity;
-    channels = List.sort compare chans;
-    covered = sorted = List.init f.File_spec.capacity Fun.id;
-    disjoint =
-      List.length (List.sort_uniq compare pieces) = List.length pieces
-      && List.length (List.sort_uniq compare chans) = List.length chans;
-    outage_tolerant = Shard.outage_tolerant design f.File_spec.id;
-  }
-
+(* Everything is recounted from the placement map in one pass — share
+   size over the file's window, pieces and channels per file — never
+   read off the channel records or the design's index, so a lying
+   optimizer is caught by arithmetic, not echoed. *)
 let run (design : Shard.t) =
+  let spec_of = Hashtbl.create 64 in
+  List.iter (fun f -> Hashtbl.replace spec_of f.File_spec.id f) design.Shard.specs;
+  let on_channel = Array.map (fun _ -> []) design.Shard.channels in
+  let of_file = Hashtbl.create 64 in
+  List.iter
+    (fun (p : Shard.placement) ->
+      Hashtbl.add of_file p.Shard.file p;
+      Hashtbl.find_opt spec_of p.Shard.file
+      |> Option.iter (fun f ->
+             on_channel.(p.Shard.channel) <-
+               P.Task.make ~id:p.Shard.file
+                 ~a:(Array.length p.Shard.pieces)
+                 ~b:(File_spec.window f ~bandwidth:design.Shard.bandwidth)
+               :: on_channel.(p.Shard.channel)))
+    design.Shard.placements;
+  let check_channel (ch : Shard.channel) =
+    let tasks = on_channel.(ch.Shard.index) in
+    let schedule = Program.schedule ch.Shard.program in
+    {
+      channel = ch.Shard.index;
+      files = List.length tasks;
+      period = P.Schedule.period schedule;
+      density = P.Task.system_density tasks;
+      witnessed = tasks = [] || P.Verify.satisfies schedule tasks;
+    }
+  in
+  let check_file (f : File_spec.t) =
+    let ps = Hashtbl.find_all of_file f.File_spec.id in
+    let chans = List.map (fun (p : Shard.placement) -> p.Shard.channel) ps in
+    let shares = List.map (fun (p : Shard.placement) -> p.Shard.pieces) ps in
+    let pieces = List.concat_map Array.to_list shares in
+    let largest = List.fold_left (fun acc a -> max acc (Array.length a)) 0 shares in
+    {
+      file = f.File_spec.id;
+      name = f.File_spec.name;
+      capacity = f.File_spec.capacity;
+      channels = List.sort compare chans;
+      covered = List.sort compare pieces = List.init f.File_spec.capacity Fun.id;
+      disjoint =
+        List.length (List.sort_uniq compare pieces) = List.length pieces
+        && List.length (List.sort_uniq compare chans) = List.length chans;
+      (* The worst single-channel outage leaves N - largest share
+         pieces: none when the file lives on one channel. *)
+      outage_tolerant = List.length pieces - largest >= f.File_spec.blocks;
+    }
+  in
   {
-    channels =
-      Array.to_list (Array.map (check_channel design) design.Shard.channels);
+    channels = Array.to_list (Array.map check_channel design.Shard.channels);
     files =
       design.Shard.specs
-      |> List.map (check_file design)
+      |> List.map check_file
       |> List.sort (fun a b -> compare a.file b.file);
     shed =
       List.sort compare

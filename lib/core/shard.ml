@@ -11,6 +11,15 @@ type channel = {
   program : Program.t;
 }
 
+(* One file's entry in the index: its spec, its placements ascending by
+   channel, and its listening order. *)
+type entry = { spec : File_spec.t; placed : placement list; listen : int list }
+
+type index = {
+  files : (int, entry) Hashtbl.t;  (* admitted and shed *)
+  shares : (int, int array) Hashtbl.t array;  (* channel -> file -> pieces *)
+}
+
 type t = {
   channels : channel array;
   placements : placement list;
@@ -18,22 +27,53 @@ type t = {
   shed : File_spec.t list;
   bandwidth : int;
   stripe : int;
+  index : index;
 }
+
+(* The only constructor: indexes the final placements once. The index
+   holds the placement records themselves, so it shares their pieces. *)
+let make ~channels ~placements ~specs ~shed ~bandwidth ~stripe =
+  let shares = Array.map (fun _ -> Hashtbl.create 64) channels in
+  let by_file = Hashtbl.create 64 in
+  (* Added in reverse, so [find_all] returns each file's placements
+     ascending by channel. *)
+  List.iter
+    (fun p ->
+      Hashtbl.replace shares.(p.channel) p.file p.pieces;
+      Hashtbl.add by_file p.file p)
+    (List.rev placements);
+  let files = Hashtbl.create 64 in
+  List.iter
+    (fun spec ->
+      let placed = Hashtbl.find_all by_file spec.File_spec.id in
+      let listen =
+        List.stable_sort
+          (fun a b -> compare (Array.length b.pieces) (Array.length a.pieces))
+          placed
+        |> List.map (fun p -> p.channel)
+      in
+      Hashtbl.replace files spec.File_spec.id { spec; placed; listen })
+    (specs @ shed);
+  {
+    channels;
+    placements;
+    specs;
+    shed;
+    bandwidth;
+    stripe;
+    index = { files; shares };
+  }
 
 (* Round-robin dealing of [n] global piece indices over [s] stripe
    members: member [j] airs the pieces [{k | k mod s = j}]. Member 0
    holds the largest share. *)
 let share ~s ~n j = Array.init ((n - j + s - 1) / s) (fun i -> j + (i * s))
 
-let feasible tasks task =
-  match P.Density.classify (task :: tasks) with
-  | P.Density.Infeasible _ -> false
-  | P.Density.Guaranteed _ | P.Density.Unknown -> true
-
 (* Greedy stripe placement for one file: shares in decreasing size onto
-   the lightest distinct feasible channels. Returns the (channel, share
-   ordinal) choices, or None when some share fits nowhere. *)
-let place_file ~channels ~load ~members ~window ~file ~shares =
+   the lightest distinct channels whose load admits them. Returns the
+   (channel, share ordinal) choices, or None when some share fits
+   nowhere. *)
+let place_file ~channels ~load ~window ~file ~shares =
   let chosen = ref [] in
   let ok =
     List.for_all
@@ -43,14 +83,15 @@ let place_file ~channels ~load ~members ~window ~file ~shares =
           List.init channels Fun.id
           |> List.filter (fun c ->
                  not (List.mem_assoc c !chosen))
-          |> List.stable_sort (fun a b -> Q.compare load.(a) load.(b))
+          |> List.stable_sort (fun a b ->
+                 Q.compare (P.Density.density load.(a)) (P.Density.density load.(b)))
         in
         (* A share larger than its window fits no channel, and is not
            even a task. *)
         n_j <= window
         &&
         let task = P.Task.make ~id:file ~a:n_j ~b:window in
-        match List.find_opt (fun c -> feasible members.(c) task) candidates with
+        match List.find_opt (fun c -> P.Density.admits load.(c) task) candidates with
         | Some c ->
             chosen := (c, j) :: !chosen;
             true
@@ -102,36 +143,32 @@ let single ?algorithm ~bandwidth specs =
                    specs)
           in
           Some
-            {
-              channels =
-                [|
-                  {
-                    index = 0;
-                    tasks = sys;
-                    density = P.Task.system_density sys;
-                    plan;
-                    program;
-                  };
-                |];
-              placements =
-                List.map
-                  (fun f ->
-                    {
-                      file = f.File_spec.id;
-                      channel = 0;
-                      pieces =
-                        Array.init f.File_spec.capacity Fun.id;
-                    })
-                  specs;
-              specs;
-              shed = [];
-              bandwidth;
-              stripe = 1;
-            })
+            (make
+               ~channels:
+                 [|
+                   {
+                     index = 0;
+                     tasks = sys;
+                     density = P.Task.system_density sys;
+                     plan;
+                     program;
+                   };
+                 |]
+               ~placements:
+                 (List.map
+                    (fun f ->
+                      {
+                        file = f.File_spec.id;
+                        channel = 0;
+                        pieces = Array.init f.File_spec.capacity Fun.id;
+                      })
+                    specs)
+               ~specs ~shed:[] ~bandwidth ~stripe:1))
 
 let design ?(stripe = 1) ?algorithm ~channels ~bandwidth specs =
   if channels < 1 then invalid_arg "Shard.design: channels must be >= 1";
   if stripe < 1 then invalid_arg "Shard.design: stripe must be >= 1";
+  if bandwidth < 1 then invalid_arg "Shard.design: bandwidth must be >= 1";
   let ids = List.map (fun f -> f.File_spec.id) specs in
   if specs = [] then Error "Shard.design: no files"
   else if List.length (List.sort_uniq compare ids) <> List.length ids then
@@ -146,8 +183,7 @@ let design ?(stripe = 1) ?algorithm ~channels ~bandwidth specs =
   (* Not schedulable as a plain single channel (or K > 1): the general
      packing path, which sheds files instead of failing. *)
   begin
-    let load = Array.make channels Q.zero in
-    let members : P.Task.t list array = Array.make channels [] in
+    let load = Array.make channels P.Density.empty in
     (* file -> (channel * stripe ordinal) list, insertion order. *)
     let placed : (int, (int * int) list) Hashtbl.t = Hashtbl.create 16 in
     let spec_of = Hashtbl.create 16 in
@@ -164,25 +200,21 @@ let design ?(stripe = 1) ?algorithm ~channels ~bandwidth specs =
       (fun f ->
         let window = File_spec.window f ~bandwidth in
         let n = f.File_spec.capacity in
-        if window >= 1 then begin
-          let s = min (min stripe channels) n in
-          let shares = List.init s (share ~s ~n) in
-          match
-            place_file ~channels ~load ~members ~window ~file:f.File_spec.id
-              ~shares
-          with
-          | Some choices ->
-              List.iter
-                (fun (c, j) ->
-                  let n_j = Array.length (List.nth shares j) in
-                  load.(c) <- Q.add load.(c) (Q.make n_j window);
-                  members.(c) <-
-                    P.Task.make ~id:f.File_spec.id ~a:n_j ~b:window
-                    :: members.(c))
-                choices;
-              Hashtbl.replace placed f.File_spec.id choices
-          | None -> ()
-        end)
+        let s = min (min stripe channels) n in
+        let shares = List.init s (share ~s ~n) in
+        match
+          place_file ~channels ~load ~window ~file:f.File_spec.id ~shares
+        with
+        | Some choices ->
+            List.iter
+              (fun (c, j) ->
+                let a = Array.length (List.nth shares j) in
+                load.(c) <-
+                  P.Density.add load.(c)
+                    (P.Task.make ~id:f.File_spec.id ~a ~b:window))
+              choices;
+            Hashtbl.replace placed f.File_spec.id choices
+        | None -> ())
       by_density;
     (* Plan every channel; a scheduler failure sheds the failing
        channel's densest file everywhere and the loop re-plans. *)
@@ -268,55 +300,39 @@ let design ?(stripe = 1) ?algorithm ~channels ~bandwidth specs =
         specs
       |> List.sort (fun a b -> compare (a.file, a.channel) (b.file, b.channel))
     in
+    let admitted, shed =
+      List.partition (fun f -> Hashtbl.mem placed f.File_spec.id) specs
+    in
     Ok
-      {
-        channels = channel_arr;
-        placements;
-        specs =
-          List.filter (fun f -> Hashtbl.mem placed f.File_spec.id) specs;
-        shed =
-          List.filter
-            (fun f -> not (Hashtbl.mem placed f.File_spec.id))
-            specs;
-        bandwidth;
-        stripe;
-      }
+      (make ~channels:channel_arr ~placements ~specs:admitted ~shed ~bandwidth
+         ~stripe)
   end
 
 let block_at t ~channel slot =
   if channel < 0 || channel >= Array.length t.channels then
     invalid_arg "Shard.block_at: no such channel";
-  let ch = t.channels.(channel) in
-  match Program.block_at ch.program slot with
+  match Program.block_at t.channels.(channel).program slot with
   | None -> None
   | Some (file, local) ->
-      let p =
-        List.find
-          (fun p -> p.file = file && p.channel = channel)
-          t.placements
-      in
-      Some (file, p.pieces.(local))
+      Some (file, (Hashtbl.find t.index.shares.(channel) file).(local))
 
-let placements_of t file = List.filter (fun p -> p.file = file) t.placements
+let entry t file = Hashtbl.find_opt t.index.files file
+let spec t file = Option.map (fun e -> e.spec) (entry t file)
+
+let placements_of t file =
+  match entry t file with Some e -> e.placed | None -> []
 
 let channels_of t file =
-  placements_of t file
-  |> List.stable_sort (fun a b ->
-         compare (Array.length b.pieces) (Array.length a.pieces))
-  |> List.map (fun p -> p.channel)
+  match entry t file with Some e -> e.listen | None -> []
 
+(* N - largest share >= m; a single share leaves 0 < m. *)
 let outage_tolerant t file =
-  match placements_of t file with
-  | [] | [ _ ] -> false
-  | ps ->
-      let spec = List.find (fun f -> f.File_spec.id = file) t.specs in
-      let total =
-        List.fold_left (fun acc p -> acc + Array.length p.pieces) 0 ps
-      in
-      let worst =
-        List.fold_left (fun acc p -> max acc (Array.length p.pieces)) 0 ps
-      in
-      total - worst >= spec.File_spec.blocks
+  match entry t file with
+  | Some { spec; placed; _ } ->
+      let sizes = List.map (fun p -> Array.length p.pieces) placed in
+      List.fold_left ( + ) 0 sizes - List.fold_left max 0 sizes
+      >= spec.File_spec.blocks
+  | None -> false
 
 let aggregate_density t =
   Array.fold_left (fun acc c -> Q.add acc c.density) Q.zero t.channels
@@ -324,7 +340,7 @@ let aggregate_density t =
 let pp ppf t =
   Format.fprintf ppf "@[<v>";
   Array.iter
-    (fun c ->
+    (fun (c : channel) ->
       Format.fprintf ppf "channel %d: density %a, %d file(s)%s@," c.index Q.pp
         c.density (List.length c.tasks)
         (if c.tasks = [] then ""

@@ -26,10 +26,10 @@
 
     {b Placement.} Files are packed in decreasing density by LPT onto the
     least-loaded channels (stripe members onto distinct channels, larger
-    shares to lighter channels), each placement guarded by the shard's
-    {!Pindisk_pinwheel.Density} pre-check; files no channel set can take,
-    and files a shard's scheduler subsequently rejects, are shed — a
-    feasible design sheds nothing.
+    shares to lighter channels), each placement guarded by
+    {!Pindisk_pinwheel.Density.admits} on the channel's running load;
+    files no channel set can take, and files a shard's scheduler
+    subsequently rejects, are shed — a feasible design sheds nothing.
 
     {b K = 1, stripe = 1 is the identity}: the design is exactly
     [Program.pinwheel ~bandwidth files] — same task system, same
@@ -53,14 +53,22 @@ type channel = {
   program : Program.t;  (** capacities are the local share sizes *)
 }
 
-type t = {
+type index
+(** Per-file and per-channel lookups, built once by {!design} from the
+    final placements. It holds the placement records themselves, so it
+    shares their [pieces] arrays. *)
+
+type t = private {
   channels : channel array;  (** length K, index [c] is channel [c] *)
   placements : placement list;  (** ascending by (file, channel) *)
   specs : File_spec.t list;  (** admitted files, original order *)
   shed : File_spec.t list;  (** files no channel could serve *)
   bandwidth : int;  (** per-channel, blocks/sec *)
   stripe : int;
+  index : index;
 }
+(** Private: only {!design} builds one, so the index always matches the
+    placements. *)
 
 val design :
   ?stripe:int ->
@@ -73,25 +81,34 @@ val design :
     each, striping each file over [min stripe channels] (further capped
     by its capacity) channels. [Error] only on structurally bad input
     (no files, duplicate ids); an unschedulable file is shed, not an
-    error. Raises [Invalid_argument] if [channels < 1] or [stripe < 1]. *)
+    error. Raises [Invalid_argument] if [channels < 1], [stripe < 1] or
+    [bandwidth < 1]. *)
+
+(** The lookups below go through the index: their cost does not grow
+    with the number of files in the design. *)
 
 val block_at : t -> channel:int -> int -> (int * int) option
 (** [(file, global piece index)] aired by a channel at a slot, [None]
     when idle. The global index is what a multi-tuner client collects:
-    distinct across channels by the round-robin dealing. *)
+    distinct across channels by the round-robin dealing. O(1): the
+    channel program's {!Program.block_at} plus one lookup. *)
+
+val spec : t -> int -> File_spec.t option
+(** A file's spec, admitted or shed; [None] for an unknown id. O(1). *)
 
 val placements_of : t -> int -> placement list
-(** A file's placements, ascending by channel; [[]] for shed/unknown. *)
+(** A file's placements, ascending by channel; [[]] for shed/unknown.
+    O(1). *)
 
 val channels_of : t -> int -> int list
 (** Channels airing a file, by decreasing share size (ties: lower
     channel first) — the order a client with fewer tuners than stripe
-    members should prefer. *)
+    members should prefer. O(1). *)
 
 val outage_tolerant : t -> int -> bool
 (** Whether the file reconstructs ([>= m] pieces still on air) after the
     outage of any single channel. Single-channel placements are never
-    outage tolerant. *)
+    outage tolerant. O(stripe). *)
 
 val aggregate_density : t -> Pindisk_util.Q.t
 (** Sum of per-channel densities — the served broadcast demand; scales

@@ -15,9 +15,9 @@ type t = {
 
 let density (s : shard) = s.density
 
-(* LPT over exact densities. [bins.(c)] is channel [c]'s running density
-   and member list (reverse placement order — only the density matters
-   during packing; output order is re-derived from the input). *)
+(* LPT over exact densities. [load.(c)] is channel [c]'s running load
+   (only the load matters during packing; output order is re-derived
+   from the input). *)
 let partition ~channels sys =
   if channels < 1 then invalid_arg "Channels.partition: channels must be >= 1";
   (match Task.check_system sys with
@@ -25,8 +25,7 @@ let partition ~channels sys =
   | Error e -> invalid_arg ("Channels.partition: " ^ e));
   if channels = 1 then (List.map (fun t -> (0, t)) sys, [])
   else begin
-    let load = Array.make channels Q.zero in
-    let members : Task.t list array = Array.make channels [] in
+    let load = Array.make channels Density.empty in
     let placed : (int, int) Hashtbl.t = Hashtbl.create 16 in
     (* Decreasing density; stable, so equal densities keep input order. *)
     let by_density =
@@ -41,18 +40,12 @@ let partition ~channels sys =
            first whose shard stays plausibly feasible. *)
         let order =
           List.stable_sort
-            (fun a b -> Q.compare load.(a) load.(b))
+            (fun a b -> Q.compare (Density.density load.(a)) (Density.density load.(b)))
             (List.init channels Fun.id)
         in
-        let fits c =
-          match Density.classify (t :: members.(c)) with
-          | Density.Infeasible _ -> false
-          | Density.Guaranteed _ | Density.Unknown -> true
-        in
-        match List.find_opt fits order with
+        match List.find_opt (fun c -> Density.admits load.(c) t) order with
         | Some c ->
-            load.(c) <- Q.add load.(c) (Task.density t);
-            members.(c) <- t :: members.(c);
+            load.(c) <- Density.add load.(c) t;
             Hashtbl.replace placed t.Task.id c
         | None -> ())
       by_density;

@@ -40,4 +40,25 @@ val schedulable_threshold : min_window:int -> Pindisk_util.Q.t
 val classify : Task.system -> verdict
 (** Sound on both sides: [Infeasible] only by the pigeonhole bound or the
     [{2, 3, _}] family argument; [Guaranteed] only by the Holte et al. 1/2
-    or Kawamura 5/6 bounds. Never runs a scheduler. *)
+    or Kawamura 5/6 bounds. Never runs a scheduler. It is a fold of
+    {!add} from {!empty}. *)
+
+(** {1 Incremental loads}
+
+    A channel packer tests each candidate channel against its members.
+    A {!load} keeps exactly what {!classify} reads of them: the exact
+    density sum, the task count, the minimum window, and whether a unit
+    task of window 2 or of window 3 is present. {!add} and {!admits}
+    are O(1), whatever the number of members. *)
+
+type load
+
+val empty : load
+val add : load -> Task.t -> load
+
+val density : load -> Pindisk_util.Q.t
+(** The exact density sum of the tasks added. *)
+
+val admits : load -> Task.t -> bool
+(** [admits (List.fold_left add empty tasks) t] is
+    [classify (t :: tasks) <> Infeasible _]. *)

@@ -41,13 +41,6 @@ let default_window (design : Shard.t) =
       (fun acc (c : Shard.channel) -> max acc (Program.data_cycle c.Shard.program))
       1 design.Shard.channels
 
-let spec_table (design : Shard.t) =
-  let t = Hashtbl.create 16 in
-  List.iter
-    (fun (f : File_spec.t) -> Hashtbl.replace t f.File_spec.id f)
-    (design.Shard.specs @ design.Shard.shed);
-  t
-
 let channel_program (design : Shard.t) c =
   design.Shard.channels.(c).Shard.program
 
@@ -56,10 +49,10 @@ let rec take n = function
   | _ when n <= 0 -> []
   | x :: rest -> x :: take (n - 1) rest
 
-let validate_member ~what ~(spec_of : (int, File_spec.t) Hashtbl.t) (m : member) =
+let validate_member ~what design (m : member) =
   if m.issued < 0 then invalid_arg (what ^ ": negative issue slot");
   let spec =
-    match Hashtbl.find_opt spec_of m.file with
+    match Shard.spec design m.file with
     | Some s -> s
     | None -> invalid_arg (Printf.sprintf "%s: unknown file %d" what m.file)
   in
@@ -80,14 +73,13 @@ let run ?max_slots ~design ~tuners ~fault ~seed trace =
     match max_slots with Some w -> w | None -> default_window design
   in
   if window < 1 then invalid_arg "Multi.run: max_slots must be >= 1";
-  let spec_of = spec_table design in
   let obs = Obs.Control.enabled () in
   record_design ~obs design ~tuners;
   let rows =
     List.mapi
       (fun k (r : Workload.request) ->
         let m = List.hd (members_of_trace [ r ]) in
-        validate_member ~what:"Multi.run" ~spec_of m;
+        validate_member ~what:"Multi.run" design m;
         let listen = take tuners (Shard.channels_of design m.file) in
         let reachable =
           List.fold_left
@@ -147,7 +139,6 @@ let run_population ?pool ?max_slots ?sampled ~design ~tuners ~model ~seed
     match max_slots with Some w -> w | None -> default_window design
   in
   if window < 1 then invalid_arg "Multi.run_population: max_slots must be >= 1";
-  let spec_of = spec_table design in
   let obs = Obs.Control.enabled () in
   record_design ~obs design ~tuners;
   let channels = Array.length design.Shard.channels in
@@ -155,7 +146,7 @@ let run_population ?pool ?max_slots ?sampled ~design ~tuners ~model ~seed
   let unserved = ref [] in
   List.iter
     (fun (m : member) ->
-      validate_member ~what:"Multi.run_population" ~spec_of m;
+      validate_member ~what:"Multi.run_population" design m;
       if m.weight < 0 then
         invalid_arg "Multi.run_population: negative weight";
       (* The best listened channel that alone carries [needed] pieces:

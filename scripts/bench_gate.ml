@@ -122,7 +122,10 @@ let cohort_checks =
    disjointness), and the K = 1 design must be byte-identical to the
    single-channel pipeline. All three are slot-domain deterministic, so
    they gate identically on any runner; raw clients/sec is reported in
-   the artifact but never gated. *)
+   the artifact but never gated. One request's cost must not follow the
+   fleet: a one-request Multi.run on a 768-file design may cost at most
+   3x the same request on a 32-file design. Pure structure, like the
+   sched memory ratio, so no baseline comparison. *)
 let multichannel_checks =
   [
     { metric = "aggregate_files_k4_over_k1"; dir = Higher_is_better;
@@ -131,6 +134,8 @@ let multichannel_checks =
       floor = Some 1.0; gate_vs_baseline = false; requires = None };
     { metric = "k1_identity_ok"; dir = Higher_is_better;
       floor = Some 1.0; gate_vs_baseline = false; requires = None };
+    { metric = "multi_request_cost_n768_over_n32"; dir = Lower_is_better;
+      floor = Some 3.0; gate_vs_baseline = false; requires = None };
   ]
 
 let usage () =

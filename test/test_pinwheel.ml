@@ -872,6 +872,45 @@ let prop_density_infeasible_is_sound =
       | Density.Infeasible _ -> Exact.is_feasible sys <> Some true
       | Density.Guaranteed _ | Density.Unknown -> true)
 
+(* qcheck: a load folded from [tasks] admits [t] exactly when classify
+   does not call [t :: tasks] infeasible. The inputs mix random small
+   systems (units of window 1, 2 and 3 come up often) with fixed corner
+   cases: the empty list, the {1/2, 1/3, _} family, density exactly 1
+   and pc(1,1) tasks. *)
+let prop_density_admits_matches_classify =
+  let task =
+    QCheck2.Gen.(
+      oneof
+        [
+          oneofl [ (1, 1); (1, 2); (1, 3) ];
+          int_range 1 8 >>= fun b -> map (fun a -> (a, b)) (int_range 1 b);
+        ])
+  in
+  let corners =
+    [
+      ([], (1, 1));
+      ([], (3, 4));
+      ([ (1, 2); (1, 3) ], (1, 9));
+      ([ (1, 2); (1, 9) ], (1, 3));
+      ([ (1, 2) ], (1, 2));
+      ([ (1, 2); (1, 4) ], (1, 4));
+      ([ (2, 3) ], (1, 3));
+      ([ (1, 1) ], (1, 1));
+      ([ (1, 4) ], (1, 1));
+    ]
+  in
+  QCheck2.Test.make ~name:"Density.admits equals classify on the extended system"
+    ~count:500
+    QCheck2.Gen.(
+      oneof [ oneofl corners; pair (list_size (int_bound 6) task) task ])
+    (fun (pairs, (a, b)) ->
+      let tasks = List.mapi (fun id (a, b) -> Task.make ~id ~a ~b) pairs in
+      let t = Task.make ~id:(List.length pairs) ~a ~b in
+      let load = List.fold_left Density.add Density.empty tasks in
+      Q.equal (Density.density load) (Task.system_density tasks)
+      && Density.admits load t
+         = not (is_infeasible (Density.classify (t :: tasks))))
+
 let () =
   Alcotest.run "pinwheel"
     [
@@ -1015,5 +1054,9 @@ let () =
           Alcotest.test_case "unknown band" `Quick test_density_unknown;
         ] );
       ( "density-properties",
-        List.map QCheck_alcotest.to_alcotest [ prop_density_infeasible_is_sound ] );
+        List.map QCheck_alcotest.to_alcotest
+          [
+            prop_density_infeasible_is_sound;
+            prop_density_admits_matches_classify;
+          ] );
     ]

@@ -328,7 +328,15 @@ let test_shard_bad_args () =
     (Invalid_argument "Shard.design: stripe must be >= 1") (fun () ->
       ignore (Shard.design ~stripe:0 ~channels:2 ~bandwidth:1 (specs_small ())));
   check_bool "empty files" true
-    (Result.is_error (Shard.design ~channels:2 ~bandwidth:1 []))
+    (Result.is_error (Shard.design ~channels:2 ~bandwidth:1 []));
+  (* Both the single-channel identity and the striped packer reject a
+     zero bandwidth with Shard's own error. *)
+  Alcotest.check_raises "bandwidth < 1, K = 1"
+    (Invalid_argument "Shard.design: bandwidth must be >= 1") (fun () ->
+      ignore (Shard.design ~channels:1 ~bandwidth:0 (specs_small ())));
+  Alcotest.check_raises "bandwidth < 1, K = 2, stripe 2"
+    (Invalid_argument "Shard.design: bandwidth must be >= 1") (fun () ->
+      ignore (Shard.design ~stripe:2 ~channels:2 ~bandwidth:0 (specs_small ())))
 
 let test_shard_sheds_share_beyond_window () =
   (* File 0 needs 4 pieces inside a 2-slot window: no channel can air
@@ -391,6 +399,165 @@ let prop_shard_shares_disjoint_cover =
                       = List.length ps
                  end)
             specs)
+
+(* ------------------------------------------------------------------ *)
+(* The design index against list-scan oracles                         *)
+(* ------------------------------------------------------------------ *)
+
+(* The accessors as scans of the placement and spec lists: the
+   reference the index is held to. *)
+let oracle_placements_of (t : Shard.t) file =
+  List.filter
+    (fun (p : Shard.placement) -> p.Shard.file = file)
+    t.Shard.placements
+
+let oracle_channels_of t file =
+  oracle_placements_of t file
+  |> List.stable_sort (fun (a : Shard.placement) (b : Shard.placement) ->
+         compare (Array.length b.Shard.pieces) (Array.length a.Shard.pieces))
+  |> List.map (fun (p : Shard.placement) -> p.Shard.channel)
+
+let oracle_spec (t : Shard.t) file =
+  List.find_opt
+    (fun f -> f.File_spec.id = file)
+    (t.Shard.specs @ t.Shard.shed)
+
+let oracle_outage_tolerant (t : Shard.t) file =
+  match oracle_placements_of t file with
+  | [] | [ _ ] -> false
+  | ps ->
+      let spec = List.find (fun f -> f.File_spec.id = file) t.Shard.specs in
+      let sizes =
+        List.map (fun (p : Shard.placement) -> Array.length p.Shard.pieces) ps
+      in
+      List.fold_left ( + ) 0 sizes - List.fold_left max 0 sizes
+      >= spec.File_spec.blocks
+
+let oracle_block_at (t : Shard.t) ~channel slot =
+  match Program.block_at t.Shard.channels.(channel).Shard.program slot with
+  | None -> None
+  | Some (file, local) ->
+      let p =
+        List.find
+          (fun (p : Shard.placement) ->
+            p.Shard.file = file && p.Shard.channel = channel)
+          t.Shard.placements
+      in
+      Some (file, p.Shard.pieces.(local))
+
+(* Random designs, K 1-4, stripe 1-3, 2-12 files: windows of 4-16 slots
+   and capacities up to 5, so small fleets fit and large ones shed. File
+   ids step by 3, leaving unknown ids between them. *)
+let gen_design =
+  QCheck2.Gen.(
+    quad (int_range 1 4) (int_range 1 3) (int_range 2 12) (int_bound 1_000_000))
+
+let random_design (channels, stripe, files, seed) =
+  let st = Random.State.make [| seed |] in
+  let specs =
+    List.init files (fun i ->
+        File_spec.make ~id:(3 * i)
+          ~blocks:(1 + Random.State.int st 3)
+          ~tolerance:(Random.State.int st 3)
+          ~latency:(4 * (1 + Random.State.int st 4))
+          ())
+  in
+  match Shard.design ~stripe ~channels ~bandwidth:1 specs with
+  | Ok t -> t
+  | Error e -> QCheck2.Test.fail_reportf "design: %s" e
+
+let prop_index_matches_oracles =
+  QCheck2.Test.make ~name:"indexed accessors equal the list scans" ~count:150
+    gen_design (fun params ->
+      let t = random_design params in
+      let _, _, files, _ = params in
+      let ids = List.init ((3 * files) + 2) (fun i -> i - 1) in
+      List.iter
+        (fun id ->
+          if Shard.spec t id <> oracle_spec t id then
+            QCheck2.Test.fail_reportf "spec %d" id;
+          if Shard.placements_of t id <> oracle_placements_of t id then
+            QCheck2.Test.fail_reportf "placements_of %d" id;
+          if Shard.channels_of t id <> oracle_channels_of t id then
+            QCheck2.Test.fail_reportf "channels_of %d" id;
+          if Shard.outage_tolerant t id <> oracle_outage_tolerant t id then
+            QCheck2.Test.fail_reportf "outage_tolerant %d" id)
+        ids;
+      Array.iteri
+        (fun c (ch : Shard.channel) ->
+          for slot = 0 to (2 * Program.data_cycle ch.Shard.program) - 1 do
+            if Shard.block_at t ~channel:c slot <> oracle_block_at t ~channel:c slot
+            then QCheck2.Test.fail_reportf "block_at channel %d slot %d" c slot
+          done)
+        t.Shard.channels;
+      true)
+
+(* ------------------------------------------------------------------ *)
+(* Pinned designs                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Everything a design decides, digested: its rendering, every
+   placement, the shed ids and every channel's program. *)
+let design_digest (t : Shard.t) =
+  let b = Buffer.create 4096 in
+  Buffer.add_string b (Format.asprintf "%a" Shard.pp t);
+  List.iter
+    (fun (p : Shard.placement) ->
+      Printf.bprintf b "\n%d@%d:%s" p.Shard.file p.Shard.channel
+        (String.concat ","
+           (Array.to_list (Array.map string_of_int p.Shard.pieces))))
+    t.Shard.placements;
+  Printf.bprintf b "\nshed:%s"
+    (String.concat ","
+       (List.map (fun f -> string_of_int f.File_spec.id) t.Shard.shed));
+  Array.iter
+    (fun (c : Shard.channel) ->
+      Printf.bprintf b "\n%s" (render_program c.Shard.program))
+    t.Shard.channels;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* perfbench's fleet generator (perfbench/gen.ml), copied. *)
+let fleet_specs ~files =
+  List.init files (fun id ->
+      File_spec.make ~id
+        ~blocks:(1 + (id mod 4))
+        ~tolerance:(id mod 3)
+        ~latency:(16 lsl (id mod 5 mod 4))
+        ())
+
+(* E24's population (bench/exp_multichannel.ml), copied. *)
+let e24_specs () =
+  List.init 32 (fun i ->
+      let hot = i < 8 in
+      File_spec.make
+        ~name:(Printf.sprintf "%s%d" (if hot then "hot" else "cold") i)
+        ~id:i
+        ~blocks:(if hot then 4 else 2)
+        ~latency:16 ())
+
+(* Digests of the list-scan packer's designs: any change to placement,
+   shedding or planning moves them. *)
+let test_shard_designs_pinned () =
+  let pin what expected design =
+    match design with
+    | Ok t -> Alcotest.(check string) what expected (design_digest t)
+    | Error e -> Alcotest.failf "%s: %s" what e
+  in
+  let fleet = fleet_specs ~files:768 in
+  pin "fleet, stripe 1" "caf20e0dcd7fd7c1c86ff8e13f3987a5"
+    (Shard.design ~channels:4 ~bandwidth:32 fleet);
+  pin "fleet, stripe 2" "f8c564f12a22653b514cc679bc1fd7da"
+    (Shard.design ~stripe:2 ~channels:4 ~bandwidth:32 fleet);
+  List.iter
+    (fun (k, expected) ->
+      pin (Printf.sprintf "E24, K = %d" k) expected
+        (Shard.design ~channels:k ~bandwidth:1 (e24_specs ())))
+    [
+      (1, "537ba8ac8f62bdc7de73c8860c67373a");
+      (2, "6deb4cf13b39ebc66ebd1d2c850350a3");
+      (4, "884ee5ed8825ae5153e68e075e4da9d3");
+      (8, "01aab5b96733956bb3ad219eae7ceef7");
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Multi: tuner clients over a sharded design                         *)
@@ -500,14 +667,14 @@ let rec take n = function
   | _ -> []
 
 (* The reference walk Multi.run is checked against, slot by slot: every
-   tuned channel's slot is resolved through Shard.block_at into a global
-   piece index, and the slot that completes the request still runs its
-   later channels, whose losses count. *)
+   tuned channel's slot is resolved through the list-scan block_at into a
+   global piece index, and the slot that completes the request still
+   runs its later channels, whose losses count. *)
 let multi_oracle ~max_slots ~design ~tuners ~fault ~seed trace =
   let rows =
     List.mapi
       (fun k (r : Workload.request) ->
-        let listen = take tuners (Shard.channels_of design r.Workload.file) in
+        let listen = take tuners (oracle_channels_of design r.Workload.file) in
         let reachable =
           List.fold_left
             (fun acc (p : Shard.placement) ->
@@ -515,7 +682,7 @@ let multi_oracle ~max_slots ~design ~tuners ~fault ~seed trace =
                 acc + Array.length p.Shard.pieces
               else acc)
             0
-            (Shard.placements_of design r.Workload.file)
+            (oracle_placements_of design r.Workload.file)
         in
         let row elapsed losses =
           {
@@ -546,7 +713,7 @@ let multi_oracle ~max_slots ~design ~tuners ~fault ~seed trace =
             List.iter
               (fun (c, fl) ->
                 let lost = Fault.advance fl in
-                match Shard.block_at design ~channel:c !s with
+                match oracle_block_at design ~channel:c !s with
                 | Some (f, piece) when f = r.Workload.file ->
                     if lost then incr losses
                     else if not (Hashtbl.mem got piece) then begin
@@ -665,6 +832,18 @@ let test_shardcheck_detects_tampering () =
   check_bool "tamper detected" false (Shardcheck.ok report);
   check_bool "problem reported" true (Shardcheck.problems report <> [])
 
+(* qcheck: Shardcheck's outage verdict is its own recount, equal to a
+   hand count over the placement list. *)
+let prop_shardcheck_recounts_outage =
+  QCheck2.Test.make ~name:"Shardcheck outage_tolerant equals a hand count"
+    ~count:150 gen_design (fun params ->
+      let t = random_design params in
+      List.for_all
+        (fun (f : Shardcheck.file_report) ->
+          f.Shardcheck.outage_tolerant
+          = oracle_outage_tolerant t f.Shardcheck.file)
+        (Shardcheck.run t).Shardcheck.files)
+
 (* ------------------------------------------------------------------ *)
 (* Ladder.evacuate: the channel-migration rung                        *)
 (* ------------------------------------------------------------------ *)
@@ -757,7 +936,12 @@ let () =
         ] );
       ( "shard-properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_shard_shares_disjoint_cover ] );
+          [ prop_shard_shares_disjoint_cover; prop_index_matches_oracles ] );
+      ( "shard-pinned",
+        [
+          Alcotest.test_case "designs match their digests" `Quick
+            test_shard_designs_pinned;
+        ] );
       ( "multi",
         [
           Alcotest.test_case "clean channels complete" `Quick
@@ -777,6 +961,10 @@ let () =
             test_shardcheck_certifies_design;
           Alcotest.test_case "detects tampering" `Quick
             test_shardcheck_detects_tampering;
+          (* Kept in this group: a group name longer than
+             "channels-properties" widens alcotest's name column and
+             truncates every other test name in this suite. *)
+          QCheck_alcotest.to_alcotest prop_shardcheck_recounts_outage;
         ] );
       ( "evacuate",
         [
