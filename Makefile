@@ -41,7 +41,7 @@ bench-chaos:
 	dune exec bench/main.exe -- e22
 
 # Quick cohort-scale run (E23): million-client weighted-class
-# populations plus the cohort==drive spot-check; writes BENCH_cohort.json.
+# populations plus the cohort==engine spot-check; writes BENCH_cohort.json.
 bench-cohort:
 	PINDISK_COHORT_QUICK=1 dune exec bench/main.exe -- e23
 

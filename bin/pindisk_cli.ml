@@ -1132,6 +1132,7 @@ let simulate_cmd =
     | Error e -> fail "%s" e
     | Ok _ when channels < 1 -> fail "channels must be >= 1"
     | Ok _ when tuners < 1 -> fail "tuners must be >= 1"
+    | Ok _ when not (loss >= 0.0 && loss <= 1.0) -> fail "loss must be in [0, 1]"
     | Ok files when channels > 1 ->
         simulate_multichannel ~channels ~tuners ~loss ~trials ~seed ~cohort
           ~clients files

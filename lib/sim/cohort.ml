@@ -1,5 +1,4 @@
 module Program = Pindisk.Program
-module Schedule = Pindisk_pinwheel.Schedule
 module Intmath = Pindisk_util.Intmath
 module Pool = Pindisk_util.Pool
 module Obs = Pindisk_obs
@@ -88,60 +87,95 @@ let check_request ~who program ~file ~needed =
   if Program.occurrences_per_period program file = 0 then
     invalid_arg (who ^ ": file never broadcast")
 
+(* The index of the first of [offs] (ascending) at or after [phase];
+   [Array.length offs] if there is none. *)
+let first_from offs phase =
+  let lo = ref 0 and hi = ref (Array.length offs) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if offs.(mid) < phase then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
 (* One tuned channel of one member's retrieval, and where the sweep is
-   on it: the slot offset [pos] into the channel's period and the
-   residue [ord] (mod [cap]) of the next own-file occurrence's ordinal.
-   A lane is used up by the sweep it is handed to. *)
+   on it: [next] is the relative slot of the lane's next own-file
+   occurrence and [idx] its index in [offs], [heard] counts the slots
+   its fault has passed, and [ord] is the residue (mod [cap]) of the
+   occurrence's ordinal. A lane is used up by the sweep it is handed
+   to. *)
 type lane = {
-  slots : int array;
+  offs : int array;
+  period : int;
   cap : int;
   fault : Fault.t;
   seen : bool array;
-  mutable pos : int;
+  mutable next : int;
+  mutable idx : int;
+  mutable heard : int;
   mutable ord : int;
 }
 
 let lane program ~file ~issued fault =
-  let sched = Program.schedule program in
   let cap = Program.capacity program file in
-  {
-    slots = sched.Schedule.slots;
-    cap;
-    fault;
-    seen = Array.make cap false;
-    pos = issued mod Schedule.period sched;
-    ord = 0;
-  }
+  let offs = Program.offsets program file in
+  let period = Program.period program in
+  let phase = issued mod period in
+  let occ = Array.length offs in
+  let i = first_from offs phase in
+  let next, idx =
+    if occ = 0 then (max_int, 0)
+    else if i < occ then (offs.(i) - phase, i)
+    else (offs.(0) + period - phase, 0)
+  in
+  { offs; period; cap; fault; seen = Array.make cap false; next; idx;
+    heard = 0; ord = 0 }
 
-(* One member's retrieval, mirroring [Client.retrieve]'s walk on every
-   lane at once: each lane's fault process (already reset to the issue
-   slot) advances once per slot; own-file occurrences are lost or
-   collected; a lane collects distinct residues of its relative
-   occurrence ordinal mod its capacity — a constant shift of the block
-   index it airs, so the distinct count (and hence completion slot and
-   losses) matches the per-slot walk exactly, and lanes add up because
-   their pieces are disjoint. The completing slot still runs on every
-   lane. Returns (elapsed, losses, slots swept). *)
-let sweep ~file ~needed ~max_slots lanes =
-  let distinct = ref 0 and losses = ref 0 and d = ref 0 in
-  while !distinct < needed && !d < max_slots do
-    for c = 0 to Array.length lanes - 1 do
-      let l = lanes.(c) in
-      let lost = Fault.advance l.fault in
-      let o = l.pos in
-      if l.slots.(o) = file then begin
-        (if lost then incr losses
-         else if not l.seen.(l.ord) then begin
-           l.seen.(l.ord) <- true;
-           incr distinct
-         end);
-        l.ord <- (if l.ord + 1 = l.cap then 0 else l.ord + 1)
-      end;
-      l.pos <- (if o + 1 = Array.length l.slots then 0 else o + 1)
+(* One member's retrieval, equal to [Client.retrieve]'s per-slot walk on
+   every lane at once but visiting only the slots some lane airs the
+   file in. Each step takes the earliest next occurrence [d] over the
+   lanes; every lane airing at [d] skips its fault (already reset to
+   the issue slot) over the silent slots since it last heard, so the
+   fault draws the same stream, and takes slot [d]'s verdict: the piece
+   is lost or collected. A lane collects distinct residues of its
+   relative occurrence ordinal mod its capacity — a constant shift of
+   the block index it airs, so the distinct count (and hence completion
+   slot and losses) matches the per-slot walk exactly, and lanes add up
+   because their pieces are disjoint. Every lane airing in the
+   completing slot still counts. Returns (elapsed, losses, slots
+   swept). *)
+let sweep ~needed ~max_slots lanes =
+  let n = Array.length lanes in
+  let distinct = ref 0 and losses = ref 0 and d = ref 0 and going = ref true in
+  while !going do
+    d := max_int;
+    for c = 0 to n - 1 do
+      if lanes.(c).next < !d then d := lanes.(c).next
     done;
-    incr d
+    let d = !d in
+    if d >= max_slots then going := false
+    else begin
+      for c = 0 to n - 1 do
+        let l = lanes.(c) in
+        if l.next = d then begin
+          Fault.skip l.fault (d - l.heard);
+          l.heard <- d + 1;
+          (if Fault.advance l.fault then incr losses
+           else if not l.seen.(l.ord) then begin
+             l.seen.(l.ord) <- true;
+             incr distinct
+           end);
+          l.ord <- (if l.ord + 1 = l.cap then 0 else l.ord + 1);
+          let i = if l.idx + 1 = Array.length l.offs then 0 else l.idx + 1 in
+          let gap = l.offs.(i) - l.offs.(l.idx) in
+          l.next <- (d + if gap > 0 then gap else gap + l.period);
+          l.idx <- i
+        end
+      done;
+      if !distinct >= needed then going := false
+    end
   done;
-  ((if !distinct >= needed then Some !d else None), !losses, !d)
+  if !distinct >= needed then (Some (!d + 1), !losses, !d + 1)
+  else (None, !losses, max 0 max_slots)
 
 let for_classes ?pool ~n f =
   match pool with
@@ -212,7 +246,7 @@ let run ?pool ?max_slots ~program ~fault ~seed trace =
           let f = fault ~seed:(Intmath.mix64 (seed + k)) in
           Fault.reset_to f reqs.(k).Workload.issued;
           let elapsed, losses, d =
-            sweep ~file:key.file ~needed:key.needed ~max_slots
+            sweep ~needed:key.needed ~max_slots
               [| lane program ~file:key.file ~issued:key.phase f |]
           in
           outcomes.(k) <- (elapsed, losses);
@@ -265,11 +299,7 @@ let canonicalize ~who classes =
 let analytic_class ~offs ~period ~phase ~cap ~needed ~deadline ~max_slots ~p
     ~weight ~file =
   let occ = Array.length offs in
-  let i0 = ref 0 in
-  while !i0 < occ && offs.(!i0) < phase do
-    incr i0
-  done;
-  let i0 = !i0 in
+  let i0 = first_from offs phase in
   let d_of_ordinal j =
     let idx = i0 + j - 1 in
     offs.(idx mod occ) + (period * (idx / occ)) - phase
@@ -372,7 +402,7 @@ let sampled_class ~model ~seed ~key ~weight ~program ~max_slots =
     let f = fault_of_model model ~seed:(Intmath.mix64 (tag + i)) in
     Fault.reset_to f key.phase;
     let elapsed, l, d =
-      sweep ~file:key.file ~needed:key.needed ~max_slots
+      sweep ~needed:key.needed ~max_slots
         [| lane program ~file:key.file ~issued:key.phase f |]
     in
     (match elapsed with

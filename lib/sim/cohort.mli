@@ -31,9 +31,9 @@
       seeds: invariant under class-list permutation).
 
     Both read the broadcast from the program's own one-period index
-    ({!Pindisk.Program.offsets} and its slot array); nothing is
-    re-indexed per run. The member sweep ({!sweep}) is shared with
-    {!Multi.run}, which passes one lane per tuned channel.
+    ({!Pindisk.Program.offsets}); nothing is re-indexed per run. The
+    member sweep ({!sweep}) is shared with {!Multi.run}, which passes
+    one lane per tuned channel.
 
     Classes shard across {!Pindisk_util.Pool} domains; workers touch
     only per-class slots and sharded [cohort.*] counters, and the final
@@ -79,27 +79,35 @@ val fault_of_model : model -> seed:int -> Fault.t
     handed when cross-checking a sampled population run. *)
 
 type lane
-(** One tuned channel of one member's retrieval: the channel program's
-    slot array, the file's block count on it, the lane's fault process,
-    and how far the sweep has got. A lane is used up by one {!sweep}. *)
+(** One tuned channel of one member's retrieval: the file's slot offsets
+    within the channel program's period, its block count there, the
+    lane's fault process, the relative slot of the next own-file
+    occurrence, and how many slots the fault has passed. A lane is used
+    up by one {!sweep}. *)
 
 val lane : Pindisk.Program.t -> file:int -> issued:int -> Fault.t -> lane
 (** The lane of a program for a request for [file] issued at [issued];
-    [fault] must already be reset to [issued]. Raises [Not_found] if the
-    program has no capacity for [file]. *)
+    [fault] must already be reset to [issued]. The first occurrence is
+    found by binary search in {!Pindisk.Program.offsets}. Raises
+    [Not_found] if the program has no capacity for [file]. *)
 
-val sweep :
-  file:int -> needed:int -> max_slots:int -> lane array -> int option * int * int
-(** [sweep ~file ~needed ~max_slots lanes] walks one member's retrieval
-    slot by slot on every lane at once, for at most [max_slots] slots:
-    each lane's fault advances once per slot, and an own-file slot is
-    either lost or collected. A lane collects distinct residues of its
+val sweep : needed:int -> max_slots:int -> lane array -> int option * int * int
+(** [sweep ~needed ~max_slots lanes] runs one member's retrieval on
+    every lane at once, for at most [max_slots] slots, visiting only the
+    slots where some lane airs the file. It repeatedly takes the
+    earliest next occurrence [d] over the lanes: if [d >= max_slots] the
+    member expires; otherwise every lane airing at [d] skips its fault
+    ({!Fault.skip}) to slot [d] and takes that slot's verdict, and the
+    piece is either lost or collected. The fault therefore draws exactly
+    the stream a once-per-slot {!Fault.advance} walk would, and the
+    result equals that walk's. A lane collects distinct residues of its
     occurrence ordinal mod the file's block count on its channel, so
-    lanes must air disjoint pieces.
-    The member completes once [needed] are collected; the completing
-    slot still runs on every lane. Returns [(elapsed, losses, swept)]:
-    the completion distance in slots ([None] if the window ran out), the
-    own-file slots lost, and the slots walked. *)
+    lanes must air disjoint pieces. The member completes at [d + 1] once
+    [needed] are collected; every lane airing in the completing slot
+    still counts. Returns [(elapsed, losses, swept)]: the completion
+    distance in slots ([None] if the window ran out), the own-file slots
+    lost, and the slots covered ([elapsed], or [max_slots] on
+    expiry). *)
 
 val run :
   ?pool:Pindisk_util.Pool.t ->
@@ -111,8 +119,9 @@ val run :
   Engine.result
 (** [run ~program ~fault ~seed trace] retires every request of the
     trace; request [k] gets [fault ~seed:(Intmath.mix64 (seed + k))],
-    reset at its issue slot and advanced once per slot, exactly as
-    {!Engine.run} does — and the result equals {!Engine.run}'s on the
+    reset at its issue slot and drawn once per slot, exactly as
+    {!Engine.run} does (verdicts are taken only at own-file slots,
+    {!sweep}) — and the result equals {!Engine.run}'s on the
     same program, including float accumulation order. Members of a
     class share the occurrence pattern instead of re-walking the
     program per request. [max_slots] is each request's retrieval window

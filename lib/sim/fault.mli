@@ -7,8 +7,16 @@
     correlation real wireless channels exhibit, used by the fault-model
     ablation (E9); {!deterministic} scripts losses for tests.
 
-    A process is stateful: {!advance} must be called once per slot, in slot
-    order, and returns whether a reception in that slot is lost. *)
+    A process is stateful and moves one slot at a time, in slot order:
+    {!advance} returns the verdict for the current slot, and {!skip}
+    passes over slots whose verdicts nobody reads. Either way the
+    stochastic models draw the same stream: one draw per slot for
+    {!bernoulli}, two (a state flip, then a loss) for {!burst}. A
+    stream is seeded from the process's seed and the slot it was last
+    started at, lazily, at its first draw.
+
+    Every probability must lie in [[0, 1]]; anything else, NaN included,
+    raises [Invalid_argument "Fault.<model>: <name> must be in [0, 1]"]. *)
 
 type t
 
@@ -26,8 +34,10 @@ val burst :
     the good state. *)
 
 val deterministic : (int -> bool) -> t
-(** [deterministic f]: slot [t] is lost iff [f t] ([t] counts calls to
-    {!advance}, starting at the slot given to {!reset_to}, default 0). *)
+(** [deterministic f]: slot [t] is lost iff [f t] ([t] counts slots
+    passed by {!advance} and {!skip}, starting at the slot given to
+    {!reset_to}, default 0). [f] is evaluated only at the slots
+    {!advance} judges, so it must be pure. *)
 
 val reset_to : t -> int -> unit
 (** Restart the process at the given absolute slot (re-seeds the stochastic
@@ -36,6 +46,12 @@ val reset_to : t -> int -> unit
 
 val advance : t -> bool
 (** The loss verdict for the current slot; moves to the next slot. *)
+
+val skip : t -> int -> unit
+(** [skip t k] is [k] calls to {!advance} with the verdicts discarded:
+    {!burst} still steps its chain, and both stochastic models draw
+    exactly what those calls would have. Raises [Invalid_argument] when
+    [k < 0]. *)
 
 val loss_rate : t -> float
 (** The long-run expected loss probability of the process (0 for

@@ -118,7 +118,7 @@ let run ?max_slots ~design ~tuners ~fault ~seed trace =
                  listen)
           in
           let elapsed, losses, _ =
-            Cohort.sweep ~file:m.file ~needed:m.needed ~max_slots:window lanes
+            Cohort.sweep ~needed:m.needed ~max_slots:window lanes
           in
           {
             Retire.file = m.file;

@@ -768,27 +768,38 @@ let prop_multi_run_matches_oracle =
               ())
       in
       let design = design_exn ~stripe ~channels ~bandwidth:2 specs in
+      (* Issue slots over two periods and windows up to three, so sweeps
+         start past a period's last offset and wrap its offsets. *)
+      let period =
+        Array.fold_left
+          (fun acc (c : Shard.channel) ->
+            max acc (Program.period c.Shard.program))
+          1 design.Shard.channels
+      in
       let trace =
         List.init
           (5 + Random.State.int st 20)
           (fun _ ->
             let f = List.nth specs (Random.State.int st (List.length specs)) in
             {
-              Workload.issued = Random.State.int st 200;
+              Workload.issued = Random.State.int st (2 * period);
               file = f.File_spec.id;
               needed = 1 + Random.State.int st f.File_spec.capacity;
               deadline = Random.State.int st 48;
             })
       in
-      let burst = Random.State.bool st in
+      let kind = Random.State.int st 4 in
       let fault ~channel ~seed =
-        if burst then
-          Fault.burst
-            ~p_good_to_bad:(0.05 *. float_of_int (channel + 1))
-            ~p_bad_to_good:0.3 ~loss_good:0.05 ~loss_bad:0.6 ~seed
-        else Fault.bernoulli ~p:(0.1 *. float_of_int (channel + 1)) ~seed
+        match kind with
+        | 0 -> Fault.none ()
+        | 1 -> Fault.deterministic (fun t -> (t + channel) mod 3 = 0)
+        | 2 -> Fault.bernoulli ~p:(0.1 *. float_of_int (channel + 1)) ~seed
+        | _ ->
+            Fault.burst
+              ~p_good_to_bad:(0.05 *. float_of_int (channel + 1))
+              ~p_bad_to_good:0.3 ~loss_good:0.05 ~loss_bad:0.6 ~seed
       in
-      let max_slots = 1 + Random.State.int st 40 in
+      let max_slots = 1 + Random.State.int st (3 * period) in
       let fault_seed = Random.State.int st 1000 in
       let exact =
         Multi.run ~max_slots ~design ~tuners ~fault ~seed:fault_seed trace

@@ -78,7 +78,29 @@ let test_fault_burst_stationary_rate () =
 let test_fault_validation () =
   Alcotest.check_raises "p out of range"
     (Invalid_argument "Fault.bernoulli: p must be in [0, 1]") (fun () ->
-      ignore (Fault.bernoulli ~p:1.5 ~seed:0))
+      ignore (Fault.bernoulli ~p:1.5 ~seed:0));
+  (* NaN fails both [v < 0] and [v > 1], so it needs its own check. *)
+  Alcotest.check_raises "p nan"
+    (Invalid_argument "Fault.bernoulli: p must be in [0, 1]") (fun () ->
+      ignore (Fault.bernoulli ~p:Float.nan ~seed:0));
+  let burst ?(gb = 0.1) ?(bg = 0.1) ?(lg = 0.1) ?(lb = 0.1) () =
+    ignore
+      (Fault.burst ~p_good_to_bad:gb ~p_bad_to_good:bg ~loss_good:lg
+         ~loss_bad:lb ~seed:0)
+  in
+  let raises name f =
+    Alcotest.check_raises (name ^ " nan")
+      (Invalid_argument
+         (Printf.sprintf "Fault.burst: %s must be in [0, 1]" name))
+      f
+  in
+  raises "p_good_to_bad" (fun () -> burst ~gb:Float.nan ());
+  raises "p_bad_to_good" (fun () -> burst ~bg:Float.nan ());
+  raises "loss_good" (fun () -> burst ~lg:Float.nan ());
+  raises "loss_bad" (fun () -> burst ~lb:Float.nan ());
+  Alcotest.check_raises "negative skip"
+    (Invalid_argument "Fault.skip: negative slot count") (fun () ->
+      Fault.skip (Fault.none ()) (-1))
 
 let test_fault_reset_to_determinism () =
   (* Regression: [reset_to] must re-anchor the process deterministically —
@@ -105,6 +127,119 @@ let test_fault_reset_to_determinism () =
   check_replay "burst" (fun () ->
       Fault.burst ~p_good_to_bad:0.2 ~p_bad_to_good:0.3 ~loss_good:0.05
         ~loss_bad:0.6 ~seed:11)
+
+(* The float reference [Fault] is pinned to: each verdict compares a
+   [Random.State.float] draw against the probability, on a stream
+   seeded from (seed, reset slot), and the burst chain flips its state
+   before its loss draw. [n] verdicts from slot [slot]. *)
+type fault_model =
+  | Ref_bernoulli of float
+  | Ref_burst of { gb : float; bg : float; lg : float; lb : float }
+
+let fault_of_ref ~seed = function
+  | Ref_bernoulli p -> Fault.bernoulli ~p ~seed
+  | Ref_burst { gb; bg; lg; lb } ->
+      Fault.burst ~p_good_to_bad:gb ~p_bad_to_good:bg ~loss_good:lg
+        ~loss_bad:lb ~seed
+
+let reference_verdicts model ~seed ~slot n =
+  let rng = Random.State.make [| seed; slot; 0x5eed |] in
+  let bad = ref false in
+  let out = Array.make n false in
+  for i = 0 to n - 1 do
+    out.(i) <-
+      (match model with
+      | Ref_bernoulli p -> Random.State.float rng 1.0 < p
+      | Ref_burst { gb; bg; lg; lb } ->
+          let flip = Random.State.float rng 1.0 in
+          (if !bad then (if flip < bg then bad := false)
+           else if flip < gb then bad := true);
+          Random.State.float rng 1.0 < if !bad then lb else lg)
+  done;
+  out
+
+(* [Fault] against the float reference, over random seeds, reset slots
+   and lengths, with the probabilities where an integer cut could be
+   off by one mixed in: every verdict of a per-slot walk matches, and
+   so does every verdict taken after a run of skips. *)
+let prop_fault_matches_float_reference =
+  let edge = [| 0.0; 0x1p-1074; 0x1p-53; 0.5; 1.0 -. 0x1p-53; 1.0 |] in
+  let prob =
+    QCheck2.Gen.(oneof [ oneofa edge; float_bound_inclusive 1.0 ])
+  in
+  let model =
+    QCheck2.Gen.(
+      oneof
+        [
+          map (fun p -> Ref_bernoulli p) prob;
+          map
+            (fun (gb, bg, lg, lb) -> Ref_burst { gb; bg; lg; lb })
+            (quad prob prob prob prob);
+        ])
+  in
+  QCheck2.Test.make ~name:"fault verdicts match the float reference"
+    ~count:300
+    QCheck2.Gen.(
+      quad model (int_bound 1_000_000) (int_bound 100_000)
+        (list_size (int_range 1 40) (int_bound 30)))
+    (fun (model, seed, slot, gaps) ->
+      let n = List.fold_left (fun acc g -> acc + g + 1) 0 gaps in
+      let reference = reference_verdicts model ~seed ~slot n in
+      let walked =
+        let f = fault_of_ref ~seed model in
+        Fault.reset_to f slot;
+        Array.init n (fun _ -> Fault.advance f)
+      in
+      let skipped =
+        let f = fault_of_ref ~seed model in
+        Fault.reset_to f slot;
+        let at = ref 0 in
+        List.for_all
+          (fun g ->
+            Fault.skip f g;
+            at := !at + g + 1;
+            Fault.advance f = reference.(!at - 1))
+          gaps
+      in
+      (walked = reference && skipped)
+      || QCheck2.Test.fail_reportf "diverged from the float reference")
+
+(* Sampling cannot tell [<] from [<=], or a ceiling from a floor, in
+   the integer cut: they differ on one draw in 2^53. So put the
+   probability exactly on a slot's draw u, and on the floats either side
+   of it, and compare with the reference there. *)
+let test_fault_cut_exact_at_draw () =
+  List.iter
+    (fun (seed, slot) ->
+      let u = Random.State.float (Random.State.make [| seed; slot; 0x5eed |]) 1.0 in
+      List.iter
+        (fun p ->
+          let f = Fault.bernoulli ~p ~seed in
+          Fault.reset_to f slot;
+          check_bool (Printf.sprintf "p = %h" p)
+            (reference_verdicts (Ref_bernoulli p) ~seed ~slot 1).(0)
+            (Fault.advance f))
+        [ Float.pred u; u; Float.succ u ])
+    [ (0, 0); (7, 3); (42, 1000); (99_999, 65_535) ]
+
+let test_fault_deterministic_skip () =
+  let calls = ref [] in
+  let f =
+    Fault.deterministic (fun t ->
+        calls := t :: !calls;
+        t mod 3 = 1)
+  in
+  Fault.reset_to f 5;
+  Fault.skip f 0;
+  Fault.skip f 2;
+  check_bool "slot 7 judged" true (Fault.advance f);
+  Fault.skip f 1;
+  check_bool "slot 9 judged" false (Fault.advance f);
+  Alcotest.(check (list int)) "f read only at judged slots" [ 9; 7 ] !calls;
+  Fault.reset_to f 0;
+  Alcotest.(check (list bool)) "skip 0 then walk" [ false; true; false ]
+    (Fault.skip f 0;
+     List.init 3 (fun _ -> Fault.advance f))
 
 (* ------------------------------------------------------------------ *)
 (* Client                                                              *)
@@ -945,6 +1080,70 @@ let test_cohort_population_analytic_close_to_sampled () =
      /. float_of_int (max 1 sampled.Engine.losses)
     < 0.1)
 
+(* Sweep boundaries, on a period-8 program airing file 0 at offsets 1
+   and 3. Each sweep is also checked against [Client.retrieve]'s
+   per-slot walk where one lane suffices. *)
+let sweep_program () =
+  Program.of_layout
+    [ (1, 0); (0, 0); (-1, 0); (0, 1); (1, 1); (-1, 0); (-1, 0); (-1, 0) ]
+    ~capacities:[ (0, 2); (1, 2) ]
+
+let check_sweep = Alcotest.(check (triple (option int) int int))
+
+let sweep_one ~lose ~issued ~needed ~max_slots =
+  let program = sweep_program () in
+  let fault () = Fault.deterministic lose in
+  let f = fault () in
+  Fault.reset_to f issued;
+  let ((elapsed, losses, _) as swept) =
+    Cohort.sweep ~needed ~max_slots
+      [| Cohort.lane program ~file:0 ~issued f |]
+  in
+  let o =
+    retrieve_ok ~max_slots ~program ~file:0 ~needed ~start:issued
+      ~fault:(fault ()) ()
+  in
+  check_bool "elapsed as the per-slot walk" true (elapsed = o.Client.elapsed);
+  check_int "losses as the per-slot walk" o.Client.losses losses;
+  swept
+
+let test_sweep_window_edge () =
+  let never _ = false in
+  (* The second piece airs at slot 3: inside a 4-slot window, not a
+     3-slot one. *)
+  check_sweep "own slot at max_slots - 1 counts" (Some 4, 0, 4)
+    (sweep_one ~lose:never ~issued:0 ~needed:2 ~max_slots:4);
+  check_sweep "own slot at max_slots does not" (None, 0, 3)
+    (sweep_one ~lose:never ~issued:0 ~needed:2 ~max_slots:3);
+  let lose_1 t = t = 1 in
+  check_sweep "retry at max_slots - 1" (Some 4, 1, 4)
+    (sweep_one ~lose:lose_1 ~issued:0 ~needed:1 ~max_slots:4);
+  check_sweep "retry at max_slots" (None, 1, 3)
+    (sweep_one ~lose:lose_1 ~issued:0 ~needed:1 ~max_slots:3)
+
+let test_sweep_after_last_offset () =
+  (* Phase 5 is past the period's last offset 3: the first occurrence
+     is offset 1 of the next period, relative slot 4. *)
+  check_sweep "issued at 5" (Some 7, 0, 7)
+    (sweep_one ~lose:(fun _ -> false) ~issued:5 ~needed:2 ~max_slots:40);
+  check_sweep "issued at 13, a period later" (Some 7, 1, 7)
+    (sweep_one ~lose:(fun t -> t = 17) ~issued:13 ~needed:1 ~max_slots:40);
+  check_sweep "issued at 4" (Some 6, 0, 6)
+    (sweep_one ~lose:(fun _ -> false) ~issued:4 ~needed:1 ~max_slots:40)
+
+let test_sweep_completing_slot_losses () =
+  (* Three lanes air at slot 1; the middle one completes the member and
+     the lanes on either side of it lose: both losses count. *)
+  let program = sweep_program () in
+  let lane lose =
+    let f = Fault.deterministic lose in
+    Fault.reset_to f 0;
+    Cohort.lane program ~file:0 ~issued:0 f
+  in
+  let all _ = true and none _ = false in
+  check_sweep "both losses in the completing slot" (Some 2, 2, 2)
+    (Cohort.sweep ~needed:1 ~max_slots:40 [| lane all; lane none; lane all |])
+
 let test_cohort_population_validation () =
   let _, program, _ = List.hd (cohort_systems ()) in
   let run classes =
@@ -1338,6 +1537,11 @@ let () =
           Alcotest.test_case "reset_to determinism" `Quick
             test_fault_reset_to_determinism;
           QCheck_alcotest.to_alcotest prop_burst_loss_rate_converges;
+          QCheck_alcotest.to_alcotest prop_fault_matches_float_reference;
+          Alcotest.test_case "cut exact at a draw" `Quick
+            test_fault_cut_exact_at_draw;
+          Alcotest.test_case "deterministic skip" `Quick
+            test_fault_deterministic_skip;
         ] );
       ( "client",
         [
@@ -1422,6 +1626,11 @@ let () =
           Alcotest.test_case "population validation" `Quick
             test_cohort_population_validation;
           QCheck_alcotest.to_alcotest prop_cohort_permutation_invariant;
+          Alcotest.test_case "sweep window edge" `Quick test_sweep_window_edge;
+          Alcotest.test_case "sweep after last offset" `Quick
+            test_sweep_after_last_offset;
+          Alcotest.test_case "sweep completing-slot losses" `Quick
+            test_sweep_completing_slot_losses;
         ] );
       ( "ycsb",
         [
