@@ -1,4 +1,4 @@
-.PHONY: all build test test-force test-metrics bench bench-tables bench-micro bench-codec bench-obs bench-sched bench-chaos bench-cohort bench-multichannel bench-gate perfbench-smoke chaos lint tsan examples audit doc clean
+.PHONY: all build test test-force test-metrics bench bench-tables bench-micro bench-codec bench-obs bench-sched bench-chaos bench-cohort bench-multichannel bench-gate perfbench-smoke perfbench-ab chaos lint tsan examples audit doc clean
 
 all: build
 
@@ -90,6 +90,19 @@ perfbench-smoke:
 	  dune exec --root . --display quiet ./perfbench/main.exe -- \
 	    --workload $$w --seed 1 --seconds 1 --trace 0 || exit 1; \
 	done
+
+# Alternating parent/change pairs of one perfbench workload: the working
+# tree against REV, each side's median and quartiles per end-to-end
+# metric, and whether the gain rule holds (scripts/perfbench_ab.sh).
+PAIRS ?= 10
+SECONDS ?= 30
+SEED ?= 1
+perfbench-ab:
+	@if [ -z "$(REV)" ] || [ -z "$(WORKLOAD)" ]; then \
+	  echo "usage: make perfbench-ab REV=<rev> WORKLOAD=<w> [PAIRS=10] [SECONDS=30] [SEED=1]"; \
+	  exit 2; \
+	fi
+	scripts/perfbench_ab.sh "$(REV)" "$(WORKLOAD)" "$(PAIRS)" "$(SECONDS)" "$(SEED)"
 
 # Full test suite with metrics recording force-enabled (determinism
 # regression: instrumentation must not change any observable output).

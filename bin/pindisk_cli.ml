@@ -1021,29 +1021,40 @@ let print_file_table ~header (r : SimEngine.result) files =
   row "overall" r.SimEngine.requests r.SimEngine.missed (SimEngine.miss_ratio r)
     r.SimEngine.latency
 
-(* Closed-form cohort run: [clients] spread uniformly over every file at
-   up to 16 phases across the period, folded analytically under
-   Bernoulli loss. No RNG anywhere, so the output is a stable golden
-   (exercised by test/cli/cohort.t). *)
+(* [clients] dealt over one class per (phase, file), phase by phase
+   and file by file within a phase: [clients / classes] each, and one
+   more to each of the first [clients mod classes], so exactly
+   [clients] are folded and every file has a client once there are as
+   many clients as files. Classes dealt no client are dropped. *)
+let deal ~clients ~phases files make =
+  let classes =
+    List.concat
+      (List.init phases (fun i -> List.map (fun f -> make i f) files))
+  in
+  let n = List.length classes in
+  List.filteri (fun i _ -> i < clients) classes
+  |> List.mapi (fun i with_weight ->
+         with_weight ((clients / n) + if i < clients mod n then 1 else 0))
+
+(* Closed-form cohort run: [clients] dealt evenly over every file at up
+   to 16 phases across the period, folded analytically under Bernoulli
+   loss. No RNG anywhere, so the output is a stable golden (exercised
+   by test/cli/cohort.t). *)
 let simulate_cohort ~program ~bandwidth ~loss ~seed ~clients files =
   let period = Program.period program in
   let phases = min period 16 in
-  let per_class = max 1 (clients / (List.length files * phases)) in
   let classes =
-    List.concat_map
-      (fun f ->
-        List.init phases (fun i ->
+    deal ~clients ~phases files (fun i f weight ->
+        {
+          Cohort.key =
             {
-              Cohort.key =
-                {
-                  Cohort.file = f.File_spec.id;
-                  phase = i * (period / phases);
-                  needed = f.File_spec.blocks;
-                  deadline = File_spec.window f ~bandwidth;
-                };
-              weight = per_class;
-            }))
-      files
+              Cohort.file = f.File_spec.id;
+              phase = i * (period / phases);
+              needed = f.File_spec.blocks;
+              deadline = File_spec.window f ~bandwidth;
+            };
+          weight;
+        })
   in
   let r =
     Cohort.run_population ~program ~model:(Cohort.Bernoulli { p = loss }) ~seed
@@ -1054,25 +1065,20 @@ let simulate_cohort ~program ~bandwidth ~loss ~seed ~clients files =
   print_file_table ~header:true r files;
   Format.printf "  losses absorbed: %d@." r.SimEngine.losses
 
-(* The sharded analogue of [simulate_cohort]: members spread over every
-   file (admitted or shed — a shed file's clients all miss) at up to 16
-   phases, folded per channel. Analytic under Bernoulli, so the output
-   is a stable golden (test/cli/multichannel.t). *)
+(* The sharded analogue of [simulate_cohort]: members dealt evenly
+   over every file (admitted or shed — a shed file's clients all miss)
+   at 16 phases, folded per channel. Analytic under Bernoulli, so the
+   output is a stable golden (test/cli/multichannel.t). *)
 let simulate_multi_cohort ~design ~tuners ~loss ~seed ~clients files =
-  let phases = 16 in
-  let per_class = max 1 (clients / (List.length files * phases)) in
   let members =
-    List.concat_map
-      (fun f ->
-        List.init phases (fun i ->
-            {
-              Multi.issued = i;
-              file = f.File_spec.id;
-              needed = f.File_spec.blocks;
-              deadline = File_spec.window f ~bandwidth:design.Shard.bandwidth;
-              weight = per_class;
-            }))
-      files
+    deal ~clients ~phases:16 files (fun i f weight ->
+        {
+          Multi.issued = i;
+          file = f.File_spec.id;
+          needed = f.File_spec.blocks;
+          deadline = File_spec.window f ~bandwidth:design.Shard.bandwidth;
+          weight;
+        })
   in
   let r =
     Multi.run_population ~design ~tuners
@@ -1133,6 +1139,8 @@ let simulate_cmd =
     | Ok _ when channels < 1 -> fail "channels must be >= 1"
     | Ok _ when tuners < 1 -> fail "tuners must be >= 1"
     | Ok _ when not (loss >= 0.0 && loss <= 1.0) -> fail "loss must be in [0, 1]"
+    | Ok _ when trials < 1 -> fail "trials must be >= 1"
+    | Ok _ when clients < 1 -> fail "clients must be >= 1"
     | Ok files when channels > 1 ->
         simulate_multichannel ~channels ~tuners ~loss ~trials ~seed ~cohort
           ~clients files

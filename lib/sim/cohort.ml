@@ -8,9 +8,22 @@ let obs_classes = Obs.Registry.counter "cohort.classes"
 let obs_members = Obs.Registry.counter "cohort.members"
 let obs_swept = Obs.Registry.counter "cohort.swept"
 let obs_analytic = Obs.Registry.counter "cohort.analytic"
+let obs_laws = Obs.Registry.counter "cohort.laws"
 
 type key = { file : int; phase : int; needed : int; deadline : int }
 type cls = { key : key; weight : int }
+
+(* Field by field, in declaration order: the order polymorphic [compare]
+   gives a key, without its per-field dispatch. *)
+let compare_key a b =
+  let c = Int.compare a.file b.file in
+  if c <> 0 then c
+  else
+    let c = Int.compare a.phase b.phase in
+    if c <> 0 then c
+    else
+      let c = Int.compare a.needed b.needed in
+      if c <> 0 then c else Int.compare a.deadline b.deadline
 
 let key_of_request ~period (r : Workload.request) =
   {
@@ -42,7 +55,7 @@ let classes_of_trace ~period trace =
         (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key)))
     trace;
   Hashtbl.fold (fun key weight acc -> { key; weight } :: acc) tbl []
-  |> List.sort (fun a b -> compare a.key b.key)
+  |> List.sort (fun a b -> compare_key a.key b.key)
 
 type model =
   | No_loss
@@ -72,8 +85,11 @@ let class_tag ~seed k =
 
 (* The default window, 100 data cycles, lets every file's block phase
    realign with slot 0 many times over. *)
-let window ?max_slots program =
-  match max_slots with Some m -> m | None -> 100 * Program.data_cycle program
+let window ~who ?max_slots program =
+  match max_slots with
+  | Some m when m < 1 -> invalid_arg (who ^ ": max_slots must be >= 1")
+  | Some m -> m
+  | None -> 100 * Program.data_cycle program
 
 let check_request ~who program ~file ~needed =
   if needed < 1 then invalid_arg (who ^ ": needed must be >= 1");
@@ -213,7 +229,7 @@ let rows_of_hist ~file ~deadline elapsed_counts ~expired ~losses =
 
 let run ?pool ?max_slots ~program ~fault ~seed trace =
   let who = "Cohort.run" in
-  let max_slots = window ?max_slots program in
+  let max_slots = window ~who ?max_slots program in
   let period = Program.period program in
   List.iter
     (fun (r : Workload.request) ->
@@ -233,7 +249,7 @@ let run ?pool ?max_slots ~program ~fault ~seed trace =
     reqs;
   let classes =
     Hashtbl.fold (fun key members acc -> (key, List.rev !members) :: acc) groups []
-    |> List.sort compare
+    |> List.sort (fun (a, _) (b, _) -> compare_key a b)
     |> Array.of_list
   in
   let outcomes = Array.make n (None, 0) in
@@ -273,17 +289,39 @@ let run ?pool ?max_slots ~program ~fault ~seed trace =
 (* Canonical order + merged duplicates: the result is invariant under
    any permutation or split of the input class list. *)
 let canonicalize ~who classes =
-  let tbl = Hashtbl.create 64 in
-  List.iter
+  let live =
+    Array.of_list
+      (List.filter
+         (fun c ->
+           if c.weight < 0 then invalid_arg (who ^ ": negative class weight");
+           c.weight > 0)
+         classes)
+  in
+  Array.stable_sort (fun a b -> compare_key a.key b.key) live;
+  (* Fold each run of one key into its first slot. *)
+  let n = ref 0 in
+  Array.iter
     (fun c ->
-      if c.weight < 0 then invalid_arg (who ^ ": negative class weight");
-      if c.weight > 0 then
-        Hashtbl.replace tbl c.key
-          (c.weight + Option.value ~default:0 (Hashtbl.find_opt tbl c.key)))
-    classes;
-  Hashtbl.fold (fun key weight acc -> { key; weight } :: acc) tbl []
-  |> List.sort (fun a b -> compare a.key b.key)
-  |> Array.of_list
+      if !n > 0 && compare_key live.(!n - 1).key c.key = 0 then
+        live.(!n - 1) <- { c with weight = live.(!n - 1).weight + c.weight }
+      else begin
+        live.(!n) <- c;
+        incr n
+      end)
+    live;
+  Array.sub live 0 !n
+
+(* The own-file ordinals a member issued at [phase] hears within
+   [max_slots] slots: whole periods, then the offsets in the cyclic
+   interval [phase, phase + max_slots mod period). *)
+let ordinal_bound ~offs ~period ~phase ~max_slots =
+  let occ = Array.length offs in
+  let stop = phase + (max_slots mod period) in
+  let inwin =
+    if stop <= period then first_from offs stop - first_from offs phase
+    else occ - first_from offs phase + first_from offs (stop - period)
+  in
+  (occ * (max_slots / period)) + inwin
 
 (* Analytic fold for memoryless loss (None / Bernoulli), exact to double
    precision. Residue r of the block cycle is visited at relative
@@ -292,28 +330,19 @@ let canonicalize ~who classes =
    1 - p^v_r(J) (v_r = visits so far), independent across residues
    because the ordinal sets are disjoint. A(J) = P(at least [needed]
    residues collected) is then a Poisson-binomial tail, computed by a
-   small DP; the completion-ordinal law is m(J) = A(J) - A(J-1). The
-   class's integer weight is apportioned over {m(J)} + the expiry tail
-   by largest remainder, and expected losses follow from Wald's
-   identity: E[losses] = p * E[ordinals observed]. *)
-let analytic_class ~offs ~period ~phase ~cap ~needed ~deadline ~max_slots ~p
-    ~weight ~file =
-  let occ = Array.length offs in
-  let i0 = first_from offs phase in
-  let d_of_ordinal j =
-    let idx = i0 + j - 1 in
-    offs.(idx mod occ) + (period * (idx / occ)) - phase
-  in
-  let jmax =
-    let full = max_slots / period and rem = max_slots mod period in
-    let inwin =
-      Array.fold_left
-        (fun acc o ->
-          if (o - phase + period) mod period < rem then acc + 1 else acc)
-        0 offs
-    in
-    (occ * full) + inwin
-  in
+   small DP; the completion-ordinal law is m(J) = A(J) - A(J-1).
+
+   A(J) depends on (cap, needed, p) alone: a class's offsets and phase
+   only map ordinals to slots, and its window only says where the law is
+   cut. So one law serves every class sharing those three. It is built
+   until 1 - A < 1e-15 or up to [jmax], the longest cut among them, and
+   each class reads its own prefix: the same DP on the same visit counts,
+   so the same floats the class would compute alone. [a.(j)] is A(j)
+   ([a.(0) = 0]); [ords] lists, ascending, the ordinals of positive
+   mass. *)
+type law = { a : float array; ords : int array }
+
+let build_law ~cap ~needed ~p ~jmax =
   let pow_p v = if v = 0 then 1.0 else p ** float_of_int v in
   (* P(>= needed residues collected) given per-residue visit counts. *)
   let tail_prob v =
@@ -331,68 +360,81 @@ let analytic_class ~offs ~period ~phase ~cap ~needed ~deadline ~max_slots ~p
     1.0 -. Array.fold_left ( +. ) 0.0 dp
   in
   let visits = Array.make cap 0 in
-  let masses = ref [] (* (ordinal, mass), reverse order *) in
-  let prev_a = ref 0.0 in
+  let a = ref [ 0.0 ] and ords = ref [] in
   let j = ref 0 in
   let converged = ref false in
   while (not !converged) && !j < jmax do
     incr j;
     let r = (!j - 1) mod cap in
     visits.(r) <- visits.(r) + 1;
-    let a = tail_prob visits in
-    let m = a -. !prev_a in
-    if m > 0.0 then masses := (!j, m) :: !masses;
-    prev_a := a;
-    if 1.0 -. a < 1e-15 then converged := true
+    let x = tail_prob visits in
+    if x -. List.hd !a > 0.0 then ords := !j :: !ords;
+    a := x :: !a;
+    if 1.0 -. x < 1e-15 then converged := true
   done;
-  let tail = Float.max 0.0 (1.0 -. !prev_a) in
-  (* Largest-remainder apportionment of the integer weight over the
-     completion masses plus the expiry tail. *)
-  let buckets =
-    Array.of_list (List.rev ((None, tail) :: List.rev_map (fun (j, m) -> (Some j, m)) !masses))
-  in
-  let nb = Array.length buckets in
-  let alloc = Array.make nb 0 in
-  let fracs = Array.make nb (0.0, 0) in
+  { a = Array.of_list (List.rev !a); ords = Array.of_list (List.rev !ords) }
+
+(* One class over its law cut at [jmax]. Buckets run from the largest
+   completion ordinal down to the smallest, then the expiry tail. The
+   integer weight is apportioned over them by largest remainder (floors,
+   then one more client each for the largest fractions, ties to the
+   lower bucket index), and expected losses follow from Wald's identity:
+   E[losses] = p * E[ordinals observed]. Rows ascend in elapsed, then
+   the expired row; the class's losses ride on the first. *)
+let analytic_rows { a; ords } ~offs ~period ~phase ~jmax ~p ~file ~deadline
+    ~weight =
+  let last = min jmax (Array.length a - 1) in
+  let nc = first_from ords (last + 1) in
+  let nb = nc + 1 in
+  let ordinal b = if b < nc then ords.(nc - 1 - b) else jmax in
+  let alloc = Array.make nb 0 and frac = Array.make nb 0.0 in
   let given = ref 0 in
-  Array.iteri
-    (fun i (_, m) ->
-      let q = m *. float_of_int weight in
-      let fl = int_of_float (floor q) in
-      alloc.(i) <- fl;
-      given := !given + fl;
-      fracs.(i) <- (q -. float_of_int fl, i))
-    buckets;
-  let order = Array.copy fracs in
-  Array.sort
-    (fun (fa, ia) (fb, ib) ->
-      if fa <> fb then compare fb fa else compare ia ib)
+  for b = 0 to nb - 1 do
+    let m =
+      if b < nc then a.(ordinal b) -. a.(ordinal b - 1)
+      else Float.max 0.0 (1.0 -. a.(last))
+    in
+    let q = m *. float_of_int weight in
+    let fl = int_of_float (floor q) in
+    alloc.(b) <- fl;
+    given := !given + fl;
+    frac.(b) <- q -. float_of_int fl
+  done;
+  let remaining = weight - !given in
+  (* The [remaining] largest fractions take one more client each, ties
+     to the lower bucket. *)
+  let order = Array.init nb Fun.id in
+  Array.stable_sort
+    (fun b c ->
+      let by_frac = Float.compare frac.(c) frac.(b) in
+      if by_frac <> 0 then by_frac else Int.compare b c)
     order;
-  let remaining = ref (weight - !given) in
-  Array.iter
-    (fun (_, i) ->
-      if !remaining > 0 then begin
-        alloc.(i) <- alloc.(i) + 1;
-        decr remaining
-      end)
-    order;
-  (* Rows + Wald losses. *)
-  let elapsed_counts = Hashtbl.create 32 in
-  let expired = ref 0 in
-  let ordinals = ref 0.0 in
-  Array.iteri
-    (fun i (bucket, _) ->
-      if alloc.(i) > 0 then
-        match bucket with
-        | Some jo ->
-            Hashtbl.replace elapsed_counts (d_of_ordinal jo + 1) alloc.(i);
-            ordinals := !ordinals +. float_of_int (alloc.(i) * jo)
-        | None ->
-            expired := !expired + alloc.(i);
-            ordinals := !ordinals +. float_of_int (alloc.(i) * jmax))
-    buckets;
+  for k = 0 to min remaining nb - 1 do
+    alloc.(order.(k)) <- alloc.(order.(k)) + 1
+  done;
+  (* Wald's sum in bucket order; [first] is the earliest row's bucket. *)
+  let ordinals = ref 0.0 and first = ref nc in
+  for b = 0 to nb - 1 do
+    if alloc.(b) > 0 then begin
+      ordinals := !ordinals +. float_of_int (alloc.(b) * ordinal b);
+      if b < nc then first := b
+    end
+  done;
   let losses = int_of_float (Float.round (p *. !ordinals)) in
-  rows_of_hist ~file ~deadline elapsed_counts ~expired:!expired ~losses
+  let occ = Array.length offs and i0 = first_from offs phase in
+  let row b elapsed =
+    { Retire.file; deadline; elapsed; weight = alloc.(b);
+      losses = (if b = !first then losses else 0) }
+  in
+  let rows = ref (if alloc.(nc) > 0 then [ row nc None ] else []) in
+  for b = 0 to nc - 1 do
+    if alloc.(b) > 0 then begin
+      let idx = i0 + ordinal b - 1 in
+      let d = offs.(idx mod occ) + (period * (idx / occ)) - phase in
+      rows := row b (Some (d + 1)) :: !rows
+    end
+  done;
+  !rows
 
 let sampled_class ~model ~seed ~key ~weight ~program ~max_slots =
   let tag = class_tag ~seed key in
@@ -419,10 +461,10 @@ let sampled_class ~model ~seed ~key ~weight ~program ~max_slots =
   in
   (rows, !swept)
 
-let run_population ?pool ?max_slots ?(sampled = false) ~program ~model ~seed
-    classes =
+let population_rows ?pool ?max_slots ?(sampled = false) ~program ~model ~seed
+    ~rest classes =
   let who = "Cohort.run_population" in
-  let max_slots = window ?max_slots program in
+  let max_slots = window ~who ?max_slots program in
   let period = Program.period program in
   let classes = canonicalize ~who classes in
   Array.iter
@@ -438,30 +480,64 @@ let run_population ?pool ?max_slots ?(sampled = false) ~program ~model ~seed
   let nclasses = Array.length classes in
   let rows = Array.make nclasses [] in
   let obs = Obs.Control.enabled () in
-  for_classes ?pool ~n:nclasses (fun ci ->
-      let c = classes.(ci) in
-      if analytic then begin
+  if analytic then begin
+    (* Each class's cut, and one law per (capacity, needed), built here,
+       before the fan-out, as far as the longest cut among its classes
+       needs. *)
+    let law_key c = (Program.capacity program c.key.file, c.key.needed) in
+    let cut =
+      Array.map
+        (fun c ->
+          ordinal_bound ~offs:(Program.offsets program c.key.file) ~period
+            ~phase:c.key.phase ~max_slots)
+        classes
+    in
+    let reach = Hashtbl.create 16 in
+    Array.iteri
+      (fun ci c ->
+        let k = law_key c in
+        Hashtbl.replace reach k
+          (max cut.(ci) (Option.value ~default:0 (Hashtbl.find_opt reach k))))
+      classes;
+    let laws = Hashtbl.create (Hashtbl.length reach) in
+    Hashtbl.iter
+      (fun ((cap, needed) as k) jmax ->
+        Hashtbl.add laws k (build_law ~cap ~needed ~p ~jmax))
+      reach;
+    if obs then Obs.Registry.add obs_laws (Hashtbl.length laws);
+    for_classes ?pool ~n:nclasses (fun ci ->
+        let c = classes.(ci) in
         rows.(ci) <-
-          analytic_class
+          analytic_rows
+            (Hashtbl.find laws (law_key c))
             ~offs:(Program.offsets program c.key.file)
-            ~period ~phase:c.key.phase
-            ~cap:(Program.capacity program c.key.file)
-            ~needed:c.key.needed
-            ~deadline:c.key.deadline ~max_slots ~p ~weight:c.weight
-            ~file:c.key.file;
-        if obs then Obs.Registry.incr obs_analytic
-      end
-      else begin
+            ~period ~phase:c.key.phase ~jmax:cut.(ci) ~p ~file:c.key.file
+            ~deadline:c.key.deadline ~weight:c.weight;
+        if obs then Obs.Registry.incr obs_analytic)
+  end
+  else
+    for_classes ?pool ~n:nclasses (fun ci ->
+        let c = classes.(ci) in
         let r, swept =
           sampled_class ~model ~seed ~key:c.key ~weight:c.weight ~program
             ~max_slots
         in
         rows.(ci) <- r;
-        if obs then Obs.Registry.add obs_swept swept
-      end);
+        if obs then Obs.Registry.add obs_swept swept);
   if obs then begin
     Obs.Registry.add obs_classes nclasses;
     Obs.Registry.add obs_members
       (Array.fold_left (fun acc c -> acc + c.weight) 0 classes)
   end;
-  Retire.retire ~sinks (List.concat (Array.to_list rows))
+  let acc = ref rest in
+  for ci = nclasses - 1 downto 0 do
+    acc := rows.(ci) @ !acc
+  done;
+  !acc
+
+let retire rows = Retire.retire ~sinks rows
+
+let run_population ?pool ?max_slots ?sampled ~program ~model ~seed classes =
+  retire
+    (population_rows ?pool ?max_slots ?sampled ~program ~model ~seed ~rest:[]
+       classes)

@@ -25,10 +25,13 @@
       Poisson-binomial DP), and the integer class weight is apportioned
       over it by largest remainder, so each completion bucket holds
       weight × mass rounded to within one client; losses follow from
-      Wald's identity. The cost is O(1) in the class weight, which is
-      what makes 10M clients a few milliseconds. Time-correlated models
-      ([Burst]) fall back to per-member seeded sampling (content-derived
-      seeds: invariant under class-list permutation).
+      Wald's identity. The law depends only on the file's capacity,
+      [needed] and the loss rate, so a run builds one DP per distinct
+      (capacity, needed, loss rate) among its classes, before they fan
+      out, and each class then costs O(buckets) — its share of the law
+      — whatever its weight. Time-correlated models ([Burst]) fall back
+      to per-member seeded sampling (content-derived seeds: invariant
+      under class-list permutation).
 
     Both read the broadcast from the program's own one-period index
     ({!Pindisk.Program.offsets}); nothing is re-indexed per run. The
@@ -44,8 +47,8 @@
     namespace [cohort.requests] / [cohort.completed] / [cohort.missed] /
     [cohort.losses] / [cohort.wait] (+ per-file mirrors), plus
     [cohort.classes], [cohort.members], [cohort.swept] (member-slots
-    actually walked) and [cohort.analytic] (classes folded in closed
-    form). *)
+    actually walked), [cohort.analytic] (classes folded in closed form)
+    and [cohort.laws] (completion laws built for them). *)
 
 type key = {
   file : int;
@@ -132,6 +135,27 @@ val run :
     capacity for or never broadcasts, [needed < 1] or beyond the file's
     capacity, or a negative issue slot. *)
 
+val population_rows :
+  ?pool:Pindisk_util.Pool.t ->
+  ?max_slots:int ->
+  ?sampled:bool ->
+  program:Pindisk.Program.t ->
+  model:model ->
+  seed:int ->
+  rest:Retire.row list ->
+  cls list ->
+  Retire.row list
+(** The retirement rows of a closed-form population, in canonical class
+    order, followed by [rest]; {!run_population} is {!retire} of these
+    rows with [rest = []]. Each class's rows ascend in elapsed, then
+    hold its expired clients; the class's losses ride on its first row.
+    Counts [cohort.classes], [cohort.members], [cohort.analytic],
+    [cohort.laws] and [cohort.swept] like {!run_population}, but records
+    no retirement. Validation as {!run_population}. *)
+
+val retire : Retire.row list -> Engine.result
+(** {!Retire.retire} under the [cohort.*] sinks. *)
+
 val run_population :
   ?pool:Pindisk_util.Pool.t ->
   ?max_slots:int ->
@@ -153,6 +177,6 @@ val run_population :
     rounded up or down, so within one client of it. [seed] feeds the
     sampled path's content-derived member seeds; the analytic path
     ignores it. [max_slots] defaults to [100 ·] the program's data
-    cycle. Raises [Invalid_argument] for a class with [phase] outside
-    [[0, period)], a negative weight, or a file or [needed] {!run}
-    rejects. *)
+    cycle. Raises [Invalid_argument] for [max_slots < 1], a class with
+    [phase] outside [[0, period)], a negative weight, or a file or
+    [needed] {!run} rejects. *)

@@ -170,50 +170,49 @@ let run_population ?pool ?max_slots ?sampled ~design ~tuners ~model ~seed
           unserved := m :: !unserved;
           if obs then Obs.Registry.add obs_unserved m.weight)
     members;
-  let channel_result c =
-    match List.rev per_channel.(c) with
-    | [] -> None
+  (* Every served channel's rows in channel order, built back to front
+     so each channel's rows are prepended once, then retired in one
+     fold. *)
+  let rows = ref [] in
+  for c = channels - 1 downto 0 do
+    match per_channel.(c) with
+    | [] -> ()
     | ms ->
         let program = channel_program design c in
         let period = Program.period program in
-        let classes =
-          List.map
-            (fun (m : member) ->
-              {
-                Cohort.key =
-                  {
-                    Cohort.file = m.file;
-                    phase = m.issued mod period;
-                    needed = m.needed;
-                    deadline = m.deadline;
-                  };
-                weight = m.weight;
-              })
-            ms
-        in
-        Some
-          (Cohort.run_population ?pool ?sampled ~max_slots:window ~program
-             ~model:(model ~channel:c)
-             ~seed:(Intmath.mix64 (seed + c))
-             classes)
-  in
-  let unserved_result =
-    Retire.retire ~sinks
-      (List.rev_map
-         (fun (m : member) ->
-           {
-             Retire.file = m.file;
-             deadline = m.deadline;
-             elapsed = None;
-             weight = m.weight;
-             losses = 0;
-           })
-         !unserved)
-  in
-  let acc = ref unserved_result in
-  for c = 0 to channels - 1 do
-    match channel_result c with
-    | None -> ()
-    | Some r -> acc := Retire.merge !acc r
+        rows :=
+          Cohort.population_rows ?pool ?sampled ~max_slots:window ~program
+            ~model:(model ~channel:c)
+            ~seed:(Intmath.mix64 (seed + c))
+            ~rest:!rows
+            (List.rev_map
+               (fun (m : member) ->
+                 {
+                   Cohort.key =
+                     {
+                       Cohort.file = m.file;
+                       phase = m.issued mod period;
+                       needed = m.needed;
+                       deadline = m.deadline;
+                     };
+                   weight = m.weight;
+                 })
+               ms)
   done;
-  !acc
+  let served = Cohort.retire !rows in
+  match !unserved with
+  | [] -> served
+  | ms ->
+      Retire.merge
+        (Retire.retire ~sinks
+           (List.rev_map
+              (fun (m : member) ->
+                {
+                  Retire.file = m.file;
+                  deadline = m.deadline;
+                  elapsed = None;
+                  weight = m.weight;
+                  losses = 0;
+                })
+              ms))
+        served

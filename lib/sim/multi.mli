@@ -68,9 +68,12 @@ val run_population :
   member list ->
   Engine.result
 (** Population-scale analogue: members collapse to per-channel weighted
-    classes and each channel folds through {!Cohort.run_population} on
-    its own program (analytic for memoryless models), then the K
-    per-channel results merge in channel order via {!Retire.merge}.
+    classes and each channel folds through {!Cohort.population_rows} on
+    its own program (analytic for memoryless models). Every channel's
+    rows then retire once, in channel order, under the [cohort.*] sinks
+    — the result {!Cohort.run_population} per channel merged in channel
+    order would give. Members no channel serves retire under [multi.*],
+    merged in front when there are any.
     Each member is served by the {e best} listened channel — the
     largest-share channel among its first [min tuners stripe] preferred
     ones that alone carries [needed] pieces; members with no such

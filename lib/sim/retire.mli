@@ -53,8 +53,9 @@ val merge : result -> result -> result
 (** Combine two results as if their rows had been retired in sequence
     (first [a]'s, then [b]'s): counts add, latency accumulators absorb in
     that order, per-file lists merge-join by id. Used by the multi-channel
-    engine to fold K per-channel results into one. Pure — no obs
-    recording (each half already recorded when it retired). *)
+    engine to put its unserved members' result in front of its served
+    channels'. Pure — no obs recording (each half already recorded when
+    it retired). *)
 
 val retire : sinks:sinks -> row list -> result
 (** Fold rows in order into a {!result}, recording into [sinks] when

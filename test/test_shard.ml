@@ -737,8 +737,9 @@ let render_result (r : Engine.result) =
   let stats s =
     if Stats.count s = 0 then "0"
     else
-      Printf.sprintf "%d %h %h %h" (Stats.count s) (Stats.total s)
-        (Stats.min_value s) (Stats.max_value s)
+      Printf.sprintf "%d %h %h %h %h %h %h" (Stats.count s) (Stats.total s)
+        (Stats.min_value s) (Stats.max_value s) (Stats.median s)
+        (Stats.percentile s 99.0) (Stats.variance s)
   in
   String.concat "\n"
     (Printf.sprintf "%d requests %d completed %d missed %d losses; %s"
@@ -810,6 +811,167 @@ let prop_multi_run_matches_oracle =
       render_result exact = render_result oracle
       || QCheck2.Test.fail_reportf "Multi.run:\n%s\noracle:\n%s"
            (render_result exact) (render_result oracle))
+
+(* Multi.run_population as it stood when each channel retired on its
+   own: the unserved members' result first, then each channel's
+   Cohort.run_population merged in, in channel order. *)
+let multi_population_reference ~max_slots ~design ~tuners ~model ~seed members
+    =
+  let channels = Array.length design.Shard.channels in
+  let program c = design.Shard.channels.(c).Shard.program in
+  let per_channel = Array.make channels [] and unserved = ref [] in
+  List.iter
+    (fun (m : Multi.member) ->
+      let listen = take tuners (Shard.channels_of design m.Multi.file) in
+      match
+        List.find_opt
+          (fun c -> Program.capacity (program c) m.Multi.file >= m.Multi.needed)
+          listen
+      with
+      | Some c -> per_channel.(c) <- m :: per_channel.(c)
+      | None -> unserved := m :: !unserved)
+    members;
+  let acc =
+    ref
+      (Retire.retire
+         ~sinks:(Retire.sinks ~prefix:"reference")
+         (List.rev_map
+            (fun (m : Multi.member) ->
+              {
+                Retire.file = m.Multi.file;
+                deadline = m.Multi.deadline;
+                elapsed = None;
+                weight = m.Multi.weight;
+                losses = 0;
+              })
+            !unserved))
+  in
+  for c = 0 to channels - 1 do
+    match List.rev per_channel.(c) with
+    | [] -> ()
+    | ms ->
+        let period = Program.period (program c) in
+        let classes =
+          List.map
+            (fun (m : Multi.member) ->
+              {
+                Cohort.key =
+                  {
+                    Cohort.file = m.Multi.file;
+                    phase = m.Multi.issued mod period;
+                    needed = m.Multi.needed;
+                    deadline = m.Multi.deadline;
+                  };
+                weight = m.Multi.weight;
+              })
+            ms
+        in
+        acc :=
+          Retire.merge !acc
+            (Cohort.run_population ~max_slots ~program:(program c)
+               ~model:(model ~channel:c)
+               ~seed:(Intmath.mix64 (seed + c))
+               classes)
+  done;
+  !acc
+
+let prop_multi_population_matches_reference =
+  QCheck2.Test.make
+    ~name:"Multi.run_population equals the per-channel fold and merge"
+    ~count:100
+    QCheck2.Gen.(
+      quad (int_range 1 4) (int_range 1 3) (int_range 1 3) (int_bound 1_000_000))
+    (fun (channels, stripe, tuners, seed) ->
+      let st = Random.State.make [| seed |] in
+      (* Dense files on narrow channels, so some are shed and their
+         members, like those a short tuner budget cannot serve, retire
+         unserved. *)
+      let specs =
+        List.init
+          (2 + Random.State.int st 7)
+          (fun i ->
+            File_spec.make ~id:i
+              ~blocks:(1 + Random.State.int st 3)
+              ~tolerance:(Random.State.int st 3)
+              ~latency:(2 * (1 + Random.State.int st 4))
+              ())
+      in
+      let design = design_exn ~stripe ~channels ~bandwidth:2 specs in
+      let period =
+        Array.fold_left
+          (fun acc (c : Shard.channel) ->
+            max acc (Program.period c.Shard.program))
+          1 design.Shard.channels
+      in
+      let members =
+        List.init
+          (5 + Random.State.int st 30)
+          (fun _ ->
+            let f = List.nth specs (Random.State.int st (List.length specs)) in
+            {
+              Multi.issued = Random.State.int st (2 * period);
+              file = f.File_spec.id;
+              needed = 1 + Random.State.int st f.File_spec.capacity;
+              deadline = Random.State.int st 48;
+              weight =
+                (match Random.State.int st 4 with
+                | 0 -> 0
+                | 1 -> 1
+                | _ -> Random.State.int st 2000);
+            })
+      in
+      let kinds = Random.State.int st 16 in
+      let model ~channel =
+        if (kinds lsr channel) land 1 = 0 then
+          Cohort.Bernoulli { p = 0.1 *. float_of_int (channel + 1) }
+        else
+          Cohort.Burst
+            { p_good_to_bad = 0.05; p_bad_to_good = 0.3; loss_good = 0.05;
+              loss_bad = 0.6 }
+      in
+      let max_slots = 1 + Random.State.int st (3 * period) in
+      let fold_seed = Random.State.int st 1000 in
+      let fold =
+        Multi.run_population ~max_slots ~design ~tuners ~model ~seed:fold_seed
+          members
+      in
+      let reference =
+        multi_population_reference ~max_slots ~design ~tuners ~model
+          ~seed:fold_seed members
+      in
+      render_result fold = render_result reference
+      || QCheck2.Test.fail_reportf "Multi.run_population:\n%s\nreference:\n%s"
+           (render_result fold) (render_result reference))
+
+(* The perfbench population's shape: 768 files on 4 unstriped channels,
+   every file at 12 issue phases. Its 9216 classes share 48 completion
+   laws, one per (capacity, needed) pair on each channel. *)
+let test_multi_population_shares_laws () =
+  let module Obs = Pindisk_obs in
+  let design = design_exn ~channels:4 ~bandwidth:32 (fleet_specs ~files:768) in
+  let members =
+    List.concat_map
+      (fun (f : File_spec.t) ->
+        List.init 12 (fun k ->
+            {
+              Multi.issued = 97 * k;
+              file = f.File_spec.id;
+              needed = f.File_spec.blocks;
+              deadline = File_spec.window f ~bandwidth:32;
+              weight = 1000;
+            }))
+      design.Shard.specs
+  in
+  Obs.Control.with_enabled true (fun () ->
+      Obs.Registry.reset ();
+      ignore
+        (Multi.run_population ~max_slots:8192 ~design ~tuners:1
+           ~model:(fun ~channel:_ -> Cohort.Bernoulli { p = 0.05 })
+           ~seed:1 members);
+      let counter name = List.assoc name (Obs.Registry.counters ()) in
+      check_int "classes" 9216 (counter "cohort.classes");
+      check_int "analytic classes" 9216 (counter "cohort.analytic");
+      check_int "laws" 48 (counter "cohort.laws"))
 
 (* ------------------------------------------------------------------ *)
 (* Shardcheck: independent certification                              *)
@@ -963,9 +1125,13 @@ let () =
             test_multi_tuner_budget_matters;
           Alcotest.test_case "lossless population completes" `Quick
             test_multi_population_lossless_completes;
+          Alcotest.test_case "population shares completion laws" `Quick
+            test_multi_population_shares_laws;
         ] );
       ( "multi-properties",
-        List.map QCheck_alcotest.to_alcotest [ prop_multi_run_matches_oracle ] );
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_multi_run_matches_oracle;
+            prop_multi_population_matches_reference ] );
       ( "shardcheck",
         [
           Alcotest.test_case "certifies a sound design" `Quick

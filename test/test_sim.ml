@@ -980,7 +980,17 @@ let test_cohort_run_validation () =
             :: List.map (fun f -> (f, Program.capacity program f))
                  (Program.files program))
       in
-      run ~program [ req 7 ])
+      run ~program [ req 7 ]);
+  List.iter
+    (fun max_slots ->
+      Alcotest.check_raises
+        (Printf.sprintf "max_slots %d" max_slots)
+        (Invalid_argument "Cohort.run: max_slots must be >= 1") (fun () ->
+          ignore
+            (Cohort.run ~max_slots ~program
+               ~fault:(fun ~seed -> Fault.bernoulli ~p:0.1 ~seed)
+               ~seed:0 [ req 0 ])))
+    [ 0; -3; -10 ]
 
 let test_cohort_classes_of_trace () =
   let _, program, trace = List.hd (cohort_systems ()) in
@@ -1165,30 +1175,46 @@ let test_cohort_population_validation () =
     (fun () -> run [ cls ~file:9 5 ]);
   Alcotest.check_raises "negative weight"
     (Invalid_argument "Cohort.run_population: negative class weight")
-    (fun () -> run [ cls (-1) ])
+    (fun () -> run [ cls (-1) ]);
+  (* Folded, a non-positive window would give negative Wald losses: on
+     this period-3 program, -600 at max_slots -10. *)
+  let program = Program.flat [ (0, 2); (1, 1) ] in
+  List.iter
+    (fun max_slots ->
+      Alcotest.check_raises
+        (Printf.sprintf "max_slots %d" max_slots)
+        (Invalid_argument "Cohort.run_population: max_slots must be >= 1")
+        (fun () ->
+          ignore
+            (Cohort.run_population ~max_slots ~program
+               ~model:(Cohort.Bernoulli { p = 0.1 })
+               ~seed:0
+               [ cls ~needed:2 1000 ])))
+    [ 0; -3; -10 ]
 
-(* Results compared structurally (bool, for qcheck properties). *)
-let result_equal_bool (a : Engine.result) (b : Engine.result) =
-  let stats_equal x y =
-    Stats.count x = Stats.count y
-    && (Stats.count x = 0
-       || Stats.total x = Stats.total y
-          && Stats.min_value x = Stats.min_value y
-          && Stats.max_value x = Stats.max_value y)
+(* Every count, loss, latency accumulator and per-file stat, exactly
+   (floats in hex). *)
+let render_result (r : Engine.result) =
+  let stats s =
+    if Stats.count s = 0 then "0"
+    else
+      Printf.sprintf "%d %h %h %h %h %h %h" (Stats.count s) (Stats.total s)
+        (Stats.min_value s) (Stats.max_value s) (Stats.median s)
+        (Stats.percentile s 99.0) (Stats.variance s)
   in
-  a.Engine.requests = b.Engine.requests
-  && a.Engine.completed = b.Engine.completed
-  && a.Engine.missed = b.Engine.missed
-  && a.Engine.losses = b.Engine.losses
-  && stats_equal a.Engine.latency b.Engine.latency
-  && List.length a.Engine.per_file = List.length b.Engine.per_file
-  && List.for_all2
-       (fun (fa : Engine.file_stats) (fb : Engine.file_stats) ->
-         fa.Engine.file = fb.Engine.file
-         && fa.Engine.requests = fb.Engine.requests
-         && fa.Engine.missed = fb.Engine.missed
-         && stats_equal fa.Engine.latency fb.Engine.latency)
-       a.Engine.per_file b.Engine.per_file
+  String.concat "\n"
+    (Printf.sprintf "%d requests %d completed %d missed %d losses; %s"
+       r.Engine.requests r.Engine.completed r.Engine.missed r.Engine.losses
+       (stats r.Engine.latency)
+    :: List.map
+         (fun (f : Engine.file_stats) ->
+           Printf.sprintf "file %d: %d requests %d missed; %s" f.Engine.file
+             f.Engine.requests f.Engine.missed (stats f.Engine.latency))
+         r.Engine.per_file)
+
+(* Results compared in full (bool, for qcheck properties). *)
+let result_equal_bool (a : Engine.result) (b : Engine.result) =
+  render_result a = render_result b
 
 (* qcheck: permuting a trace never changes its class partition, and
    permuting/splitting the class list never changes the population
@@ -1233,6 +1259,297 @@ let prop_cohort_permutation_invariant =
       classes = classes'
       && result_equal_bool (run classes) (run (List.rev classes))
       && result_equal_bool (run classes) (run classes'))
+
+(* The analytic population fold as it stood when every class ran its
+   own completion-law DP: per class, the Poisson-binomial DP up to
+   convergence or the class's ordinal bound, a polymorphic sort of
+   (fraction, bucket) pairs for the largest-remainder apportionment, and
+   a Hashtbl of rows re-sorted by elapsed. Kept as the oracle the
+   shared-law fold must equal bit for bit. *)
+module File_spec = Pindisk.File_spec
+module Retire = Pindisk_sim.Retire
+module Pool = Pindisk_util.Pool
+
+let oracle_first_from offs phase =
+  let lo = ref 0 and hi = ref (Array.length offs) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if offs.(mid) < phase then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+let oracle_rows_of_hist ~file ~deadline elapsed_counts ~expired ~losses =
+  let entries =
+    Hashtbl.fold (fun e c acc -> (e, c) :: acc) elapsed_counts []
+    |> List.sort compare
+  in
+  let rows =
+    List.map
+      (fun (e, c) ->
+        { Retire.file; deadline; elapsed = Some e; weight = c; losses = 0 })
+      entries
+  in
+  let rows =
+    if expired > 0 then
+      rows
+      @ [ { Retire.file; deadline; elapsed = None; weight = expired; losses = 0 } ]
+    else rows
+  in
+  match rows with
+  | [] -> []
+  | first :: rest -> { first with Retire.losses } :: rest
+
+let oracle_analytic_class ~offs ~period ~phase ~cap ~needed ~deadline
+    ~max_slots ~p ~weight ~file =
+  let occ = Array.length offs in
+  let i0 = oracle_first_from offs phase in
+  let d_of_ordinal j =
+    let idx = i0 + j - 1 in
+    offs.(idx mod occ) + (period * (idx / occ)) - phase
+  in
+  let jmax =
+    let full = max_slots / period and rem = max_slots mod period in
+    let inwin =
+      Array.fold_left
+        (fun acc o ->
+          if (o - phase + period) mod period < rem then acc + 1 else acc)
+        0 offs
+    in
+    (occ * full) + inwin
+  in
+  let pow_p v = if v = 0 then 1.0 else p ** float_of_int v in
+  let tail_prob v =
+    let dp = Array.make needed 0.0 in
+    dp.(0) <- 1.0;
+    for r = 0 to cap - 1 do
+      let c = 1.0 -. pow_p v.(r) in
+      if c > 0.0 then
+        for k = needed - 1 downto 0 do
+          let flow = dp.(k) *. c in
+          dp.(k) <- dp.(k) -. flow;
+          if k + 1 < needed then dp.(k + 1) <- dp.(k + 1) +. flow
+        done
+    done;
+    1.0 -. Array.fold_left ( +. ) 0.0 dp
+  in
+  let visits = Array.make cap 0 in
+  let masses = ref [] in
+  let prev_a = ref 0.0 in
+  let j = ref 0 in
+  let converged = ref false in
+  while (not !converged) && !j < jmax do
+    incr j;
+    let r = (!j - 1) mod cap in
+    visits.(r) <- visits.(r) + 1;
+    let a = tail_prob visits in
+    let m = a -. !prev_a in
+    if m > 0.0 then masses := (!j, m) :: !masses;
+    prev_a := a;
+    if 1.0 -. a < 1e-15 then converged := true
+  done;
+  let tail = Float.max 0.0 (1.0 -. !prev_a) in
+  let buckets =
+    Array.of_list
+      (List.rev
+         ((None, tail) :: List.rev_map (fun (j, m) -> (Some j, m)) !masses))
+  in
+  let nb = Array.length buckets in
+  let alloc = Array.make nb 0 in
+  let fracs = Array.make nb (0.0, 0) in
+  let given = ref 0 in
+  Array.iteri
+    (fun i (_, m) ->
+      let q = m *. float_of_int weight in
+      let fl = int_of_float (floor q) in
+      alloc.(i) <- fl;
+      given := !given + fl;
+      fracs.(i) <- (q -. float_of_int fl, i))
+    buckets;
+  let order = Array.copy fracs in
+  Array.sort
+    (fun (fa, ia) (fb, ib) -> if fa <> fb then compare fb fa else compare ia ib)
+    order;
+  let remaining = ref (weight - !given) in
+  Array.iter
+    (fun (_, i) ->
+      if !remaining > 0 then begin
+        alloc.(i) <- alloc.(i) + 1;
+        decr remaining
+      end)
+    order;
+  let elapsed_counts = Hashtbl.create 32 in
+  let expired = ref 0 in
+  let ordinals = ref 0.0 in
+  Array.iteri
+    (fun i (bucket, _) ->
+      if alloc.(i) > 0 then
+        match bucket with
+        | Some jo ->
+            Hashtbl.replace elapsed_counts (d_of_ordinal jo + 1) alloc.(i);
+            ordinals := !ordinals +. float_of_int (alloc.(i) * jo)
+        | None ->
+            expired := !expired + alloc.(i);
+            ordinals := !ordinals +. float_of_int (alloc.(i) * jmax))
+    buckets;
+  let losses = int_of_float (Float.round (p *. !ordinals)) in
+  oracle_rows_of_hist ~file ~deadline elapsed_counts ~expired:!expired ~losses
+
+(* The oracle's rows for a class list, canonicalized as the fold does
+   (merged duplicate keys, zero weights dropped, sorted keys). *)
+let oracle_population_rows ?max_slots ~program ~p classes =
+  let max_slots =
+    match max_slots with Some m -> m | None -> 100 * Program.data_cycle program
+  in
+  let period = Program.period program in
+  let tbl = Hashtbl.create 64 in
+  List.iter
+    (fun (c : Cohort.cls) ->
+      if c.Cohort.weight > 0 then
+        Hashtbl.replace tbl c.Cohort.key
+          (c.Cohort.weight
+          + Option.value ~default:0 (Hashtbl.find_opt tbl c.Cohort.key)))
+    classes;
+  Hashtbl.fold (fun key weight acc -> (key, weight) :: acc) tbl []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  |> List.concat_map (fun ((k : Cohort.key), weight) ->
+         oracle_analytic_class
+           ~offs:(Program.offsets program k.Cohort.file)
+           ~period ~phase:k.Cohort.phase
+           ~cap:(Program.capacity program k.Cohort.file)
+           ~needed:k.Cohort.needed ~deadline:k.Cohort.deadline ~max_slots ~p
+           ~weight ~file:k.Cohort.file)
+
+let oracle_population ?max_slots ~program ~p classes =
+  Retire.retire
+    ~sinks:(Retire.sinks ~prefix:"oracle")
+    (oracle_population_rows ?max_slots ~program ~p classes)
+
+(* A random program: [flat], a cycling [of_layout] with idle slots and
+   per-file block phases, or the pinwheel program [auto] finds. *)
+let random_program st =
+  let int n = Random.State.int st n in
+  match int 3 with
+  | 0 -> Program.flat (List.init (1 + int 3) (fun f -> (f, 1 + int 4)))
+  | 1 ->
+      let files = 1 + int 3 in
+      let period = files + int 10 in
+      let cap = Array.init files (fun _ -> 1 + int 6) in
+      let phase = Array.map (fun c -> int c) cap in
+      let slots =
+        Array.init period (fun s ->
+            if s < files then s else if int 4 = 0 then -1 else int files)
+      in
+      for s = period - 1 downto 1 do
+        let k = int (s + 1) in
+        let x = slots.(s) in
+        slots.(s) <- slots.(k);
+        slots.(k) <- x
+      done;
+      let seen = Array.make files 0 in
+      let layout =
+        Array.to_list
+          (Array.map
+             (fun f ->
+               if f < 0 then (-1, 0)
+               else begin
+                 let k = seen.(f) in
+                 seen.(f) <- k + 1;
+                 (f, (phase.(f) + k) mod cap.(f))
+               end)
+             slots)
+      in
+      Program.of_layout layout
+        ~capacities:(List.init files (fun f -> (f, cap.(f))))
+  | _ -> (
+      let specs =
+        List.init (1 + int 3) (fun id ->
+            File_spec.make ~id ~blocks:(1 + int 3) ~tolerance:(int 3)
+              ~latency:(4 * (1 + int 4)) ())
+      in
+      match Program.auto specs with
+      | Some (_, program) -> program
+      | None -> Program.flat [ (0, 2); (1, 1) ])
+
+(* Several phases per file, weights 0, 1, up to 5000 or in the
+   millions (which leave dozens of clients over after the floors), and
+   now and then a duplicate key, which the fold must merge. *)
+let random_classes st program =
+  let int n = Random.State.int st n in
+  let period = Program.period program in
+  let classes =
+    List.concat_map
+      (fun file ->
+        let cap = Program.capacity program file in
+        List.init (1 + int 4) (fun _ ->
+            let key =
+              { Cohort.file; phase = int period; needed = 1 + int cap;
+                deadline = int (2 * period + 2) }
+            in
+            let weight =
+              match int 5 with
+              | 0 -> 0
+              | 1 -> 1
+              | 2 -> 1_000_000 + int 10_000_000
+              | _ -> 2 + int 5000
+            in
+            { Cohort.key; weight }))
+      (Program.files program)
+  in
+  match classes with
+  | c :: _ when int 3 = 0 -> { c with Cohort.weight = 1 + int 50 } :: classes
+  | _ -> classes
+
+let oracle_pool =
+  lazy
+    (let pool = Pool.create ~domains:2 () in
+     at_exit (fun () -> Pool.shutdown pool);
+     pool)
+
+let prop_population_matches_oracle =
+  QCheck2.Test.make ~name:"population fold equals the per-class oracle"
+    ~count:150 (QCheck2.Gen.int_bound 1_000_000) (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let program = random_program st in
+      let classes = random_classes st program in
+      let p = [| 0.0; 1e-300; 0.05; 0.5; 0.95; 1.0 |].(Random.State.int st 6) in
+      let period = Program.period program in
+      let max_slots =
+        match Random.State.int st 3 with
+        | 0 -> None
+        | 1 -> Some (1 + Random.State.int st period)
+        | _ ->
+            Some
+              (((2 + Random.State.int st 6) * Program.data_cycle program)
+              + Random.State.int st period)
+      in
+      let model = if p = 0.0 then Cohort.No_loss else Cohort.Bernoulli { p } in
+      let oracle = render_result (oracle_population ?max_slots ~program ~p classes) in
+      let run ?pool () =
+        render_result
+          (Cohort.run_population ?pool ?max_slots ~program ~model ~seed:0 classes)
+      in
+      let seq = run () and pooled = run ~pool:(Lazy.force oracle_pool) () in
+      (seq = oracle && pooled = oracle)
+      || QCheck2.Test.fail_reportf "fold:\n%s\npooled:\n%s\noracle:\n%s" seq
+           pooled oracle)
+
+(* Equal fractions (1/2) on both sides of the apportionment's cut: one
+   client fewer or more on a bucket if the tie goes the wrong way. *)
+let test_population_oracle_tied_cut () =
+  List.iter
+    (fun (cap, weight) ->
+      let program = Program.flat [ (0, cap) ] in
+      let classes =
+        [ { Cohort.key = { Cohort.file = 0; phase = 0; needed = cap; deadline = 9 };
+            weight } ]
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "cap %d, weight %d" cap weight)
+        (render_result (oracle_population ~program ~p:0.5 classes))
+        (render_result
+           (Cohort.run_population ~program ~model:(Cohort.Bernoulli { p = 0.5 })
+              ~seed:0 classes)))
+    [ (3, 1 lsl 30); (4, 7 lsl 27); (5, 7 lsl 27) ]
 
 (* ------------------------------------------------------------------ *)
 (* Workload.ycsb                                                       *)
@@ -1626,6 +1943,9 @@ let () =
           Alcotest.test_case "population validation" `Quick
             test_cohort_population_validation;
           QCheck_alcotest.to_alcotest prop_cohort_permutation_invariant;
+          QCheck_alcotest.to_alcotest prop_population_matches_oracle;
+          Alcotest.test_case "population oracle at a tied cut" `Quick
+            test_population_oracle_tied_cut;
           Alcotest.test_case "sweep window edge" `Quick test_sweep_window_edge;
           Alcotest.test_case "sweep after last offset" `Quick
             test_sweep_after_last_offset;
