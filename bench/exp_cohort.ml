@@ -18,6 +18,10 @@
        if they ever diverge.
      - the trace-mode speedup over Engine.run, whose per-slot walk
        Cohort.run's occurrence-to-occurrence sweep replaces.
+     - the cost of skipping: a one-request Cohort.run whose file airs
+       once every G slots, at G = 1024 over G = 16. Every piece is lost,
+       so the member judges exactly 64 occurrences in 64·G slots either
+       way; a ratio near 1 says the silent slots between them are free.
 
    Results land in BENCH_cohort.json; scripts/bench_gate.ml gates the
    floors (`--kind cohort`). Raw throughput is floor-gated only, never
@@ -101,6 +105,18 @@ let collapsible_trace n =
         deadline = deadline_of file;
       })
 
+(* One request on a file that airs once every [gap] slots
+   ([Program.flat [(0, 1); (1, gap - 1)]]), every piece lost: the sweep
+   judges 64 occurrences over [max_slots = 64·gap] and misses. *)
+let sweep_ns ~gap =
+  let program = Program.flat [ (0, 1); (1, gap - 1) ] in
+  let trace =
+    [ { Workload.issued = 0; file = 0; needed = 1; deadline = 64 * gap } ]
+  in
+  let fault ~seed = Fault.bernoulli ~p:1.0 ~seed in
+  mean_ns (fun () ->
+      Cohort.run ~max_slots:(64 * gap) ~program ~fault ~seed:1 trace)
+
 let run () =
   let quick = Sys.getenv_opt "PINDISK_COHORT_QUICK" <> None in
   if quick then time_budget := 0.1;
@@ -176,6 +192,8 @@ let run () =
   let cohort_ns =
     mean_ns (fun () -> Cohort.run ~program ~fault ~seed:1 trace)
   in
+  let sweep_ns_16 = sweep_ns ~gap:16 and sweep_ns_1024 = sweep_ns ~gap:1024 in
+  let sweep_cost_ratio = sweep_ns_1024 /. sweep_ns_16 in
   Format.printf
     "  population %d clients in %d classes: analytic %.2e clients/s, \
      sampled %.2e clients/s@."
@@ -190,6 +208,10 @@ let run () =
      (%.2fx)@."
     (List.length trace) nclasses (engine_ns /. 1e6) (cohort_ns /. 1e6)
     (engine_ns /. cohort_ns);
+  Format.printf
+    "  one request, 64 occurrences at gap 1024 over gap 16: %.0f ns / %.0f ns \
+     = %.2fx@."
+    sweep_ns_1024 sweep_ns_16 sweep_cost_ratio;
   let path =
     Option.value
       (Sys.getenv_opt "PINDISK_COHORT_OUT")
@@ -208,6 +230,7 @@ let run () =
   out "  \"cohort_sampled_clients_per_sec\": %.0f,\n" sampled_clients_per_sec;
   out "  \"cohort_equals_engine\": %.1f,\n" (if equal then 1.0 else 0.0);
   out "  \"cohort_speedup_over_engine\": %.2f,\n" (engine_ns /. cohort_ns);
+  out "  \"sweep_cost_gap1024_over_gap16\": %.2f,\n" sweep_cost_ratio;
   out "  \"results\": [\n";
   out
     "    {\"stage\": \"analytic\", \"clients\": %d, \"classes\": %d, \

@@ -876,6 +876,7 @@ let adapt_cmd =
     with_metrics metrics @@ fun () ->
     let phases = if phases = [] then [ "4000:0.01"; "6000:0.4"; "6000:0.01" ] else phases in
     if rate <= 0.0 then fail "request rate must be positive"
+    else if not (Float.is_finite rate) then fail "request rate must be finite"
     else if bucket < 1 then fail "bucket must be >= 1"
     else
     match collect (fun _ s -> parse_phase s) phases with

@@ -10,7 +10,7 @@ type t = {
 }
 
 let create ?(alpha = 0.4) ?(window = 32) () =
-  if alpha <= 0.0 || alpha > 1.0 then
+  if not (alpha > 0.0 && alpha <= 1.0) then
     invalid_arg "Estimator.create: alpha must be in (0, 1]";
   if window < 1 then invalid_arg "Estimator.create: window must be >= 1";
   { alpha; window; seen = 0; losses = 0; ewma = 0.0; last = 0.0; windows = 0;

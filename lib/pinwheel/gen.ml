@@ -6,7 +6,7 @@ let unit_system ~seed ~n ~max_b =
 let unit_system_with_density ~seed ~n ~max_b ~target =
   if n < 1 || max_b < 2 then
     invalid_arg "Gen.unit_system_with_density: need n >= 1, max_b >= 2";
-  if target <= 0.0 || target > 1.0 then
+  if not (target > 0.0 && target <= 1.0) then
     invalid_arg "Gen.unit_system_with_density: target in (0, 1]";
   let rng = Random.State.make [| seed; n; max_b; int_of_float (target *. 1e6) |] in
   let rec draw id used acc tries =
@@ -23,7 +23,7 @@ let unit_system_with_density ~seed ~n ~max_b ~target =
 let multi_unit_system ~seed ~n ~max_a ~max_b ~target =
   if n < 1 || max_a < 1 || max_b < 2 then
     invalid_arg "Gen.multi_unit_system: bad parameters";
-  if target <= 0.0 || target > 1.0 then
+  if not (target > 0.0 && target <= 1.0) then
     invalid_arg "Gen.multi_unit_system: target in (0, 1]";
   let rng =
     Random.State.make [| seed; n; max_a; max_b; int_of_float (target *. 1e6) |]

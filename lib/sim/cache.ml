@@ -13,7 +13,7 @@ let hit_ratio s = float_of_int s.hits /. float_of_int s.accesses
 
 let zipf_weights ~n ~theta =
   if n < 1 then invalid_arg "Cache.zipf_weights: n must be >= 1";
-  if theta < 0.0 then invalid_arg "Cache.zipf_weights: negative theta";
+  if not (theta >= 0.0) then invalid_arg "Cache.zipf_weights: negative theta";
   let raw = Array.init n (fun i -> 1.0 /. (float_of_int (i + 1) ** theta)) in
   let total = Array.fold_left ( +. ) 0.0 raw in
   Array.map (fun w -> w /. total) raw

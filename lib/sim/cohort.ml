@@ -150,13 +150,14 @@ let lane program ~file ~issued fault =
    every lane at once but visiting only the slots some lane airs the
    file in. Each step takes the earliest next occurrence [d] over the
    lanes; every lane airing at [d] skips its fault (already reset to
-   the issue slot) over the silent slots since it last heard, so the
-   fault draws the same stream, and takes slot [d]'s verdict: the piece
-   is lost or collected. A lane collects distinct residues of its
-   relative occurrence ordinal mod its capacity — a constant shift of
-   the block index it airs, so the distinct count (and hence completion
-   slot and losses) matches the per-slot walk exactly, and lanes add up
-   because their pieces are disjoint. Every lane airing in the
+   the issue slot) over the silent slots since it last heard, which is
+   free because a verdict is a function of its slot, and takes slot
+   [d]'s verdict: the piece is lost or collected. A lane collects
+   distinct residues of its relative occurrence ordinal mod its
+   capacity — a constant shift of the block index it airs, so the
+   distinct count (and hence completion slot and losses) matches the
+   per-slot walk exactly, and lanes add up because their pieces are
+   disjoint. Every lane airing in the
    completing slot still counts. Returns (elapsed, losses, slots
    swept). *)
 let sweep ~needed ~max_slots lanes =

@@ -101,13 +101,13 @@ val sweep : needed:int -> max_slots:int -> lane array -> int option * int * int
     earliest next occurrence [d] over the lanes: if [d >= max_slots] the
     member expires; otherwise every lane airing at [d] skips its fault
     ({!Fault.skip}) to slot [d] and takes that slot's verdict, and the
-    piece is either lost or collected. The fault therefore draws exactly
-    the stream a once-per-slot {!Fault.advance} walk would, and the
-    result equals that walk's. A lane collects distinct residues of its
-    occurrence ordinal mod the file's block count on its channel, so
-    lanes must air disjoint pieces. The member completes at [d + 1] once
-    [needed] are collected; every lane airing in the completing slot
-    still counts. Returns [(elapsed, losses, swept)]: the completion
+    piece is either lost or collected. A verdict is a function of its
+    slot, so each is the one a once-per-slot {!Fault.advance} walk reads
+    there, and the result equals that walk's. A lane collects distinct
+    residues of its occurrence ordinal mod the file's block count on its
+    channel, so lanes must air disjoint pieces. The member completes at
+    [d + 1] once [needed] are collected; every lane airing in the
+    completing slot still counts. Returns [(elapsed, losses, swept)]: the completion
     distance in slots ([None] if the window ran out), the own-file slots
     lost, and the slots covered ([elapsed], or [max_slots] on
     expiry). *)
@@ -122,10 +122,11 @@ val run :
   Engine.result
 (** [run ~program ~fault ~seed trace] retires every request of the
     trace; request [k] gets [fault ~seed:(Intmath.mix64 (seed + k))],
-    reset at its issue slot and drawn once per slot, exactly as
-    {!Engine.run} does (verdicts are taken only at own-file slots,
-    {!sweep}) — and the result equals {!Engine.run}'s on the
-    same program, including float accumulation order. Members of a
+    reset at its issue slot, exactly as {!Engine.run} does. Verdicts
+    are taken only at own-file slots ({!sweep}), and each is a function
+    of its slot ({!Fault}), so they are the ones {!Engine.run}'s
+    per-slot walk reads there — and the result equals {!Engine.run}'s on
+    the same program, including float accumulation order. Members of a
     class share the occurrence pattern instead of re-walking the
     program per request. [max_slots] is each request's retrieval window
     (default [100 ·] the program's data cycle). [pool] shards classes

@@ -1,14 +1,16 @@
-(* The four burst-chain probabilities, kept as floats for [loss_rate]
-   and as integer cuts (see [cut]) for the per-slot verdicts. *)
+module Intmath = Pindisk_util.Intmath
+
+(* The burst chain's probabilities, as floats for [loss_rate], as cuts
+   (see [draw]) for the verdicts, and as log (1 - q) for the sojourns. *)
 type chain = {
   p_good_to_bad : float;
   p_bad_to_good : float;
   loss_good : float;
   loss_bad : float;
-  to_bad : int; (* cut of p_good_to_bad *)
-  to_good : int; (* cut of p_bad_to_good *)
   cut_good : int; (* cut of loss_good *)
   cut_bad : int; (* cut of loss_bad *)
+  stay_good : float; (* log1p (-p_good_to_bad) *)
+  stay_bad : float; (* log1p (-p_bad_to_good) *)
 }
 
 type kind =
@@ -17,46 +19,64 @@ type kind =
   | Burst of chain
   | Deterministic of (int -> bool)
 
+(* Verdicts count slots from [origin]. The burst chain is in state [bad]
+   until the relative slot [change] (max_int: never), where the next
+   state change takes effect; [sojourns] counts the lengths drawn. *)
 type t = {
   kind : kind;
-  seed : int;
+  seed : int; (* mix64 (seed lxor gamma) *)
   mutable slot : int;
-  mutable origin : int; (* the slot the stream was last started at *)
-  mutable rng : Random.State.t option; (* seeded at the first draw *)
-  mutable bad : bool; (* burst-model state *)
+  mutable origin : int;
+  mutable key : int;
+  mutable bad : bool;
+  mutable change : int;
+  mutable sojourns : int;
 }
 
-(* [Random.State.float s 1.0] is n·2⁻⁵³ for n the top 53 bits of the
-   next 64-bit draw, redrawn while n = 0. So "u < p" holds exactly when
-   n < ⌈p·2⁵³⌉: scaling by a power of two is exact, and n is an
-   integer. [draw] returns that n, and each probability is compared as
-   its cut, so a verdict boxes no float and reads the same stream. *)
+(* 2⁶⁴/φ shifted right by two to fit an int: odd, so [key + c·gamma]
+   visits distinct points for distinct counters c. *)
+let gamma = 0x278dde6e5fd29f05
+
+(* The top 53 bits of the splitmix64 finalizer at counter [c]. As a
+   float n·2⁻⁵³, "u < p" holds exactly when n < ⌈p·2⁵³⌉: scaling by a
+   power of two is exact, and n is an integer. So each probability is
+   compared as its cut and a verdict boxes no float. *)
+let[@inline] draw key c = Intmath.mix64 (key + (c * gamma)) lsr 9
+
 let cut p = int_of_float (Float.ceil (Float.ldexp p 53))
 
-let[@inline] top53 rng =
-  Int64.to_int (Int64.shift_right_logical (Random.State.bits64 rng) 11)
+(* A geometric sojourn length, at least 1, in a state left with
+   probability q, where [stay] is log (1 - q): inverse transform of the
+   next uniform u in (0, 1] of the negative counter domain, so sojourn
+   lengths never reuse a verdict's counter. q = 0 (or a length past
+   2⁶⁰) never leaves. *)
+let sojourn t stay =
+  t.sojourns <- t.sojourns + 1;
+  let u = Float.ldexp (float_of_int (draw t.key (-t.sojourns) + 1)) (-53) in
+  let x = Float.log u /. stay in
+  if x < 0x1p60 then 1 + int_of_float x else max_int
 
-let rec redraw rng =
-  let n = top53 rng in
-  if n <> 0 then n else redraw rng
-
-let[@inline] draw rng =
-  let n = top53 rng in
-  if n <> 0 then n else redraw rng
-
-(* [Random.State.make] digests its seed twice, so the stream is made at
-   the first draw rather than at every (re)start: processes that never
-   draw, or runs that end before their first heard slot, never pay. *)
-let rng t =
-  match t.rng with
-  | Some r -> r
-  | None ->
-      let r = Random.State.make [| t.seed; t.origin; 0x5eed |] in
-      t.rng <- Some r;
-      r
+(* The chain starts good, as if it were good at relative slot -1: its
+   first sojourn counts from there, so slot 0 can already be bad. *)
+let reset_to t slot =
+  t.slot <- slot;
+  t.origin <- slot;
+  t.key <- Intmath.mix64 (t.seed + slot);
+  t.bad <- false;
+  t.sojourns <- 0;
+  t.change <-
+    (match t.kind with
+    | Burst c ->
+        let l = sojourn t c.stay_good in
+        if l = max_int then max_int else l - 1
+    | None_ | Bernoulli _ | Deterministic _ -> max_int)
 
 let create ?(seed = 0) kind =
-  { kind; seed; slot = 0; origin = 0; rng = None; bad = false }
+  let seed = Intmath.mix64 (seed lxor gamma) in
+  let t = { kind; seed; slot = 0; origin = 0; key = 0; bad = false;
+            change = max_int; sojourns = 0 } in
+  reset_to t 0;
+  t
 
 let none () = create None_
 
@@ -82,60 +102,37 @@ let burst ~p_good_to_bad ~p_bad_to_good ~loss_good ~loss_bad ~seed =
          p_bad_to_good;
          loss_good;
          loss_bad;
-         to_bad = cut p_good_to_bad;
-         to_good = cut p_bad_to_good;
          cut_good = cut loss_good;
          cut_bad = cut loss_bad;
+         stay_good = Float.log1p (-.p_good_to_bad);
+         stay_bad = Float.log1p (-.p_bad_to_good);
        })
 
 let deterministic f = create (Deterministic f)
 
-let reset_to t slot =
-  t.slot <- slot;
-  t.origin <- slot;
-  t.rng <- None;
-  t.bad <- false
-
-(* The flip draw of one burst-chain step from state [bad]: returns the
-   new state. The step's loss draw, judged against that state's cut,
-   follows it. *)
-let[@inline] step c rng bad =
-  let flip = draw rng in
-  if bad then flip >= c.to_good else flip < c.to_bad
+(* Take every state change at or before relative slot [i]. *)
+let rec catch_up t c i =
+  t.bad <- not t.bad;
+  let l = sojourn t (if t.bad then c.stay_bad else c.stay_good) in
+  t.change <- (if l = max_int then max_int else t.change + l);
+  if t.change <= i then catch_up t c i
 
 let advance t =
+  let i = t.slot - t.origin in
   let lost =
     match t.kind with
     | None_ -> false
     | Deterministic f -> f t.slot
-    | Bernoulli { cut; _ } -> draw (rng t) < cut
+    | Bernoulli { cut; _ } -> draw t.key i < cut
     | Burst c ->
-        let r = rng t in
-        let bad = step c r t.bad in
-        t.bad <- bad;
-        draw r < if bad then c.cut_bad else c.cut_good
+        if t.change <= i then catch_up t c i;
+        draw t.key i < if t.bad then c.cut_bad else c.cut_good
   in
   t.slot <- t.slot + 1;
   lost
 
 let skip t k =
   if k < 0 then invalid_arg "Fault.skip: negative slot count";
-  (if k > 0 then
-     match t.kind with
-     | None_ | Deterministic _ -> ()
-     | Bernoulli _ ->
-         let r = rng t in
-         for _ = 1 to k do
-           ignore (draw r)
-         done
-     | Burst c ->
-         let r = rng t in
-         let bad = ref t.bad in
-         for _ = 1 to k do
-           bad := step c r !bad;
-           ignore (draw r)
-         done;
-         t.bad <- !bad);
   t.slot <- t.slot + k
 
 let loss_rate t =

@@ -7,13 +7,30 @@
     correlation real wireless channels exhibit, used by the fault-model
     ablation (E9); {!deterministic} scripts losses for tests.
 
-    A process is stateful and moves one slot at a time, in slot order:
-    {!advance} returns the verdict for the current slot, and {!skip}
-    passes over slots whose verdicts nobody reads. Either way the
-    stochastic models draw the same stream: one draw per slot for
-    {!bernoulli}, two (a state flip, then a loss) for {!burst}. A
-    stream is seeded from the process's seed and the slot it was last
-    started at, lazily, at its first draw.
+    A process moves forward in slot order: {!advance} returns the
+    verdict for the current slot, and {!skip} passes over slots whose
+    verdicts nobody reads. Every verdict is a pure function of the seed,
+    the slot [o] the process was last started at ({!reset_to}; 0 at
+    creation) and the slot itself, so a per-slot walk and a jump read
+    the same verdicts. The stream has the key
+    [k = mix64 (mix64 (seed lxor gamma) + o)], with
+    {!Pindisk_util.Intmath.mix64} and the odd constant
+    [gamma = 0x278dde6e5fd29f05]; its counter [c] reads the 53-bit
+    integer [n c = mix64 (k + c·gamma) lsr 9]. Slot [o + i] is lost
+    when [n i < ⌈p·2⁵³⌉], that is when the float [n i · 2⁻⁵³] is below
+    the loss probability [p] in force.
+
+    {!burst} starts in the good state, as if at relative slot -1, and
+    draws each sojourn length once: its [j]-th sojourn ([j = 1, 2, …])
+    in a state left with probability [q] lasts
+    [1 + ⌊log u / log (1 - q)⌋] slots, for [u = (n (-j) + 1)·2⁻⁵³], a
+    geometric law of mean [1/q] (never ending when [q = 0]). Each slot
+    is judged in the state in force at it, so a state change drawn to
+    end a sojourn at slot [s] takes effect at [s]: the same law as a
+    chain that steps, then judges, slot by slot. {!skip} only moves the
+    slot, and {!advance} first takes the state changes since the slot it
+    last judged, so a process costs O(judged slots + state changes),
+    whatever it skips.
 
     Every probability must lie in [[0, 1]]; anything else, NaN included,
     raises [Invalid_argument "Fault.<model>: <name> must be in [0, 1]"]. *)
@@ -40,18 +57,17 @@ val deterministic : (int -> bool) -> t
     {!advance} judges, so it must be pure. *)
 
 val reset_to : t -> int -> unit
-(** Restart the process at the given absolute slot (re-seeds the stochastic
-    models deterministically, so two runs from the same slot see the same
-    losses). *)
+(** Restart the process at the given absolute slot: the stochastic
+    models start the stream keyed by that slot (and {!burst} its good
+    state), so two runs from the same slot see the same losses. *)
 
 val advance : t -> bool
 (** The loss verdict for the current slot; moves to the next slot. *)
 
 val skip : t -> int -> unit
-(** [skip t k] is [k] calls to {!advance} with the verdicts discarded:
-    {!burst} still steps its chain, and both stochastic models draw
-    exactly what those calls would have. Raises [Invalid_argument] when
-    [k < 0]. *)
+(** [skip t k] is [k] calls to {!advance} with the verdicts discarded,
+    in O(1): the later verdicts are the ones those calls would have
+    left. Raises [Invalid_argument] when [k < 0]. *)
 
 val loss_rate : t -> float
 (** The long-run expected loss probability of the process (0 for

@@ -7,8 +7,8 @@
     {!Pindisk.Shard.channels_of} preference order — largest share
     first). Channels are physically independent, so each listened
     channel gets its {e own} fault process: per-request, per-channel
-    seeds derived with {!Pindisk_util.Intmath.mix64}, each drawing its
-    stream once per slot exactly like the single-channel engines (the
+    seeds derived with {!Pindisk_util.Intmath.mix64}, each a function of
+    the slot exactly like the single-channel engines' (the
     {!Cohort.sweep} takes verdicts only at own-file slots). A request
     completes when the tuner set has collected [needed] {e distinct
     global} piece indices across its channels — the round-robin dealing

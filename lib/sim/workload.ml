@@ -3,8 +3,11 @@ module Program = Pindisk.Program
 type request = { issued : int; file : int; needed : int; deadline : int }
 
 let generate ~program ~rate ~theta ~needed_of ~deadline_of ~horizon ~seed =
-  if rate <= 0.0 then invalid_arg "Workload.generate: rate must be positive";
-  if theta < 0.0 then invalid_arg "Workload.generate: negative theta";
+  if not (rate > 0.0) then
+    invalid_arg "Workload.generate: rate must be positive";
+  if not (Float.is_finite rate) then
+    invalid_arg "Workload.generate: rate must be finite";
+  if not (theta >= 0.0) then invalid_arg "Workload.generate: negative theta";
   if horizon < 1 then invalid_arg "Workload.generate: horizon must be >= 1";
   let files = Array.of_list (Program.files program) in
   let n = Array.length files in
@@ -55,7 +58,10 @@ type arrivals =
 
 let ycsb ~program ~rate ~popularity ~arrivals ~needed_of ~deadline_of ~horizon
     ~seed =
-  if rate <= 0.0 then invalid_arg "Workload.ycsb: rate must be positive";
+  if not (rate > 0.0) then
+    invalid_arg "Workload.ycsb: rate must be positive";
+  if not (Float.is_finite rate) then
+    invalid_arg "Workload.ycsb: rate must be finite";
   if horizon < 1 then invalid_arg "Workload.ycsb: horizon must be >= 1";
   let files = Array.of_list (Program.files program) in
   let n = Array.length files in
@@ -82,13 +88,13 @@ let ycsb ~program ~rate ~popularity ~arrivals ~needed_of ~deadline_of ~horizon
   let pick =
     match popularity with
     | Zipfian { theta } ->
-        if theta < 0.0 then invalid_arg "Workload.ycsb: negative theta";
+        if not (theta >= 0.0) then invalid_arg "Workload.ycsb: negative theta";
         let cumulative = cumulative_of (Cache.zipf_weights ~n ~theta) in
         fun _slot u -> files.(search cumulative u)
     | Hotspot { hot_fraction; hot_weight } ->
-        if hot_fraction <= 0.0 || hot_fraction > 1.0 then
+        if not (hot_fraction > 0.0 && hot_fraction <= 1.0) then
           invalid_arg "Workload.ycsb: hot_fraction must be in (0, 1]";
-        if hot_weight < 0.0 || hot_weight > 1.0 then
+        if not (hot_weight >= 0.0 && hot_weight <= 1.0) then
           invalid_arg "Workload.ycsb: hot_weight must be in [0, 1]";
         let hot = max 1 (min n (int_of_float (ceil (hot_fraction *. float_of_int n)))) in
         let weights =
@@ -100,7 +106,7 @@ let ycsb ~program ~rate ~popularity ~arrivals ~needed_of ~deadline_of ~horizon
         let cumulative = cumulative_of weights in
         fun _slot u -> files.(search cumulative u)
     | Shifting { theta; every } ->
-        if theta < 0.0 then invalid_arg "Workload.ycsb: negative theta";
+        if not (theta >= 0.0) then invalid_arg "Workload.ycsb: negative theta";
         if every < 1 then invalid_arg "Workload.ycsb: every must be >= 1";
         let cumulative = cumulative_of (Cache.zipf_weights ~n ~theta) in
         fun slot u ->
@@ -114,13 +120,15 @@ let ycsb ~program ~rate ~popularity ~arrivals ~needed_of ~deadline_of ~horizon
     | Steady -> rate
     | Diurnal { period; trough } ->
         if period < 1 then invalid_arg "Workload.ycsb: period must be >= 1";
-        if trough < 0.0 || trough > 1.0 then
+        if not (trough >= 0.0 && trough <= 1.0) then
           invalid_arg "Workload.ycsb: trough must be in [0, 1]";
         rate
     | Flash { at; magnitude; width } ->
         if at < 0 then invalid_arg "Workload.ycsb: flash slot must be >= 0";
-        if magnitude < 1.0 then
+        if not (magnitude >= 1.0) then
           invalid_arg "Workload.ycsb: magnitude must be >= 1";
+        if not (Float.is_finite magnitude) then
+          invalid_arg "Workload.ycsb: magnitude must be finite";
         if width < 1 then invalid_arg "Workload.ycsb: width must be >= 1";
         rate *. magnitude
   in

@@ -23,8 +23,9 @@ val generate :
     exponential with mean [1/rate] (so [rate] is expected requests per
     slot across the population); files are drawn Zipf([theta]) over the
     program's files ordered by id (id order = popularity order). Sorted by
-    issue slot. Raises [Invalid_argument] for [rate <= 0], [theta < 0] or
-    [horizon < 1]. *)
+    issue slot. Raises [Invalid_argument] for [rate <= 0], a rate that
+    is not finite, [theta < 0] or [horizon < 1]; NaN fails every range
+    check. *)
 
 (** How a YCSB-style population spreads its attention over files (id
     order = popularity order). *)
@@ -57,8 +58,9 @@ val ycsb :
     ~arrivals:Steady] is distributionally the same family as
     {!generate}, though drawn from a different stream. Deterministic in
     [seed]: the same arguments produce the identical trace. Sorted by
-    issue slot. Raises [Invalid_argument] for [rate <= 0],
-    [horizon < 1], an empty program, or out-of-range shape parameters
-    ([theta < 0]; [hot_fraction] outside (0, 1]; [hot_weight] outside
-    [0, 1]; [every]/[period]/[width] [< 1]; [magnitude < 1]; a negative
-    flash slot). *)
+    issue slot. Raises [Invalid_argument] for [rate <= 0], a rate that
+    is not finite, [horizon < 1], an empty program, or out-of-range
+    shape parameters ([theta < 0]; [hot_fraction] outside (0, 1];
+    [hot_weight] outside [0, 1]; [every]/[period]/[width] [< 1];
+    [magnitude < 1] or not finite; a negative flash slot); NaN fails
+    every range check. *)

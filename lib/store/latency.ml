@@ -17,7 +17,7 @@ let fixed d =
 
 let stochastic ?(fail_p = 0.0) ?(slow_p = 0.0) ?(slow_slots = 4) ~seed () =
   let check name v =
-    if v < 0.0 || v > 1.0 then
+    if not (v >= 0.0 && v <= 1.0) then
       invalid_arg (Printf.sprintf "Latency.stochastic: %s must be in [0, 1]" name)
   in
   check "fail_p" fail_p;

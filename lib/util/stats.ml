@@ -82,15 +82,25 @@ let variance t =
 
 let stddev t = sqrt (max 0.0 (variance t))
 
+(* Entries sort by value, then weight: the order [compare] gives the
+   (value, weight) pairs. A merge sort of an index array under a
+   monomorphic comparator, then one permutation of both arrays, boxes no
+   entry. *)
 let ensure_sorted t =
   if not t.sorted then begin
-    let pairs = Array.init t.len (fun i -> (t.values.(i), t.weights.(i))) in
-    Array.sort compare pairs;
+    let values = Array.sub t.values 0 t.len in
+    let weights = Array.sub t.weights 0 t.len in
+    let order = Array.init t.len Fun.id in
+    Array.stable_sort
+      (fun i j ->
+        let c = Float.compare values.(i) values.(j) in
+        if c <> 0 then c else Int.compare weights.(i) weights.(j))
+      order;
     Array.iteri
-      (fun i (v, w) ->
-        t.values.(i) <- v;
-        t.weights.(i) <- w)
-      pairs;
+      (fun k i ->
+        t.values.(k) <- values.(i);
+        t.weights.(k) <- weights.(i))
+      order;
     t.sorted <- true
   end
 
@@ -116,7 +126,8 @@ let order_statistic t k =
 
 let percentile t p =
   if t.count = 0 then invalid_arg "Stats.percentile: empty";
-  if p < 0.0 || p > 100.0 then invalid_arg "Stats.percentile: p out of range";
+  if not (p >= 0.0 && p <= 100.0) then
+    invalid_arg "Stats.percentile: p out of range";
   ensure_sorted t;
   if t.count = 1 then t.values.(0)
   else begin

@@ -70,6 +70,9 @@ let test_estimator_validation () =
   Alcotest.check_raises "alpha above one"
     (Invalid_argument "Estimator.create: alpha must be in (0, 1]") (fun () ->
       ignore (Estimator.create ~alpha:1.5 ()));
+  Alcotest.check_raises "alpha nan"
+    (Invalid_argument "Estimator.create: alpha must be in (0, 1]") (fun () ->
+      ignore (Estimator.create ~alpha:Float.nan ()));
   Alcotest.check_raises "empty window"
     (Invalid_argument "Estimator.create: window must be >= 1") (fun () ->
       ignore (Estimator.create ~window:0 ()))
@@ -528,18 +531,15 @@ let test_driver_window_miss_ratio () =
   check_float "whole span" 0.4 (Driver.window_miss_ratio r ~t0:0 ~t1:1000);
   check_float "empty window" 0.0 (Driver.window_miss_ratio r ~t0:2000 ~t1:3000)
 
+(* Whether one request misses under a fault pattern depends on which
+   slots each program airs it in, so "adaptation does not lose
+   requests" is a claim about the loss law, not about one pattern: over
+   2 000 fault seeds it fails on about one pattern in 45. It is checked
+   over 20 fault seeds, in total; the rest holds for every seed. *)
 let test_driver_static_vs_adaptive () =
   let ladder = bw2_ladder () in
   let baseline = Ladder.plan ladder ~boost:0 in
   let program = baseline.Ladder.program in
-  let losses =
-    Driver.losses
-      [
-        { Driver.length = 1024; fault = Fault.none () };
-        { Driver.length = 2048; fault = Fault.bernoulli ~p:0.5 ~seed:7 };
-        { Driver.length = 1024; fault = Fault.none () };
-      ]
-  in
   let needed_of f =
     let item = List.find (fun (i : Item.t) -> i.Item.id = f) abc in
     item.Item.blocks
@@ -552,33 +552,46 @@ let test_driver_static_vs_adaptive () =
     Workload.generate ~program ~rate:0.05 ~theta:0.9 ~needed_of ~deadline_of
       ~horizon:4096 ~seed:21
   in
-  let static = Driver.run ~program ~losses trace in
-  let controller =
-    let estimator = Estimator.create ~alpha:0.6 ~window:32 () in
-    let policy =
-      Policy.create ~dwell:2
+  let missed = ref 0 and missed_adaptive = ref 0 in
+  for seed = 1 to 20 do
+    let losses =
+      Driver.losses
         [
-          Policy.level "clear";
-          Policy.level ~enter:0.2 ~exit:0.08 ~boost:1 "degraded";
+          { Driver.length = 1024; fault = Fault.none () };
+          { Driver.length = 2048; fault = Fault.bernoulli ~p:0.5 ~seed };
+          { Driver.length = 1024; fault = Fault.none () };
         ]
     in
-    Controller.create ~estimator ~policy ladder
-  in
-  let adaptive = Driver.run ~controller ~program ~losses trace in
-  check_int "identical trace measured" static.Driver.requests
-    adaptive.Driver.requests;
-  check_bool "the bad phase hurts the static server" true
-    (static.Driver.missed > 0);
+    let static = Driver.run ~program ~losses trace in
+    let controller =
+      let estimator = Estimator.create ~alpha:0.6 ~window:32 () in
+      let policy =
+        Policy.create ~dwell:2
+          [
+            Policy.level "clear";
+            Policy.level ~enter:0.2 ~exit:0.08 ~boost:1 "degraded";
+          ]
+      in
+      Controller.create ~estimator ~policy ladder
+    in
+    let adaptive = Driver.run ~controller ~program ~losses trace in
+    check_int "identical trace measured" static.Driver.requests
+      adaptive.Driver.requests;
+    check_bool "the bad phase hurts the static server" true
+      (static.Driver.missed > 0);
+    missed := !missed + static.Driver.missed;
+    missed_adaptive := !missed_adaptive + adaptive.Driver.missed;
+    check_bool "the channel change triggered at least one swap" true
+      (List.length adaptive.Driver.swaps >= 1);
+    check_bool "at most escalation plus recovery" true
+      (List.length adaptive.Driver.swaps <= 2);
+    List.iter
+      (fun e -> check_int "swaps only at cycle boundaries" 0 e.Swap.phase)
+      adaptive.Driver.swaps;
+    check_int "static runs never swap" 0 (List.length static.Driver.swaps)
+  done;
   check_bool "adaptation does not lose requests" true
-    (adaptive.Driver.missed <= static.Driver.missed);
-  check_bool "the channel change triggered at least one swap" true
-    (List.length adaptive.Driver.swaps >= 1);
-  check_bool "at most escalation plus recovery" true
-    (List.length adaptive.Driver.swaps <= 2);
-  List.iter
-    (fun e -> check_int "swaps only at cycle boundaries" 0 e.Swap.phase)
-    adaptive.Driver.swaps;
-  check_int "static runs never swap" 0 (List.length static.Driver.swaps)
+    (!missed_adaptive <= !missed)
 
 (* ------------------------------------------------------------------ *)
 

@@ -723,6 +723,19 @@ let test_distance_infeasible () =
 (* Gen                                                                *)
 (* ------------------------------------------------------------------ *)
 
+let test_gen_validation () =
+  List.iter
+    (fun target ->
+      let name = Printf.sprintf "target %g" target in
+      Alcotest.check_raises name
+        (Invalid_argument "Gen.unit_system_with_density: target in (0, 1]")
+        (fun () ->
+          ignore (Gen.unit_system_with_density ~seed:1 ~n:4 ~max_b:8 ~target));
+      Alcotest.check_raises name
+        (Invalid_argument "Gen.multi_unit_system: target in (0, 1]") (fun () ->
+          ignore (Gen.multi_unit_system ~seed:1 ~n:4 ~max_a:2 ~max_b:8 ~target)))
+    [ 0.0; 1.5; Float.nan ]
+
 let test_gen_density_bounded () =
   let sys = Gen.unit_system_with_density ~seed:7 ~n:10 ~max_b:50 ~target:0.7 in
   check_bool "density below target" true
@@ -1032,6 +1045,7 @@ let () =
         [
           Alcotest.test_case "density bounded" `Quick test_gen_density_bounded;
           Alcotest.test_case "multi-unit" `Quick test_gen_multi_unit;
+          Alcotest.test_case "validation" `Quick test_gen_validation;
         ] );
       ( "online",
         [

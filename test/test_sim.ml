@@ -128,10 +128,16 @@ let test_fault_reset_to_determinism () =
       Fault.burst ~p_good_to_bad:0.2 ~p_bad_to_good:0.3 ~loss_good:0.05
         ~loss_bad:0.6 ~seed:11)
 
-(* The float reference [Fault] is pinned to: each verdict compares a
-   [Random.State.float] draw against the probability, on a stream
-   seeded from (seed, reset slot), and the burst chain flips its state
-   before its loss draw. [n] verdicts from slot [slot]. *)
+(* The documented verdict function [Fault] is pinned to, written out
+   from fault.mli: a stream started at slot o has the key
+   mix64 (mix64 (seed lxor gamma) + o), and its counter c reads the
+   53-bit integer n_c = mix64 (key + c·gamma) lsr 9. The verdict at
+   slot o + i compares the float u = n_i·2⁻⁵³ with the loss
+   probability. The burst chain is good at relative slot -1; its j-th
+   sojourn (j = 1, 2, …) reads counter -j as u = (n + 1)·2⁻⁵³ and lasts
+   1 + ⌊log u / log (1 - q)⌋ slots in a state left with probability q
+   (never when q = 0 or past 2⁶⁰), and each slot is judged in the state
+   in force at it. [n] verdicts from slot [slot]. *)
 type fault_model =
   | Ref_bernoulli of float
   | Ref_burst of { gb : float; bg : float; lg : float; lb : float }
@@ -142,39 +148,57 @@ let fault_of_ref ~seed = function
       Fault.burst ~p_good_to_bad:gb ~p_bad_to_good:bg ~loss_good:lg
         ~loss_bad:lb ~seed
 
+let reference_uniform ~seed ~slot =
+  let mix = Pindisk_util.Intmath.mix64 in
+  let gamma = 0x278dde6e5fd29f05 in
+  let key = mix (mix (seed lxor gamma) + slot) in
+  fun c -> Float.ldexp (float_of_int (mix (key + (c * gamma)) lsr 9)) (-53)
+
 let reference_verdicts model ~seed ~slot n =
-  let rng = Random.State.make [| seed; slot; 0x5eed |] in
-  let bad = ref false in
-  let out = Array.make n false in
-  for i = 0 to n - 1 do
-    out.(i) <-
-      (match model with
-      | Ref_bernoulli p -> Random.State.float rng 1.0 < p
-      | Ref_burst { gb; bg; lg; lb } ->
-          let flip = Random.State.float rng 1.0 in
-          (if !bad then (if flip < bg then bad := false)
-           else if flip < gb then bad := true);
-          Random.State.float rng 1.0 < if !bad then lb else lg)
-  done;
-  out
+  let u = reference_uniform ~seed ~slot in
+  match model with
+  | Ref_bernoulli p -> Array.init n (fun i -> u i < p)
+  | Ref_burst { gb; bg; lg; lb } ->
+      let length j q =
+        if q = 0.0 then max_int
+        else
+          let x = Float.log (u (-j) +. 0x1p-53) /. Float.log1p (-.q) in
+          if x < 0x1p60 then 1 + int_of_float x else max_int
+      in
+      let bad = Array.make n false in
+      (* Sojourn [j] holds [state] from relative slot [start] on. *)
+      let rec fill j state start =
+        if start < n then begin
+          let l = length j (if state then bg else gb) in
+          let stop = if l = max_int then n else min n (start + l) in
+          for i = max 0 start to stop - 1 do
+            bad.(i) <- state
+          done;
+          if l <> max_int then fill (j + 1) (not state) (start + l)
+        end
+      in
+      fill 1 false (-1);
+      Array.init n (fun i -> u i < if bad.(i) then lb else lg)
+
+let edge_probabilities = [| 0.0; 0x1p-1074; 0x1p-53; 0.5; 1.0 -. 0x1p-53; 1.0 |]
+
+let gen_probability =
+  QCheck2.Gen.(oneof [ oneofa edge_probabilities; float_bound_inclusive 1.0 ])
 
 (* [Fault] against the float reference, over random seeds, reset slots
    and lengths, with the probabilities where an integer cut could be
    off by one mixed in: every verdict of a per-slot walk matches, and
    so does every verdict taken after a run of skips. *)
 let prop_fault_matches_float_reference =
-  let edge = [| 0.0; 0x1p-1074; 0x1p-53; 0.5; 1.0 -. 0x1p-53; 1.0 |] in
-  let prob =
-    QCheck2.Gen.(oneof [ oneofa edge; float_bound_inclusive 1.0 ])
-  in
   let model =
     QCheck2.Gen.(
       oneof
         [
-          map (fun p -> Ref_bernoulli p) prob;
+          map (fun p -> Ref_bernoulli p) gen_probability;
           map
             (fun (gb, bg, lg, lb) -> Ref_burst { gb; bg; lg; lb })
-            (quad prob prob prob prob);
+            (quad gen_probability gen_probability gen_probability
+               gen_probability);
         ])
   in
   QCheck2.Test.make ~name:"fault verdicts match the float reference"
@@ -211,7 +235,8 @@ let prop_fault_matches_float_reference =
 let test_fault_cut_exact_at_draw () =
   List.iter
     (fun (seed, slot) ->
-      let u = Random.State.float (Random.State.make [| seed; slot; 0x5eed |]) 1.0 in
+      let u = reference_uniform ~seed ~slot 0 in
+      check_bool "draw is positive" true (u > 0.0);
       List.iter
         (fun p ->
           let f = Fault.bernoulli ~p ~seed in
@@ -221,6 +246,264 @@ let test_fault_cut_exact_at_draw () =
             (Fault.advance f))
         [ Float.pred u; u; Float.succ u ])
     [ (0, 0); (7, 3); (42, 1000); (99_999, 65_535) ]
+
+(* Any interleaving of [skip], [advance] and [reset_to] reads, at each
+   judged slot, the verdict a plain [advance] walk from the same origin
+   reads there: a verdict depends only on (seed, origin, slot). *)
+type fault_op = Skip of int | Advance | Reset of int
+
+let prop_fault_interleavings_read_the_walk =
+  let open QCheck2.Gen in
+  let chain =
+    map
+      (fun ((gb, bg, lg, lb), stuck) ->
+        match stuck with
+        | 0 -> `Burst (0.0, bg, lg, lb) (* never leaves good *)
+        | 1 -> `Burst (gb, 0.0, lg, lb) (* never leaves bad once there *)
+        | _ -> `Burst (gb, bg, lg, lb))
+      (pair
+         (quad gen_probability gen_probability gen_probability gen_probability)
+         (int_bound 4))
+  in
+  let model =
+    oneof
+      [
+        pure `None;
+        map (fun p -> `Bernoulli p) gen_probability;
+        chain;
+        map (fun m -> `Deterministic m) (int_range 1 7);
+      ]
+  in
+  let op =
+    frequency
+      [
+        (4, map (fun k -> Skip k) (int_bound 60));
+        (1, map (fun k -> Skip k) (int_bound 5_000));
+        (5, pure Advance);
+        (1, map (fun o -> Reset o) (int_bound 100_000));
+      ]
+  in
+  let make model seed =
+    match model with
+    | `None -> Fault.none ()
+    | `Bernoulli p -> Fault.bernoulli ~p ~seed
+    | `Burst (gb, bg, lg, lb) ->
+        Fault.burst ~p_good_to_bad:gb ~p_bad_to_good:bg ~loss_good:lg
+          ~loss_bad:lb ~seed
+    | `Deterministic m ->
+        Fault.deterministic (fun t ->
+            Pindisk_util.Intmath.mix64 (t + seed) mod m = 0)
+  in
+  QCheck2.Test.make ~name:"fault interleavings read the plain walk" ~count:400
+    (triple model (int_bound 1_000_000) (list_size (int_range 1 60) op))
+    (fun (model, seed, ops) ->
+      (* The plain walk from each origin, extended on demand. *)
+      let walks = Hashtbl.create 4 in
+      let walk o i =
+        let g, seen =
+          match Hashtbl.find_opt walks o with
+          | Some w -> w
+          | None ->
+              let g = make model seed in
+              Fault.reset_to g o;
+              let w = (g, ref [||]) in
+              Hashtbl.add walks o w;
+              w
+        in
+        let have = Array.length !seen in
+        if i >= have then
+          seen :=
+            Array.append !seen
+              (Array.init (i + 1 - have) (fun _ -> Fault.advance g));
+        !seen.(i)
+      in
+      let f = make model seed in
+      let origin = ref 0 and i = ref 0 in
+      List.for_all
+        (function
+          | Skip k ->
+              Fault.skip f k;
+              i := !i + k;
+              true
+          | Reset o ->
+              Fault.reset_to f o;
+              origin := o;
+              i := 0;
+              true
+          | Advance ->
+              let v = Fault.advance f in
+              incr i;
+              v = walk !origin (!i - 1)
+              || QCheck2.Test.fail_reportf "slot %d from origin %d diverged"
+                   (!i - 1) !origin)
+        ops)
+
+(* A chain that changes state at every slot and loses exactly in the
+   bad state: it starts good, and each slot steps before it is judged,
+   so the verdicts from any origin read lost, kept, lost, … *)
+let test_fault_alternating_chain () =
+  List.iter
+    (fun (seed, origin) ->
+      let f =
+        Fault.burst ~p_good_to_bad:1.0 ~p_bad_to_good:1.0 ~loss_good:0.0
+          ~loss_bad:1.0 ~seed
+      in
+      Fault.reset_to f origin;
+      let name = Printf.sprintf "seed %d origin %d" seed origin in
+      Alcotest.(check (list bool)) name
+        (List.init 12 (fun i -> i mod 2 = 0))
+        (List.init 12 (fun _ -> Fault.advance f));
+      (* relative slots 12..14 skipped, 15 judged *)
+      Fault.skip f 3;
+      check_bool (name ^ ", after a skip") false (Fault.advance f))
+    [ (0, 0); (1, 1); (7, 17); (42, 1_000); (99_999, 65_535) ]
+
+(* The LXM chain [Fault] drew before its verdicts became functions of
+   the slot: one [Random.State] stream per (seed, origin), redrawing a
+   zero, one draw per Bernoulli slot and two per burst slot (a state
+   flip, then a loss judged in the state flipped to). The distribution
+   oracle below holds the new verdicts to its law. *)
+module Lxm_fault = struct
+  let cut p = int_of_float (Float.ceil (Float.ldexp p 53))
+
+  let rec draw rng =
+    let n =
+      Int64.to_int (Int64.shift_right_logical (Random.State.bits64 rng) 11)
+    in
+    if n <> 0 then n else draw rng
+
+  (* [n] verdicts from slot 0. *)
+  let verdicts model ~seed n =
+    let rng = Random.State.make [| seed; 0; 0x5eed |] in
+    match model with
+    | Ref_bernoulli p ->
+        let c = cut p in
+        Array.init n (fun _ -> draw rng < c)
+    | Ref_burst { gb; bg; lg; lb } ->
+        let to_bad = cut gb and to_good = cut bg in
+        let cut_good = cut lg and cut_bad = cut lb in
+        let bad = ref false in
+        Array.init n (fun _ ->
+            let flip = draw rng in
+            bad := if !bad then flip >= to_good else flip < to_bad;
+            draw rng < if !bad then cut_bad else cut_good)
+end
+
+(* Per-seed loss counts and loss runs of [seeds] streams of [slots]
+   verdicts each, reduced to the loss rate, the mean loss-run length and
+   the per-seed standard deviation of the loss rate, each with its
+   standard error. *)
+let loss_statistics ~seeds ~slots verdicts =
+  let rate = Array.make seeds 0.0 and runs = Array.make seeds 0.0 in
+  for s = 0 to seeds - 1 do
+    let v = verdicts s in
+    let losses = ref 0 and starts = ref 0 in
+    Array.iteri
+      (fun i lost ->
+        if lost then begin
+          incr losses;
+          if i = 0 || not v.(i - 1) then incr starts
+        end)
+      v;
+    rate.(s) <- float_of_int !losses /. float_of_int slots;
+    runs.(s) <- float_of_int !starts
+  done;
+  let n = float_of_int seeds in
+  let mean a = Array.fold_left ( +. ) 0.0 a /. n in
+  let r = mean rate in
+  let central k = mean (Array.map (fun x -> (x -. r) ** k) rate) in
+  let var = central 2.0 in
+  let sd = sqrt var in
+  (* The run length is a ratio of sums; its error by the delta method. *)
+  let lost = Array.map (fun x -> x *. float_of_int slots) rate in
+  let run_len = mean lost /. mean runs in
+  let z = Array.mapi (fun s l -> l -. (run_len *. runs.(s))) lost in
+  let run_se = sqrt (mean (Array.map (fun x -> x *. x) z) /. n) /. mean runs in
+  [
+    ("loss rate", r, sd /. sqrt n);
+    ("mean loss run", run_len, run_se);
+    ( "per-seed sd",
+      sd,
+      sqrt ((central 4.0 -. (var *. var)) /. n) /. (2.0 *. sd) );
+  ]
+
+let within_five_se name (a, se_a) (b, se_b) =
+  let bound = 5.0 *. sqrt ((se_a *. se_a) +. (se_b *. se_b)) in
+  if not (Float.abs (a -. b) <= bound) then
+    Alcotest.failf "%s: %.5f vs %.5f, more than five standard errors (%.5f)"
+      name a b bound
+
+(* The sojourn law, read through a chain whose state is its verdict
+   (loss_good = 0, loss_bad = 1): a slot that follows one in state X
+   leaves X with probability q, so the mean sojourn slots/leaves is
+   1/q. *)
+let check_mean_sojourns ~seeds ~slots ~gb ~bg =
+  let steps = [| 0; 0 |] and leaves = [| 0; 0 |] in
+  for seed = 0 to seeds - 1 do
+    let f =
+      Fault.burst ~p_good_to_bad:gb ~p_bad_to_good:bg ~loss_good:0.0
+        ~loss_bad:1.0 ~seed
+    in
+    let prev = ref (Fault.advance f) in
+    for _ = 2 to slots do
+      let now = Fault.advance f in
+      let x = Bool.to_int !prev in
+      steps.(x) <- steps.(x) + 1;
+      if now <> !prev then leaves.(x) <- leaves.(x) + 1;
+      prev := now
+    done
+  done;
+  List.iteri
+    (fun x q ->
+      if q > 0.0 && leaves.(x) > 0 then begin
+        let mean = float_of_int steps.(x) /. float_of_int leaves.(x) in
+        (* se(1/q̂) = se(q̂)/q² with se(q̂)² = q(1 - q)/steps *)
+        let se = sqrt (q *. (1.0 -. q) /. float_of_int steps.(x)) /. (q *. q) in
+        within_five_se
+          (Printf.sprintf "mean sojourn in %s (%g, %g)"
+             (if x = 0 then "good" else "bad") gb bg)
+          (mean, 0.0) (1.0 /. q, se)
+      end)
+    [ gb; bg ]
+
+(* The loss law of the new verdicts against the LXM chain's, over
+   20 000 seeds of 1 000 slots: loss rate, mean loss-run length and
+   per-seed spread agree within five standard errors, and each chain's
+   sojourns have mean 1/q. *)
+let test_fault_law_matches_lxm_chain () =
+  let seeds = 20_000 and slots = 1_000 in
+  List.iter
+    (fun model ->
+      let name =
+        match model with
+        | Ref_bernoulli p -> Printf.sprintf "bernoulli %g" p
+        | Ref_burst { gb; bg; lg; lb } ->
+            Printf.sprintf "burst (%g, %g, %g, %g)" gb bg lg lb
+      in
+      let lxm =
+        loss_statistics ~seeds ~slots (fun seed ->
+            Lxm_fault.verdicts model ~seed slots)
+      in
+      let now =
+        loss_statistics ~seeds ~slots (fun seed ->
+            let f = fault_of_ref ~seed model in
+            Array.init slots (fun _ -> Fault.advance f))
+      in
+      List.iter2
+        (fun (stat, a, se_a) (_, b, se_b) ->
+          within_five_se (name ^ ", " ^ stat) (a, se_a) (b, se_b))
+        lxm now;
+      match model with
+      | Ref_burst { gb; bg; _ } -> check_mean_sojourns ~seeds ~slots ~gb ~bg
+      | Ref_bernoulli _ -> ())
+    [
+      Ref_bernoulli 0.05;
+      Ref_bernoulli 0.4;
+      Ref_burst { gb = 0.3; bg = 0.1; lg = 0.0; lb = 0.533 };
+      Ref_burst { gb = 0.01; bg = 0.1; lg = 0.02; lb = 0.6 };
+      Ref_burst { gb = 0.001; bg = 0.1; lg = 0.02; lb = 0.5 };
+      Ref_burst { gb = 0.5; bg = 0.5; lg = 0.1; lb = 0.9 };
+    ]
 
 let test_fault_deterministic_skip () =
   let calls = ref [] in
@@ -1695,26 +1978,61 @@ let test_ycsb_validation () =
     ignore (ycsb ~rate ~popularity ~arrivals ~horizon ())
   in
   let raises msg f = Alcotest.check_raises msg (Invalid_argument msg) f in
+  let nan = Float.nan in
   raises "Workload.ycsb: rate must be positive" (fun () -> run ~rate:0.0 ());
+  raises "Workload.ycsb: rate must be positive" (fun () -> run ~rate:nan ());
+  (* An infinite rate makes every gap 0: the arrival loop never ends. *)
+  raises "Workload.ycsb: rate must be finite" (fun () -> run ~rate:infinity ());
   raises "Workload.ycsb: horizon must be >= 1" (fun () -> run ~horizon:0 ());
   raises "Workload.ycsb: negative theta" (fun () ->
       run ~popularity:(Workload.Zipfian { theta = -1.0 }) ());
+  raises "Workload.ycsb: negative theta" (fun () ->
+      run ~popularity:(Workload.Zipfian { theta = nan }) ());
+  raises "Workload.ycsb: negative theta" (fun () ->
+      run ~popularity:(Workload.Shifting { theta = nan; every = 1 }) ());
   raises "Workload.ycsb: hot_fraction must be in (0, 1]" (fun () ->
       run ~popularity:(Workload.Hotspot { hot_fraction = 0.0; hot_weight = 0.5 }) ());
+  raises "Workload.ycsb: hot_fraction must be in (0, 1]" (fun () ->
+      run ~popularity:(Workload.Hotspot { hot_fraction = nan; hot_weight = 0.5 }) ());
   raises "Workload.ycsb: hot_weight must be in [0, 1]" (fun () ->
       run ~popularity:(Workload.Hotspot { hot_fraction = 0.5; hot_weight = 1.5 }) ());
+  raises "Workload.ycsb: hot_weight must be in [0, 1]" (fun () ->
+      run ~popularity:(Workload.Hotspot { hot_fraction = 0.5; hot_weight = nan }) ());
   raises "Workload.ycsb: every must be >= 1" (fun () ->
       run ~popularity:(Workload.Shifting { theta = 0.5; every = 0 }) ());
   raises "Workload.ycsb: period must be >= 1" (fun () ->
       run ~arrivals:(Workload.Diurnal { period = 0; trough = 0.5 }) ());
   raises "Workload.ycsb: trough must be in [0, 1]" (fun () ->
       run ~arrivals:(Workload.Diurnal { period = 10; trough = 1.5 }) ());
+  raises "Workload.ycsb: trough must be in [0, 1]" (fun () ->
+      run ~arrivals:(Workload.Diurnal { period = 10; trough = nan }) ());
   raises "Workload.ycsb: magnitude must be >= 1" (fun () ->
       run ~arrivals:(Workload.Flash { at = 5; magnitude = 0.5; width = 2 }) ());
+  raises "Workload.ycsb: magnitude must be >= 1" (fun () ->
+      run ~arrivals:(Workload.Flash { at = 5; magnitude = nan; width = 2 }) ());
+  raises "Workload.ycsb: magnitude must be finite" (fun () ->
+      run ~arrivals:(Workload.Flash { at = 5; magnitude = infinity; width = 2 }) ());
   raises "Workload.ycsb: width must be >= 1" (fun () ->
       run ~arrivals:(Workload.Flash { at = 5; magnitude = 2.0; width = 0 }) ());
   raises "Workload.ycsb: flash slot must be >= 0" (fun () ->
       run ~arrivals:(Workload.Flash { at = -1; magnitude = 2.0; width = 2 }) ())
+
+let test_generate_validation () =
+  let run ?(rate = 1.0) ?(theta = 0.5) ?(horizon = 10) () =
+    ignore
+      (Workload.generate ~program:(ycsb_program ()) ~rate ~theta
+         ~needed_of:(fun _ -> 1) ~deadline_of:(fun _ -> 10) ~horizon ~seed:1)
+  in
+  let raises msg f = Alcotest.check_raises msg (Invalid_argument msg) f in
+  raises "Workload.generate: rate must be positive" (fun () -> run ~rate:0.0 ());
+  raises "Workload.generate: rate must be positive" (fun () ->
+      run ~rate:Float.nan ());
+  raises "Workload.generate: rate must be finite" (fun () ->
+      run ~rate:infinity ());
+  raises "Workload.generate: negative theta" (fun () -> run ~theta:(-1.0) ());
+  raises "Workload.generate: negative theta" (fun () ->
+      run ~theta:Float.nan ());
+  raises "Workload.generate: horizon must be >= 1" (fun () -> run ~horizon:0 ())
 
 (* ------------------------------------------------------------------ *)
 (* Typed errors and the resilient retrieve path                        *)
@@ -1859,6 +2177,11 @@ let () =
             test_fault_cut_exact_at_draw;
           Alcotest.test_case "deterministic skip" `Quick
             test_fault_deterministic_skip;
+          QCheck_alcotest.to_alcotest prop_fault_interleavings_read_the_walk;
+          Alcotest.test_case "alternating chain" `Quick
+            test_fault_alternating_chain;
+          Alcotest.test_case "law matches the LXM chain" `Slow
+            test_fault_law_matches_lxm_chain;
         ] );
       ( "client",
         [
@@ -1964,6 +2287,7 @@ let () =
           Alcotest.test_case "diurnal wave" `Quick test_ycsb_diurnal_wave;
           Alcotest.test_case "flash crowd" `Quick test_ycsb_flash_crowd;
           Alcotest.test_case "validation" `Quick test_ycsb_validation;
+          Alcotest.test_case "generate validation" `Quick test_generate_validation;
         ] );
       ( "resilience",
         [

@@ -71,6 +71,12 @@ let test_latency_validation () =
   Alcotest.check_raises "fail_p out of range"
     (Invalid_argument "Latency.stochastic: fail_p must be in [0, 1]")
     (fun () -> ignore (Latency.stochastic ~fail_p:1.5 ~seed:0 ()));
+  Alcotest.check_raises "fail_p nan"
+    (Invalid_argument "Latency.stochastic: fail_p must be in [0, 1]")
+    (fun () -> ignore (Latency.stochastic ~fail_p:Float.nan ~seed:0 ()));
+  Alcotest.check_raises "slow_p nan"
+    (Invalid_argument "Latency.stochastic: slow_p must be in [0, 1]")
+    (fun () -> ignore (Latency.stochastic ~slow_p:Float.nan ~seed:0 ()));
   Alcotest.check_raises "bad stuck window"
     (Invalid_argument "Latency.stuck: need 0 <= from_ <= until_") (fun () ->
       ignore (Latency.stuck ~from_:5 ~until_:4 Latency.immediate))

@@ -131,7 +131,13 @@ let test_stats_percentile_interpolation () =
   Alcotest.(check (float 1e-9)) "p0" 10.0 (Stats.percentile s 0.0);
   Alcotest.(check (float 1e-9)) "p50" 15.0 (Stats.percentile s 50.0);
   Alcotest.(check (float 1e-9)) "p100" 20.0 (Stats.percentile s 100.0);
-  Alcotest.(check (float 1e-9)) "p25" 12.5 (Stats.percentile s 25.0)
+  Alcotest.(check (float 1e-9)) "p25" 12.5 (Stats.percentile s 25.0);
+  List.iter
+    (fun p ->
+      Alcotest.check_raises (Printf.sprintf "p = %g" p)
+        (Invalid_argument "Stats.percentile: p out of range") (fun () ->
+          ignore (Stats.percentile s p)))
+    [ -1.0; 100.5; Float.nan ]
 
 let test_stats_add_after_percentile () =
   (* Sorting for a percentile must not corrupt later additions. *)
@@ -173,6 +179,77 @@ let prop_stats_percentiles_monotone =
       mono vals
       && Stats.percentile s 0.0 = Stats.min_value s
       && Stats.percentile s 100.0 = Stats.max_value s)
+
+(* [Stats] sorts its (value, weight) entries with a monomorphic merge
+   sort; the polymorphic tuple sort it replaced is the reference. Every
+   order statistic read through the public API agrees, over duplicate
+   values, weights 1 and large, NaN and infinities. [Float.equal] holds
+   NaN equal to NaN and 0.0 equal to -0.0, the one pair of entries the
+   two sorts may order differently. *)
+let prop_stats_sort_matches_tuple_sort =
+  let open QCheck2.Gen in
+  let value =
+    frequency
+      [
+        (3, oneofa [| 0.0; -0.0; 1.0; 2.5; -3.0 |]);
+        (1, oneofa [| Float.nan; infinity; neg_infinity |]);
+        (3, float_range (-1e6) 1e6);
+      ]
+  in
+  let weight = frequency [ (4, pure 1); (1, int_range 0 5); (1, pure 1_000_000) ] in
+  QCheck2.Test.make ~name:"sort matches the tuple sort" ~count:300
+    (list_size (int_range 1 80) (pair value weight))
+    (fun entries ->
+      let s = Stats.create () in
+      List.iter (fun (v, w) -> Stats.add_weighted s v w) entries;
+      let sorted =
+        Array.of_list (List.sort compare (List.filter (fun (_, w) -> w > 0) entries))
+      in
+      let count = Array.fold_left (fun acc (_, w) -> acc + w) 0 sorted in
+      count = 0
+      ||
+      let order_statistic k =
+        let rec go i cum =
+          let v, w = sorted.(i) in
+          if k < cum + w then v else go (i + 1) (cum + w)
+        in
+        go 0 0
+      in
+      let percentile p =
+        if count = 1 then fst sorted.(0)
+        else
+          let rank = p /. 100.0 *. float_of_int (count - 1) in
+          let lo = int_of_float (floor rank) in
+          let hi = min (count - 1) (lo + 1) in
+          let frac = rank -. float_of_int lo in
+          (order_statistic lo *. (1.0 -. frac)) +. (order_statistic hi *. frac)
+      in
+      let agree name a b =
+        Float.equal a b || QCheck2.Test.fail_reportf "%s: %h vs %h" name a b
+      in
+      List.for_all
+        (fun p -> agree (Printf.sprintf "p%g" p) (percentile p) (Stats.percentile s p))
+        [ 0.0; 1.0; 12.5; 25.0; 50.0; 75.0; 90.0; 99.0; 100.0 ]
+      && agree "median" (percentile 50.0) (Stats.median s)
+      && agree "min" (fst sorted.(0)) (Stats.min_value s)
+      && agree "max" (fst sorted.(Array.length sorted - 1)) (Stats.max_value s)
+      &&
+      let lo = fst sorted.(0) and hi = fst sorted.(Array.length sorted - 1) in
+      let width = (hi -. lo) /. 4.0 in
+      let width = if width <= 0.0 then 1.0 else width in
+      let counts = Array.make 4 0 in
+      Array.iter
+        (fun (v, w) ->
+          let b = min 3 (int_of_float ((v -. lo) /. width)) in
+          counts.(b) <- counts.(b) + w)
+        sorted;
+      List.for_all2
+        (fun (b, (lo', hi', c')) c ->
+          agree "bucket low" (lo +. (float_of_int b *. width)) lo'
+          && agree "bucket high" (lo +. (float_of_int (b + 1) *. width)) hi'
+          && c = c')
+        (List.mapi (fun b x -> (b, x)) (Stats.histogram s ~buckets:4))
+        (Array.to_list counts))
 
 let test_stats_variance_large_offset () =
   (* sum_sq/n - mean^2 catastrophically cancels with a 1e9 offset; the
@@ -425,7 +502,11 @@ let () =
         ] );
       ( "stats-properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_stats_percentiles_monotone; prop_stats_weighted_equals_expanded ] );
+          [
+            prop_stats_percentiles_monotone;
+            prop_stats_weighted_equals_expanded;
+            prop_stats_sort_matches_tuple_sort;
+          ] );
       ( "q-properties",
         List.map QCheck_alcotest.to_alcotest
           [
