@@ -27,6 +27,12 @@
        32-file design, both from perfbench's fleet generator at K = 4,
        stripe 2. A request reads only its own file's index entries, so
        the ratio stays near 1; the gate holds it at <= 3.
+     - design scaling: Shard.design's mean cost per file on 12 288
+       fleet files over 64 channels, over its cost on 768 files over 4
+       channels (stripe 2, bandwidth 32, 192 files a channel in both),
+       timed in alternating rounds. Placement scans the K loads once
+       per share and each channel's task list is built once, so only
+       planning grows; the gate holds the ratio at <= 2.
 
    Results land in BENCH_multichannel.json; scripts/bench_gate.ml gates
    the floors (`--kind multichannel`). Quick mode
@@ -93,6 +99,31 @@ let request_ns ~files =
           Multi.run ~max_slots:1 ~design ~tuners:2
             ~fault:(fun ~channel:_ ~seed:_ -> Fault.none ())
             ~seed:1 trace)
+
+(* Mean cost per file of Shard.design on the fleet at stripe 2,
+   bandwidth 32: 768 files on 4 channels, and 12 288 files on 64. The
+   two alternate in rounds of equal file counts (16 small designs, one
+   large), so a slow spell of a shared machine slows both sides. *)
+let design_ns_per_file () =
+  let small = fleet_specs ~files:768 and large = fleet_specs ~files:12288 in
+  let time ~channels specs reps =
+    let t0 = Unix.gettimeofday () in
+    for _ = 1 to reps do
+      ignore
+        (Sys.opaque_identity
+           (Shard.design ~stripe:2 ~channels ~bandwidth:32 specs))
+    done;
+    Unix.gettimeofday () -. t0
+  in
+  ignore (time ~channels:4 small 1 +. time ~channels:64 large 1);
+  let rounds = 3 in
+  let small_s = ref 0.0 and large_s = ref 0.0 in
+  for _ = 1 to rounds do
+    small_s := !small_s +. time ~channels:4 small 16;
+    large_s := !large_s +. time ~channels:64 large 1
+  done;
+  let per_file s = s *. 1e9 /. float_of_int (rounds * 12288) in
+  (per_file !small_s, per_file !large_s)
 
 (* Uniform closed-form population: every file (served or shed) at 8
    phases; a shed file's clients retire as missed, so completions track
@@ -185,6 +216,9 @@ let run () =
   let request_ns_n32 = request_ns ~files:32 in
   let request_ns_n768 = request_ns ~files:768 in
   let request_cost_ratio = request_ns_n768 /. request_ns_n32 in
+  (* Files per channel held at 192, as in perfbench's fleet. *)
+  let design_ns_n768, design_ns_n12288 = design_ns_per_file () in
+  let design_cost_ratio = design_ns_n12288 /. design_ns_n768 in
   Format.printf
     "  aggregate files K4/K1: %.2fx; completed clients K4/K1: %.2fx@."
     files_ratio completed_ratio;
@@ -193,6 +227,10 @@ let run () =
   Format.printf
     "  one request, 768 over 32 files: %.0f ns / %.0f ns = %.2fx@."
     request_ns_n768 request_ns_n32 request_cost_ratio;
+  Format.printf
+    "  design per file, 12288 files on K=64 over 768 on K=4: %.0f ns / %.0f \
+     ns = %.2fx@."
+    design_ns_n12288 design_ns_n768 design_cost_ratio;
   let path =
     Option.value
       (Sys.getenv_opt "PINDISK_MULTICHANNEL_OUT")
@@ -211,6 +249,7 @@ let run () =
   out "  \"k1_identity_ok\": %.1f,\n" (if identity_ok then 1.0 else 0.0);
   out "  \"multi_cohort_clients_per_sec\": %.0f,\n" clients_per_sec;
   out "  \"multi_request_cost_n768_over_n32\": %.2f,\n" request_cost_ratio;
+  out "  \"design_cost_per_file_n12288_over_n768\": %.2f,\n" design_cost_ratio;
   out "  \"results\": [\n";
   List.iteri
     (fun i (k, design, served, (r : Engine.result), certified) ->

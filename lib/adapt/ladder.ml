@@ -30,7 +30,6 @@ let evacuate (design : Pindisk.Shard.t) ~channel =
   let module P = Pindisk_pinwheel in
   let module Q = Pindisk_util.Q in
   let module Shard = Pindisk.Shard in
-  let module File_spec = Pindisk.File_spec in
   let k = Array.length design.Shard.channels in
   if channel < 0 || channel >= k then
     invalid_arg "Ladder.evacuate: no such channel";
@@ -55,18 +54,8 @@ let evacuate (design : Pindisk.Shard.t) ~channel =
   let rungs = ref [] and stranded = ref [] in
   List.iter
     (fun (file, task) ->
-      let holds c =
-        List.exists
-          (fun (q : Shard.placement) -> q.Shard.channel = c)
-          (Shard.placements_of design file)
-      in
-      let candidates =
-        List.init k Fun.id
-        |> List.filter (fun c -> c <> channel && not (holds c))
-        |> List.stable_sort (fun a b ->
-               Q.compare (P.Density.density load.(a)) (P.Density.density load.(b)))
-      in
-      match List.find_opt (fun c -> P.Density.admits load.(c) task) candidates with
+      (* The file's own channels, the failing one among them. *)
+      match P.Channels.lightest ~avoid:(Shard.channels_of design file) load task with
       | Some c ->
           load.(c) <- P.Density.add load.(c) task;
           rungs := Migrate { file; from_channel = channel; to_channel = c } :: !rungs

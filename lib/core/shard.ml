@@ -69,103 +69,7 @@ let make ~channels ~placements ~specs ~shed ~bandwidth ~stripe =
    holds the largest share. *)
 let share ~s ~n j = Array.init ((n - j + s - 1) / s) (fun i -> j + (i * s))
 
-(* Greedy stripe placement for one file: shares in decreasing size onto
-   the lightest distinct channels whose load admits them. Returns the
-   (channel, share ordinal) choices, or None when some share fits
-   nowhere. *)
-let place_file ~channels ~load ~window ~file ~shares =
-  let chosen = ref [] in
-  let ok =
-    List.for_all
-      (fun (j, (pieces : int array)) ->
-        let n_j = Array.length pieces in
-        let candidates =
-          List.init channels Fun.id
-          |> List.filter (fun c ->
-                 not (List.mem_assoc c !chosen))
-          |> List.stable_sort (fun a b ->
-                 Q.compare (P.Density.density load.(a)) (P.Density.density load.(b)))
-        in
-        (* A share larger than its window fits no channel, and is not
-           even a task. *)
-        n_j <= window
-        &&
-        let task = P.Task.make ~id:file ~a:n_j ~b:window in
-        match List.find_opt (fun c -> P.Density.admits load.(c) task) candidates with
-        | Some c ->
-            chosen := (c, j) :: !chosen;
-            true
-        | None -> false)
-      (List.mapi (fun j p -> (j, p)) shares)
-  in
-  if ok then Some (List.rev !chosen) else None
-
-let build_channel ~index ~tasks ~plan ~shares_of =
-  let schedule = P.Plan.to_schedule plan in
-  let capacities =
-    List.map
-      (fun (tk : P.Task.t) -> (tk.P.Task.id, Array.length (shares_of tk.P.Task.id)))
-      tasks
-  in
-  {
-    index;
-    tasks;
-    density = P.Task.system_density tasks;
-    plan;
-    program = Program.make ~schedule ~capacities;
-  }
-
-let empty_channel index =
-  let plan = P.Plan.progressions [] in
-  {
-    index;
-    tasks = [];
-    density = Q.zero;
-    plan;
-    program = Program.make ~schedule:(P.Plan.to_schedule plan) ~capacities:[];
-  }
-
-(* The single-channel identity: exactly the Program.pinwheel pipeline
-   (task (i, m+r, B·T), full capacity cycled on one channel). *)
-let single ?algorithm ~bandwidth specs =
-  match List.map (fun f -> File_spec.to_task f ~bandwidth) specs with
-  | exception Invalid_argument _ -> None
-  | sys -> (
-      match P.Scheduler.plan ?algorithm sys with
-      | None -> None
-      | Some plan ->
-          let program =
-            Program.make
-              ~schedule:(P.Plan.to_schedule plan)
-              ~capacities:
-                (List.map
-                   (fun f -> (f.File_spec.id, f.File_spec.capacity))
-                   specs)
-          in
-          Some
-            (make
-               ~channels:
-                 [|
-                   {
-                     index = 0;
-                     tasks = sys;
-                     density = P.Task.system_density sys;
-                     plan;
-                     program;
-                   };
-                 |]
-               ~placements:
-                 (List.map
-                    (fun f ->
-                      {
-                        file = f.File_spec.id;
-                        channel = 0;
-                        pieces = Array.init f.File_spec.capacity Fun.id;
-                      })
-                    specs)
-               ~specs ~shed:[] ~bandwidth ~stripe:1))
-
-let design ?(stripe = 1) ?algorithm ~channels ~bandwidth specs =
+let design ?(stripe = 1) ~channels ~bandwidth specs =
   if channels < 1 then invalid_arg "Shard.design: channels must be >= 1";
   if stripe < 1 then invalid_arg "Shard.design: stripe must be >= 1";
   if bandwidth < 1 then invalid_arg "Shard.design: bandwidth must be >= 1";
@@ -173,139 +77,83 @@ let design ?(stripe = 1) ?algorithm ~channels ~bandwidth specs =
   if specs = [] then Error "Shard.design: no files"
   else if List.length (List.sort_uniq compare ids) <> List.length ids then
     Error "Shard.design: duplicate file ids"
-  else
-    match
-      if channels = 1 && stripe = 1 then single ?algorithm ~bandwidth specs
-      else None
-    with
-    | Some t -> Ok t
-    | None ->
-  (* Not schedulable as a plain single channel (or K > 1): the general
-     packing path, which sheds files instead of failing. *)
-  begin
+  else begin
     let load = Array.make channels P.Density.empty in
-    (* file -> (channel * stripe ordinal) list, insertion order. *)
-    let placed : (int, (int * int) list) Hashtbl.t = Hashtbl.create 16 in
-    let spec_of = Hashtbl.create 16 in
-    List.iter (fun f -> Hashtbl.replace spec_of f.File_spec.id f) specs;
-    let by_density =
-      List.stable_sort
-        (fun a b ->
-          Q.compare
-            (Q.make b.File_spec.capacity (File_spec.window b ~bandwidth))
-            (Q.make a.File_spec.capacity (File_spec.window a ~bandwidth)))
-        specs
+    (* file -> its (channel, task, pieces) shares *)
+    let placed = Hashtbl.create 64 in
+    (* Shares in decreasing size onto distinct channels; a file is placed
+       only when every share finds a channel. A share larger than its
+       window fits no channel, and is not even a task. *)
+    let place f =
+      let window = File_spec.window f ~bandwidth in
+      let n = f.File_spec.capacity in
+      let s = min (min stripe channels) n in
+      let rec go chosen j =
+        if j = s then Some chosen
+        else
+          let pieces = share ~s ~n j in
+          let a = Array.length pieces in
+          if a > window then None
+          else
+            let task = P.Task.make ~id:f.File_spec.id ~a ~b:window in
+            let avoid = List.map (fun (c, _, _) -> c) chosen in
+            match P.Channels.lightest ~avoid load task with
+            | Some c -> go ((c, task, pieces) :: chosen) (j + 1)
+            | None -> None
+      in
+      match go [] 0 with
+      | Some chosen ->
+          List.iter
+            (fun (c, task, _) -> load.(c) <- P.Density.add load.(c) task)
+            chosen;
+          Hashtbl.replace placed f.File_spec.id chosen
+      | None -> ()
     in
+    List.stable_sort
+      (fun a b ->
+        Q.compare
+          (Q.make b.File_spec.capacity (File_spec.window b ~bandwidth))
+          (Q.make a.File_spec.capacity (File_spec.window a ~bandwidth)))
+      specs
+    |> List.iter place;
+    (* Each channel's tasks once, in file order. *)
+    let tasks = Array.make channels [] in
     List.iter
       (fun f ->
-        let window = File_spec.window f ~bandwidth in
-        let n = f.File_spec.capacity in
-        let s = min (min stripe channels) n in
-        let shares = List.init s (share ~s ~n) in
-        match
-          place_file ~channels ~load ~window ~file:f.File_spec.id ~shares
-        with
-        | Some choices ->
-            List.iter
-              (fun (c, j) ->
-                let a = Array.length (List.nth shares j) in
-                load.(c) <-
-                  P.Density.add load.(c)
-                    (P.Task.make ~id:f.File_spec.id ~a ~b:window))
-              choices;
-            Hashtbl.replace placed f.File_spec.id choices
-        | None -> ())
-      by_density;
-    (* Plan every channel; a scheduler failure sheds the failing
-       channel's densest file everywhere and the loop re-plans. *)
-    let channel_tasks c =
-      List.filter_map
-        (fun f ->
-          match Hashtbl.find_opt placed f.File_spec.id with
-          | None -> None
-          | Some choices ->
-              List.assoc_opt c
-                (List.map (fun (ch, j) -> (ch, j)) choices)
-              |> Option.map (fun j ->
-                     let n = f.File_spec.capacity in
-                     let s = List.length choices in
-                     P.Task.make ~id:f.File_spec.id
-                       ~a:(Array.length (share ~s ~n j))
-                       ~b:(File_spec.window f ~bandwidth)))
-        specs
-    in
-    let plans = Array.make channels None in
-    let settled = ref false in
-    while not !settled do
-      settled := true;
-      (try
-         for c = 0 to channels - 1 do
-           let tasks = channel_tasks c in
-           if tasks = [] then plans.(c) <- Some (P.Plan.progressions [])
-           else
-             match P.Scheduler.plan ?algorithm tasks with
-             | Some p -> plans.(c) <- Some p
-             | None ->
-                 let worst =
-                   List.fold_left
-                     (fun (acc : P.Task.t) (t : P.Task.t) ->
-                       let cq =
-                         Q.compare (P.Task.density t) (P.Task.density acc)
-                       in
-                       if cq > 0 || (cq = 0 && t.P.Task.id > acc.P.Task.id)
-                       then t
-                       else acc)
-                     (List.hd tasks) (List.tl tasks)
-                 in
-                 Hashtbl.remove placed worst.P.Task.id;
-                 settled := false;
-                 raise Exit
-         done
-       with Exit -> ())
-    done;
-    let shares_of file =
-      match Hashtbl.find_opt placed file with
-      | None -> fun _ -> [||]
-      | Some choices ->
-          let s = List.length choices in
-          let n = (Hashtbl.find spec_of file).File_spec.capacity in
-          fun c ->
-            (match List.assoc_opt c choices with
-            | Some j -> share ~s ~n j
-            | None -> [||])
-    in
-    let channel_arr =
-      Array.init channels (fun c ->
-          let tasks = channel_tasks c in
-          if tasks = [] then empty_channel c
-          else
-            build_channel ~index:c ~tasks
-              ~plan:(Option.get plans.(c))
-              ~shares_of:(fun file -> shares_of file c))
-    in
-    let placements =
-      List.concat_map
-        (fun f ->
-          match Hashtbl.find_opt placed f.File_spec.id with
-          | None -> []
-          | Some choices ->
-              List.map
-                (fun (c, _) ->
-                  {
-                    file = f.File_spec.id;
-                    channel = c;
-                    pieces = shares_of f.File_spec.id c;
-                  })
-                (List.sort compare choices))
-        specs
-      |> List.sort (fun a b -> compare (a.file, a.channel) (b.file, b.channel))
+        List.iter
+          (fun (c, task, _) -> tasks.(c) <- task :: tasks.(c))
+          (Option.value ~default:[] (Hashtbl.find_opt placed f.File_spec.id)))
+      (List.rev specs);
+    let settled, shed_ids = P.Channels.settle tasks in
+    List.iter (Hashtbl.remove placed) shed_ids;
+    let channels =
+      Array.mapi
+        (fun index (tasks, plan) ->
+          {
+            index;
+            tasks;
+            density = P.Task.system_density tasks;
+            plan;
+            program =
+              Program.make ~schedule:(P.Plan.to_schedule plan)
+                ~capacities:
+                  (List.map (fun (t : P.Task.t) -> (t.P.Task.id, t.P.Task.a)) tasks);
+          })
+        settled
     in
     let admitted, shed =
       List.partition (fun f -> Hashtbl.mem placed f.File_spec.id) specs
     in
-    Ok
-      (make ~channels:channel_arr ~placements ~specs:admitted ~shed ~bandwidth
-         ~stripe)
+    let placements =
+      List.concat_map
+        (fun f ->
+          List.map
+            (fun (channel, _, pieces) -> { file = f.File_spec.id; channel; pieces })
+            (Hashtbl.find placed f.File_spec.id))
+        admitted
+      |> List.sort (fun a b -> compare (a.file, a.channel) (b.file, b.channel))
+    in
+    Ok (make ~channels ~placements ~specs:admitted ~shed ~bandwidth ~stripe)
   end
 
 let block_at t ~channel slot =

@@ -24,16 +24,24 @@
     Goemans–Lynch–Saias motivation for placing IDA pieces across
     channels.
 
-    {b Placement.} Files are packed in decreasing density by LPT onto the
-    least-loaded channels (stripe members onto distinct channels, larger
-    shares to lighter channels), each placement guarded by
-    {!Pindisk_pinwheel.Density.admits} on the channel's running load;
-    files no channel set can take, and files a shard's scheduler
-    subsequently rejects, are shed — a feasible design sheds nothing.
+    {b Placement.} Files are packed in decreasing density by
+    {!Pindisk_pinwheel.Channels}, the library's one channel packer: each
+    share, largest first, goes to the least-loaded channel whose load
+    admits it ({!Pindisk_pinwheel.Channels.lightest}), the file's other
+    stripe members excluded, and the channels are then planned by
+    {!Pindisk_pinwheel.Channels.settle}. Files no channel set can take,
+    and files a channel's scheduler subsequently rejects, are shed — a
+    feasible design sheds nothing. Every channel, at every K, schedules
+    each of its shares as the task [(file, share size, B·T)].
 
-    {b K = 1, stripe = 1 is the identity}: the design is exactly
-    [Program.pinwheel ~bandwidth files] — same task system, same
-    scheduler call, same program bytes. The test suite pins this. *)
+    {b K = 1, stripe = 1 is the single-channel pipeline} for specs whose
+    capacity is [blocks + tolerance], the only specs the CLI, the
+    benches, the examples and perfbench build: when [Program.pinwheel
+    ~bandwidth files] succeeds, the design's one program equals it byte
+    for byte. The test suite pins this. A spec with spare capacity
+    ([capacity > blocks + tolerance]) is scheduled for all its
+    [capacity] pieces, as at every other K, so that every design passes
+    its own certificate. *)
 
 module P = Pindisk_pinwheel
 
@@ -72,7 +80,6 @@ type t = private {
 
 val design :
   ?stripe:int ->
-  ?algorithm:P.Scheduler.algorithm ->
   channels:int ->
   bandwidth:int ->
   File_spec.t list ->

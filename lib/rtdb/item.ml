@@ -8,8 +8,10 @@ let make ?(value = 1) ~id ~name ~blocks ~avi () =
   { id; name; blocks; avi; value }
 
 let avi_of_velocity ~velocity_kmh ~accuracy_m =
-  if velocity_kmh <= 0.0 then invalid_arg "Item.avi_of_velocity: velocity";
-  if accuracy_m <= 0.0 then invalid_arg "Item.avi_of_velocity: accuracy";
+  if not (0.0 < velocity_kmh && velocity_kmh < infinity) then
+    invalid_arg "Item.avi_of_velocity: velocity";
+  if not (0.0 < accuracy_m && accuracy_m < infinity) then
+    invalid_arg "Item.avi_of_velocity: accuracy";
   let meters_per_second = velocity_kmh *. 1000.0 /. 3600.0 in
   accuracy_m /. meters_per_second
 

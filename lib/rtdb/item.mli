@@ -25,6 +25,7 @@ val avi_of_velocity : velocity_kmh:float -> accuracy_m:float -> float
 (** Seconds within which a position of an object moving at [velocity_kmh]
     must be delivered to guarantee [accuracy_m] of positional accuracy:
     [accuracy / velocity]. The paper's aircraft: 900 km/h, 100 m →
-    0.4 s; its tank: 60 km/h, 100 m → 6 s. *)
+    0.4 s; its tank: 60 km/h, 100 m → 6 s. Raises [Invalid_argument]
+    unless both arguments are positive and finite (NaN included). *)
 
 val pp : Format.formatter -> t -> unit

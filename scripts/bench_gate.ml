@@ -133,8 +133,11 @@ let cohort_checks =
    they gate identically on any runner; raw clients/sec is reported in
    the artifact but never gated. One request's cost must not follow the
    fleet: a one-request Multi.run on a 768-file design may cost at most
-   3x the same request on a 32-file design. Pure structure, like the
-   sched memory ratio, so no baseline comparison. *)
+   3x the same request on a 32-file design. Nor may designing a file:
+   Shard.design's mean cost per file on 12 288 files over 64 channels
+   may be at most 2x its cost on 768 files over 4 channels (192 files a
+   channel in both). Pure structure, like the sched memory ratio, so no
+   baseline comparison. *)
 let multichannel_checks =
   [
     { metric = "aggregate_files_k4_over_k1"; dir = Higher_is_better;
@@ -145,6 +148,9 @@ let multichannel_checks =
       floor = Some 1.0; gate_vs_baseline = false; requires = None };
     { metric = "multi_request_cost_n768_over_n32"; dir = Lower_is_better;
       floor = Some 3.0; gate_vs_baseline = false; requires = None };
+    { metric = "design_cost_per_file_n12288_over_n768";
+      dir = Lower_is_better; floor = Some 2.0; gate_vs_baseline = false;
+      requires = None };
   ]
 
 let usage () =

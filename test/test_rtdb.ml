@@ -39,6 +39,21 @@ let test_avi_of_velocity () =
   Alcotest.(check (float 1e-9)) "tank" 6.0
     (Item.avi_of_velocity ~velocity_kmh:60.0 ~accuracy_m:100.0)
 
+let test_avi_of_velocity_rejects () =
+  (* NaN fails every comparison, so a [v <= 0.0] guard lets it through;
+     an infinite velocity would give a 0 s interval. *)
+  List.iter
+    (fun v ->
+      Alcotest.check_raises
+        (Printf.sprintf "velocity %h" v)
+        (Invalid_argument "Item.avi_of_velocity: velocity") (fun () ->
+          ignore (Item.avi_of_velocity ~velocity_kmh:v ~accuracy_m:100.0));
+      Alcotest.check_raises
+        (Printf.sprintf "accuracy %h" v)
+        (Invalid_argument "Item.avi_of_velocity: accuracy") (fun () ->
+          ignore (Item.avi_of_velocity ~velocity_kmh:900.0 ~accuracy_m:v)))
+    [ nan; infinity; neg_infinity; 0.0; -1.0 ]
+
 let test_item_validation () =
   Alcotest.check_raises "bad avi" (Invalid_argument "Item.make: avi must be >= 1")
     (fun () -> ignore (Item.make ~id:0 ~name:"x" ~blocks:1 ~avi:0 ()))
@@ -209,6 +224,8 @@ let () =
       ( "item",
         [
           Alcotest.test_case "avi_of_velocity (paper numbers)" `Quick test_avi_of_velocity;
+          Alcotest.test_case "avi_of_velocity rejects NaN, inf" `Quick
+            test_avi_of_velocity_rejects;
           Alcotest.test_case "validation" `Quick test_item_validation;
         ] );
       ( "mode",

@@ -78,6 +78,42 @@ let test_channels_sheds_infeasible () =
        (fun (s : Channels.shard) -> List.length s.Channels.tasks = 1)
        t.Channels.shards)
 
+let test_channels_k1_sheds_by_admission () =
+  (* K = 1 places by density like any K: tasks 0 and 1 fill the channel
+     (density 1, one slot each in turn) and task 2 is shed by the
+     placement check. Shedding on scheduler failure alone would have
+     shed the densest task of the whole system, task 1. *)
+  let sys = [ Task.unit ~id:0 ~b:2; Task.unit ~id:1 ~b:2; Task.unit ~id:2 ~b:4 ] in
+  let t = Channels.plan ~channels:1 sys in
+  let ids = List.map (fun (tk : Task.t) -> tk.Task.id) in
+  Alcotest.(check (list int)) "task 2 shed" [ 2 ] (ids t.Channels.shed);
+  Alcotest.(check (list int))
+    "tasks 0 and 1 served" [ 0; 1 ]
+    (ids (List.hd t.Channels.shards).Channels.tasks)
+
+let test_channels_settle_sheds_everywhere () =
+  (* Channel 1 cannot plan three tasks of density 1/2. Its densest task,
+     ties to the higher id, is task 3, which also leaves channel 0:
+     channel 0 is planned again without it. *)
+  let half id = Task.unit ~id ~b:2 in
+  let quarter = Task.unit ~id:0 ~b:4 in
+  let settled, shed =
+    Channels.settle [| [ half 3; quarter ]; [ half 1; half 2; half 3 ] |]
+  in
+  let ids = List.map (fun (tk : Task.t) -> tk.Task.id) in
+  Alcotest.(check (list int)) "task 3 shed" [ 3 ] shed;
+  Alcotest.(check (list int)) "channel 0 keeps task 0" [ 0 ] (ids (fst settled.(0)));
+  Alcotest.(check (list int))
+    "channel 1 keeps tasks 1 and 2" [ 1; 2 ]
+    (ids (fst settled.(1)));
+  Array.iter
+    (fun (tasks, plan) ->
+      Alcotest.(check string)
+        "each plan is the plan of its surviving tasks"
+        (render_schedule (Plan.to_schedule (Option.get (Scheduler.plan tasks))))
+        (render_schedule (Plan.to_schedule plan)))
+    settled
+
 let test_channels_bad_args () =
   Alcotest.check_raises "channels < 1"
     (Invalid_argument "Channels.partition: channels must be >= 1") (fun () ->
@@ -225,6 +261,23 @@ let test_shard_k1_block_at_matches_program () =
           (Shard.block_at t ~channel:0 slot = Program.block_at reference slot)
       done
   | _ -> Alcotest.fail "design failed"
+
+let test_shard_k1_placements_by_file () =
+  (* Placements ascend by file id at every K, whatever the spec order. *)
+  let specs =
+    [
+      File_spec.make ~id:5 ~blocks:1 ~latency:4 ();
+      File_spec.make ~id:2 ~blocks:1 ~latency:4 ();
+    ]
+  in
+  match Shard.design ~channels:1 ~bandwidth:1 specs with
+  | Error e -> Alcotest.failf "design failed: %s" e
+  | Ok t ->
+      Alcotest.(check (list (pair int int)))
+        "(file, channel) ascending" [ (2, 0); (5, 0) ]
+        (List.map
+           (fun (p : Shard.placement) -> (p.Shard.file, p.Shard.channel))
+           t.Shard.placements)
 
 let test_shard_spread_covers_files () =
   let specs = specs_small () in
@@ -498,23 +551,28 @@ let prop_index_matches_oracles =
 
 (* Everything a design decides, digested: its rendering, every
    placement, the shed ids and every channel's program. *)
-let design_digest (t : Shard.t) =
+let digest_parts ~text ~placements ~shed ~programs =
   let b = Buffer.create 4096 in
-  Buffer.add_string b (Format.asprintf "%a" Shard.pp t);
+  Buffer.add_string b text;
   List.iter
-    (fun (p : Shard.placement) ->
-      Printf.bprintf b "\n%d@%d:%s" p.Shard.file p.Shard.channel
-        (String.concat ","
-           (Array.to_list (Array.map string_of_int p.Shard.pieces))))
-    t.Shard.placements;
-  Printf.bprintf b "\nshed:%s"
-    (String.concat ","
-       (List.map (fun f -> string_of_int f.File_spec.id) t.Shard.shed));
-  Array.iter
-    (fun (c : Shard.channel) ->
-      Printf.bprintf b "\n%s" (render_program c.Shard.program))
-    t.Shard.channels;
+    (fun (file, channel, pieces) ->
+      Printf.bprintf b "\n%d@%d:%s" file channel
+        (String.concat "," (Array.to_list (Array.map string_of_int pieces))))
+    placements;
+  Printf.bprintf b "\nshed:%s" (String.concat "," (List.map string_of_int shed));
+  List.iter (fun p -> Printf.bprintf b "\n%s" (render_program p)) programs;
   Digest.to_hex (Digest.string (Buffer.contents b))
+
+let design_digest (t : Shard.t) =
+  digest_parts
+    ~text:(Format.asprintf "%a" Shard.pp t)
+    ~placements:
+      (List.map
+         (fun (p : Shard.placement) -> (p.Shard.file, p.Shard.channel, p.Shard.pieces))
+         t.Shard.placements)
+    ~shed:(List.map (fun f -> f.File_spec.id) t.Shard.shed)
+    ~programs:
+      (Array.to_list (Array.map (fun (c : Shard.channel) -> c.Shard.program) t.Shard.channels))
 
 (* perfbench's fleet generator (perfbench/gen.ml), copied. *)
 let fleet_specs ~files =
@@ -558,6 +616,259 @@ let test_shard_designs_pinned () =
       (4, "884ee5ed8825ae5153e68e075e4da9d3");
       (8, "01aab5b96733956bb3ad219eae7ceef7");
     ]
+
+(* ------------------------------------------------------------------ *)
+(* The sort-and-restart packer, kept as the oracle                    *)
+(* ------------------------------------------------------------------ *)
+
+(* The reference packer: every share re-sorts all K channels by load,
+   and every scheduler failure re-plans every channel from the first.
+   The counters record how often each kind of shed happens, so a
+   property can insist that its generator reaches both. *)
+let oracle_placement_sheds = ref 0
+let oracle_plan_sheds = ref 0
+
+let oracle_lightest ~avoid load task =
+  List.init (Array.length load) Fun.id
+  |> List.filter (fun c -> not (List.mem c avoid))
+  |> List.stable_sort (fun a b ->
+         Q.compare (P.Density.density load.(a)) (P.Density.density load.(b)))
+  |> List.find_opt (fun c -> P.Density.admits load.(c) task)
+
+(* Plan every channel from the first; a failure sheds the failing
+   channel's densest task (ties: the higher id) everywhere and starts
+   over. Returns the surviving lists, their plans and the shed ids. *)
+let oracle_settle lists =
+  let lists = Array.copy lists in
+  let shed = ref [] in
+  let rec restart () =
+    let plans = Array.map (fun _ -> None) lists in
+    let failed =
+      List.find_opt
+        (fun c ->
+          match lists.(c) with
+          | [] ->
+              plans.(c) <- Some (Plan.progressions []);
+              false
+          | tasks -> (
+              match Scheduler.plan tasks with
+              | Some p ->
+                  plans.(c) <- Some p;
+                  false
+              | None -> true))
+        (List.init (Array.length lists) Fun.id)
+    in
+    match failed with
+    | None -> Array.map Option.get plans
+    | Some c ->
+        let tasks = lists.(c) in
+        let worst =
+          List.fold_left
+            (fun (acc : Task.t) (t : Task.t) ->
+              let cq = Q.compare (Task.density t) (Task.density acc) in
+              if cq > 0 || (cq = 0 && t.Task.id > acc.Task.id) then t else acc)
+            (List.hd tasks) (List.tl tasks)
+        in
+        incr oracle_plan_sheds;
+        shed := worst.Task.id :: !shed;
+        Array.iteri
+          (fun h ts ->
+            lists.(h) <- List.filter (fun (t : Task.t) -> t.Task.id <> worst.Task.id) ts)
+          lists;
+        restart ()
+  in
+  let plans = restart () in
+  (lists, plans, List.rev !shed)
+
+let oracle_share ~s ~n j = Array.init ((n - j + s - 1) / s) (fun i -> j + (i * s))
+
+(* Shard.design by the oracle, digested like design_digest: the
+   rendering follows Shard.pp. *)
+let oracle_design_digest ~stripe ~channels ~bandwidth specs =
+  let load = Array.make channels P.Density.empty in
+  let placed = Hashtbl.create 16 in
+  let density f = Q.make f.File_spec.capacity (File_spec.window f ~bandwidth) in
+  List.stable_sort (fun a b -> Q.compare (density b) (density a)) specs
+  |> List.iter (fun f ->
+         let window = File_spec.window f ~bandwidth in
+         let n = f.File_spec.capacity in
+         let s = min (min stripe channels) n in
+         let rec go chosen j =
+           if j = s then Some chosen
+           else
+             let pieces = oracle_share ~s ~n j in
+             if Array.length pieces > window then None
+             else
+               let task =
+                 Task.make ~id:f.File_spec.id ~a:(Array.length pieces) ~b:window
+               in
+               let avoid = List.map (fun (c, _, _) -> c) chosen in
+               match oracle_lightest ~avoid load task with
+               | Some c -> go ((c, j, task) :: chosen) (j + 1)
+               | None -> None
+         in
+         match go [] 0 with
+         | Some chosen ->
+             List.iter
+               (fun (c, _, t) -> load.(c) <- P.Density.add load.(c) t)
+               chosen;
+             Hashtbl.replace placed f.File_spec.id chosen
+         | None -> incr oracle_placement_sheds);
+  (* Every channel's tasks by a scan of every spec. *)
+  let lists =
+    Array.init channels (fun c ->
+        List.filter_map
+          (fun f ->
+            Option.bind (Hashtbl.find_opt placed f.File_spec.id)
+              (List.find_map (fun (c', _, t) -> if c' = c then Some t else None)))
+          specs)
+  in
+  let lists, plans, shed_ids = oracle_settle lists in
+  List.iter (Hashtbl.remove placed) shed_ids;
+  let admitted, shed = List.partition (fun f -> Hashtbl.mem placed f.File_spec.id) specs in
+  let placements =
+    List.concat_map
+      (fun f ->
+        let chosen = Hashtbl.find placed f.File_spec.id in
+        let s = List.length chosen in
+        List.map
+          (fun (c, j, _) -> (f.File_spec.id, c, oracle_share ~s ~n:f.File_spec.capacity j))
+          chosen)
+      admitted
+    |> List.sort (fun (f, c, _) (f', c', _) -> compare (f, c) (f', c'))
+  in
+  let text =
+    let line c tasks =
+      Printf.sprintf "channel %d: density %s, %d file(s)%s" c
+        (Format.asprintf "%a" Q.pp (Task.system_density tasks))
+        (List.length tasks)
+        (if tasks = [] then ""
+         else
+           ": "
+           ^ String.concat ", "
+               (List.map
+                  (fun (t : Task.t) -> Printf.sprintf "%d(%d/%d)" t.Task.id t.Task.a t.Task.b)
+                  tasks))
+    in
+    String.concat "\n"
+      (Array.to_list (Array.mapi line lists)
+      @ [
+          Printf.sprintf "shed: %d file(s)%s" (List.length shed)
+            (if shed = [] then ""
+             else ": " ^ String.concat ", " (List.map (fun f -> f.File_spec.name) shed));
+        ])
+  in
+  digest_parts ~text ~placements
+    ~shed:(List.map (fun f -> f.File_spec.id) shed)
+    ~programs:
+      (Array.to_list
+         (Array.map2
+            (fun tasks plan ->
+              Program.make ~schedule:(Plan.to_schedule plan)
+                ~capacities:(List.map (fun (t : Task.t) -> (t.Task.id, t.Task.a)) tasks))
+            lists plans))
+
+(* Random designs, K 1-6, stripe 1-3, 2-24 files: windows of 2-16
+   slots, capacities up to 9 with up to two spare pieces, and file ids
+   that are not in spec order. Tight enough that files are shed both by
+   the placement check and by the scheduler. *)
+let gen_packing =
+  QCheck2.Gen.(
+    quad (int_range 1 6) (int_range 1 3) (int_range 2 24) (int_bound 1_000_000))
+
+let packing_specs ~files ~seed =
+  let st = Random.State.make [| seed |] in
+  List.init files (fun i ->
+      let blocks = 1 + Random.State.int st 4 in
+      let tolerance = Random.State.int st 3 in
+      let spare = max 0 (Random.State.int st 4 - 1) in
+      File_spec.make ~id:(5 * i mod 24) ~blocks ~tolerance
+        ~capacity:(blocks + tolerance + spare)
+        ~latency:(2 + Random.State.int st 15)
+        ())
+
+let prop_packer_matches_oracle =
+  QCheck2.Test.make ~name:"designs equal the sort-and-restart oracle's"
+    ~count:200 gen_packing (fun (channels, stripe, files, seed) ->
+      let specs = packing_specs ~files ~seed in
+      match Shard.design ~stripe ~channels ~bandwidth:1 specs with
+      | Error e -> QCheck2.Test.fail_reportf "design: %s" e
+      | Ok t ->
+          design_digest t
+          = oracle_design_digest ~stripe ~channels ~bandwidth:1 specs)
+
+(* One fixed sequence of cases, so the shed counts are reproducible. *)
+let test_packer_matches_oracle () =
+  oracle_placement_sheds := 0;
+  oracle_plan_sheds := 0;
+  QCheck2.Test.check_exn ~rand:(Random.State.make [| 7 |])
+    prop_packer_matches_oracle;
+  check_bool "some file shed by placement" true (!oracle_placement_sheds > 0);
+  check_bool "some file shed by planning" true (!oracle_plan_sheds > 0)
+
+(* Channels.plan by the oracle: the sort-based partition, then the
+   restart loop. *)
+let oracle_channels_plan ~channels sys =
+  let load = Array.make channels P.Density.empty in
+  let placed = Hashtbl.create 16 in
+  List.stable_sort
+    (fun (a : Task.t) (b : Task.t) -> Q.compare (Task.density b) (Task.density a))
+    sys
+  |> List.iter (fun (t : Task.t) ->
+         match oracle_lightest ~avoid:[] load t with
+         | Some c ->
+             load.(c) <- P.Density.add load.(c) t;
+             Hashtbl.replace placed t.Task.id c
+         | None -> incr oracle_placement_sheds);
+  let lists =
+    Array.init channels (fun c ->
+        List.filter
+          (fun (t : Task.t) -> Hashtbl.find_opt placed t.Task.id = Some c)
+          sys)
+  in
+  let lists, plans, shed_ids = oracle_settle lists in
+  {
+    Channels.channels;
+    shards =
+      List.init channels (fun channel ->
+          {
+            Channels.channel;
+            tasks = lists.(channel);
+            density = Task.system_density lists.(channel);
+            plan = plans.(channel);
+          });
+    shed =
+      List.filter
+        (fun (t : Task.t) ->
+          (not (Hashtbl.mem placed t.Task.id)) || List.mem t.Task.id shed_ids)
+        sys;
+  }
+
+let render_channels (t : Channels.t) =
+  String.concat "\n"
+    (List.map
+       (fun (s : Channels.shard) ->
+         Format.asprintf "%d: %a = %a; %s" s.Channels.channel Task.pp_system
+           s.Channels.tasks Q.pp s.Channels.density
+           (render_schedule (Plan.to_schedule s.Channels.plan)))
+       t.Channels.shards
+    @ [ Format.asprintf "shed: %a" Task.pp_system t.Channels.shed ])
+
+(* Random multi-unit systems, K 2-6, 2-24 tasks of density up to 1 in
+   windows of 2-16 slots. *)
+let prop_channels_plan_matches_oracle =
+  QCheck2.Test.make ~name:"plan equals the sort-and-restart oracle's, K >= 2"
+    ~count:200
+    QCheck2.Gen.(triple (int_range 2 6) (int_range 2 24) (int_bound 1_000_000))
+    (fun (channels, n, seed) ->
+      let st = Random.State.make [| seed |] in
+      let sys =
+        List.init n (fun id ->
+            let b = 2 + Random.State.int st 15 in
+            Task.make ~id ~a:(1 + Random.State.int st (min b 4)) ~b)
+      in
+      render_channels (Channels.plan ~channels sys)
+      = render_channels (oracle_channels_plan ~channels sys))
 
 (* ------------------------------------------------------------------ *)
 (* Multi: tuner clients over a sharded design                         *)
@@ -1007,6 +1318,26 @@ let test_shardcheck_detects_tampering () =
 
 (* qcheck: Shardcheck's outage verdict is its own recount, equal to a
    hand count over the placement list. *)
+let test_shardcheck_k1_spare_capacity () =
+  (* File a keeps 6 pieces for m + r = 3. Its one channel schedules all
+     six, the count Shardcheck recounts, as a channel does at every K. *)
+  let specs =
+    [
+      File_spec.make ~name:"a" ~id:0 ~blocks:2 ~tolerance:1 ~capacity:6
+        ~latency:8 ();
+      File_spec.make ~name:"b" ~id:1 ~blocks:2 ~latency:8 ();
+    ]
+  in
+  let t = design_exn ~channels:1 ~bandwidth:1 specs in
+  check_bool "nothing shed" true (t.Shard.shed = []);
+  Alcotest.(check (list (pair int int)))
+    "(file, share size) tasks" [ (0, 6); (1, 2) ]
+    (List.map
+       (fun (tk : Task.t) -> (tk.Task.id, tk.Task.a))
+       t.Shard.channels.(0).Shard.tasks);
+  Alcotest.(check (list string))
+    "certified" [] (Shardcheck.problems (Shardcheck.run t))
+
 let prop_shardcheck_recounts_outage =
   QCheck2.Test.make ~name:"Shardcheck outage_tolerant equals a hand count"
     ~count:150 gen_design (fun params ->
@@ -1080,12 +1411,17 @@ let () =
           Alcotest.test_case "bad args" `Quick test_channels_bad_args;
           Alcotest.test_case "no overflow summing 16 windows" `Quick
             test_channels_no_overflow;
+          Alcotest.test_case "K=1 sheds by admission" `Quick
+            test_channels_k1_sheds_by_admission;
+          Alcotest.test_case "settle sheds everywhere" `Quick
+            test_channels_settle_sheds_everywhere;
         ] );
       ( "channels-properties",
         List.map QCheck_alcotest.to_alcotest
           [
             prop_channels_k1_matches_scheduler;
             prop_channels_partition_balanced;
+            prop_channels_plan_matches_oracle;
           ] );
       ( "shard",
         [
@@ -1106,10 +1442,16 @@ let () =
           Alcotest.test_case "bad args" `Quick test_shard_bad_args;
           Alcotest.test_case "sheds a share beyond its window" `Quick
             test_shard_sheds_share_beyond_window;
+          Alcotest.test_case "K=1 placements by file" `Quick
+            test_shard_k1_placements_by_file;
         ] );
       ( "shard-properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_shard_shares_disjoint_cover; prop_index_matches_oracles ] );
+          [ prop_shard_shares_disjoint_cover; prop_index_matches_oracles ]
+        @ [
+            Alcotest.test_case "designs equal the oracle packer's" `Quick
+              test_packer_matches_oracle;
+          ] );
       ( "shard-pinned",
         [
           Alcotest.test_case "designs match their digests" `Quick
@@ -1142,6 +1484,8 @@ let () =
              "channels-properties" widens alcotest's name column and
              truncates every other test name in this suite. *)
           QCheck_alcotest.to_alcotest prop_shardcheck_recounts_outage;
+          Alcotest.test_case "certifies K=1 spare capacity" `Quick
+            test_shardcheck_k1_spare_capacity;
         ] );
       ( "evacuate",
         [
