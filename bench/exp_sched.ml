@@ -18,7 +18,8 @@
    per-slot online dispatch, per-slot task_at lookup on the materialized
    array, and reachable words of the plan, dispatcher and schedule.
    Results land in BENCH_sched.json; scripts/bench_gate.ml compares the
-   scale-free headline ratios against bench/baselines.
+   scale-free headline ratios against bench/baselines, among them the
+   base family's planning cost per task at n = 4096 over n = 256.
 
    Quick mode (PINDISK_SCHED_QUICK=1, used by CI and `make bench-sched`)
    trims the time budget and the dispatch sample. *)
@@ -131,6 +132,15 @@ let measure ~quick ~deep n =
 let find rows ~family ~n =
   List.find_opt (fun r -> r.family = family && r.n = n) rows
 
+(* Planning must follow the pieces placed: per task, n = 4096 may cost
+   at most a small factor over n = 256 (a packer scanning every column
+   per task read 5.1-8.1x here). *)
+let plan_cost_ratio rows =
+  let per_task r = r.plan_build_ns /. float_of_int r.n in
+  match (find rows ~family:"base" ~n:256, find rows ~family:"base" ~n:4096) with
+  | Some r256, Some r4k -> Some (per_task r4k /. per_task r256)
+  | _ -> None
+
 let write_json ~path ~quick rows =
   let oc = open_out path in
   let out fmt = Printf.fprintf oc fmt in
@@ -143,6 +153,9 @@ let write_json ~path ~quick rows =
       out "  \"dispatch_speedup_n1024\": %.2f,\n" r1k.speedup_eager_over_online;
       out "  \"dispatch_speedup_n4096\": %.2f,\n" r4k.speedup_eager_over_online
   | _ -> ());
+  Option.iter
+    (out "  \"plan_cost_per_task_n4096_over_n256\": %.2f,\n")
+    (plan_cost_ratio rows);
   (match (find rows ~family:"base" ~n:4096, find rows ~family:"deep" ~n:4096) with
   | Some b, Some d ->
       out "  \"period_ratio_deep_over_base_n4096\": %.2f,\n"
@@ -202,6 +215,9 @@ let run () =
         (float_of_int d.dispatcher_words /. float_of_int b.dispatcher_words)
         (float_of_int d.schedule_words /. float_of_int b.schedule_words)
   | _ -> ());
+  Option.iter
+    (Format.printf "  plan cost per task, n=4096 over n=256: %.2fx@.")
+    (plan_cost_ratio rows);
   let path =
     Option.value (Sys.getenv_opt "PINDISK_SCHED_OUT") ~default:"BENCH_sched.json"
   in

@@ -38,10 +38,9 @@ let evacuate (design : Pindisk.Shard.t) ~channel =
     P.Task.make ~id:p.Shard.file ~a:(Array.length p.Shard.pieces)
       ~b:(File_spec.window f ~bandwidth:design.Shard.bandwidth)
   in
-  let load = Array.make k P.Density.empty in
+  let load = P.Channels.loads k in
   List.iter
-    (fun (p : Shard.placement) ->
-      load.(p.Shard.channel) <- P.Density.add load.(p.Shard.channel) (task_of p))
+    (fun (p : Shard.placement) -> P.Channels.add load p.Shard.channel (task_of p))
     design.Shard.placements;
   let evicted =
     design.Shard.placements
@@ -57,7 +56,7 @@ let evacuate (design : Pindisk.Shard.t) ~channel =
       (* The file's own channels, the failing one among them. *)
       match P.Channels.lightest ~avoid:(Shard.channels_of design file) load task with
       | Some c ->
-          load.(c) <- P.Density.add load.(c) task;
+          P.Channels.add load c task;
           rungs := Migrate { file; from_channel = channel; to_channel = c } :: !rungs
       | None -> stranded := file :: !stranded)
     evicted;

@@ -78,7 +78,7 @@ let design ?(stripe = 1) ~channels ~bandwidth specs =
   else if List.length (List.sort_uniq compare ids) <> List.length ids then
     Error "Shard.design: duplicate file ids"
   else begin
-    let load = Array.make channels P.Density.empty in
+    let load = P.Channels.loads channels in
     (* file -> its (channel, task, pieces) shares *)
     let placed = Hashtbl.create 64 in
     (* Shares in decreasing size onto distinct channels; a file is placed
@@ -103,19 +103,17 @@ let design ?(stripe = 1) ~channels ~bandwidth specs =
       in
       match go [] 0 with
       | Some chosen ->
-          List.iter
-            (fun (c, task, _) -> load.(c) <- P.Density.add load.(c) task)
-            chosen;
+          List.iter (fun (c, task, _) -> P.Channels.add load c task) chosen;
           Hashtbl.replace placed f.File_spec.id chosen
       | None -> ()
     in
-    List.stable_sort
-      (fun a b ->
-        Q.compare
-          (Q.make b.File_spec.capacity (File_spec.window b ~bandwidth))
-          (Q.make a.File_spec.capacity (File_spec.window a ~bandwidth)))
+    (* Decreasing density, each key made once; stable, so equal
+       densities keep spec order. *)
+    List.map
+      (fun f -> (Q.make f.File_spec.capacity (File_spec.window f ~bandwidth), f))
       specs
-    |> List.iter place;
+    |> List.stable_sort (fun (a, _) (b, _) -> Q.compare b a)
+    |> List.iter (fun (_, f) -> place f);
     (* Each channel's tasks once, in file order. *)
     let tasks = Array.make channels [] in
     List.iter
@@ -151,7 +149,10 @@ let design ?(stripe = 1) ~channels ~bandwidth specs =
             (fun (channel, _, pieces) -> { file = f.File_spec.id; channel; pieces })
             (Hashtbl.find placed f.File_spec.id))
         admitted
-      |> List.sort (fun a b -> compare (a.file, a.channel) (b.file, b.channel))
+      |> List.sort (fun a b ->
+             match Int.compare a.file b.file with
+             | 0 -> Int.compare a.channel b.channel
+             | k -> k)
     in
     Ok (make ~channels ~placements ~specs:admitted ~shed ~bandwidth ~stripe)
   end

@@ -13,30 +13,42 @@ type t = {
   shed : Task.system;
 }
 
-(* One pass: a channel replaces the best so far only when it is strictly
-   lighter, so ties keep the lower index, and [admits] runs only on a
-   channel that would win. *)
-let lightest ?(avoid = []) load t =
-  let best = ref None in
-  Array.iteri
-    (fun c l ->
-      let lighter =
-        match !best with
-        | None -> true
-        | Some b ->
-            Q.compare (Density.density l) (Density.density load.(b)) < 0
-      in
-      if lighter && (not (List.mem c avoid)) && Density.admits l t then
-        best := Some c)
-    load;
-  !best
+(* The channels ordered by (load density, index): walking in order meets
+   the channels in the order of preference of [lightest]. *)
+module Order = Set.Make (struct
+  type t = Q.t * int
+
+  let compare (d, c) (d', c') =
+    match Q.compare d d' with 0 -> Int.compare c c' | k -> k
+end)
+
+type loads = { load : Density.load array; mutable order : Order.t }
+
+let loads k =
+  {
+    load = Array.make k Density.empty;
+    order = Order.of_list (List.init k (fun c -> (Q.zero, c)));
+  }
+
+let add l c t =
+  let before = l.load.(c) in
+  l.load.(c) <- Density.add before t;
+  l.order <-
+    Order.add (Density.density l.load.(c), c)
+      (Order.remove (Density.density before, c) l.order)
+
+let lightest ?(avoid = []) l t =
+  Order.to_seq l.order
+  |> Seq.find_map (fun (_, c) ->
+         if (not (List.mem c avoid)) && Density.admits l.load.(c) t then Some c
+         else None)
 
 let partition ~channels sys =
   if channels < 1 then invalid_arg "Channels.partition: channels must be >= 1";
   (match Task.check_system sys with
   | Ok () -> ()
   | Error e -> invalid_arg ("Channels.partition: " ^ e));
-  let load = Array.make channels Density.empty in
+  let load = loads channels in
   let placed : (int, int) Hashtbl.t = Hashtbl.create 16 in
   (* Decreasing density; stable, so equal densities keep input order. *)
   List.stable_sort
@@ -46,7 +58,7 @@ let partition ~channels sys =
   |> List.iter (fun (t : Task.t) ->
          match lightest load t with
          | Some c ->
-             load.(c) <- Density.add load.(c) t;
+             add load c t;
              Hashtbl.replace placed t.Task.id c
          | None -> ());
   List.partition_map

@@ -16,11 +16,12 @@
     {b Placement.} Longest-processing-time (LPT) greedy on exact rational
     densities: tasks are placed in order of decreasing density, each onto
     the least-loaded channel whose {!Density.load} admits it
-    ({!lightest}). LPT's classical bound applies verbatim to densities:
-    the heaviest channel carries at most [avg + (1 - 1/K) · max_task], so
-    e.g. a system of tasks with individual densities <= 1/3 and total
-    density <= K/2 always shards with every channel <= 5/6 — inside the
-    Kawamura guarantee. Round-robin offers no such bound (it can stack
+    ({!lightest}: a walk of the channels ordered by load, so a placement
+    costs O(log K), not a scan of all K). LPT's classical bound applies
+    verbatim to densities: the heaviest channel carries at most
+    [avg + (1 - 1/K) · max_task], so e.g. a system of tasks with
+    individual densities <= 1/3 and total density <= K/2 always shards
+    with every channel <= 5/6 — inside the Kawamura guarantee. Round-robin offers no such bound (it can stack
     the K heaviest tasks onto one channel); the test suite pins the LPT
     bound as a qcheck property.
 
@@ -51,12 +52,22 @@ type t = {
   shed : Task.system;  (** tasks no channel could take, original order *)
 }
 
-val lightest : ?avoid:int list -> Density.load array -> Task.t -> int option
-(** [lightest ~avoid load t] is the channel of least load density whose
-    load {!Density.admits} [t], ties to the lower index, among the
-    channels not in [avoid] (default none); [None] if no channel admits
-    it. One scan of the K loads; [admits] runs only on a channel lighter
-    than the best so far. *)
+type loads
+(** The K channels' {!Density.load}s, held in a set ordered by (load
+    density, index). Mutable: {!add} updates one channel in O(log K). *)
+
+val loads : int -> loads
+(** [loads k] is [k] empty channels, [0 .. k-1]. *)
+
+val add : loads -> int -> Task.t -> unit
+(** [add l c t] adds [t] to channel [c]'s load. *)
+
+val lightest : ?avoid:int list -> loads -> Task.t -> int option
+(** [lightest ~avoid l t] is the channel of least load density whose load
+    {!Density.admits} [t], ties to the lower index, among the channels not
+    in [avoid] (default none); [None] if no channel admits it. It walks the
+    ordered set to the first channel that qualifies: O(log K) to start,
+    then one step per channel passed over. *)
 
 val settle :
   ?algorithm:Scheduler.algorithm ->

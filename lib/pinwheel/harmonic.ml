@@ -1,11 +1,6 @@
 module Intmath = Pindisk_util.Intmath
-module Q = Pindisk_util.Q
 
 type assignment = { key : int; offset : int; period : int }
-
-(* A free residue class within a column: the frame indices congruent to
-   [residue] modulo [modulus] (modulus a power of two). *)
-type free_class = { residue : int; modulus : int }
 
 let chain_exponent ~x period =
   if period < x || period mod x <> 0 then None
@@ -26,72 +21,46 @@ let pack ~x tasks =
                  "Harmonic.pack: period %d is not of the form %d*2^k" period x))
       tasks
   in
-  let density = Q.sum (List.map (fun (_, p, _) -> Q.make 1 p) with_exp) in
-  if Q.( > ) density Q.one then None
-  else begin
-    (* Sort by increasing period so that buddy splitting never fragments. *)
-    let sorted = List.sort (fun (_, p, _) (_, q, _) -> compare p q) with_exp in
-    (* Per column, the free residue classes, kept sorted by decreasing
-       modulus is unnecessary: we search for the best (largest-modulus <=
-       wanted) class each time; columns hold few classes. *)
-    let free = Array.make x [ { residue = 0; modulus = 1 } ] in
-    let place (key, period, k) =
-      let wanted = 1 lsl k in
-      (* Best fit: the free class with the largest modulus <= wanted, over
-         all columns (tightest hole first limits fragmentation). *)
-      let best = ref None in
-      Array.iteri
-        (fun col classes ->
-          List.iter
-            (fun c ->
-              if c.modulus <= wanted then
-                match !best with
-                | Some (_, c', _) when c'.modulus >= c.modulus -> ()
-                | _ -> best := Some (col, c, classes))
-            classes)
-        free;
-      match !best with
-      | None -> None
-      | Some (col, c, _) ->
-          (* Claim the subclass [c.residue mod wanted]; the complement
-             splits into binary siblings at each level between c.modulus and
-             wanted. *)
-          let remaining = List.filter (fun c' -> c' <> c) free.(col) in
-          let rec split siblings m =
-            if m >= wanted then siblings
-            else
-              split ({ residue = c.residue + m; modulus = 2 * m } :: siblings) (2 * m)
-          in
-          free.(col) <- split remaining c.modulus;
-          Some { key; offset = col + (x * c.residue); period }
+  (* Sort by increasing period so that buddy splitting never fragments. *)
+  let sorted = List.sort (fun (_, p, _) (_, q, _) -> compare p q) with_exp in
+  (* Free classes by modulus 2^j: the columns [fresh, x) are untouched
+     (modulus 1), and [column.(j)], [residue.(j)] is the one free class of
+     modulus 2^j >= 2 when bit j of [present] is set. A split fills only
+     buckets above the largest present, which were empty, so no bucket
+     ever holds two classes. *)
+  let column = Array.make Sys.int_size 0 and residue = Array.make Sys.int_size 0 in
+  let present = ref 0 and fresh = ref 0 in
+  let place (key, period, k) =
+    (* Best fit: the largest modulus present, in the lowest column. *)
+    let claimed =
+      if !present <> 0 then begin
+        let j = Intmath.floor_log2 !present in
+        present := !present lxor (1 lsl j);
+        Some (column.(j), residue.(j), j)
+      end
+      else if !fresh < x then begin
+        incr fresh;
+        Some (!fresh - 1, 0, 0)
+      end
+      else None
     in
-    let rec go acc = function
-      | [] -> Some (List.rev acc)
-      | t :: rest -> (
-          match place t with
-          | None ->
-              (* Unreachable when density <= 1 (see interface); defensive. *)
-              None
-          | Some a -> go (a :: acc) rest)
-    in
-    go [] sorted
-  end
-
-let schedule_of ~x assignments =
-  ignore x;
-  let hyper =
-    match assignments with
-    | [] -> 1
-    | _ -> Intmath.max_list (List.map (fun a -> a.period) assignments)
+    Option.map
+      (fun (col, r, j) ->
+        (* Claim the subclass [r mod 2^k]; the complement splits into one
+           binary sibling at each level between 2^j and 2^k. *)
+        for i = j to k - 1 do
+          column.(i + 1) <- col;
+          residue.(i + 1) <- r + (1 lsl i);
+          present := !present lor (1 lsl (i + 1))
+        done;
+        { key; offset = col + (x * r); period })
+      claimed
   in
-  let slots = Array.make hyper Schedule.idle in
-  List.iter
-    (fun a ->
-      let t = ref a.offset in
-      while !t < hyper do
-        assert (slots.(!t) = Schedule.idle);
-        slots.(!t) <- a.key;
-        t := !t + a.period
-      done)
-    assignments;
-  Schedule.make slots
+  (* Packing is lossless, so a placement fails exactly when the chain
+     density exceeds 1. *)
+  let rec go acc = function
+    | [] -> Some (List.rev acc)
+    | t :: rest -> (
+        match place t with None -> None | Some a -> go (a :: acc) rest)
+  in
+  go [] sorted

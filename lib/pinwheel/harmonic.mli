@@ -9,13 +9,18 @@
     that no two tasks ever collide. A task served with exact period [q] and
     window [b >= q] trivially satisfies [pc(1, b)].
 
-    Placement is a buddy-style allocation: slot [t] belongs to column
-    [t mod x]; within a column, tasks of period [x·2^k] occupy a residue
-    class modulo [2^k] of the column's frame index. Sorting tasks by
-    increasing period and splitting free classes binarily is lossless for
-    dyadic sizes, so packing succeeds {e iff} the specialized density
-    [Σ 1/(x·2^k)] is at most 1 — no capacity is wasted beyond the
-    specialization itself. *)
+    Placement is a buddy allocator: slot [t] belongs to column [t mod x];
+    within a column, tasks of period [x·2^k] occupy a residue class modulo
+    [2^k] of the column's frame index. Tasks are placed by increasing
+    period, each into the free class of largest modulus, in the lowest
+    column, split binarily down to its own modulus. Because periods only
+    grow, every free modulus is at most the one wanted, and a split fills
+    only moduli that had no free class: there is at most one free class per
+    modulus above 1, and the modulus-1 classes are the untouched columns,
+    kept as a counter. Splitting is lossless for dyadic sizes, so packing
+    succeeds {e iff} the specialized density [Σ 1/(x·2^k)] is at most 1 —
+    no capacity is wasted beyond the specialization itself. The cost is
+    O(units·log units), whatever [x] and the periods. *)
 
 type assignment = { key : int; offset : int; period : int }
 (** The task identified by [key] occupies exactly the slots
@@ -26,8 +31,3 @@ val pack : x:int -> (int * int) list -> assignment list option
     the copies from {!Task.decompose_units}). Every [period] must be of the
     form [x·2^k] ([k >= 0]); raises [Invalid_argument] otherwise. Returns
     [None] exactly when [Σ 1/period > 1]. *)
-
-val schedule_of : x:int -> assignment list -> Schedule.t
-(** Builds the cyclic schedule realizing the assignments, with period
-    [max period] (all chain periods divide the largest); unassigned slots
-    are idle. Keys become the schedule's task ids. *)

@@ -20,20 +20,16 @@ let progressions progs =
   let period = Intmath.lcm_list (List.map (fun p -> p.period) progs) in
   Progressions { period; progs }
 
-let merge ~c ~d first second =
-  if c < 1 || c >= d then invalid_arg "Plan.merge: need 1 <= c < d";
-  let sub = function
-    | Progressions { period; _ } | Merge { period; _ } -> period
-    | Explicit s -> Schedule.period s
-  in
-  let period = Intmath.mul_exn d (Intmath.lcm (sub first) (sub second)) in
-  Merge { c; d; period; first; second }
-
-let explicit sched = Explicit sched
-
 let period = function
   | Progressions { period; _ } | Merge { period; _ } -> period
   | Explicit s -> Schedule.period s
+
+let merge ~c ~d first second =
+  if c < 1 || c >= d then invalid_arg "Plan.merge: need 1 <= c < d";
+  let period = Intmath.mul_exn d (Intmath.lcm (period first) (period second)) in
+  Merge { c; d; period; first; second }
+
+let explicit sched = Explicit sched
 
 let rec task_ids = function
   | Progressions { progs; _ } ->
@@ -43,43 +39,46 @@ let rec task_ids = function
   | Explicit s -> Schedule.task_ids s
 
 (* ------------------------------------------------------------------ *)
-(* Eager materialization                                               *)
+(* Occurrences in closed form                                          *)
 (* ------------------------------------------------------------------ *)
 
-let rec to_array plan =
+(* Slots [t < n] with [beatty_hit ~c ~d t] number [⌊n·c/d⌋], so the τ-th
+   hit is [⌈(τ+1)d/c⌉ − 1] and the σ-th miss is [⌊σd/(d−c)⌋]. A merge
+   runs [d·lcm] slots, in which each sub-plan's virtual timeline repeats
+   a whole number of its own periods. *)
+let rec iter_occurrences plan f =
   match plan with
   | Progressions { period; progs } ->
-      let slots = Array.make period Schedule.idle in
       List.iter
         (fun p ->
           let t = ref p.offset in
           while !t < period do
-            if slots.(!t) <> Schedule.idle then
-              invalid_arg "Plan.to_schedule: colliding progressions";
-            slots.(!t) <- p.key;
+            f p.key !t;
             t := !t + p.period
           done)
-        progs;
-      slots
-  | Merge { c; d; period; first; second } ->
-      let a = to_array first and b = to_array second in
-      let la = Array.length a and lb = Array.length b in
-      let slots = Array.make period Schedule.idle in
-      let ia = ref 0 and ib = ref 0 in
-      for t = 0 to period - 1 do
-        if beatty_hit ~c ~d t then begin
-          slots.(t) <- a.(!ia mod la);
-          incr ia
-        end
-        else begin
-          slots.(t) <- b.(!ib mod lb);
-          incr ib
-        end
-      done;
-      slots
-  | Explicit s -> Array.copy s.Schedule.slots
+        progs
+  | Merge { c; d; period = n; first; second } ->
+      let unroll sub ~slots slot_of =
+        let p = period sub in
+        iter_occurrences sub (fun key v ->
+            let tau = ref v in
+            while !tau < slots do
+              f key (slot_of !tau);
+              tau := !tau + p
+            done)
+      in
+      unroll first ~slots:(n / d * c) (fun tau -> ((((tau + 1) * d) + c - 1) / c) - 1);
+      unroll second ~slots:(n / d * (d - c)) (fun sigma -> sigma * d / (d - c))
+  | Explicit s ->
+      Array.iteri (fun t key -> if key <> Schedule.idle then f key t) s.Schedule.slots
 
-let to_schedule plan = Schedule.make (to_array plan)
+let to_schedule plan =
+  let slots = Array.make (period plan) Schedule.idle in
+  iter_occurrences plan (fun key t ->
+      if slots.(t) <> Schedule.idle then
+        invalid_arg "Plan.to_schedule: colliding progressions";
+      slots.(t) <- key);
+  Schedule.make slots
 
 (* ------------------------------------------------------------------ *)
 (* Online dispatcher                                                   *)
@@ -210,4 +209,3 @@ let rec reset = function
       reset m.second
   | D_explicit e -> e.now <- 0
 
-let pull d () = next d

@@ -6,15 +6,19 @@
     occupies exactly the slots [≡ c + g·j (mod g·k)]; {!Two_chain}
     interleaves two sub-schedules by the Beatty-style test
     [⌊(t+1)c/d⌋ > ⌊t·c/d⌋]. A plan captures that closed form instead of the
-    materialized slot array, so the same object supports two consumers:
+    materialized slot array, so the same object supports three consumers:
 
-    - {!to_schedule} materializes one hyperperiod eagerly (the seed path);
+    - {!iter_occurrences} lists one period's occurrences in closed form, in
+      time proportional to their number — how plans are verified
+      ({!Verify.satisfies_plan}) and materialized;
+    - {!to_schedule} materializes one hyperperiod eagerly;
     - {!create}/{!next} dispatch slots {e online} in O(log n) time and O(n)
       memory — no hyperperiod array is ever allocated.
 
-    Both consumers walk the identical arithmetic, so they are slot-for-slot
-    equal by construction; the test suite re-checks this with qcheck replay
-    over two hyperperiods. *)
+    All three walk the identical arithmetic; the test suite re-checks the
+    dispatcher against the materialized schedule with qcheck replay over
+    two hyperperiods, and the closed-form verifier against a dispatcher
+    walk. *)
 
 type progression = { key : int; offset : int; period : int }
 (** Task [key] occupies exactly the slots [offset + i·period], [i >= 0]. *)
@@ -49,14 +53,21 @@ val period : t -> int
 val task_ids : t -> int list
 (** Distinct keys served by the plan, ascending. *)
 
-val beatty_hit : c:int -> d:int -> int -> bool
-(** [beatty_hit ~c ~d t] is the merge dedication test
-    [⌊(t+1)c/d⌋ > ⌊t·c/d⌋]; exposed so {!Two_chain} shares the single
-    definition. *)
+val iter_occurrences : t -> (int -> int -> unit) -> unit
+(** [iter_occurrences plan f] calls [f key t] once for every slot [t] of
+    one period ([0 <= t < period plan]) that the plan gives to task [key],
+    in no particular order. Progressions give [offset + i·period]; a merge
+    maps its sub-plans' occurrences through the index formulas of its
+    dedication test (the τ-th hit is [⌈(τ+1)d/c⌉ − 1], the σ-th miss
+    [⌊σd/(d−c)⌋]), repeating each sub-period as often as the merged
+    period holds it; an explicit schedule is read slot by slot. Cost:
+    O(occurrences) for progressions and merges, whatever the period. A
+    slot that two progressions claim is listed twice. *)
 
 val to_schedule : t -> Schedule.t
-(** Materialize one period. Raises [Invalid_argument] if two progressions
-    collide (a malformed plan — never produced by the schedulers). *)
+(** Materialize one period from {!iter_occurrences}. Raises
+    [Invalid_argument] if two progressions collide (a malformed plan —
+    never produced by the schedulers). *)
 
 (** {1 Online dispatching} *)
 
@@ -83,7 +94,3 @@ val slot : dispatcher -> int
 
 val reset : dispatcher -> unit
 (** Rewind to slot 0 (in place, no reallocation). *)
-
-val pull : dispatcher -> unit -> int
-(** [pull d] is [fun () -> next d]: the thunk shape
-    {!Verify.satisfies_seq} consumes. *)

@@ -78,8 +78,8 @@ let schedule ?(algorithm = Auto) sys =
   | Some p ->
       let sched = Plan.to_schedule p in
       (* Defense in depth: no schedule leaves this module unverified. The
-         plan was verified by streaming; this re-checks the materialized
-         form, pinning dispatcher/materializer agreement. *)
+         plan was verified by its occurrences in closed form; this
+         re-checks the materialized form. *)
       if Verify.satisfies sched sys then begin
         Log.debug (fun m -> m "scheduled with period %d" (Schedule.period sched));
         Some sched

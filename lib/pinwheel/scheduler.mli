@@ -22,10 +22,11 @@ val plan : ?algorithm:algorithm -> Task.system -> Plan.t option
     counterpart of {!schedule}, produced by the same algorithm choices on
     the same code path, so [Option.map Plan.to_schedule (plan sys)] equals
     [schedule sys] slot for slot. A {!Density.classify} pre-check skips
-    all construction on provably infeasible systems. Verification happens
-    by streaming ({!Verify.satisfies_plan}); no hyperperiod array is
-    allocated unless the [Exact_small] fallback fires (whose output is
-    inherently explicit). Raises like {!schedule}. *)
+    all construction on provably infeasible systems. Verification lists
+    the plan's occurrences in closed form ({!Verify.satisfies_plan}), so
+    its cost follows the occurrences, not the period; no hyperperiod
+    array is allocated unless the [Exact_small] fallback fires (whose
+    output is inherently explicit). Raises like {!schedule}. *)
 
 val schedule : ?algorithm:algorithm -> Task.system -> Schedule.t option
 (** [schedule sys] is a verified cyclic schedule for [sys], or [None] if

@@ -1,5 +1,5 @@
+module Intmath = Pindisk_util.Intmath
 module Q = Pindisk_util.Q
-
 
 let to_chain ~x b =
   if x < 1 then invalid_arg "Specialize.to_chain: x must be >= 1";
@@ -13,35 +13,35 @@ let to_chain ~x b =
     Some !v
   end
 
+(* Share sizes summed per chain exponent in integers, then one rational
+   per exponent: [b] specializes to [x·2^k] with [k = floor_log2 (b/x)]. *)
 let specialized_density ~x sys =
-  let rec go acc = function
-    | [] -> Some acc
-    | t :: rest -> (
-        match to_chain ~x t.Task.b with
-        | None -> None
-        | Some b' -> go (Q.add acc (Q.make t.Task.a b')) rest)
-  in
-  go Q.zero sys
+  if x < 1 then invalid_arg "Specialize.specialized_density: x must be >= 1";
+  if List.exists (fun t -> t.Task.b < x) sys then None
+  else begin
+    let shares = Array.make Sys.int_size 0 in
+    List.iter
+      (fun t ->
+        let k = Intmath.floor_log2 (t.Task.b / x) in
+        shares.(k) <- shares.(k) + t.Task.a)
+      sys;
+    let d = ref Q.zero in
+    Array.iteri
+      (fun k a -> if a > 0 then d := Q.add !d (Q.make a (x lsl k)))
+      shares;
+    Some !d
+  end
 
+(* The distinct values [floor (b_i / 2^j)] not exceeding the smallest
+   window, and 1, descending. *)
 let candidate_bases sys =
-  match sys with
+  match List.sort_uniq compare (List.map (fun t -> t.Task.b) sys) with
   | [] -> [ 1 ]
-  | _ ->
-      let b_min =
-        List.fold_left (fun acc t -> min acc t.Task.b) max_int sys
+  | b_min :: _ as windows ->
+      let rec halvings acc v =
+        if v < 1 then acc else halvings (if v <= b_min then v :: acc else acc) (v / 2)
       in
-      let candidates = Hashtbl.create 64 in
-      List.iter
-        (fun t ->
-          let v = ref t.Task.b in
-          while !v >= 1 do
-            if !v <= b_min then Hashtbl.replace candidates !v ();
-            v := !v / 2
-          done)
-        sys;
-      Hashtbl.replace candidates 1 ();
-      Hashtbl.fold (fun k () acc -> k :: acc) candidates []
-      |> List.sort (fun a b -> compare b a)
+      List.sort_uniq (fun a b -> compare b a) (List.fold_left halvings [ 1 ] windows)
 
 let plan_with_base ~x sys =
   match Task.check_system sys with
@@ -71,14 +71,11 @@ let plan_with_base ~x sys =
                        { Plan.key = a.key; offset = a.offset; period = a.period })
                      assignments)
               with
-              | exception Pindisk_util.Intmath.Overflow -> None
+              | exception Intmath.Overflow -> None
               | plan -> if Verify.satisfies_plan plan sys then Some plan else None))
 
-let schedule_with_base ~x sys =
-  Option.map Plan.to_schedule (plan_with_base ~x sys)
-
-let sa sys = schedule_with_base ~x:1 sys
 let sa_plan sys = plan_with_base ~x:1 sys
+let sa sys = Option.map Plan.to_schedule (sa_plan sys)
 
 let best_base sys =
   let feasible =

@@ -21,33 +21,25 @@ val to_chain : x:int -> int -> int option
 val specialized_density : x:int -> Task.system -> Pindisk_util.Q.t option
 (** Density of the system after specializing every window to base [x]
     (counting each task as [a] unit tasks of the specialized window);
-    [None] if some window is below [x]. *)
-
-val candidate_bases : Task.system -> int list
-(** All plausible chain bases for a system: the distinct values
-    [floor (b_i / 2^j)] not exceeding the smallest window. Always
-    non-empty for a non-empty system (contains 1). *)
-
-val plan_with_base : x:int -> Task.system -> Plan.t option
-(** Specialize to base [x] and pack, as a dispatch plan (verified by
-    streaming, never materialized). [None] if some window is below [x] or
-    the specialized density exceeds 1. The plan satisfies the original
-    system (multi-unit tasks are decomposed into exact-period copies). *)
-
-val schedule_with_base : x:int -> Task.system -> Schedule.t option
-(** [plan_with_base] materialized: the eager path is {e derived from} the
-    plan, so the two are slot-for-slot equal by construction. *)
-
-val sa : Task.system -> Schedule.t option
-(** Single-integer reduction: {!schedule_with_base} with [x = 1].
-    Guaranteed to succeed on unit systems of density <= 1/2. *)
+    [None] if some window is below [x]. Share sizes are summed per chain
+    exponent in integers, so the exact sum costs one rational per
+    exponent, not one per task. Raises [Invalid_argument] if [x < 1]. *)
 
 val sa_plan : Task.system -> Plan.t option
+(** Single-integer reduction: specialize to base [x = 1], pack with
+    {!Harmonic}, and verify the plan against the original system by its
+    occurrences in closed form ({!Verify.satisfies_plan}); the plan is
+    never materialized. Multi-unit tasks are decomposed into exact-period
+    copies. Guaranteed to succeed on unit systems of density <= 1/2. *)
+
+val sa : Task.system -> Schedule.t option
+(** {!sa_plan} materialized. *)
 
 val sx : Task.system -> Schedule.t option
-(** Multi-base search: tries every {!candidate_bases} value, picks the one
-    with the smallest specialized density, and packs. Succeeds whenever
-    {!sa} does. *)
+(** Multi-base search: tries every plausible chain base — the distinct
+    values [floor (b_i / 2^j)] not exceeding the smallest window — picks
+    the one with the smallest specialized density (ties to the larger
+    base), and packs as {!sa_plan} does. Succeeds whenever {!sa} does. *)
 
 val sx_plan : Task.system -> Plan.t option
 (** The plan {!sx} materializes. *)

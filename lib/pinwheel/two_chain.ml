@@ -3,8 +3,8 @@ module Q = Pindisk_util.Q
 
 type split = { c : int; d : int }
 
-(* The A-dedication test lives in {!Plan.beatty_hit}; the merge itself is
-   a {!Plan.merge} node, so eager and online consumers share it. *)
+(* The A-dedication test lives in {!Plan.merge}, so eager, online and
+   verifying consumers share it. *)
 
 let virtual_window split b =
   if b < 1 then invalid_arg "Two_chain.virtual_window: window must be >= 1";

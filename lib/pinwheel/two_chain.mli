@@ -30,8 +30,8 @@ val plan : ?max_period:int -> Task.system -> Plan.t option
 (** [plan sys] searches thresholds partitioning the (unit-decomposed)
     tasks by window size and a small grid of splits, returning the first
     merged dispatch plan (a {!Plan.merge} of two progression plans) that
-    verifies against [sys] — by streaming, without materializing the
-    merged hyperperiod. [max_period] (default [4_000_000]) bounds the
+    verifies against [sys] — by its occurrences in closed form, without
+    materializing the merged hyperperiod. [max_period] (default [4_000_000]) bounds the
     merged plan's period. Returns [None] when the search fails — callers
     should fall back to {!Specialize.sx} first, which this module does not
     subsume on single-scale systems. *)

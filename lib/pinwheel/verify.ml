@@ -43,40 +43,8 @@ let check_task sched (t : Task.t) = check_pc sched ~task:t.Task.id ~a:t.Task.a ~
 let check_system sched sys = List.filter_map (check_task sched) sys
 
 (* ------------------------------------------------------------------ *)
-(* Streaming verification                                              *)
+(* Verification by occurrences                                         *)
 (* ------------------------------------------------------------------ *)
-
-(* One pass over a single period collects, per distinct task id, the
-   ascending array of occurrence slots. Total work and memory are
-   O(period + n), versus O(n·period) for checking each task with
-   [window_counts]. *)
-let occurrence_tables ~period next sys =
-  let index = Hashtbl.create 64 in
-  let n_distinct = ref 0 in
-  List.iter
-    (fun (t : Task.t) ->
-      if not (Hashtbl.mem index t.Task.id) then begin
-        Hashtbl.replace index t.Task.id !n_distinct;
-        incr n_distinct
-      end)
-    sys;
-  let bufs = Array.make (max !n_distinct 1) [||] in
-  let lens = Array.make (max !n_distinct 1) 0 in
-  for t = 0 to period - 1 do
-    let v = next () in
-    match Hashtbl.find_opt index v with
-    | None -> ()
-    | Some i ->
-        let cap = Array.length bufs.(i) in
-        if lens.(i) = cap then begin
-          let grown = Array.make (max 4 (2 * cap)) 0 in
-          Array.blit bufs.(i) 0 grown 0 cap;
-          bufs.(i) <- grown
-        end;
-        bufs.(i).(lens.(i)) <- t;
-        lens.(i) <- lens.(i) + 1
-  done;
-  (index, Array.init (max !n_distinct 1) (fun i -> Array.sub bufs.(i) 0 lens.(i)))
 
 (* pc(a, b) over a cyclic schedule of period p, given the ascending
    occurrence slots occ.(0..c-1) of one period: extend to the biinfinite
@@ -102,31 +70,73 @@ let occ_ok ~period occ ~a ~b =
     !ok
   end
 
-let satisfies_seq ~period next sys =
-  if period < 1 then invalid_arg "Verify.satisfies_seq: period must be >= 1";
-  match sys with
-  | [] ->
-      for _ = 1 to period do
-        ignore (next ())
-      done;
-      true
-  | _ ->
-      let index, occs = occurrence_tables ~period next sys in
-      List.for_all
-        (fun (t : Task.t) ->
-          let occ = occs.(Hashtbl.find index t.Task.id) in
-          occ_ok ~period occ ~a:t.Task.a ~b:t.Task.b)
-        sys
+let rec increasing a j = j >= Array.length a || (a.(j - 1) < a.(j) && increasing a (j + 1))
 
-let satisfies sched sys =
-  let t = ref 0 in
-  satisfies_seq ~period:(Schedule.period sched)
-    (fun () ->
-      let v = Schedule.task_at sched !t in
-      incr t;
-      v)
-    sys
+(* Whether [slots], all in [0, period), are pairwise distinct: by a
+   bitmap of the period when that costs at most a word per slot, else by
+   sorting them in place. O(slots) words either way, whatever the
+   period. *)
+let distinct ~period slots =
+  if period <= 63 * Array.length slots then begin
+    let seen = Bytes.make ((period / 8) + 1) '\000' in
+    Array.for_all
+      (fun t ->
+        let byte = Char.code (Bytes.get seen (t / 8)) and bit = 1 lsl (t mod 8) in
+        Bytes.set seen (t / 8) (Char.chr (byte lor bit));
+        byte land bit = 0)
+      slots
+  end
+  else begin
+    Array.stable_sort Int.compare slots;
+    increasing slots 1
+  end
 
+(* One period's occurrences in closed form ({!Plan.iter_occurrences}),
+   counted, then listed: every slot, which must be listed once, and each
+   checked task's slots, sorted unless already ascending. Work and memory
+   follow the number of occurrences, not the period (an explicit schedule
+   is read whole). *)
 let satisfies_plan plan sys =
-  let d = Plan.create plan in
-  satisfies_seq ~period:(Plan.period plan) (Plan.pull d) sys
+  let index = Hashtbl.create 64 in
+  List.iter
+    (fun (t : Task.t) ->
+      if not (Hashtbl.mem index t.Task.id) then
+        Hashtbl.replace index t.Task.id (Hashtbl.length index))
+    sys;
+  let n = Hashtbl.length index in
+  (* Each occurrence with its task's index, [n] for a task not checked.
+     Progressions list a key's slots in a run: look each run up once. *)
+  let each f =
+    let last = ref (-1) and tag = ref n in
+    Plan.iter_occurrences plan (fun key t ->
+        if key <> !last then begin
+          last := key;
+          tag := Option.value ~default:n (Hashtbl.find_opt index key)
+        end;
+        f !tag t)
+  in
+  (* [occs.(n)] lists every slot, [occs.(i)] those of checked task [i]. *)
+  let counts = Array.make (n + 1) 0 in
+  let count i = counts.(i) <- counts.(i) + 1 in
+  each (fun i _ ->
+      count n;
+      if i < n then count i);
+  let occs = Array.map (fun c -> Array.make c 0) counts in
+  Array.fill counts 0 (n + 1) 0;
+  let push i t =
+    occs.(i).(counts.(i)) <- t;
+    count i
+  in
+  each (fun i t ->
+      push n t;
+      if i < n then push i t);
+  let period = Plan.period plan in
+  distinct ~period occs.(n)
+  && List.for_all
+       (fun (t : Task.t) ->
+         let occ = occs.(Hashtbl.find index t.Task.id) in
+         if not (increasing occ 1) then Array.stable_sort Int.compare occ;
+         occ_ok ~period occ ~a:t.Task.a ~b:t.Task.b)
+       sys
+
+let satisfies sched sys = satisfies_plan (Plan.explicit sched) sys

@@ -39,22 +39,20 @@ val check_system : Schedule.t -> Task.system -> violation list
     condition. O(n·period) — use {!satisfies} when only the boolean is
     needed. *)
 
-val satisfies : Schedule.t -> Task.system -> bool
-(** Streaming form of [check_system _ _ = []]: one O(period) pass collects
-    per-task occurrence slots, then [pc(a, b)] is checked as a gap
-    condition on consecutive occurrence indices ([O_{m+a} - O_m <= b],
-    wrapping across periods), for O(period + n) total instead of
-    O(n·period). Agrees exactly with the window-counting verifier (the
-    test suite cross-checks the two on random schedules). *)
-
-val satisfies_seq : period:int -> (unit -> int) -> Task.system -> bool
-(** [satisfies_seq ~period next sys] verifies a cyclic schedule presented
-    as a stream: [next ()] is called exactly [period] times, yielding the
-    task id (or {!Schedule.idle}) of slots [0..period-1] in order. This is
-    how plans are verified without materializing a hyperperiod array.
-    Raises [Invalid_argument] when [period < 1]. *)
-
 val satisfies_plan : Plan.t -> Task.system -> bool
-(** [satisfies_seq] driven by a fresh dispatcher over the plan — verifies
-    an online plan in O(period·log n) time and O(period + n) transient
-    memory, without materializing the schedule. *)
+(** [satisfies_plan plan sys] holds iff no slot of the plan is claimed
+    twice and the plan satisfies every task's condition. One period's
+    occurrences are listed in closed form ({!Plan.iter_occurrences}). A
+    slot claimed twice is found by a bitmap of the period when that costs
+    at most a word per occurrence, else by sorting the occurrences; each
+    task's slots are sorted unless already ascending, and [pc(a, b)] is
+    then a gap condition on consecutive occurrence indices
+    ([O_{m+a} - O_m <= b], wrapping across periods). Work and memory
+    follow the number of occurrences, not the period; the dispatcher
+    never runs. Agrees exactly with the window-counting verifier on
+    schedules, and with a dispatcher walk on collision-free plans (the
+    test suite cross-checks both). *)
+
+val satisfies : Schedule.t -> Task.system -> bool
+(** [satisfies_plan] of the {!Plan.explicit} schedule: [check_system _ _ =
+    []] in O(period + n) instead of O(n·period). *)

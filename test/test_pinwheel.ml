@@ -320,11 +320,29 @@ let prop_exact_multi_never_contradicts_heuristics =
 (* Harmonic                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* The cyclic schedule realizing packed assignments, with period the
+   largest one (every chain period divides it); keys become task ids. *)
+let schedule_of (assignments : Harmonic.assignment list) =
+  let hyper =
+    List.fold_left (fun acc (a : Harmonic.assignment) -> max acc a.period) 1 assignments
+  in
+  let slots = Array.make hyper Schedule.idle in
+  List.iter
+    (fun (a : Harmonic.assignment) ->
+      let t = ref a.offset in
+      while !t < hyper do
+        assert (slots.(!t) = Schedule.idle);
+        slots.(!t) <- a.key;
+        t := !t + a.period
+      done)
+    assignments;
+  Schedule.make slots
+
 let test_harmonic_pack_simple () =
   match Harmonic.pack ~x:1 [ (0, 2); (1, 4); (2, 4) ] with
   | None -> Alcotest.fail "density 1 chain must pack"
   | Some assignments ->
-      let sched = Harmonic.schedule_of ~x:1 assignments in
+      let sched = schedule_of assignments in
       check_bool "verifies" true
         (Verify.satisfies sched
            [ Task.unit ~id:0 ~b:2; Task.unit ~id:1 ~b:4; Task.unit ~id:2 ~b:4 ])
@@ -338,7 +356,7 @@ let test_harmonic_pack_base3 () =
   match Harmonic.pack ~x:3 [ (0, 3); (1, 6); (2, 12); (3, 3) ] with
   | None -> Alcotest.fail "base-3 chain must pack"
   | Some assignments ->
-      let sched = Harmonic.schedule_of ~x:3 assignments in
+      let sched = schedule_of assignments in
       check_int "hyperperiod" 12 (Schedule.period sched);
       check_bool "verifies" true
         (Verify.satisfies sched
@@ -359,7 +377,7 @@ let test_harmonic_repeated_keys () =
   match Harmonic.pack ~x:1 [ (5, 4); (5, 4); (5, 4); (5, 4) ] with
   | None -> Alcotest.fail "four quarters fit"
   | Some assignments ->
-      let sched = Harmonic.schedule_of ~x:1 assignments in
+      let sched = schedule_of assignments in
       check_bool "pc(5,4,4) holds" true (Verify.check_pc sched ~task:5 ~a:4 ~b:4 = None)
 
 let prop_harmonic_density_le_one_packs =
@@ -383,11 +401,78 @@ let prop_harmonic_density_le_one_packs =
           match Harmonic.pack ~x tasks with
           | None -> false
           | Some assignments ->
-              let sched = Harmonic.schedule_of ~x assignments in
+              let sched = schedule_of assignments in
               List.for_all
                 (fun (key, p) ->
                   Verify.min_in_window sched ~task:key ~window:p >= 1)
                 (List.sort_uniq compare tasks)))
+
+(* The column-scan packer the buddy allocator replaced: per column, a list
+   of free residue classes; each unit task takes the free class of
+   largest modulus <= its own over all columns, first found on ties. *)
+type oracle_class = { residue : int; modulus : int }
+
+let oracle_pack ~x tasks =
+  let with_exp =
+    List.map
+      (fun (key, period) ->
+        let q = period / x in
+        if period < x || period mod x <> 0 || q land (q - 1) <> 0 then
+          invalid_arg "oracle_pack: off-chain period";
+        (key, period, Pindisk_util.Intmath.floor_log2 q))
+      tasks
+  in
+  let density = Q.sum (List.map (fun (_, p, _) -> Q.make 1 p) with_exp) in
+  if Q.( > ) density Q.one then None
+  else begin
+    let sorted = List.sort (fun (_, p, _) (_, q, _) -> compare p q) with_exp in
+    let free = Array.make x [ { residue = 0; modulus = 1 } ] in
+    let place (key, period, k) =
+      let wanted = 1 lsl k in
+      let best = ref None in
+      Array.iteri
+        (fun col classes ->
+          List.iter
+            (fun c ->
+              if c.modulus <= wanted then
+                match !best with
+                | Some (_, c') when c'.modulus >= c.modulus -> ()
+                | _ -> best := Some (col, c))
+            classes)
+        free;
+      match !best with
+      | None -> None
+      | Some (col, c) ->
+          let remaining = List.filter (fun c' -> c' <> c) free.(col) in
+          let rec split siblings m =
+            if m >= wanted then siblings
+            else split ({ residue = c.residue + m; modulus = 2 * m } :: siblings) (2 * m)
+          in
+          free.(col) <- split remaining c.modulus;
+          Some { Harmonic.key; offset = col + (x * c.residue); period }
+    in
+    let rec go acc = function
+      | [] -> Some (List.rev acc)
+      | t :: rest -> ( match place t with None -> None | Some a -> go (a :: acc) rest)
+    in
+    go [] sorted
+  end
+
+(* Bases 1-12, periods x·2^0 to x·2^5, keys drawn from 0-7 (so they
+   repeat), and up to 4x + 4 units: densities from 0 to well above 1. *)
+let prop_buddy_matches_column_scan =
+  QCheck2.Test.make ~name:"buddy pack equals the column-scan packer" ~count:500
+    QCheck2.Gen.(pair (int_range 1 12) (int_bound 1_000_000))
+    (fun (x, seed) ->
+      let st = Random.State.make [| seed |] in
+      let tasks =
+        List.init
+          (Random.State.int st ((4 * x) + 5))
+          (fun _ -> (Random.State.int st 8, x * (1 lsl Random.State.int st 6)))
+      in
+      let packed = Harmonic.pack ~x tasks in
+      let density = Q.sum (List.map (fun (_, p) -> Q.make 1 p) tasks) in
+      packed = oracle_pack ~x tasks && (Q.( <= ) density Q.one || packed = None))
 
 (* ------------------------------------------------------------------ *)
 (* Specialize                                                         *)
@@ -458,6 +543,55 @@ let prop_sx_dominates_sa =
           | Some _, None -> false
           | _, Some sched -> Verify.satisfies sched sys
           | None, None -> true))
+
+(* The per-task base sum and base choice the per-exponent sums replaced. *)
+let oracle_specialized_density ~x sys =
+  List.fold_left
+    (fun acc (t : Task.t) ->
+      match (acc, Specialize.to_chain ~x t.Task.b) with
+      | Some d, Some b' -> Some (Q.add d (Q.make t.Task.a b'))
+      | _ -> None)
+    (Some Q.zero) sys
+
+let oracle_sx_base sys =
+  let b_min = List.fold_left (fun acc (t : Task.t) -> min acc t.Task.b) max_int sys in
+  let candidates = Hashtbl.create 64 in
+  List.iter
+    (fun (t : Task.t) ->
+      let v = ref t.Task.b in
+      while !v >= 1 do
+        if !v <= b_min then Hashtbl.replace candidates !v ();
+        v := !v / 2
+      done)
+    sys;
+  Hashtbl.replace candidates 1 ();
+  Hashtbl.fold (fun k () acc -> k :: acc) candidates []
+  |> List.sort (fun a b -> compare b a)
+  |> List.fold_left
+       (fun best x ->
+         match (best, oracle_specialized_density ~x sys) with
+         | _, Some d when Q.( > ) d Q.one -> best
+         | None, Some d -> Some (x, d)
+         | Some (_, bd), Some d when Q.( < ) d bd -> Some (x, d)
+         | best, _ -> best)
+       None
+  |> Option.map fst
+
+let prop_specialize_matches_per_task_sum =
+  QCheck2.Test.make ~name:"per-exponent sums equal the per-task sum" ~count:300
+    QCheck2.Gen.(triple (int_range 1 10) (int_range 1 40) (int_bound 1_000_000))
+    (fun (n, max_b, seed) ->
+      let st = Random.State.make [| seed |] in
+      let sys =
+        List.init n (fun id ->
+            let a = 1 + Random.State.int st 3 in
+            Task.make ~id ~a ~b:(a + Random.State.int st max_b))
+      in
+      Specialize.sx_base sys = oracle_sx_base sys
+      && List.for_all
+           (fun x ->
+             Specialize.specialized_density ~x sys = oracle_specialized_density ~x sys)
+           (List.init (max_b + 3) (fun x -> x + 1)))
 
 (* ------------------------------------------------------------------ *)
 (* Rotation                                                           *)
@@ -833,6 +967,113 @@ let test_satisfies_plan () =
       check_bool "wrong system rejected" false
         (Verify.satisfies_plan plan [ Task.unit ~id:5 ~b:2 ])
 
+(* The streaming verifier the closed form replaced: a dispatcher walks
+   one period, collecting each task's occurrence slots in order, and
+   pc(a, b) is the gap condition O_{m+a} - O_m <= b on them. *)
+let oracle_satisfies_plan plan sys =
+  let period = Plan.period plan and d = Plan.create plan in
+  let index = Hashtbl.create 64 in
+  List.iter
+    (fun (t : Task.t) ->
+      if not (Hashtbl.mem index t.Task.id) then
+        Hashtbl.replace index t.Task.id (Hashtbl.length index))
+    sys;
+  let occs = Array.make (Hashtbl.length index) [] in
+  for t = 0 to period - 1 do
+    match Hashtbl.find_opt index (Plan.next d) with
+    | Some i -> occs.(i) <- t :: occs.(i)
+    | None -> ()
+  done;
+  List.for_all
+    (fun (t : Task.t) ->
+      let occ = Array.of_list (List.rev occs.(Hashtbl.find index t.Task.id)) in
+      let c = Array.length occ in
+      c > 0
+      && List.for_all
+           (fun j ->
+             let m = j + t.Task.a in
+             occ.(m mod c) + (period * (m / c)) - occ.(j) <= t.Task.b)
+           (List.init c Fun.id))
+    sys
+
+(* Plans of every constructor, from every scheduler, judged against
+   their own system and against the same windows tightened by one. *)
+let prop_closed_form_verify_matches_walk =
+  QCheck2.Test.make ~name:"closed-form verification equals the dispatcher walk"
+    ~count:300
+    QCheck2.Gen.(triple bool (int_range 1 7) (int_bound 1_000_000))
+    (fun (multi, n, seed) ->
+      let sys =
+        if multi then Gen.multi_unit_system ~seed ~n ~max_a:2 ~max_b:16 ~target:0.8
+        else Gen.unit_system_with_density ~seed ~n ~max_b:12 ~target:0.8
+      in
+      let tightened =
+        List.map
+          (fun (t : Task.t) ->
+            Task.make ~id:t.Task.id ~a:t.Task.a ~b:(max t.Task.a (t.Task.b - 1)))
+          sys
+      in
+      let plans =
+        List.filter_map
+          (fun algorithm ->
+            try Scheduler.plan ~algorithm sys with Invalid_argument _ -> None)
+          Scheduler.[ Sa; Sx; Sr; Sxy; Exact_small ]
+      in
+      List.for_all
+        (fun plan ->
+          List.for_all
+            (fun s -> Verify.satisfies_plan plan s = oracle_satisfies_plan plan s)
+            [ sys; tightened ])
+        plans)
+
+let test_verify_rejects_collisions () =
+  let prog key offset period = { Plan.key; offset; period } in
+  let sys = [ Task.unit ~id:0 ~b:2; Task.unit ~id:1 ~b:4 ] in
+  let clean = Plan.progressions [ prog 0 0 2; prog 1 1 4 ] in
+  let collide = Plan.progressions [ prog 0 0 2; prog 1 2 4 ] in
+  check_bool "disjoint progressions verify" true (Verify.satisfies_plan clean sys);
+  check_bool "colliding progressions rejected" false
+    (Verify.satisfies_plan collide sys);
+  check_bool "a collision with an unchecked task is rejected" false
+    (Verify.satisfies_plan
+       (Plan.progressions [ prog 0 0 2; prog 1 1 4; prog 7 2 4 ])
+       sys);
+  (* A merge is as sound as its sub-plans: a collision inside either one
+     survives the Beatty mapping. *)
+  let half = Plan.progressions [ prog 2 0 1 ] in
+  check_bool "clean merge verifies" true
+    (Verify.satisfies_plan (Plan.merge ~c:1 ~d:2 clean half)
+       [ Task.unit ~id:0 ~b:4; Task.unit ~id:1 ~b:8; Task.unit ~id:2 ~b:2 ]);
+  check_bool "merge of a colliding plan rejected" false
+    (Verify.satisfies_plan (Plan.merge ~c:1 ~d:2 collide half)
+       [ Task.unit ~id:0 ~b:4; Task.unit ~id:2 ~b:2 ]);
+  check_bool "colliding second half rejected" false
+    (Verify.satisfies_plan (Plan.merge ~c:2 ~d:3 half collide)
+       [ Task.unit ~id:2 ~b:3 ]);
+  (* Three occurrences in a period of 2^21: checked by sorting, not by a
+     bitmap of the period. *)
+  check_bool "sparse collision rejected" false
+    (Verify.satisfies_plan
+       (Plan.progressions [ prog 0 5 (1 lsl 20); prog 1 (5 + (1 lsl 20)) (1 lsl 21) ])
+       [ Task.unit ~id:0 ~b:(1 lsl 20); Task.unit ~id:1 ~b:(1 lsl 21) ]);
+  check_bool "sparse disjoint progressions verify" true
+    (Verify.satisfies_plan
+       (Plan.progressions [ prog 0 5 (1 lsl 20); prog 1 6 (1 lsl 21) ])
+       [ Task.unit ~id:0 ~b:(1 lsl 20); Task.unit ~id:1 ~b:(1 lsl 21) ])
+
+(* Planning and verifying follow the occurrences, not the base x = 2^24 or
+   the period 2^26: no column array, no walk of the period. *)
+let test_plan_cost_follows_occurrences () =
+  let sys = List.init 64 (fun id -> Task.unit ~id ~b:((1 lsl 24) lsl (id mod 3))) in
+  let before = Gc.allocated_bytes () in
+  (match Scheduler.plan sys with
+  | None -> Alcotest.fail "a density-2^-20 system plans"
+  | Some plan ->
+      check_int "period" (1 lsl 26) (Plan.period plan);
+      check_bool "verifies" true (Verify.satisfies_plan plan sys));
+  let mib = (Gc.allocated_bytes () -. before) /. 1048576.0 in
+  if mib >= 8.0 then Alcotest.failf "allocated %.1f MiB planning 64 tasks" mib
+
 let test_fold_occurrences () =
   let s = sched_of_list [ 1; 2; 1; Schedule.idle; 2 ] in
   let occs = Schedule.fold_occurrences s 1 (fun acc t -> t :: acc) [] in
@@ -988,7 +1229,8 @@ let () =
           Alcotest.test_case "repeated keys" `Quick test_harmonic_repeated_keys;
         ] );
       ( "harmonic-properties",
-        List.map QCheck_alcotest.to_alcotest [ prop_harmonic_density_le_one_packs ] );
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_harmonic_density_le_one_packs; prop_buddy_matches_column_scan ] );
       ( "specialize",
         [
           Alcotest.test_case "to_chain" `Quick test_to_chain;
@@ -998,7 +1240,8 @@ let () =
           Alcotest.test_case "specialized density" `Quick test_specialized_density;
         ] );
       ( "specialize-properties",
-        List.map QCheck_alcotest.to_alcotest [ prop_sa_guarantee; prop_sx_dominates_sa ] );
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_sa_guarantee; prop_sx_dominates_sa; prop_specialize_matches_per_task_sum ] );
       ( "rotation",
         [
           Alcotest.test_case "two-distinct beats Sx" `Quick test_rotation_two_distinct;
@@ -1051,6 +1294,9 @@ let () =
         [
           Alcotest.test_case "satisfies_plan" `Quick test_satisfies_plan;
           Alcotest.test_case "fold_occurrences" `Quick test_fold_occurrences;
+          Alcotest.test_case "collisions rejected" `Quick test_verify_rejects_collisions;
+          Alcotest.test_case "planning cost follows occurrences" `Quick
+            test_plan_cost_follows_occurrences;
         ] );
       ( "online-properties",
         List.map QCheck_alcotest.to_alcotest
@@ -1058,6 +1304,7 @@ let () =
             prop_online_matches_eager;
             prop_online_take_reset;
             prop_streaming_verify_agrees;
+            prop_closed_form_verify_matches_walk;
           ] );
       ( "density",
         [

@@ -635,6 +635,38 @@ let oracle_lightest ~avoid load task =
          Q.compare (P.Density.density load.(a)) (P.Density.density load.(b)))
   |> List.find_opt (fun c -> P.Density.admits load.(c) task)
 
+(* K 1-64 channels loaded by up to 96 placements, each probed with an
+   avoid list of up to three channels. Unit tasks of windows 2 and 3 are
+   common, so {2, 3, _} rejects as well as density > 1, and equal loads
+   (every channel starts empty) test the index tie. *)
+let prop_lightest_matches_oracle =
+  QCheck2.Test.make ~name:"lightest equals the sorted scan, K <= 64" ~count:300
+    QCheck2.Gen.(triple (int_range 1 64) (int_range 0 96) (int_bound 1_000_000))
+    (fun (k, steps, seed) ->
+      let st = Random.State.make [| seed |] in
+      let loads = Channels.loads k and scan = Array.make k P.Density.empty in
+      let task id =
+        match Random.State.int st 4 with
+        | 0 -> Task.unit ~id ~b:2
+        | 1 -> Task.unit ~id ~b:3
+        | _ ->
+            let b = 2 + Random.State.int st 12 in
+            Task.make ~id ~a:(1 + Random.State.int st (min b 3)) ~b
+      in
+      List.for_all
+        (fun id ->
+          let t = task id in
+          let avoid = List.init (Random.State.int st 4) (fun _ -> Random.State.int st k) in
+          let got = Channels.lightest ~avoid loads t in
+          let agree = got = oracle_lightest ~avoid scan t in
+          Option.iter
+            (fun c ->
+              Channels.add loads c t;
+              scan.(c) <- P.Density.add scan.(c) t)
+            got;
+          agree)
+        (List.init steps Fun.id))
+
 (* Plan every channel from the first; a failure sheds the failing
    channel's densest task (ties: the higher id) everywhere and starts
    over. Returns the surviving lists, their plans and the shed ids. *)
@@ -1422,6 +1454,7 @@ let () =
             prop_channels_k1_matches_scheduler;
             prop_channels_partition_balanced;
             prop_channels_plan_matches_oracle;
+            prop_lightest_matches_oracle;
           ] );
       ( "shard",
         [
