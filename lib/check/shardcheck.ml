@@ -1,5 +1,6 @@
 module P = Pindisk_pinwheel
 module Q = Pindisk_util.Q
+module Inttbl = Pindisk_util.Inttbl
 module Shard = Pindisk.Shard
 module File_spec = Pindisk.File_spec
 module Program = Pindisk.Program
@@ -29,19 +30,24 @@ type t = {
   stripe : int;
 }
 
+(* A sorted int list holds no value twice. *)
+let rec strictly_ascending = function
+  | a :: (b :: _ as rest) -> a < b && strictly_ascending rest
+  | _ -> true
+
 (* Everything is recounted from the placement map in one pass — share
    size over the file's window, pieces and channels per file — never
    read off the channel records or the design's index, so a lying
    optimizer is caught by arithmetic, not echoed. *)
 let run (design : Shard.t) =
-  let spec_of = Hashtbl.create 64 in
-  List.iter (fun f -> Hashtbl.replace spec_of f.File_spec.id f) design.Shard.specs;
+  let spec_of = Inttbl.create 64 in
+  List.iter (fun f -> Inttbl.replace spec_of f.File_spec.id f) design.Shard.specs;
   let on_channel = Array.map (fun _ -> []) design.Shard.channels in
-  let of_file = Hashtbl.create 64 in
+  let of_file = Inttbl.create 64 in
   List.iter
     (fun (p : Shard.placement) ->
-      Hashtbl.add of_file p.Shard.file p;
-      Hashtbl.find_opt spec_of p.Shard.file
+      Inttbl.add of_file p.Shard.file p;
+      Inttbl.find_opt spec_of p.Shard.file
       |> Option.iter (fun f ->
              on_channel.(p.Shard.channel) <-
                P.Task.make ~id:p.Shard.file
@@ -60,24 +66,43 @@ let run (design : Shard.t) =
       witnessed = tasks = [] || P.Verify.satisfies schedule tasks;
     }
   in
+  (* Each piece of a file counted into an array of its capacity: the
+     shares cover it when they hold N pieces, none twice and none out of
+     range, and are disjoint when no piece is held twice. Out-of-range
+     pieces, which only a corrupt design has, are compared sorted. *)
   let check_file (f : File_spec.t) =
-    let ps = Hashtbl.find_all of_file f.File_spec.id in
-    let chans = List.map (fun (p : Shard.placement) -> p.Shard.channel) ps in
-    let shares = List.map (fun (p : Shard.placement) -> p.Shard.pieces) ps in
-    let pieces = List.concat_map Array.to_list shares in
-    let largest = List.fold_left (fun acc a -> max acc (Array.length a)) 0 shares in
+    let ps = Inttbl.find_all of_file f.File_spec.id in
+    let capacity = f.File_spec.capacity in
+    let seen = Array.make (max 0 capacity) 0 in
+    let pieces = ref 0 and largest = ref 0 and twice = ref false and stray = ref [] in
+    List.iter
+      (fun (p : Shard.placement) ->
+        let share = p.Shard.pieces in
+        pieces := !pieces + Array.length share;
+        largest := max !largest (Array.length share);
+        Array.iter
+          (fun k ->
+            if 0 <= k && k < capacity then begin
+              if seen.(k) > 0 then twice := true;
+              seen.(k) <- seen.(k) + 1
+            end
+            else stray := k :: !stray)
+          share)
+      ps;
+    let chans = List.sort Int.compare (List.map (fun (p : Shard.placement) -> p.Shard.channel) ps) in
     {
       file = f.File_spec.id;
       name = f.File_spec.name;
-      capacity = f.File_spec.capacity;
-      channels = List.sort compare chans;
-      covered = List.sort compare pieces = List.init f.File_spec.capacity Fun.id;
+      capacity;
+      channels = chans;
+      covered = (not !twice) && !stray = [] && !pieces = capacity;
       disjoint =
-        List.length (List.sort_uniq compare pieces) = List.length pieces
-        && List.length (List.sort_uniq compare chans) = List.length chans;
+        (not !twice)
+        && strictly_ascending (List.sort Int.compare !stray)
+        && strictly_ascending chans;
       (* The worst single-channel outage leaves N - largest share
          pieces: none when the file lives on one channel. *)
-      outage_tolerant = List.length pieces - largest >= f.File_spec.blocks;
+      outage_tolerant = !pieces - !largest >= f.File_spec.blocks;
     }
   in
   {
@@ -85,9 +110,9 @@ let run (design : Shard.t) =
     files =
       design.Shard.specs
       |> List.map check_file
-      |> List.sort (fun a b -> compare a.file b.file);
+      |> List.sort (fun a b -> Int.compare a.file b.file);
     shed =
-      List.sort compare
+      List.sort Int.compare
         (List.map (fun f -> f.File_spec.id) design.Shard.shed);
     stripe = design.Shard.stripe;
   }

@@ -1,91 +1,136 @@
 module Schedule = Pindisk_pinwheel.Schedule
+module Plan = Pindisk_pinwheel.Plan
 module Scheduler = Pindisk_pinwheel.Scheduler
 module Intmath = Pindisk_util.Intmath
+module Inttbl = Pindisk_util.Inttbl
 
 (* Per file: its on-air block count, the block index its first
    occurrence carries, and its ascending slot offsets within a period. *)
 type entry = { capacity : int; phase : int; offsets : int array }
 
+let no_entry = { capacity = 0; phase = 0; offsets = [||] }
+
 type t = {
   schedule : Schedule.t;
-  entries : (int, entry) Hashtbl.t;
+  index : int Inttbl.t;  (* file -> its entry in [entries] *)
+  entries : entry array;  (* by rank in the capacity list *)
   (* Per slot of one period: how many earlier slots carry its file. *)
   ordinal : int array;
 }
 
-(* One pass numbers every busy slot within its file; a second files the
-   slot under that number in its file's offsets. O(period) words. *)
-let build ~schedule ~capacities ~phase =
-  let slots = schedule.Schedule.slots in
-  let counts = Hashtbl.create 16 in
-  let ordinal =
-    Array.map
-      (fun f ->
-        if f = Schedule.idle then 0
-        else begin
-          let k = Option.value ~default:0 (Hashtbl.find_opt counts f) in
-          Hashtbl.replace counts f (k + 1);
-          k
-        end)
-      slots
+(* The one builder. One pass over the plan's occurrences claims each
+   slot (an explicit schedule's slots are claimed already), counts it
+   under its file's rank — one key lookup per run of a key — and parks
+   the rank in the slot's ordinal; a walk up the period then files each
+   busy slot in its file's offsets and overwrites the rank with the
+   slot's ordinal. O(period + files) words and no scratch array. Errors
+   come in the order of materialising first: a collision, then a bad
+   capacity, then the lowest slot whose file has none. *)
+let build ?schedule ~capacities ~phase plan =
+  let period = Plan.period plan in
+  let files = List.length capacities in
+  (* A file listed twice keeps its last capacity. *)
+  let index = Inttbl.create files in
+  List.iteri (fun r (f, _) -> Inttbl.replace index f r) capacities;
+  let counts = Array.make files 0 in
+  let slots, claim =
+    match schedule with
+    | Some s -> (s.Schedule.slots, fun _ _ -> ())
+    | None ->
+        let slots = Array.make period Schedule.idle in
+        ( slots,
+          fun key t ->
+            if slots.(t) <> Schedule.idle then
+              invalid_arg "Plan.to_schedule: colliding progressions";
+            slots.(t) <- key )
   in
-  let entries = Hashtbl.create 16 in
+  let ordinal = Array.make period 0 in
+  let last = ref Schedule.idle and rank = ref (-1) in
+  Plan.iter_occurrences plan (fun key t ->
+      claim key t;
+      if key <> !last then begin
+        last := key;
+        rank := match Inttbl.find index key with r -> r | exception Not_found -> -1
+      end;
+      if !rank >= 0 then counts.(!rank) <- counts.(!rank) + 1;
+      ordinal.(t) <- !rank);
   List.iter
     (fun (f, n) ->
       if n < 1 then invalid_arg "Program.make: capacity must be >= 1";
-      if f < 0 then invalid_arg "Program.make: negative file id";
-      let occ = Option.value ~default:0 (Hashtbl.find_opt counts f) in
-      Hashtbl.replace entries f
-        { capacity = n; phase = phase f; offsets = Array.make occ 0 })
+      if f < 0 then invalid_arg "Program.make: negative file id")
     capacities;
-  Array.iteri
-    (fun s f ->
-      if f <> Schedule.idle then
-        match Hashtbl.find_opt entries f with
-        | Some e -> e.offsets.(ordinal.(s)) <- s
-        | None ->
-            invalid_arg
-              (Printf.sprintf "Program.make: file %d has no capacity" f))
-    slots;
-  { schedule; entries; ordinal }
+  (* Filled in place from a static placeholder: an array of over 256
+     fresh records, built by [Array.map], would force a minor
+     collection. *)
+  let entries = Array.make files no_entry in
+  List.iteri
+    (fun r (f, n) ->
+      entries.(r) <- { capacity = n; phase = phase f; offsets = Array.make counts.(r) 0 })
+    capacities;
+  Array.fill counts 0 files 0;
+  for t = 0 to period - 1 do
+    let f = slots.(t) in
+    if f <> Schedule.idle then begin
+      let r = ordinal.(t) in
+      if r < 0 then
+        invalid_arg (Printf.sprintf "Program.make: file %d has no capacity" f);
+      let k = counts.(r) in
+      entries.(r).offsets.(k) <- t;
+      counts.(r) <- k + 1;
+      ordinal.(t) <- k
+    end
+  done;
+  let schedule = match schedule with Some s -> s | None -> Schedule.adopt slots in
+  { schedule; index; entries; ordinal }
 
-let make ~schedule ~capacities = build ~schedule ~capacities ~phase:(fun _ -> 0)
+let no_phase _ = 0
+let of_plan plan ~capacities = build ~capacities ~phase:no_phase plan
+
+let make ~schedule ~capacities =
+  build ~schedule ~capacities ~phase:no_phase (Plan.explicit schedule)
 
 let schedule t = t.schedule
 let period t = Schedule.period t.schedule
 let files t = Schedule.task_ids t.schedule
 
-let capacity t f =
-  match Hashtbl.find_opt t.entries f with
-  | Some e -> e.capacity
-  | None -> raise Not_found
+let entry t f = t.entries.(Inttbl.find t.index f)
+let capacity t f = (entry t f).capacity
 
 let offsets t f =
-  match Hashtbl.find_opt t.entries f with
-  | Some e -> e.offsets
-  | None -> [||]
+  match Inttbl.find t.index f with r -> t.entries.(r).offsets | exception Not_found -> [||]
 
 let occurrences_per_period t f = Array.length (offsets t f)
 
 let block_at t slot =
   if slot < 0 then invalid_arg "Program.block_at: negative slot";
-  let f = Schedule.task_at t.schedule slot in
+  let slots = t.schedule.Schedule.slots in
+  let p = Array.length slots in
+  let q = slot / p in
+  let s = slot - (q * p) in
+  let f = slots.(s) in
   if f = Schedule.idle then None
   else begin
-    let p = period t in
-    let e = Hashtbl.find t.entries f in
-    let count = ((slot / p) * Array.length e.offsets) + t.ordinal.(slot mod p) in
-    Some (f, (e.phase + count) mod e.capacity)
+    let e = entry t f in
+    Some (f, (e.phase + (q * Array.length e.offsets) + t.ordinal.(s)) mod e.capacity)
   end
 
 let data_cycle t =
-  Hashtbl.fold
-    (fun _ e acc ->
-      let occ = Array.length e.offsets in
-      if occ = 0 then acc
-      else Intmath.lcm acc (e.capacity / Intmath.gcd e.capacity occ))
-    t.entries 1
-  * period t
+  Intmath.mul_exn
+    (Array.fold_left
+       (fun acc e ->
+         let occ = Array.length e.offsets in
+         if occ = 0 then acc
+         else Intmath.lcm acc (e.capacity / Intmath.gcd e.capacity occ))
+       1 t.entries)
+    (period t)
+
+let data_cycles t k =
+  match Intmath.mul_exn k (data_cycle t) with
+  | n -> n
+  | exception Intmath.Overflow ->
+      invalid_arg
+        (Printf.sprintf
+           "Program.data_cycles: %d data cycles overflow an int; pass max_slots" k)
 
 let delta t f = Schedule.max_gap t.schedule f
 
@@ -139,7 +184,7 @@ let of_layout slots ~capacities =
         Hashtbl.replace counts f (k + 1)
       end)
     slots;
-  build ~schedule:sched ~capacities ~phase:(fun f ->
+  build ~schedule:sched ~capacities (Plan.explicit sched) ~phase:(fun f ->
       Option.value ~default:0 (Hashtbl.find_opt phases f))
 
 (* Earliest-virtual-deadline interleaving: file i's k-th slot has virtual

@@ -17,19 +17,32 @@
     of Figure 5 (the same physical block returns only once per data
     cycle); with IDA it is the AIDA-based program of Figure 6.
 
-    A program is indexed once, when it is built: each file's slot
-    offsets within the period, plus each slot's occurrence ordinal
-    within its file. That is O(period) words, and {!block_at} is O(1)
-    for any slot. *)
+    A program is indexed once, when it is built, straight from its
+    plan: one pass over the plan's occurrences
+    ({!Pindisk_pinwheel.Plan.iter_occurrences}) fills the slot array and
+    counts each file's slots, with one file lookup per run of a key; a
+    walk up the period then records each file's slot offsets and each
+    slot's occurrence ordinal within its file. That is O(period) words,
+    and {!block_at} is O(1) for any slot. *)
 
 module Schedule = Pindisk_pinwheel.Schedule
 
 type t
 
+val of_plan : Pindisk_pinwheel.Plan.t -> capacities:(int * int) list -> t
+(** [of_plan plan ~capacities] is the program airing [plan], equal to
+    [make ~schedule:(Plan.to_schedule plan) ~capacities] without
+    materialising the schedule first. Raises what that would raise, in
+    the same order: [Plan.to_schedule]'s error on a slot claimed twice,
+    then [make]'s. *)
+
 val make : schedule:Schedule.t -> capacities:(int * int) list -> t
 (** [make ~schedule ~capacities] pairs a slot-to-file schedule with each
-    file's on-air block count [N_i >= 1]. Every file appearing in the
-    schedule must have a capacity. *)
+    file's on-air block count [N_i >= 1]: {!of_plan} of the explicit
+    plan, keeping [schedule] itself. Every file appearing in the
+    schedule must have a capacity; a file listed twice keeps its last
+    one. Raises [Invalid_argument] on a capacity below 1, a negative
+    file id, or (at the lowest such slot) a file without a capacity. *)
 
 val schedule : t -> Schedule.t
 val period : t -> int
@@ -47,7 +60,14 @@ val block_at : t -> int -> (int * int) option
 val data_cycle : t -> int
 (** The program data cycle: the least multiple [L] of the period such that
     [block_at] is [L]-periodic. Figure 6's program has period 8 and data
-    cycle 16. *)
+    cycle 16. Raises {!Pindisk_util.Intmath.Overflow} if it does not fit
+    an [int]. *)
+
+val data_cycles : t -> int -> int
+(** [data_cycles p k] is [k] data cycles in slots: the default
+    [max_slots] window of the simulators that listen for a fixed number
+    of cycles. Raises [Invalid_argument] naming [max_slots] when it does
+    not fit an [int], rather than wrapping to a wrong window. *)
 
 val delta : t -> int -> int option
 (** [delta p i] is [Δ_i], the maximum spacing between consecutive

@@ -1,5 +1,6 @@
 module P = Pindisk_pinwheel
 module Q = Pindisk_util.Q
+module Inttbl = Pindisk_util.Inttbl
 
 type placement = { file : int; channel : int; pieces : int array }
 
@@ -16,8 +17,8 @@ type channel = {
 type entry = { spec : File_spec.t; placed : placement list; listen : int list }
 
 type index = {
-  files : (int, entry) Hashtbl.t;  (* admitted and shed *)
-  shares : (int, int array) Hashtbl.t array;  (* channel -> file -> pieces *)
+  files : entry Inttbl.t;  (* admitted and shed *)
+  shares : int array Inttbl.t array;  (* channel -> file -> pieces *)
 }
 
 type t = {
@@ -33,26 +34,26 @@ type t = {
 (* The only constructor: indexes the final placements once. The index
    holds the placement records themselves, so it shares their pieces. *)
 let make ~channels ~placements ~specs ~shed ~bandwidth ~stripe =
-  let shares = Array.map (fun _ -> Hashtbl.create 64) channels in
-  let by_file = Hashtbl.create 64 in
+  let shares = Array.map (fun _ -> Inttbl.create 64) channels in
+  let by_file = Inttbl.create 64 in
   (* Added in reverse, so [find_all] returns each file's placements
      ascending by channel. *)
   List.iter
     (fun p ->
-      Hashtbl.replace shares.(p.channel) p.file p.pieces;
-      Hashtbl.add by_file p.file p)
+      Inttbl.replace shares.(p.channel) p.file p.pieces;
+      Inttbl.add by_file p.file p)
     (List.rev placements);
-  let files = Hashtbl.create 64 in
+  let files = Inttbl.create 64 in
   List.iter
     (fun spec ->
-      let placed = Hashtbl.find_all by_file spec.File_spec.id in
+      let placed = Inttbl.find_all by_file spec.File_spec.id in
       let listen =
         List.stable_sort
           (fun a b -> compare (Array.length b.pieces) (Array.length a.pieces))
           placed
         |> List.map (fun p -> p.channel)
       in
-      Hashtbl.replace files spec.File_spec.id { spec; placed; listen })
+      Inttbl.replace files spec.File_spec.id { spec; placed; listen })
     (specs @ shed);
   {
     channels;
@@ -75,12 +76,12 @@ let design ?(stripe = 1) ~channels ~bandwidth specs =
   if bandwidth < 1 then invalid_arg "Shard.design: bandwidth must be >= 1";
   let ids = List.map (fun f -> f.File_spec.id) specs in
   if specs = [] then Error "Shard.design: no files"
-  else if List.length (List.sort_uniq compare ids) <> List.length ids then
+  else if List.length (List.sort_uniq Int.compare ids) <> List.length ids then
     Error "Shard.design: duplicate file ids"
   else begin
     let load = P.Channels.loads channels in
     (* file -> its (channel, task, pieces) shares *)
-    let placed = Hashtbl.create 64 in
+    let placed = Inttbl.create 64 in
     (* Shares in decreasing size onto distinct channels; a file is placed
        only when every share finds a channel. A share larger than its
        window fits no channel, and is not even a task. *)
@@ -104,7 +105,7 @@ let design ?(stripe = 1) ~channels ~bandwidth specs =
       match go [] 0 with
       | Some chosen ->
           List.iter (fun (c, task, _) -> P.Channels.add load c task) chosen;
-          Hashtbl.replace placed f.File_spec.id chosen
+          Inttbl.replace placed f.File_spec.id chosen
       | None -> ()
     in
     (* Decreasing density, each key made once; stable, so equal
@@ -120,10 +121,10 @@ let design ?(stripe = 1) ~channels ~bandwidth specs =
       (fun f ->
         List.iter
           (fun (c, task, _) -> tasks.(c) <- task :: tasks.(c))
-          (Option.value ~default:[] (Hashtbl.find_opt placed f.File_spec.id)))
+          (Option.value ~default:[] (Inttbl.find_opt placed f.File_spec.id)))
       (List.rev specs);
     let settled, shed_ids = P.Channels.settle tasks in
-    List.iter (Hashtbl.remove placed) shed_ids;
+    List.iter (Inttbl.remove placed) shed_ids;
     let channels =
       Array.mapi
         (fun index (tasks, plan) ->
@@ -133,21 +134,21 @@ let design ?(stripe = 1) ~channels ~bandwidth specs =
             density = P.Task.system_density tasks;
             plan;
             program =
-              Program.make ~schedule:(P.Plan.to_schedule plan)
+              Program.of_plan plan
                 ~capacities:
                   (List.map (fun (t : P.Task.t) -> (t.P.Task.id, t.P.Task.a)) tasks);
           })
         settled
     in
     let admitted, shed =
-      List.partition (fun f -> Hashtbl.mem placed f.File_spec.id) specs
+      List.partition (fun f -> Inttbl.mem placed f.File_spec.id) specs
     in
     let placements =
       List.concat_map
         (fun f ->
           List.map
             (fun (channel, _, pieces) -> { file = f.File_spec.id; channel; pieces })
-            (Hashtbl.find placed f.File_spec.id))
+            (Inttbl.find placed f.File_spec.id))
         admitted
       |> List.sort (fun a b ->
              match Int.compare a.file b.file with
@@ -163,9 +164,9 @@ let block_at t ~channel slot =
   match Program.block_at t.channels.(channel).program slot with
   | None -> None
   | Some (file, local) ->
-      Some (file, (Hashtbl.find t.index.shares.(channel) file).(local))
+      Some (file, (Inttbl.find t.index.shares.(channel) file).(local))
 
-let entry t file = Hashtbl.find_opt t.index.files file
+let entry t file = Inttbl.find_opt t.index.files file
 let spec t file = Option.map (fun e -> e.spec) (entry t file)
 
 let placements_of t file =

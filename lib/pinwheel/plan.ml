@@ -78,7 +78,7 @@ let to_schedule plan =
       if slots.(t) <> Schedule.idle then
         invalid_arg "Plan.to_schedule: colliding progressions";
       slots.(t) <- key);
-  Schedule.make slots
+  Schedule.adopt slots
 
 (* ------------------------------------------------------------------ *)
 (* Online dispatcher                                                   *)

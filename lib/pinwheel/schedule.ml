@@ -4,12 +4,14 @@ let idle = -1
 
 type t = { period : int; slots : int array }
 
-let make slots =
+let adopt slots =
   if Array.length slots = 0 then invalid_arg "Schedule.make: empty period";
   Array.iter
     (fun v -> if v < -1 then invalid_arg "Schedule.make: bad slot value")
     slots;
-  { period = Array.length slots; slots = Array.copy slots }
+  { period = Array.length slots; slots }
+
+let make slots = adopt (Array.copy slots)
 
 let period s = s.period
 

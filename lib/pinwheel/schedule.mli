@@ -17,6 +17,11 @@ val make : int array -> t
 (** [make slots] wraps one period of assignments. Raises [Invalid_argument]
     if empty or if any entry is [< -1]. The array is copied. *)
 
+val adopt : int array -> t
+(** [adopt slots] is [make slots] without the copy: the schedule keeps
+    [slots], which the caller must not mutate afterwards. For builders
+    that fill a fresh period array themselves. *)
+
 val period : t -> int
 
 val task_at : t -> int -> int

@@ -1,3 +1,5 @@
+module Inttbl = Pindisk_util.Inttbl
+
 type violation = { task : int; a : int; b : int; window_start : int; found : int }
 
 let pp_violation ppf v =
@@ -72,38 +74,65 @@ let occ_ok ~period occ ~a ~b =
 
 let rec increasing a j = j >= Array.length a || (a.(j - 1) < a.(j) && increasing a (j + 1))
 
-(* Whether [slots], all in [0, period), are pairwise distinct: by a
-   bitmap of the period when that costs at most a word per slot, else by
-   sorting them in place. O(slots) words either way, whatever the
-   period. *)
-let distinct ~period slots =
-  if period <= 63 * Array.length slots then begin
-    let seen = Bytes.make ((period / 8) + 1) '\000' in
-    Array.for_all
-      (fun t ->
-        let byte = Char.code (Bytes.get seen (t / 8)) and bit = 1 lsl (t mod 8) in
-        Bytes.set seen (t / 8) (Char.chr (byte lor bit));
-        byte land bit = 0)
-      slots
-  end
-  else begin
-    Array.stable_sort Int.compare slots;
-    increasing slots 1
-  end
+(* The slots of [0, period) claimed so far, sized for [n] claims: a
+   bitmap of the period when that costs at most a word per claim, else
+   the claims themselves, sorted once all are in. O(n) words either way,
+   whatever the period. *)
+type claims = Bitmap of Bytes.t | Listed of { slots : int array; mutable n : int }
 
-(* One period's occurrences in closed form ({!Plan.iter_occurrences}),
-   counted, then listed: every slot, which must be listed once, and each
-   checked task's slots, sorted unless already ascending. Work and memory
-   follow the number of occurrences, not the period (an explicit schedule
-   is read whole). *)
-let satisfies_plan plan sys =
-  let index = Hashtbl.create 64 in
+let claims ~period n =
+  if period <= 63 * n then Bitmap (Bytes.make ((period / 8) + 1) '\000')
+  else Listed { slots = Array.make n 0; n = 0 }
+
+(* Whether slot [t] was still free: always, for a listed claim, whose
+   clashes [all_distinct] finds. *)
+let claim c t =
+  match c with
+  | Bitmap seen ->
+      let byte = Char.code (Bytes.get seen (t / 8)) and bit = 1 lsl (t mod 8) in
+      Bytes.set seen (t / 8) (Char.chr (byte lor bit));
+      byte land bit = 0
+  | Listed l ->
+      l.slots.(l.n) <- t;
+      l.n <- l.n + 1;
+      true
+
+let all_distinct = function
+  | Bitmap _ -> true
+  | Listed { slots; _ } ->
+      Array.stable_sort Int.compare slots;
+      increasing slots 1
+
+(* Each checked task's index, in order of first appearance in [sys]. *)
+let task_index sys =
+  let index = Inttbl.create 64 in
   List.iter
     (fun (t : Task.t) ->
-      if not (Hashtbl.mem index t.Task.id) then
-        Hashtbl.replace index t.Task.id (Hashtbl.length index))
+      if not (Inttbl.mem index t.Task.id) then
+        Inttbl.replace index t.Task.id (Inttbl.length index))
     sys;
-  let n = Hashtbl.length index in
+  index
+
+(* An array of [counts.(i)] slots for each [i < n]. Filled in place:
+   [Array.map] over more than 256 tasks would force a minor collection
+   to build an array of fresh arrays. *)
+let lists n counts =
+  let occs = Array.make n [||] in
+  for i = 0 to n - 1 do
+    occs.(i) <- Array.make counts.(i) 0
+  done;
+  occs
+
+let tag_of index ~unchecked key =
+  match Inttbl.find index key with i -> i | exception Not_found -> unchecked
+
+(* One period's occurrences in closed form ({!Plan.iter_occurrences}),
+   counted, then listed: every slot claimed, which must happen once, and
+   each checked task's slots, sorted unless already ascending. Work and
+   memory follow the number of occurrences, not the period. *)
+let satisfies_plan plan sys =
+  let index = task_index sys in
+  let n = Inttbl.length index in
   (* Each occurrence with its task's index, [n] for a task not checked.
      Progressions list a key's slots in a run: look each run up once. *)
   let each f =
@@ -111,32 +140,66 @@ let satisfies_plan plan sys =
     Plan.iter_occurrences plan (fun key t ->
         if key <> !last then begin
           last := key;
-          tag := Option.value ~default:n (Hashtbl.find_opt index key)
+          tag := tag_of index ~unchecked:n key
         end;
         f !tag t)
   in
-  (* [occs.(n)] lists every slot, [occs.(i)] those of checked task [i]. *)
+  (* [counts.(n)] counts every slot, [occs.(i)] lists those of checked
+     task [i]. *)
   let counts = Array.make (n + 1) 0 in
   let count i = counts.(i) <- counts.(i) + 1 in
   each (fun i _ ->
       count n;
       if i < n then count i);
-  let occs = Array.map (fun c -> Array.make c 0) counts in
-  Array.fill counts 0 (n + 1) 0;
-  let push i t =
-    occs.(i).(counts.(i)) <- t;
-    count i
-  in
-  each (fun i t ->
-      push n t;
-      if i < n then push i t);
   let period = Plan.period plan in
-  distinct ~period occs.(n)
+  let claimed = claims ~period counts.(n) and fresh = ref true in
+  let occs = lists n counts in
+  Array.fill counts 0 n 0;
+  each (fun i t ->
+      if not (claim claimed t) then fresh := false;
+      if i < n then begin
+        occs.(i).(counts.(i)) <- t;
+        count i
+      end);
+  !fresh
+  && all_distinct claimed
   && List.for_all
        (fun (t : Task.t) ->
-         let occ = occs.(Hashtbl.find index t.Task.id) in
+         let occ = occs.(Inttbl.find index t.Task.id) in
          if not (increasing occ 1) then Array.stable_sort Int.compare occ;
          occ_ok ~period occ ~a:t.Task.a ~b:t.Task.b)
        sys
 
-let satisfies sched sys = satisfies_plan (Plan.explicit sched) sys
+(* An explicit schedule claims each slot once and lists it in order: one
+   pass tags every slot with its task's index ([n] for idle or not
+   checked, one lookup per run of a key) and counts it; a second files
+   each checked slot, ascending. *)
+let satisfies sched sys =
+  let index = task_index sys in
+  let n = Inttbl.length index in
+  let slots = sched.Schedule.slots in
+  let period = Array.length slots in
+  let tags = Array.make period n and counts = Array.make (n + 1) 0 in
+  let last = ref Schedule.idle and tag = ref n in
+  for t = 0 to period - 1 do
+    let key = slots.(t) in
+    if key <> !last then begin
+      last := key;
+      tag := if key = Schedule.idle then n else tag_of index ~unchecked:n key
+    end;
+    tags.(t) <- !tag;
+    counts.(!tag) <- counts.(!tag) + 1
+  done;
+  let occs = lists n counts in
+  Array.fill counts 0 n 0;
+  for t = 0 to period - 1 do
+    let i = tags.(t) in
+    if i < n then begin
+      occs.(i).(counts.(i)) <- t;
+      counts.(i) <- counts.(i) + 1
+    end
+  done;
+  List.for_all
+    (fun (t : Task.t) ->
+      occ_ok ~period occs.(Inttbl.find index t.Task.id) ~a:t.Task.a ~b:t.Task.b)
+    sys

@@ -55,4 +55,7 @@ val satisfies_plan : Plan.t -> Task.system -> bool
 
 val satisfies : Schedule.t -> Task.system -> bool
 (** [satisfies_plan] of the {!Plan.explicit} schedule: [check_system _ _ =
-    []] in O(period + n) instead of O(n·period). *)
+    []] in O(period + n) instead of O(n·period). One pass tags each slot
+    with its task (one lookup per run of a task id), a second lists each
+    checked task's slots, already ascending; no slot can be claimed
+    twice, so there is nothing to sort or to check for collisions. *)

@@ -31,7 +31,7 @@ let retrieve ?max_slots ~program ~reads ~update_period ~start () =
   let max_slots =
     match max_slots with
     | Some m -> m
-    | None -> 50 * Program.data_cycle program
+    | None -> Program.data_cycles program 50
   in
   let period = Program.period program in
   let epoch_at t = t / period * period / update_period in

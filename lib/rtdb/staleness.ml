@@ -23,7 +23,7 @@ let retrieve ?max_slots ~program ~file ~needed ~update_period ~start () =
   let max_slots =
     match max_slots with
     | Some m -> m
-    | None -> 50 * Program.data_cycle program
+    | None -> Program.data_cycles program 50
   in
   let period = Program.period program in
   let collected = Hashtbl.create 8 in

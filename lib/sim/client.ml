@@ -44,7 +44,7 @@ let retrieve_loop ?max_slots ?report ~program ~file ~needed ~start ~fault () =
   let max_slots =
     match max_slots with
     | Some m -> m
-    | None -> 100 * Program.data_cycle program
+    | None -> Program.data_cycles program 100
   in
   Fault.reset_to fault start;
   let obs = Obs.Control.enabled () in

@@ -89,7 +89,7 @@ let window ~who ?max_slots program =
   match max_slots with
   | Some m when m < 1 -> invalid_arg (who ^ ": max_slots must be >= 1")
   | Some m -> m
-  | None -> 100 * Program.data_cycle program
+  | None -> Program.data_cycles program 100
 
 let check_request ~who program ~file ~needed =
   if needed < 1 then invalid_arg (who ^ ": needed must be >= 1");

@@ -75,7 +75,7 @@ let indexed_retrieve_lossy ?max_slots prog ~index_file ~index_slots ~file
   let limit =
     match max_slots with
     | Some m -> start + m
-    | None -> start + (100 * Program.data_cycle prog)
+    | None -> start + Program.data_cycles prog 100
   in
   Fault.reset_to fault start;
   (* The fault process must advance once per slot regardless of whether

@@ -36,10 +36,9 @@ let members_of_trace trace =
 (* 100 x the largest per-channel data cycle: every channel's block phase
    realigns within the window, mirroring the single-channel default. *)
 let default_window (design : Shard.t) =
-  100
-  * Array.fold_left
-      (fun acc (c : Shard.channel) -> max acc (Program.data_cycle c.Shard.program))
-      1 design.Shard.channels
+  Array.fold_left
+    (fun acc (c : Shard.channel) -> max acc (Program.data_cycles c.Shard.program 100))
+    100 design.Shard.channels
 
 let channel_program (design : Shard.t) c =
   design.Shard.channels.(c).Shard.program

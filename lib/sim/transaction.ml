@@ -30,7 +30,7 @@ let retrieve ?max_slots ~program ~reads ~start ~fault () =
   let max_slots =
     match max_slots with
     | Some m -> m
-    | None -> 100 * Program.data_cycle program
+    | None -> Program.data_cycles program 100
   in
   let wanted = Hashtbl.create 8 in
   List.iter (fun r -> Hashtbl.replace wanted r.file (r.needed, Hashtbl.create 8)) reads;

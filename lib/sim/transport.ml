@@ -133,7 +133,9 @@ let retrieve ?(attempts = 1) ?backoff ?max_slots ?report t ~file ~start ~fault
   | None -> Error (Unknown_file file)
   | Some stored ->
       let budget =
-        Option.value max_slots ~default:(100 * Program.data_cycle t.program)
+        match max_slots with
+        | Some m -> m
+        | None -> Program.data_cycles t.program 100
       in
       let backoff0 = Option.value backoff ~default:(Program.period t.program) in
       let obs = Obs.Control.enabled () in

@@ -1,8 +1,8 @@
 exception Overflow
 
-let rec gcd a b =
-  let a = abs a and b = abs b in
-  if b = 0 then a else gcd b (a mod b)
+(* [|x mod y| = |x| mod |y|], so Euclid on signed values walks the
+   magnitudes of Euclid on their absolute values: one [abs] at the end. *)
+let rec gcd a b = if b = 0 then abs a else gcd b (a mod b)
 
 let lcm a b =
   if a = 0 || b = 0 then 0
@@ -30,13 +30,18 @@ let pow base e =
   in
   go 1 base e
 
+(* Division truncates toward zero and the remainder takes the sign of
+   the dividend, so one step corrects the quotient; nothing is added to
+   [a] first, so no [a] near [max_int] or [-max_int] can overflow. *)
 let floor_div a b =
   if b <= 0 then invalid_arg "Intmath.floor_div: non-positive divisor";
-  if a >= 0 then a / b else -(((-a) + b - 1) / b)
+  let q = a / b in
+  if a mod b < 0 then q - 1 else q
 
 let ceil_div a b =
   if b <= 0 then invalid_arg "Intmath.ceil_div: non-positive divisor";
-  if a >= 0 then (a + b - 1) / b else -((-a) / b)
+  let q = a / b in
+  if a mod b > 0 then q + 1 else q
 
 let floor_log2 n =
   if n < 1 then invalid_arg "Intmath.floor_log2: n must be >= 1";

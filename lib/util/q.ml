@@ -16,16 +16,28 @@ let add_exn x y =
   if (x >= 0) = (y >= 0) && (s >= 0) <> (x >= 0) then raise Intmath.Overflow
   else s
 
+(* All four terms below 2^30 in magnitude: every cross product is below
+   2^60, and a sum of two below 2^61, so plain int arithmetic is exact.
+   [lsr] keeps [abs min_int] (still negative) out. *)
+let small a b = (abs a.num lor a.den lor abs b.num lor b.den) lsr 30 = 0
+
 (* Sums scale both sides to the lcm of the denominators, not their
    product: LPT load sums over many distinct windows would otherwise
-   overflow on perfectly ordinary inputs. *)
+   overflow on perfectly ordinary inputs. Small operands take the
+   product, reduced by one gcd. *)
 let add a b =
-  let g = Intmath.gcd a.den b.den in
-  make
-    (add_exn
-       (Intmath.mul_exn a.num (b.den / g))
-       (Intmath.mul_exn b.num (a.den / g)))
-    (Intmath.mul_exn a.den (b.den / g))
+  if small a b then begin
+    let num = (a.num * b.den) + (b.num * a.den) and den = a.den * b.den in
+    let g = Intmath.gcd num den in
+    { num = num / g; den = den / g }
+  end
+  else
+    let g = Intmath.gcd a.den b.den in
+    make
+      (add_exn
+         (Intmath.mul_exn a.num (b.den / g))
+         (Intmath.mul_exn b.num (a.den / g)))
+      (Intmath.mul_exn a.den (b.den / g))
 
 let neg a = { a with num = -a.num }
 let sub a b = add a (neg b)
@@ -48,7 +60,10 @@ let rec compare_frac a b c d =
     let r = a - (q * b) and r' = c - (q' * d) in
     if r = 0 || r' = 0 then Stdlib.compare r r' else compare_frac d r' b r
 
-let compare a b = compare_frac a.num a.den b.num b.den
+(* Small values cross-multiply: both products are below 2^60. *)
+let compare a b =
+  if small a b then Int.compare (a.num * b.den) (b.num * a.den)
+  else compare_frac a.num a.den b.num b.den
 
 let equal a b = compare a b = 0
 let ( <= ) a b = compare a b <= 0

@@ -37,19 +37,25 @@ type check = {
          single-core box) is reported but not enforced *)
 }
 
-(* The eager build plans, materializes and verifies by occurrences in
-   closed form; the dispatcher does not run in it. The dispatch floors
-   keep the headroom a 10x floor had over the 15.69x baseline of a
-   verifier that walked the dispatcher: 10/15.69 of the 2.56x n = 1024
-   baseline, 1.63x. A planner whose cost per task grows with n (a packer
-   scanning every column for every task read 5.1-8.1x) breaks the
-   plan-cost ceiling. *)
+(* The dispatcher is gated on its own cost: Plan.next's ns per slot over
+   a frozen copy of the progressions dispatcher's, timed in alternating
+   rounds of the same run (the median round, at n = 1024 and 4096). The
+   copy shares every machine effect, so the ratio reads 1.03-1.11 on any
+   runner and a Plan.next twice as slow reads 2.10-2.34; the ceiling is
+   1.5 and the baseline bound 1.8x. Nothing but the dispatcher is in the
+   ratio: the eager build (plan, materialize, verify) over one
+   dispatched slot, which this gate replaced, fell whenever planning got
+   faster; it stays in the artifact, ungated, with the dispatcher over a
+   task_at lookup, whose cheap division a busy sibling core slows far
+   more than a heap step (it read 25.8-32.3 at n = 1024 over six runs).
+   A planner whose cost per task grows with n (a packer scanning every
+   column for every task read 5.1-8.1x) breaks the plan-cost ceiling. *)
 let sched_checks =
   [
-    { metric = "dispatch_speedup_n1024"; dir = Higher_is_better;
-      floor = Some 1.63; gate_vs_baseline = true; requires = None };
-    { metric = "dispatch_speedup_n4096"; dir = Higher_is_better;
-      floor = Some 1.63; gate_vs_baseline = true; requires = None };
+    { metric = "dispatch_over_frozen_n1024"; dir = Lower_is_better;
+      floor = Some 1.5; gate_vs_baseline = true; requires = None };
+    { metric = "dispatch_over_frozen_n4096"; dir = Lower_is_better;
+      floor = Some 1.5; gate_vs_baseline = true; requires = None };
     { metric = "plan_cost_per_task_n4096_over_n256"; dir = Lower_is_better;
       floor = Some 4.0; gate_vs_baseline = false; requires = None };
     (* Dispatcher memory must not follow the hyperperiod: a 256x deeper

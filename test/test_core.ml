@@ -599,6 +599,95 @@ let prop_offsets_count_occurrences =
                  (List.init (Array.length slots) Fun.id))
         (List.init (Array.length caps) Fun.id))
 
+(* ------------------------------------------------------------------ *)
+(* Programs indexed from their plans                                   *)
+(* ------------------------------------------------------------------ *)
+
+module Plan = Pindisk_pinwheel.Plan
+module Scheduler = Pindisk_pinwheel.Scheduler
+module Pgen = Pindisk_pinwheel.Gen
+
+(* Whether both builders fail, and with the same message. *)
+let same_outcome plan caps =
+  let run f = match f () with _ -> Ok () | exception Invalid_argument e -> Error e in
+  run (fun () -> Program.of_plan plan ~capacities:caps)
+  = run (fun () -> Program.make ~schedule:(Plan.to_schedule plan) ~capacities:caps)
+
+(* Everything a program answers, over two data cycles; [block_at] also
+   against a recount of the materialised schedule. *)
+let same_program ~slots ~caps p p' =
+  let period = Array.length slots in
+  let cycle = Program.data_cycle p in
+  let seen = Hashtbl.create 8 in
+  let recount t =
+    let f = slots.(t mod period) in
+    if f = Schedule.idle then None
+    else begin
+      let k = Option.value ~default:0 (Hashtbl.find_opt seen f) in
+      Hashtbl.replace seen f (k + 1);
+      Some (f, k mod List.assoc f caps)
+    end
+  in
+  (Program.schedule p).Schedule.slots = slots
+  && (Program.schedule p').Schedule.slots = slots
+  && cycle = Program.data_cycle p'
+  && List.for_all
+       (fun (f, _) ->
+         Program.offsets p f = Program.offsets p' f
+         && Program.capacity p f = Program.capacity p' f
+         && Program.delta p f = Program.delta p' f)
+       caps
+  && List.for_all
+       (fun t ->
+         let b = Program.block_at p t in
+         b = Program.block_at p' t && b = recount t)
+       (List.init (2 * cycle) Fun.id)
+
+(* Plans of every constructor — progressions (Sa, Sx), merges (Sr, Sxy)
+   and explicit schedules (the exact solver) — indexed straight from the
+   plan and from its materialised schedule. Capacities of 1-4 keep two
+   data cycles short. Both builders must fail alike on a colliding plan,
+   on a file left without a capacity, and on no capacities at all (the
+   lowest busy slot names the file). *)
+let prop_plan_indexed_program =
+  QCheck2.Test.make ~name:"plan-indexed program equals make of to_schedule"
+    ~count:200
+    QCheck2.Gen.(quad bool (int_range 1 6) (int_bound 1_000_000) (int_range 0 2))
+    (fun (multi, n, seed, drop) ->
+      let sys =
+        if multi then Pgen.multi_unit_system ~seed ~n ~max_a:2 ~max_b:12 ~target:0.8
+        else Pgen.unit_system_with_density ~seed ~n ~max_b:10 ~target:0.8
+      in
+      let caps =
+        List.map (fun (t : Task.t) -> (t.Task.id, 1 + (t.Task.id * 7 mod 4))) sys
+      in
+      let plans =
+        List.filter_map
+          (fun algorithm ->
+            try Scheduler.plan ~algorithm sys with Invalid_argument _ -> None)
+          Scheduler.[ Sa; Sx; Sr; Sxy; Exact_small ]
+      in
+      (* Slot 0 or 1 of a 2-slot period claimed by both tasks. *)
+      let clash =
+        Plan.progressions
+          [
+            { Plan.key = 0; offset = 0; period = 2 };
+            { Plan.key = 1; offset = seed mod 2; period = 2 };
+          ]
+      in
+      let missing = List.filteri (fun i _ -> i <> drop) caps in
+      same_outcome clash caps
+      && List.for_all
+           (fun plan ->
+             same_program
+               ~slots:(Plan.to_schedule plan).Schedule.slots
+               ~caps
+               (Program.of_plan plan ~capacities:caps)
+               (Program.make ~schedule:(Plan.to_schedule plan) ~capacities:caps)
+             && same_outcome plan missing
+             && same_outcome plan [])
+           plans)
+
 let test_program_memory () =
   (* 256 files sharing a 4096-slot period: the index is O(period) words,
      not a table per file. *)
@@ -688,5 +777,6 @@ let () =
             prop_codec_never_crashes_on_garbage;
             prop_block_at_matches_recount;
             prop_offsets_count_occurrences;
+            prop_plan_indexed_program;
           ] );
     ]

@@ -1348,6 +1348,35 @@ let test_shardcheck_detects_tampering () =
   check_bool "tamper detected" false (Shardcheck.ok report);
   check_bool "problem reported" true (Shardcheck.problems report <> [])
 
+(* The two corruptions certification exists for, on the perfbench
+   fleet's design (768 files, K = 4, stripe 2): one busy slot of a
+   channel's aired schedule given to another file, and one piece aired
+   by two shares of a file. *)
+let test_shardcheck_detects_corruption () =
+  let fresh () = design_exn ~stripe:2 ~channels:4 ~bandwidth:32 (fleet_specs ~files:768) in
+  check_bool "fleet design certifies" true (Shardcheck.ok (Shardcheck.run (fresh ())));
+  let design = fresh () in
+  let slots = (Program.schedule design.Shard.channels.(2).Shard.program).Schedule.slots in
+  let s = ref 0 in
+  while slots.(!s) = Schedule.idle do incr s done;
+  slots.(!s) <- (if slots.(!s) = 0 then 1 else 0);
+  let report = Shardcheck.run design in
+  check_bool "corrupt slot detected" false (Shardcheck.ok report);
+  check_bool "channel 2 not witnessed" false
+    (List.nth report.Shardcheck.channels 2).Shardcheck.witnessed;
+  let design = fresh () in
+  (match Shard.placements_of design 5 with
+  | a :: b :: _ -> b.Shard.pieces.(0) <- a.Shard.pieces.(0)
+  | _ -> Alcotest.fail "file 5 is striped over two channels");
+  let report = Shardcheck.run design in
+  check_bool "shared piece detected" false (Shardcheck.ok report);
+  let f5 =
+    List.find (fun (f : Shardcheck.file_report) -> f.Shardcheck.file = 5)
+      report.Shardcheck.files
+  in
+  check_bool "file 5 not disjoint" false f5.Shardcheck.disjoint;
+  check_bool "file 5 not covered" false f5.Shardcheck.covered
+
 (* qcheck: Shardcheck's outage verdict is its own recount, equal to a
    hand count over the placement list. *)
 let test_shardcheck_k1_spare_capacity () =
@@ -1513,6 +1542,8 @@ let () =
             test_shardcheck_certifies_design;
           Alcotest.test_case "detects tampering" `Quick
             test_shardcheck_detects_tampering;
+          Alcotest.test_case "detects a corrupt slot and a shared piece" `Quick
+            test_shardcheck_detects_corruption;
           (* Kept in this group: a group name longer than
              "channels-properties" widens alcotest's name column and
              truncates every other test name in this suite. *)

@@ -1236,6 +1236,34 @@ let test_cohort_run_equals_engine_max_slots () =
         [ 1; 16; 24; 128 ])
     (cohort_systems ())
 
+(* Seven one-block files with prime capacities 251 ... 223 air once
+   each in a 7-slot period: a data cycle of 273 343 548 857 317 771
+   slots, so the default window of 100 data cycles does not fit an int.
+   Unchecked, it wrapped negative and a loss-free request for file 0,
+   which airs every 7 slots, came back missed. *)
+let test_default_window_overflow () =
+  let program =
+    Program.aida_flat
+      (List.mapi (fun f n -> (f, 1, n)) [ 251; 241; 239; 233; 229; 227; 223 ])
+  in
+  check_int "period" 7 (Program.period program);
+  check_int "data cycle" 273_343_548_857_317_771 (Program.data_cycle program);
+  let overflow =
+    Invalid_argument "Program.data_cycles: 100 data cycles overflow an int; pass max_slots"
+  in
+  Alcotest.check_raises "100 data cycles" overflow (fun () ->
+      ignore (Program.data_cycles program 100));
+  check_int "10 data cycles fit" 2_733_435_488_573_177_710
+    (Program.data_cycles program 10);
+  let trace = [ { Workload.issued = 0; file = 0; needed = 1; deadline = 7 } ] in
+  let fault ~seed:_ = Fault.none () in
+  Alcotest.check_raises "Cohort.run names max_slots" overflow (fun () ->
+      ignore (Cohort.run ~program ~fault ~seed:0 trace));
+  Alcotest.check_raises "Engine.run names max_slots" overflow (fun () ->
+      ignore (Engine.run ~program ~fault ~seed:0 trace));
+  check_int "served within an explicit window" 0
+    (Cohort.run ~max_slots:7 ~program ~fault ~seed:0 trace).Engine.missed
+
 let test_cohort_run_validation () =
   let program = dyadic_program () in
   let run ?(program = program) trace =
@@ -2255,6 +2283,8 @@ let () =
           Alcotest.test_case "run equals engine under max_slots" `Quick
             test_cohort_run_equals_engine_max_slots;
           Alcotest.test_case "run validation" `Quick test_cohort_run_validation;
+          Alcotest.test_case "default window overflow names max_slots" `Quick
+            test_default_window_overflow;
           Alcotest.test_case "classes of trace" `Quick
             test_cohort_classes_of_trace;
           Alcotest.test_case "population no-loss equals engine" `Quick

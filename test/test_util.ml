@@ -39,7 +39,14 @@ let test_divisions () =
   check_int "floor_div neg" (-3) (Intmath.floor_div (-7) 3);
   check_int "ceil_div pos" 3 (Intmath.ceil_div 7 3);
   check_int "ceil_div exact" 2 (Intmath.ceil_div 6 3);
-  check_int "ceil_div neg" (-2) (Intmath.ceil_div (-7) 3)
+  check_int "ceil_div neg" (-2) (Intmath.ceil_div (-7) 3);
+  (* Near the ends of the int range: adding [b - 1] first overflowed. *)
+  check_int "floor_div -max_int 2^61" (-2) (Intmath.floor_div (-max_int) (1 lsl 61));
+  check_int "ceil_div max_int 2^61" 2 (Intmath.ceil_div max_int (1 lsl 61));
+  check_int "floor_div min_int 3" (min_int / 3 - 1) (Intmath.floor_div min_int 3);
+  check_int "ceil_div max_int max_int" 1 (Intmath.ceil_div max_int max_int);
+  check_bool "-max_int/2^61 < -1" true
+    (Q.compare (Q.make (-max_int) (1 lsl 61)) (Q.of_int (-1)) < 0)
 
 let test_log2 () =
   check_int "floor_log2 1" 0 (Intmath.floor_log2 1);
@@ -450,6 +457,92 @@ let prop_floor_ceil =
       let f = Q.floor a and c = Q.ceil a in
       Q.(Q.of_int f <= a) && Q.(a <= Q.of_int c) && c - f <= 1)
 
+(* The slow paths behind Q's small-value fast paths, kept as oracles:
+   the continued-fraction compare, and the sum scaled to the lcm of the
+   denominators with every product checked; Euclid taking [abs] at
+   every step. *)
+let rec oracle_gcd a b =
+  let a = abs a and b = abs b in
+  if b = 0 then a else oracle_gcd b (a mod b)
+
+let rec oracle_compare_frac a b c d =
+  let q = Intmath.floor_div a b and q' = Intmath.floor_div c d in
+  if q <> q' then compare q q'
+  else
+    let r = a - (q * b) and r' = c - (q' * d) in
+    if r = 0 || r' = 0 then compare r r' else oracle_compare_frac d r' b r
+
+let oracle_compare (x : Q.t) (y : Q.t) = oracle_compare_frac x.Q.num x.Q.den y.Q.num y.Q.den
+
+let oracle_add (x : Q.t) (y : Q.t) =
+  let add_exn a b =
+    let s = a + b in
+    if (a >= 0) = (b >= 0) && (s >= 0) <> (a >= 0) then raise Intmath.Overflow else s
+  in
+  let g = oracle_gcd x.Q.den y.Q.den in
+  Q.make
+    (add_exn
+       (Intmath.mul_exn x.Q.num (y.Q.den / g))
+       (Intmath.mul_exn y.Q.num (x.Q.den / g)))
+    (Intmath.mul_exn x.Q.den (y.Q.den / g))
+
+(* Just below or just above a magnitude, either sign. *)
+let near base =
+  QCheck2.Gen.(
+    map3
+      (fun below d sign -> sign * if below then base - 1 - d else base + d)
+      bool (int_bound 2) (oneofl [ 1; -1 ]))
+
+(* Any int but [min_int], whose absolute value is negative. *)
+let term =
+  QCheck2.Gen.(
+    oneof
+      [
+        int_range (-50) 50;
+        near (1 lsl 15);
+        near (1 lsl 30);
+        near (1 lsl 31);
+        int_range (-(1 lsl 32)) (1 lsl 32);
+        oneofl [ max_int; max_int - 1; -max_int; 1 lsl 61 ];
+        map (fun x -> if x = min_int then max_int else x) int;
+      ])
+
+let q_of n d = Q.make n (max 1 (abs d))
+
+(* Operands drawn apart, or all four terms at one magnitude: the case
+   where a bound one bit too wide overflows a sum of cross products.
+   The numerators share a sign half the time. *)
+let q_pair =
+  QCheck2.Gen.(
+    oneof
+      [
+        map2 (fun (n, d) (n', d') -> (q_of n d, q_of n' d')) (pair term term) (pair term term);
+        (let* base = oneofl [ 1 lsl 15; 1 lsl 29; 1 lsl 30; 1 lsl 31; 1 lsl 32; 1 lsl 61 ] in
+         let* n = near base and* d = near base and* n' = near base and* d' = near base in
+         let* shared = bool in
+         let n' = if shared && (n < 0) <> (n' < 0) then -n' else n' in
+         return (q_of n d, q_of n' d'));
+      ])
+
+let prop_q_compare_oracle =
+  QCheck2.Test.make ~name:"Q.compare equals the continued-fraction walk" ~count:3000
+    q_pair (fun (a, b) -> Q.compare a b = oracle_compare a b)
+
+let prop_q_add_oracle =
+  QCheck2.Test.make ~name:"Q.add equals the lcm-scaled sum, overflow included"
+    ~count:3000 q_pair (fun (a, b) ->
+      let run f =
+        match f () with
+        | (r : Q.t) -> Some (r.Q.num, r.Q.den)
+        | exception Intmath.Overflow -> None
+      in
+      run (fun () -> Q.add a b) = run (fun () -> oracle_add a b))
+
+let prop_gcd_oracle =
+  QCheck2.Test.make ~name:"gcd equals Euclid on absolute values" ~count:1000
+    QCheck2.Gen.(pair (oneof [ term; return min_int; return 0 ]) (oneof [ term; return min_int; return 0 ]))
+    (fun (a, b) -> Intmath.gcd a b = oracle_gcd a b)
+
 let () =
   Alcotest.run "util"
     [
@@ -515,5 +608,8 @@ let () =
             prop_mul_distributes;
             prop_compare_matches_float;
             prop_floor_ceil;
+            prop_q_compare_oracle;
+            prop_q_add_oracle;
+            prop_gcd_oracle;
           ] );
     ]
