@@ -54,7 +54,9 @@ type row = {
    accumulators), so engines that build weight-1 rows in trace order stay
    bit-for-bit equal to the original per-client path. *)
 let retire ~sinks rows =
-  let global = Stats.create () in
+  (* At most one entry a row: sized once, the global accumulator never
+     doubles (a population fold retires tens of thousands of rows). *)
+  let global = Stats.create ~capacity:(List.length rows) () in
   let per_file : (int, int ref * int ref * Stats.t) Hashtbl.t =
     Hashtbl.create 8
   in
@@ -116,13 +118,13 @@ let retire ~sinks rows =
   }
 
 let merge_stats a b =
-  let s = Stats.create () in
+  let s = Stats.create ~capacity:(Stats.entries a + Stats.entries b) () in
   Stats.absorb s a;
   Stats.absorb s b;
   s
 
 let copy_stats a =
-  let s = Stats.create () in
+  let s = Stats.create ~capacity:(Stats.entries a) () in
   Stats.absorb s a;
   s
 

@@ -13,10 +13,11 @@ type t = {
   mutable sorted : bool;
 }
 
-let create () =
+let create ?(capacity = 16) () =
+  let capacity = max 1 capacity in
   {
-    values = Array.make 16 0.0;
-    weights = Array.make 16 0;
+    values = Array.make capacity 0.0;
+    weights = Array.make capacity 0;
     len = 0;
     count = 0;
     sum = 0.0;
@@ -61,6 +62,7 @@ let add_weighted t x w =
 
 let add_int t x = add t (float_of_int x)
 let count t = t.count
+let entries t = t.len
 let total t = t.sum
 let mean t = if t.count = 0 then Float.nan else t.sum /. float_of_int t.count
 
@@ -85,22 +87,34 @@ let stddev t = sqrt (max 0.0 (variance t))
 (* Entries sort by value, then weight: the order [compare] gives the
    (value, weight) pairs. A merge sort of an index array under a
    monomorphic comparator, then one permutation of both arrays, boxes no
-   entry. *)
+   entry. The permutation follows its cycles in place (entry [k] takes
+   entry [order.(k)]; a placed index is marked -1), so sorting copies
+   neither array. *)
 let ensure_sorted t =
   if not t.sorted then begin
-    let values = Array.sub t.values 0 t.len in
-    let weights = Array.sub t.weights 0 t.len in
+    let values = t.values and weights = t.weights in
     let order = Array.init t.len Fun.id in
     Array.stable_sort
       (fun i j ->
         let c = Float.compare values.(i) values.(j) in
         if c <> 0 then c else Int.compare weights.(i) weights.(j))
       order;
-    Array.iteri
-      (fun k i ->
-        t.values.(k) <- values.(i);
-        t.weights.(k) <- weights.(i))
-      order;
+    for start = 0 to t.len - 1 do
+      if order.(start) >= 0 then begin
+        let v = values.(start) and w = weights.(start) in
+        let k = ref start in
+        while order.(!k) <> start do
+          let src = order.(!k) in
+          values.(!k) <- values.(src);
+          weights.(!k) <- weights.(src);
+          order.(!k) <- -1;
+          k := src
+        done;
+        values.(!k) <- v;
+        weights.(!k) <- w;
+        order.(!k) <- -1
+      end
+    done;
     t.sorted <- true
   end
 

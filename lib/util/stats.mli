@@ -9,7 +9,11 @@
 
 type t
 
-val create : unit -> t
+val create : ?capacity:int -> unit -> t
+(** [capacity] (default 16, at least 1) is how many entries the
+    accumulator holds before its arrays first grow (they double). A
+    caller that knows how many additions are coming sizes it once, so no
+    array is allocated and dropped on the way. *)
 
 val add : t -> float -> unit
 val add_int : t -> int -> unit
@@ -29,6 +33,11 @@ val add_weighted : t -> float -> int -> unit
     API. All summaries below treat the accumulator as the multiset it
     denotes: [count] is total weight, percentiles interpolate between
     weighted order statistics, etc. *)
+
+val entries : t -> int
+(** Stored entries: one per [add], per positive-weight [add_weighted],
+    and per entry [absorb] copied — the [capacity] an accumulator
+    absorbing [t] needs for it. *)
 
 val count : t -> int
 (** Total weight of the recorded multiset (= number of [add] calls when

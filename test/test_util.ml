@@ -205,15 +205,26 @@ let prop_stats_sort_matches_tuple_sort =
   in
   let weight = frequency [ (4, pure 1); (1, int_range 0 5); (1, pure 1_000_000) ] in
   QCheck2.Test.make ~name:"sort matches the tuple sort" ~count:300
-    (list_size (int_range 1 80) (pair value weight))
-    (fun entries ->
-      let s = Stats.create () in
+    (pair (int_range 0 100) (list_size (int_range 1 80) (pair value weight)))
+    (fun (capacity, entries) ->
+      (* Sorted in place, at any capacity, and again after an absorb. *)
+      let s = Stats.create ~capacity () in
       List.iter (fun (v, w) -> Stats.add_weighted s v w) entries;
+      let s =
+        if capacity mod 2 = 0 then s
+        else begin
+          let t = Stats.create ~capacity:(Stats.entries s) () in
+          if Stats.count s > 0 then ignore (Stats.median s);
+          Stats.absorb t s;
+          t
+        end
+      in
       let sorted =
         Array.of_list (List.sort compare (List.filter (fun (_, w) -> w > 0) entries))
       in
       let count = Array.fold_left (fun acc (_, w) -> acc + w) 0 sorted in
-      count = 0
+      Stats.entries s = Array.length sorted
+      && (count = 0
       ||
       let order_statistic k =
         let rec go i cum =
@@ -256,7 +267,7 @@ let prop_stats_sort_matches_tuple_sort =
           && agree "bucket high" (lo +. (float_of_int (b + 1) *. width)) hi'
           && c = c')
         (List.mapi (fun b x -> (b, x)) (Stats.histogram s ~buckets:4))
-        (Array.to_list counts))
+        (Array.to_list counts)))
 
 let test_stats_variance_large_offset () =
   (* sum_sq/n - mean^2 catastrophically cancels with a 1e9 offset; the
