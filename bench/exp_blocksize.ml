@@ -50,6 +50,7 @@ let run () =
 
   (* Section 5's optimization problems, automated. *)
   let module Bs = Pindisk.Block_size in
+  let module Designer = Pindisk.Designer in
   let files =
     [
       Bs.file ~id:0 ~bytes:2048 ~latency:2 ~tolerance:2 ();
@@ -57,14 +58,21 @@ let run () =
       Bs.file ~id:2 ~bytes:32768 ~latency:60 ~tolerance:1 ();
     ]
   in
+  let reqs =
+    List.map
+      (fun (f : Bs.file) ->
+        Designer.requirement ~id:f.Bs.id ~bytes:f.Bs.bytes ~latency_s:f.Bs.latency
+          ~tolerance:f.Bs.tolerance ())
+      files
+  in
   Format.printf "  Largest feasible system-wide block size (paper Sec. 5):@.";
   Format.printf "  %-12s %10s %22s@." "byte rate" "largest b" "per-file k (b_i = k*256)";
   List.iter
     (fun byte_rate ->
       let uniform =
-        match Bs.largest_uniform ~byte_rate files with
-        | Some (b, _) -> string_of_int b
-        | None -> "-"
+        match Designer.plan ~byte_rate reqs with
+        | Ok d -> string_of_int d.Designer.block_size
+        | Error _ -> "-"
       in
       let multipliers =
         match Bs.per_file_multipliers ~byte_rate ~base:256 files with

@@ -24,10 +24,10 @@ let run () =
           match P.Exact_multi.decide sys with
           | P.Exact_multi.Feasible _ ->
               incr feasible;
-              if P.Scheduler.schedulable sys then incr heur
+              if P.Scheduler.plan sys <> None then incr heur
           | P.Exact_multi.Infeasible ->
               (* Soundness: the heuristics must not "schedule" it. *)
-              assert (not (P.Scheduler.schedulable sys))
+              assert (P.Scheduler.plan sys = None)
           | P.Exact_multi.Too_large -> decr total)
         instances;
       Format.printf "  %-26s %9d %9d %9d %7.0f%%@." label !total !feasible !heur

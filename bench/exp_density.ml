@@ -17,7 +17,7 @@ let densities = [ 0.45; 0.55; 0.65; 0.7; 0.75; 0.8; 0.85; 0.9; 0.95; 1.0 ]
 
 let success_rate algorithm systems =
   let ok =
-    List.length (List.filter (fun s -> Scheduler.schedulable ~algorithm s) systems)
+    List.length (List.filter (fun s -> Scheduler.plan ~algorithm s <> None) systems)
   in
   100.0 *. float_of_int ok /. float_of_int (List.length systems)
 
@@ -74,8 +74,7 @@ let run () =
           match Exact.is_feasible sys with
           | Some true ->
               incr feasible;
-              if Scheduler.schedulable ~algorithm:Scheduler.Auto sys then
-                incr found
+              if Scheduler.plan sys <> None then incr found
           | Some false | None -> ()
         end
       done;

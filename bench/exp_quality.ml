@@ -35,9 +35,10 @@ let run () =
         in
         if sys <> [] then begin
           incr total;
-          match P.Scheduler.schedule ~algorithm sys with
+          match P.Scheduler.plan ~algorithm sys with
           | None -> ()
-          | Some sched ->
+          | Some plan ->
+              let sched = P.Plan.to_schedule plan in
               incr placed;
               Stats.add_int periods (P.Schedule.period sched);
               List.iter

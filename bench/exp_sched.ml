@@ -14,7 +14,7 @@
    hyperperiod, the dispatcher's memory follows the task count only.
 
    Per (family, n) the harness measures plan construction, eager
-   construction (Scheduler.schedule: plan + materialize + verify),
+   construction (Scheduler.plan, Plan.to_schedule, Verify.satisfies),
    per-slot online dispatch, per-slot task_at lookup on the materialized
    array, and reachable words of the plan, dispatcher and schedule.
    Results land in BENCH_sched.json; scripts/bench_gate.ml compares the
@@ -30,9 +30,9 @@
 
 module Task = Pindisk_pinwheel.Task
 module Plan = Pindisk_pinwheel.Plan
-module Online = Pindisk_pinwheel.Online
 module Schedule = Pindisk_pinwheel.Schedule
 module Scheduler = Pindisk_pinwheel.Scheduler
+module Verify = Pindisk_pinwheel.Verify
 module Obs = Pindisk_obs
 
 let obs_dispatch = Obs.Registry.histogram "sched.dispatch_ns"
@@ -151,6 +151,14 @@ type row = {
   schedule_words : int;
 }
 
+(* The eager path: plan, materialize the hyperperiod, verify the array. *)
+let eager sys =
+  match Scheduler.plan sys with
+  | None -> None
+  | Some plan ->
+      let sched = Plan.to_schedule plan in
+      if Verify.satisfies sched sys then Some sched else None
+
 let measure ~quick ~deep n =
   let sys = family ~deep n in
   let plan =
@@ -159,14 +167,14 @@ let measure ~quick ~deep n =
     | None -> failwith "exp_sched: family must be schedulable"
   in
   let sched =
-    match Scheduler.schedule sys with
+    match eager sys with
     | Some s -> s
     | None -> failwith "exp_sched: family must be schedulable"
   in
   let period = Plan.period plan in
   assert (period = Schedule.period sched);
   let plan_build_ns = mean_ns (fun () -> Scheduler.plan sys) in
-  let eager_build_ns = mean_ns (fun () -> Scheduler.schedule sys) in
+  let eager_build_ns = mean_ns (fun () -> eager sys) in
   (* Per-slot dispatch: one long-lived dispatcher, batches of [chunk]
      slots (the dispatcher is infinite; no reset between batches),
      against the frozen dispatcher on the same progressions and against

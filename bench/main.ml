@@ -41,7 +41,7 @@ let () =
   in
   let want key =
     args = [] || List.mem "all" args
-    || List.exists (fun a -> a = key || String.length key >= 2 && String.sub key 0 2 = a) args
+    || List.exists (fun a -> List.mem a (key :: String.split_on_char '/' key)) args
   in
   let tables_only = List.mem "tables" args in
   let micro_only = List.mem "micro" args in

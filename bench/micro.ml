@@ -23,11 +23,14 @@ let scheduler_tests =
   let sys = P.Gen.unit_system_with_density ~seed:5 ~n:12 ~max_b:64 ~target:0.65 in
   let small = P.Gen.unit_system_with_density ~seed:9 ~n:4 ~max_b:10 ~target:0.85 in
   let sched =
-    match P.Scheduler.schedule sys with Some s -> s | None -> assert false
+    match P.Scheduler.plan sys with
+    | Some p -> P.Plan.to_schedule p
+    | None -> assert false
   in
   [
     Test.make ~name:"pinwheel/Sx 12 tasks"
-      (Staged.stage (fun () -> ignore (P.Specialize.sx sys)));
+      (Staged.stage (fun () ->
+           ignore (Option.map P.Plan.to_schedule (P.Specialize.sx_plan sys))));
     Test.make ~name:"pinwheel/exact 4 tasks"
       (Staged.stage (fun () -> ignore (P.Exact.decide small)));
     Test.make ~name:"pinwheel/verify 12 tasks"

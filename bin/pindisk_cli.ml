@@ -203,25 +203,21 @@ let schedule_cmd =
         if online then
           Format.printf "pre-check: %a@." P.Density.pp_verdict
             (P.Density.classify sys);
-        match Scheduler.schedule ~algorithm sys with
-        | Some sched ->
+        match Scheduler.plan ~algorithm sys with
+        | Some plan ->
+            let sched = P.Plan.to_schedule plan in
             Format.printf "schedule (period %d): %a@." (Schedule.period sched)
               Schedule.pp sched;
             if online then begin
-              match P.Online.of_system ~algorithm sys with
-              | None -> Format.printf "online: no plan (unexpected)@."
-              | Some d ->
-                  let p = P.Online.period d in
-                  Format.printf "online (period %d): %a@." p pp_slots
-                    (P.Online.take d (min p 64));
-                  P.Online.reset d;
-                  let agree = ref (p = Schedule.period sched) in
-                  for t = 0 to (2 * p) - 1 do
-                    if P.Online.next_slot d <> Schedule.task_at sched t then
-                      agree := false
-                  done;
-                  Format.printf "online matches eager over 2 periods: %b@."
-                    !agree
+              let p = P.Plan.period plan and d = P.Plan.create plan in
+              Format.printf "online (period %d): %a@." p pp_slots
+                (Array.init (min p 64) (fun _ -> P.Plan.next d));
+              P.Plan.reset d;
+              let agree = ref true in
+              for t = 0 to (2 * p) - 1 do
+                if P.Plan.next d <> Schedule.task_at sched t then agree := false
+              done;
+              Format.printf "online matches eager over 2 periods: %b@." !agree
             end;
             `Ok ()
         | None ->
@@ -263,12 +259,13 @@ let sched_bench_cmd =
       List.iter
         (fun n ->
           let sys = family n in
-          match (Scheduler.plan sys, Scheduler.schedule sys) with
-          | Some plan, Some sched ->
+          match Scheduler.plan sys with
+          | Some plan ->
               let p = P.Plan.period plan in
               if check then begin
+                let sched = P.Plan.to_schedule plan in
                 let d = P.Plan.create plan in
-                let agree = ref (p = Schedule.period sched) in
+                let agree = ref true in
                 for t = 0 to (2 * p) - 1 do
                   if P.Plan.next d <> Schedule.task_at sched t then
                     agree := false
@@ -292,7 +289,7 @@ let sched_bench_cmd =
                 in
                 Format.printf "n=%d: period %d, dispatch %.0f ns/slot@." n p ns
               end
-          | _ -> Format.printf "n=%d: not schedulable (unexpected)@." n)
+          | None -> Format.printf "n=%d: not schedulable (unexpected)@." n)
         sizes;
       `Ok ()
     end

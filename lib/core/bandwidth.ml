@@ -1,6 +1,5 @@
 module Q = Pindisk_util.Q
 module Task = Pindisk_pinwheel.Task
-module Schedule = Pindisk_pinwheel.Schedule
 module Scheduler = Pindisk_pinwheel.Scheduler
 
 let demand files =
@@ -17,12 +16,12 @@ let required files =
 let tasks ~bandwidth files =
   List.map (fun f -> File_spec.to_task f ~bandwidth) files
 
-let schedulable ?algorithm ~bandwidth files =
+let schedulable ~bandwidth files =
   match tasks ~bandwidth files with
   | exception Invalid_argument _ -> false
-  | sys -> Scheduler.schedulable ?algorithm sys
+  | sys -> Scheduler.plan sys <> None
 
-let minimum ?algorithm files =
+let minimum files =
   if files = [] then invalid_arg "Bandwidth.minimum: no files";
   let lo = max 1 (Q.ceil (demand files)) in
   let hi = 2 * required files in
@@ -32,8 +31,8 @@ let minimum ?algorithm files =
       match tasks ~bandwidth:b files with
       | exception Invalid_argument _ -> scan (b + 1)
       | sys -> (
-          match Scheduler.schedule ?algorithm sys with
-          | Some sched -> Some (b, sched)
+          match Scheduler.plan sys with
+          | Some plan -> Some (b, plan)
           | None -> scan (b + 1))
   in
   scan lo

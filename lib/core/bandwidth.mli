@@ -12,8 +12,6 @@
 
 module Q = Pindisk_util.Q
 module Task = Pindisk_pinwheel.Task
-module Schedule = Pindisk_pinwheel.Schedule
-module Scheduler = Pindisk_pinwheel.Scheduler
 
 val demand : File_spec.t list -> Q.t
 (** [Σ (m_i + r_i) / T_i], the trivial bandwidth lower bound in
@@ -28,17 +26,15 @@ val required : File_spec.t list -> int
 val tasks : bandwidth:int -> File_spec.t list -> Task.system
 (** The pinwheel system [{(i, m_i + r_i, B·T_i)}] at the given bandwidth. *)
 
-val schedulable :
-  ?algorithm:Scheduler.algorithm -> bandwidth:int -> File_spec.t list -> bool
-(** Whether this library's schedulers place the system at that bandwidth. *)
+val schedulable : bandwidth:int -> File_spec.t list -> bool
+(** Whether {!Pindisk_pinwheel.Scheduler.plan} places the system at that
+    bandwidth. *)
 
-val minimum :
-  ?algorithm:Scheduler.algorithm -> File_spec.t list ->
-  (int * Schedule.t) option
-(** The smallest bandwidth (searched upward from [⌈demand⌉]) at which the
-    scheduler succeeds, with its schedule. Searches up to twice
-    {!required}; [None] beyond that (never observed: density halves by
-    then, meeting the schedulers' 1/2 guarantee). *)
+val minimum : File_spec.t list -> (int * Pindisk_pinwheel.Plan.t) option
+(** The smallest bandwidth (searched upward from [⌈demand⌉]) at which
+    {!Pindisk_pinwheel.Scheduler.plan} succeeds, with its plan. Searches
+    up to twice {!required}; [None] beyond that (never observed: density
+    halves by then, meeting the schedulers' 1/2 guarantee). *)
 
 val overhead : achieved:int -> File_spec.t list -> float
 (** [achieved / demand]: 1.0 is perfect; the paper guarantees [<= ~1.43]

@@ -1,5 +1,5 @@
 module Task = Pindisk_pinwheel.Task
-module Schedule = Pindisk_pinwheel.Schedule
+module Plan = Pindisk_pinwheel.Plan
 module Scheduler = Pindisk_pinwheel.Scheduler
 module Intmath = Pindisk_util.Intmath
 
@@ -16,47 +16,6 @@ let blocks_needed f ~block =
   if block < 1 then invalid_arg "Block_size.blocks_needed: block must be >= 1";
   Intmath.ceil_div f.bytes block
 
-let tasks ~byte_rate ~block files =
-  if byte_rate < 1 then invalid_arg "Block_size.tasks: byte_rate must be >= 1";
-  if block < 1 then invalid_arg "Block_size.tasks: block must be >= 1";
-  let slots_per_second = byte_rate / block in
-  if slots_per_second < 1 then None
-  else
-    let rec build acc = function
-      | [] -> Some (List.rev acc)
-      | f :: rest ->
-          let m = blocks_needed f ~block in
-          let a = m + f.tolerance in
-          let window = slots_per_second * f.latency in
-          if m > 255 (* IDA limit *) || a > window then None
-          else build (Task.make ~id:f.id ~a ~b:window :: acc) rest
-    in
-    build [] files
-
-let default_candidates byte_rate =
-  (* Powers of two not exceeding the byte rate, largest first. *)
-  let rec go b acc = if b > byte_rate then acc else go (2 * b) (b :: acc) in
-  go 1 []
-
-let largest_uniform ?candidates ~byte_rate files =
-  if files = [] then invalid_arg "Block_size.largest_uniform: no files";
-  let candidates =
-    match candidates with
-    | Some c -> List.sort (fun a b -> compare b a) c
-    | None -> default_candidates byte_rate
-  in
-  let rec scan = function
-    | [] -> None
-    | block :: rest -> (
-        match tasks ~byte_rate ~block files with
-        | None -> scan rest
-        | Some sys -> (
-            match Scheduler.schedule sys with
-            | Some sched -> Some (block, sched)
-            | None -> scan rest))
-  in
-  scan candidates
-
 let per_file_multipliers ~byte_rate ~base files =
   if files = [] then invalid_arg "Block_size.per_file_multipliers: no files";
   if base < 1 then invalid_arg "Block_size.per_file_multipliers: base must be >= 1";
@@ -69,7 +28,8 @@ let per_file_multipliers ~byte_rate ~base files =
       let m = Intmath.ceil_div f.bytes (k * base) in
       let a = (m + f.tolerance) * k in
       let window = slots_per_second * f.latency in
-      if m > 255 || a > window then None else Some (Task.make ~id:f.id ~a ~b:window)
+      if m + f.tolerance > 255 (* IDA limit *) || a > window then None
+      else Some (Task.make ~id:f.id ~a ~b:window)
     in
     let system ks =
       let rec build acc = function
@@ -81,18 +41,14 @@ let per_file_multipliers ~byte_rate ~base files =
       in
       build [] files
     in
-    let schedule_of ks =
-      match system ks with
-      | None -> None
-      | Some sys -> Scheduler.schedule sys
-    in
+    let plan_of ks = Option.bind (system ks) Scheduler.plan in
     let initial = List.map (fun f -> (f.id, 1)) files in
-    match schedule_of initial with
+    match plan_of initial with
     | None -> None
-    | Some sched ->
+    | Some plan ->
         (* Greedily double the multiplier of the file with the largest
            current block count while the system stays schedulable. *)
-        let rec improve ks sched frozen =
+        let rec improve ks plan frozen =
           let candidates =
             files
             |> List.filter (fun f -> not (List.mem f.id frozen))
@@ -101,7 +57,7 @@ let per_file_multipliers ~byte_rate ~base files =
             |> List.filter (fun (_, m) -> m > 1)
           in
           match candidates with
-          | [] -> (ks, sched)
+          | [] -> (ks, plan)
           | _ ->
               let f, _ =
                 List.fold_left
@@ -113,10 +69,10 @@ let per_file_multipliers ~byte_rate ~base files =
                   (fun (id, k) -> if id = f.id then (id, 2 * k) else (id, k))
                   ks
               in
-              (match schedule_of ks' with
-              | Some sched' -> improve ks' sched' frozen
-              | None -> improve ks sched (f.id :: frozen))
+              (match plan_of ks' with
+              | Some plan' -> improve ks' plan' frozen
+              | None -> improve ks plan (f.id :: frozen))
         in
-        let ks, sched = improve initial sched [] in
-        Some (ks, sched)
+        let ks, plan = improve initial plan [] in
+        Some (ks, Plan.to_schedule plan)
   end

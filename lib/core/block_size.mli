@@ -7,14 +7,12 @@
     [r] {e blocks}, i.e. [r·b] bytes — but makes dispersal and
     reconstruction costlier ([O(m²)] per block). The paper reduces the
     system-wide choice to: {e find the largest [b] that satisfies the
-    combined timeliness, fault-tolerance and bandwidth constraints}, and,
-    in the generalized variant, the best per-file multiples [b_i = k_i·b].
+    combined timeliness, fault-tolerance and bandwidth constraints} —
+    which {!Designer.plan} scans for — and, in the generalized variant,
+    the best per-file multiples [b_i = k_i·b], which this module chooses.
 
     The channel here is specified by its {e byte} rate; at block size [b]
     it carries [⌊byte_rate / b⌋] slots per second. *)
-
-module Task = Pindisk_pinwheel.Task
-module Schedule = Pindisk_pinwheel.Schedule
 
 type file = private {
   id : int;
@@ -28,27 +26,18 @@ val file : ?tolerance:int -> id:int -> bytes:int -> latency:int -> unit -> file
 val blocks_needed : file -> block:int -> int
 (** [⌈bytes / block⌉]. *)
 
-val tasks : byte_rate:int -> block:int -> file list -> Task.system option
-(** The pinwheel system induced by a system-wide block size: file [i]
-    becomes [(i, ⌈bytes_i/b⌉ + r_i, ⌊byte_rate/b⌋ · T_i)]. [None] when the
-    block size is infeasible outright (more blocks demanded than a window
-    holds, or more than 255 source blocks for IDA). *)
-
-val largest_uniform :
-  ?candidates:int list -> byte_rate:int -> file list ->
-  (int * Schedule.t) option
-(** The largest system-wide block size (among [candidates], default all
-    powers of two from [byte_rate] down to 1) whose induced pinwheel
-    system the scheduler places; with its schedule. *)
-
 val per_file_multipliers :
-  byte_rate:int -> base:int -> file list -> ((int * int) list * Schedule.t) option
+  byte_rate:int -> base:int -> file list ->
+  ((int * int) list * Pindisk_pinwheel.Schedule.t) option
 (** The paper's generalized choice [b_i = k_i·base]: starting from
     [k_i = 1], greedily double the multiplier of the file with the most
     source blocks (the highest coding cost) while the system stays
-    schedulable. Returns [(file_id, k_i)] assignments and the final
-    schedule. In the induced pinwheel system a file block of [k_i] base
-    slots is modelled as [k_i] unit requirements per window; the schedule
-    spreads them rather than keeping them contiguous, which preserves the
-    bandwidth accounting (the quantity Section 5 reasons about) though not
-    block contiguity. *)
+    schedulable. A multiplier is infeasible when the file's window cannot
+    hold its slots or when its [m_i + r_i] dispersed blocks exceed IDA's
+    255. Returns [(file_id, k_i)] assignments and the final plan
+    materialized ({!Pindisk_pinwheel.Plan.to_schedule}); [None] when the
+    all-ones start is infeasible or unschedulable. In the induced pinwheel
+    system a file block of [k_i] base slots is modelled as [k_i] unit
+    requirements per window; the schedule spreads them rather than keeping
+    them contiguous, which preserves the bandwidth accounting (the
+    quantity Section 5 reasons about) though not block contiguity. *)

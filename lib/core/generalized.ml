@@ -3,6 +3,7 @@ module Bc = Pindisk_algebra.Bc
 module Convert = Pindisk_algebra.Convert
 module Task = Pindisk_pinwheel.Task
 module Schedule = Pindisk_pinwheel.Schedule
+module Plan = Pindisk_pinwheel.Plan
 module Scheduler = Pindisk_pinwheel.Scheduler
 
 type spec = { bc : Bc.t; capacity : int }
@@ -28,9 +29,9 @@ let program_certified specs =
   if specs = [] then invalid_arg "Generalized.program: no files";
   let bcs = List.map (fun s -> s.bc) specs in
   let compiled, traces = Convert.compile_certified bcs in
-  match Scheduler.schedule (List.map fst compiled) with
+  match Scheduler.plan (List.map fst compiled) with
   | None -> None
-  | Some sched ->
+  | Some plan ->
       (* Project pseudo-tasks onto their files. *)
       let file_of =
         let tbl = Hashtbl.create 16 in
@@ -40,7 +41,7 @@ let program_certified specs =
           | Some f -> f
           | None -> Schedule.idle
       in
-      let projected = Schedule.map_tasks sched file_of in
+      let projected = Schedule.map_tasks (Plan.to_schedule plan) file_of in
       (* The conversion is heuristic; trust nothing, re-verify the original
          broadcast conditions on the projection. *)
       if List.exists (fun bc -> Bc.check projected bc <> None) bcs then None

@@ -236,26 +236,14 @@ let aida_flat files =
   of_layout (Array.to_list layout)
     ~capacities:(List.map (fun (f, _, n) -> (f, n)) files)
 
+let capacities files = List.map (fun f -> (f.File_spec.id, f.File_spec.capacity)) files
+
 let pinwheel ~bandwidth files =
-  match
-    List.map (fun f -> File_spec.to_task f ~bandwidth) files
-  with
+  match Bandwidth.tasks ~bandwidth files with
   | exception Invalid_argument _ -> None
-  | sys -> (
-      match Scheduler.schedule sys with
-      | None -> None
-      | Some sched ->
-          Some
-            (make ~schedule:sched
-               ~capacities:
-                 (List.map (fun f -> (f.File_spec.id, f.File_spec.capacity)) files)))
+  | sys -> Option.map (of_plan ~capacities:(capacities files)) (Scheduler.plan sys)
 
 let auto files =
-  match Bandwidth.minimum files with
-  | None -> None
-  | Some (b, sched) ->
-      Some
-        ( b,
-          make ~schedule:sched
-            ~capacities:
-              (List.map (fun f -> (f.File_spec.id, f.File_spec.capacity)) files) )
+  Option.map
+    (fun (b, plan) -> (b, of_plan plan ~capacities:(capacities files)))
+    (Bandwidth.minimum files)

@@ -109,10 +109,11 @@ val aida_flat : (int * int * int) list -> t
 
 val pinwheel : bandwidth:int -> File_spec.t list -> t option
 (** The paper's headline construction (Section 3.2): files become the
-    pinwheel system [{(i, m_i + r_i, B·T_i)}]; the resulting schedule is
-    the broadcast period, and the AIDA capacities [N_i] drive the block
-    cycling. [None] when the scheduler fails at this bandwidth. *)
+    pinwheel system [{(i, m_i + r_i, B·T_i)}]; the plan
+    {!Pindisk_pinwheel.Scheduler.plan} returns for it is the broadcast
+    period, indexed by {!of_plan}, and the AIDA capacities [N_i] drive the
+    block cycling. [None] when the scheduler fails at this bandwidth. *)
 
 val auto : File_spec.t list -> (int * t) option
-(** {!pinwheel} at the smallest bandwidth {!Bandwidth.minimum} finds,
-    returning the bandwidth too. *)
+(** {!of_plan} of the plan {!Bandwidth.minimum} finds at the smallest
+    bandwidth, returning the bandwidth too. *)

@@ -73,8 +73,8 @@ let analyze ?(exact_states = 500_000) sys =
     match certificate with
     | Some c -> Infeasible c
     | None -> (
-        match Scheduler.schedule ~algorithm:Scheduler.Auto sys with
-        | Some sched -> Schedulable sched
+        match Scheduler.plan sys with
+        | Some plan -> Schedulable (Plan.to_schedule plan)
         | None ->
             if unit_system then
               match Exact.decide ~max_states:exact_states sys with

@@ -185,15 +185,6 @@ let rec next d =
       e.now <- e.now + 1;
       v
 
-let rec peek d =
-  match d with
-  | D_progs p ->
-      if p.heap.size > 0 && p.heap.times.(0) = p.now then p.heap.keys.(0)
-      else Schedule.idle
-  | D_merge m ->
-      if beatty_hit ~c:m.c ~d:m.d m.now then peek m.first else peek m.second
-  | D_explicit e -> e.slots.(e.now mod Array.length e.slots)
-
 let slot = function
   | D_progs p -> p.now
   | D_merge m -> m.now

@@ -6,12 +6,15 @@
     occupies exactly the slots [≡ c + g·j (mod g·k)]; {!Two_chain}
     interleaves two sub-schedules by the Beatty-style test
     [⌊(t+1)c/d⌋ > ⌊t·c/d⌋]. A plan captures that closed form instead of the
-    materialized slot array, so the same object supports three consumers:
+    materialized slot array. It is what {!Scheduler.plan} returns, the one
+    product of every scheduler, and it serves three consumers:
 
     - {!iter_occurrences} lists one period's occurrences in closed form, in
       time proportional to their number — how plans are verified
-      ({!Verify.satisfies_plan}) and materialized;
-    - {!to_schedule} materializes one hyperperiod eagerly;
+      ({!Verify.satisfies_plan}) and how broadcast programs are indexed
+      ([Pindisk.Program.of_plan]);
+    - {!to_schedule} materializes one hyperperiod eagerly — the only way to
+      get a slot array, for callers that print or project one;
     - {!create}/{!next} dispatch slots {e online} in O(log n) time and O(n)
       memory — no hyperperiod array is ever allocated.
 
@@ -85,9 +88,6 @@ val next : dispatcher -> int
 (** The task id (or {!Schedule.idle}) of the current slot; advances the
     cursor. Equals [Schedule.task_at (to_schedule plan) t] for the [t]-th
     call on a well-formed plan. *)
-
-val peek : dispatcher -> int
-(** The current slot's task id without advancing. *)
 
 val slot : dispatcher -> int
 (** Index of the slot {!next} would dispatch next (0-based). *)

@@ -84,9 +84,6 @@ let plan_with_base ~g sys =
               in
               if Verify.satisfies_plan plan sys then Some plan else None))
 
-let schedule_with_base ~g sys =
-  Option.map Plan.to_schedule (plan_with_base ~g sys)
-
 let plan sys =
   match sys with
   | [] -> None
@@ -100,5 +97,3 @@ let plan sys =
           | None -> go (g - 1)
       in
       go min_b
-
-let schedule sys = Option.map Plan.to_schedule (plan sys)

@@ -29,13 +29,7 @@ val plan_with_base : g:int -> Task.system -> Plan.t option
 (** Build and verify the dispatch plan for one base: member [j] of a
     [k]-member column [c] is the progression [c + g·j (mod g·k)]. *)
 
-val schedule_with_base : g:int -> Task.system -> Schedule.t option
-(** [plan_with_base] materialized (slot-for-slot equal by construction). *)
-
 val plan : Task.system -> Plan.t option
 (** Try every base [g] from the smallest window down to 1, preferring
     larger bases (finer columns waste less), and return the first
     verified plan. *)
-
-val schedule : Task.system -> Schedule.t option
-(** {!plan} materialized. *)

@@ -62,10 +62,6 @@ let max_gap s i =
   done;
   if !first < 0 then None else Some (max !acc (!first + s.period - !prev))
 
-let rotate s k =
-  let k = ((k mod s.period) + s.period) mod s.period in
-  { period = s.period; slots = Array.init s.period (fun t -> s.slots.((t + k) mod s.period)) }
-
 let map_tasks s f =
   {
     period = s.period;

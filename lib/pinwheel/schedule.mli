@@ -52,10 +52,6 @@ val max_gap : t -> int -> int option
     [None] if [i] never occurs. For a task occurring with exact period [p]
     this is [p]. *)
 
-val rotate : t -> int -> t
-(** [rotate s k] starts the period at slot [k] (the same biinfinite
-    schedule, re-anchored). *)
-
 val map_tasks : t -> (int -> int) -> t
 (** [map_tasks s f] renames every non-idle slot through [f] (which may
     return {!idle}). Used to project schedules over pseudo-tasks — the

@@ -65,34 +65,6 @@ let plan ?(algorithm = Auto) sys =
           Log.debug (fun m -> m "no schedule found");
           None)
 
-let schedule ?(algorithm = Auto) sys =
-  match plan ~algorithm sys with
-  | exception Invalid_argument msg ->
-      (* Keep the historical error prefix. *)
-      invalid_arg
-        (match String.index_opt msg ':' with
-        | Some i ->
-            "Scheduler.schedule" ^ String.sub msg i (String.length msg - i)
-        | None -> msg)
-  | None -> None
-  | Some p ->
-      let sched = Plan.to_schedule p in
-      (* Defense in depth: no schedule leaves this module unverified. The
-         plan was verified by its occurrences in closed form; this
-         re-checks the materialized form. *)
-      if Verify.satisfies sched sys then begin
-        Log.debug (fun m -> m "scheduled with period %d" (Schedule.period sched));
-        Some sched
-      end
-      else begin
-        Log.err (fun m ->
-            m "scheduler produced an invalid schedule for %a -- rejected"
-              Task.pp_system sys);
-        None
-      end
-
-let schedulable ?algorithm sys = schedule ?algorithm sys <> None
-
 let guaranteed_density = function
   | Sa | Sx | Sxy | Auto -> Some (Q.make 1 2)
   | Sr | Exact_small -> None

@@ -75,7 +75,6 @@ let plan_with_base ~x sys =
               | plan -> if Verify.satisfies_plan plan sys then Some plan else None))
 
 let sa_plan sys = plan_with_base ~x:1 sys
-let sa sys = Option.map Plan.to_schedule (sa_plan sys)
 
 let best_base sys =
   let feasible =
@@ -102,5 +101,3 @@ let sx_plan sys =
   match best_base sys with
   | None -> None
   | Some x -> plan_with_base ~x sys
-
-let sx sys = Option.map Plan.to_schedule (sx_plan sys)

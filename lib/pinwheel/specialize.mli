@@ -32,18 +32,13 @@ val sa_plan : Task.system -> Plan.t option
     never materialized. Multi-unit tasks are decomposed into exact-period
     copies. Guaranteed to succeed on unit systems of density <= 1/2. *)
 
-val sa : Task.system -> Schedule.t option
-(** {!sa_plan} materialized. *)
-
-val sx : Task.system -> Schedule.t option
+val sx_plan : Task.system -> Plan.t option
 (** Multi-base search: tries every plausible chain base — the distinct
     values [floor (b_i / 2^j)] not exceeding the smallest window — picks
     the one with the smallest specialized density (ties to the larger
-    base), and packs as {!sa_plan} does. Succeeds whenever {!sa} does. *)
-
-val sx_plan : Task.system -> Plan.t option
-(** The plan {!sx} materializes. *)
+    base), and packs as {!sa_plan} does. Succeeds whenever {!sa_plan}
+    does. *)
 
 val sx_base : Task.system -> int option
-(** The base {!sx} would choose (the candidate of minimum specialized
+(** The base {!sx_plan} would choose (the candidate of minimum specialized
     density among the feasible ones), for introspection. *)

@@ -143,5 +143,3 @@ let plan ?(max_period = 4_000_000) sys =
                  thresholds;
                None
              with Found plan -> Some plan))
-
-let schedule ?max_period sys = Option.map Plan.to_schedule (plan ?max_period sys)

@@ -33,8 +33,5 @@ val plan : ?max_period:int -> Task.system -> Plan.t option
     verifies against [sys] — by its occurrences in closed form, without
     materializing the merged hyperperiod. [max_period] (default [4_000_000]) bounds the
     merged plan's period. Returns [None] when the search fails — callers
-    should fall back to {!Specialize.sx} first, which this module does not
+    should fall back to {!Specialize.sx_plan} first, which this module does not
     subsume on single-scale systems. *)
-
-val schedule : ?max_period:int -> Task.system -> Schedule.t option
-(** {!plan} materialized (slot-for-slot equal by construction). *)

@@ -40,7 +40,7 @@ let pp_error ppf e = Format.pp_print_string ppf (error_message e)
 
 (* The retrieval loop proper; inputs are validated by [retrieve]
    below. *)
-let retrieve_loop ?max_slots ?report ~program ~file ~needed ~start ~fault () =
+let retrieve_loop ?max_slots ~program ~file ~needed ~start ~fault () =
   let max_slots =
     match max_slots with
     | Some m -> m
@@ -67,11 +67,6 @@ let retrieve_loop ?max_slots ?report ~program ~file ~needed ~start ~fault () =
     let lost = Fault.advance fault in
     (match Program.block_at program !t with
     | Some (f, idx) ->
-        (* Feedback path: the client observes every busy slot's reception
-           outcome, not only its own file's, and reports it upstream. *)
-        (match report with
-        | Some fn -> fn ~slot:!t ~file:f ~lost
-        | None -> ());
         if lost then begin
           if !burst_len = 0 then burst_start := !t;
           incr burst_len
@@ -110,7 +105,7 @@ let retrieve_loop ?max_slots ?report ~program ~file ~needed ~start ~fault () =
 (* With adaptive degradation a file can be shed from the program while
    clients still want it, so "not in program" is a runtime condition,
    not only a caller bug — hence the typed result (lint rule L2). *)
-let retrieve ?max_slots ?report ~program ~file ~needed ~start ~fault () =
+let retrieve ?max_slots ~program ~file ~needed ~start ~fault () =
   if start < 0 then Error (Bad_request "negative start")
   else if needed < 1 then Error (Bad_request "needed must be >= 1")
   else
@@ -120,7 +115,7 @@ let retrieve ?max_slots ?report ~program ~file ~needed ~start ~fault () =
     | _ when Program.occurrences_per_period program file = 0 ->
         Error Never_broadcast
     | _ ->
-        Ok (retrieve_loop ?max_slots ?report ~program ~file ~needed ~start ~fault ())
+        Ok (retrieve_loop ?max_slots ~program ~file ~needed ~start ~fault ())
 
 let deadline_met o ~deadline =
   match o.elapsed with Some e -> e <= deadline | None -> false

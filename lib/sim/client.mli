@@ -27,16 +27,12 @@ type error =
 val pp_error : Format.formatter -> error -> unit
 
 val retrieve :
-  ?max_slots:int -> ?report:(slot:int -> file:int -> lost:bool -> unit) ->
-  program:Pindisk.Program.t -> file:int -> needed:int ->
+  ?max_slots:int -> program:Pindisk.Program.t -> file:int -> needed:int ->
   start:int -> fault:Fault.t -> unit -> (outcome, error) result
 (** [retrieve ~program ~file ~needed ~start ~fault ()] simulates one
     retrieval. The fault process is {!Fault.reset_to} the start slot and
     advanced once per slot. [max_slots] (default [100 * data_cycle])
-    bounds the wait: on overrun [completed_at = None]. [report], when
-    given, is called for every busy slot the client watches with the
-    reception outcome — the feedback path a server-side loss estimator
-    (e.g. [Pindisk_adapt.Estimator]) consumes. A request the client
+    bounds the wait: on overrun [completed_at = None]. A request the client
     could never serve is an [Error], never an exception: [Unknown_file]
     in particular is a live runtime condition once {!Pindisk_adapt}
     sheds files from a degraded program while clients still request

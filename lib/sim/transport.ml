@@ -73,7 +73,7 @@ let find_source_blocks t file =
    adding received pieces of [file] to [collected] (which may already hold
    pieces from earlier attempts — dispersal is fixed, so they stay valid).
    Reconstructs as soon as [m] distinct indices are present. *)
-let collect_once ?report t ~stored ~collected ~file ~start ~budget ~fault =
+let collect_once t ~stored ~collected ~file ~start ~budget ~fault =
   Fault.reset_to fault start;
   let obs = Obs.Control.enabled () in
   let slot = ref start in
@@ -82,9 +82,6 @@ let collect_once ?report t ~stored ~collected ~file ~start ~budget ~fault =
     let lost = Fault.advance fault in
     (match on_air t !slot with
     | Some (f, piece) ->
-        (match report with
-        | Some fn -> fn ~slot:!slot ~file:f ~lost
-        | None -> ());
         if f = file && not lost then
           if not (Hashtbl.mem collected piece.Ida.index) then begin
             Hashtbl.replace collected piece.Ida.index piece;
@@ -122,8 +119,7 @@ let collect_once ?report t ~stored ~collected ~file ~start ~budget ~fault =
              needed = stored.m;
            })
 
-let retrieve ?(attempts = 1) ?backoff ?max_slots ?report t ~file ~start ~fault
-    () =
+let retrieve ?(attempts = 1) ?backoff ?max_slots t ~file ~start ~fault () =
   if start < 0 then invalid_arg "Transport.retrieve: negative start";
   if attempts < 1 then invalid_arg "Transport.retrieve: attempts must be >= 1";
   (match backoff with
@@ -145,8 +141,7 @@ let retrieve ?(attempts = 1) ?backoff ?max_slots ?report t ~file ~start ~fault
       let collected = Hashtbl.create 16 in
       let rec attempt i at =
         match
-          collect_once ?report t ~stored ~collected ~file ~start:at ~budget
-            ~fault
+          collect_once t ~stored ~collected ~file ~start:at ~budget ~fault
         with
         | Error (Timeout _) when i < attempts ->
             let pause = backoff0 * (1 lsl (i - 1)) in

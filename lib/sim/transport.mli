@@ -47,7 +47,6 @@ val pp_error : Format.formatter -> error -> unit
 
 val retrieve :
   ?attempts:int -> ?backoff:int -> ?max_slots:int ->
-  ?report:(slot:int -> file:int -> lost:bool -> unit) ->
   t -> file:int -> start:int -> fault:Fault.t -> unit ->
   (bytes, error) result
 (** Collect pieces of [file] from slot [start] under the fault process
@@ -61,8 +60,6 @@ val retrieve :
     Pieces collected before a timeout are kept across re-tune-ins
     (dispersal is fixed), so attempts make monotone progress. Each
     re-tune-in records an [Obs.Trace.Retry] span and bumps the
-    [sim.transport.retries] counter. [report], when given, receives every
-    busy slot's reception outcome — the feedback path a server-side loss
-    estimator (e.g. [Pindisk_adapt.Estimator]) consumes. Raises
+    [sim.transport.retries] counter. Raises
     [Invalid_argument] only on a malformed request: a negative [start],
     [attempts < 1] or [backoff < 1]. *)

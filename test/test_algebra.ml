@@ -245,9 +245,10 @@ let test_compile_nice_and_sound () =
     (List.for_all (fun (t, _) -> t.Task.id > 2) tasks);
   (* Schedule the nice system, project pseudo-tasks onto files, and check
      the ORIGINAL broadcast conditions. *)
-  match Scheduler.schedule (List.map fst tasks) with
+  match Scheduler.plan (List.map fst tasks) with
   | None -> Alcotest.fail "nice system should be schedulable"
-  | Some sched ->
+  | Some plan ->
+      let sched = P.Plan.to_schedule plan in
       let file_of =
         let tbl = Hashtbl.create 8 in
         List.iter (fun (t, f) -> Hashtbl.replace tbl t.Task.id f) tasks;
@@ -297,9 +298,10 @@ let prop_conversion_sound =
       let tasks =
         List.mapi (fun i e -> (Task.make ~id:(i + 10) ~a:e.Convert.a ~b:e.Convert.b, e.Convert.file)) nice
       in
-      match Scheduler.schedule (List.map fst tasks) with
+      match Scheduler.plan (List.map fst tasks) with
       | None -> true (* inconclusive: heuristic scheduler failed *)
-      | Some sched ->
+      | Some plan ->
+          let sched = P.Plan.to_schedule plan in
           let file_of id =
             match List.assoc_opt id (List.map (fun (t, f) -> (t.Task.id, f)) tasks) with
             | Some f -> f

@@ -7,6 +7,8 @@ module Bc = Pindisk_algebra.Bc
 module Task = Pindisk_pinwheel.Task
 module Schedule = Pindisk_pinwheel.Schedule
 module Verify = Pindisk_pinwheel.Verify
+module Plan = Pindisk_pinwheel.Plan
+module Scheduler = Pindisk_pinwheel.Scheduler
 module Q = Pindisk_util.Q
 
 let check_bool = Alcotest.(check bool)
@@ -89,12 +91,13 @@ let test_required_bandwidth_schedulable () =
 let test_minimum () =
   match Bandwidth.minimum awacs_files with
   | None -> Alcotest.fail "minimum bandwidth must exist"
-  | Some (b, sched) ->
+  | Some (b, plan) ->
       check_bool "at most eq-2 bound" true (b <= Bandwidth.required awacs_files);
       check_bool "at least the demand" true
         Q.(Q.of_int b >= Bandwidth.demand awacs_files);
       check_bool "schedule verifies" true
-        (Verify.satisfies sched (Bandwidth.tasks ~bandwidth:b awacs_files));
+        (Verify.satisfies (Plan.to_schedule plan)
+           (Bandwidth.tasks ~bandwidth:b awacs_files));
       check_bool "overhead within 43%%" true
         (Bandwidth.overhead ~achieved:(Bandwidth.required awacs_files) awacs_files
          <= 10.0 /. 7.0 +. 1.0 /. Q.to_float (Bandwidth.demand awacs_files) +. 1e-9)
@@ -268,51 +271,67 @@ let test_twenty_fold_speedup () =
 
 module Block_size = Pindisk.Block_size
 
+module Designer = Pindisk.Designer
+
 let bs_files =
   [
     Block_size.file ~id:0 ~bytes:4096 ~latency:4 ~tolerance:2 ();
     Block_size.file ~id:1 ~bytes:16384 ~latency:30 ~tolerance:1 ();
   ]
 
+let bs_reqs =
+  List.map
+    (fun (f : Block_size.file) ->
+      Designer.requirement ~id:f.Block_size.id ~bytes:f.Block_size.bytes
+        ~latency_s:f.Block_size.latency ~tolerance:f.Block_size.tolerance ())
+    bs_files
+
+(* The pinwheel system a system-wide block size induces: file i becomes
+   (i, ⌈bytes_i/b⌉ + r_i, ⌊byte_rate/b⌋ · T_i). *)
+let induced ~byte_rate ~block =
+  Bandwidth.tasks ~bandwidth:(byte_rate / block)
+    (List.map
+       (fun (f : Block_size.file) ->
+         File_spec.make ~id:f.Block_size.id
+           ~blocks:(Block_size.blocks_needed f ~block)
+           ~latency:f.Block_size.latency ~tolerance:f.Block_size.tolerance ())
+       bs_files)
+
 let test_block_size_tasks () =
   check_int "blocks at 1KiB" 4
     (Block_size.blocks_needed (List.hd bs_files) ~block:1024);
-  (match Block_size.tasks ~byte_rate:4096 ~block:1024 bs_files with
-  | Some [ t0; t1 ] ->
-      check_int "F0: a = 4+2" 6 t0.Task.a;
-      check_int "F0: window = 4 slots/s * 4 s" 16 t0.Task.b;
-      check_int "F1: a = 16+1" 17 t1.Task.a;
-      check_int "F1: window" 120 t1.Task.b
-  | _ -> Alcotest.fail "two tasks expected");
+  (match Designer.plan ~candidates:[ 1024 ] ~byte_rate:4096 bs_reqs with
+  | Ok { Designer.files = [ f0; f1 ]; _ } ->
+      let a f = f.Designer.spec.File_spec.blocks + f.Designer.spec.File_spec.tolerance in
+      check_int "F0: a = 4+2" 6 (a f0);
+      check_int "F0: window = 4 slots/s * 4 s" 16 f0.Designer.window;
+      check_int "F1: a = 16+1" 17 (a f1);
+      check_int "F1: window" 120 f1.Designer.window
+  | _ -> Alcotest.fail "two files expected");
   (* Block bigger than the byte rate: zero slots per second. *)
   check_bool "block > rate infeasible" true
-    (Block_size.tasks ~byte_rate:512 ~block:1024 bs_files = None)
+    (Result.is_error (Designer.plan ~candidates:[ 1024 ] ~byte_rate:512 bs_reqs))
 
 let test_block_size_largest_uniform () =
-  match Block_size.largest_uniform ~byte_rate:4096 bs_files with
-  | None -> Alcotest.fail "some block size must work"
-  | Some (block, sched) ->
+  match Designer.plan ~byte_rate:4096 bs_reqs with
+  | Error e -> Alcotest.failf "some block size must work: %s" e
+  | Ok d ->
+      let block = d.Designer.block_size in
       check_bool "power of two candidate" true
         (Pindisk_util.Intmath.is_power_of_two block);
-      (* The returned schedule satisfies the induced system. *)
-      (match Block_size.tasks ~byte_rate:4096 ~block bs_files with
-      | Some sys -> check_bool "verifies" true (Verify.satisfies sched sys)
-      | None -> Alcotest.fail "winning block must induce a system");
+      (* The program's schedule satisfies the induced system. *)
+      check_bool "verifies" true
+        (Verify.satisfies (Program.schedule d.Designer.program)
+           (induced ~byte_rate:4096 ~block));
       (* Maximality among the candidates: the next power of two fails. *)
-      let bigger = 2 * block in
       check_bool "next candidate unschedulable" true
-        (match Block_size.tasks ~byte_rate:4096 ~block:bigger bs_files with
-        | None -> true
-        | Some sys -> not (Pindisk_pinwheel.Scheduler.schedulable sys))
+        (Result.is_error
+           (Designer.plan ~candidates:[ 2 * block ] ~byte_rate:4096 bs_reqs))
 
 let test_block_size_smaller_is_more_efficient () =
   (* The paper's Section-5 observation: with tolerance > 0, halving the
      block size strictly reduces the induced density. *)
-  let density block =
-    match Block_size.tasks ~byte_rate:4096 ~block bs_files with
-    | Some sys -> Pindisk_pinwheel.Task.system_density sys
-    | None -> Q.of_int 2
-  in
+  let density block = Task.system_density (induced ~byte_rate:4096 ~block) in
   check_bool "512B denser than 256B" true Q.(density 256 < density 512);
   check_bool "1KiB denser than 512B" true Q.(density 512 < density 1024)
 
@@ -329,11 +348,21 @@ let test_block_size_multipliers () =
          multiple than floor (it has the most source blocks). *)
       check_bool "file 1 coarsened" true (List.assoc 1 ks > 1)
 
+let test_block_size_ida_limit () =
+  (* 255 source blocks of 256 bytes plus r = 2 is 257 dispersed pieces,
+     past IDA's 255, although the 258 slots per second would hold them;
+     doubling the block (130 blocks of 2 slots) overflows the window. *)
+  let files = [ Block_size.file ~id:0 ~bytes:65_280 ~latency:1 ~tolerance:2 () ] in
+  check_bool "257 pieces rejected" true
+    (Block_size.per_file_multipliers ~byte_rate:66_048 ~base:256 files = None);
+  check_bool "designer rejects it too" true
+    (Result.is_error
+       (Designer.plan ~byte_rate:66_048
+          [ Designer.requirement ~id:0 ~bytes:65_280 ~latency_s:1 ~tolerance:2 () ]))
+
 (* ------------------------------------------------------------------ *)
 (* Designer                                                            *)
 (* ------------------------------------------------------------------ *)
-
-module Designer = Pindisk.Designer
 
 let design_reqs =
   [
@@ -603,8 +632,6 @@ let prop_offsets_count_occurrences =
 (* Programs indexed from their plans                                   *)
 (* ------------------------------------------------------------------ *)
 
-module Plan = Pindisk_pinwheel.Plan
-module Scheduler = Pindisk_pinwheel.Scheduler
 module Pgen = Pindisk_pinwheel.Gen
 
 (* Whether both builders fail, and with the same message. *)
@@ -753,6 +780,8 @@ let () =
           Alcotest.test_case "smaller is denser-efficient" `Quick
             test_block_size_smaller_is_more_efficient;
           Alcotest.test_case "per-file multipliers" `Quick test_block_size_multipliers;
+          Alcotest.test_case "per-file multipliers respect the IDA limit" `Quick
+            test_block_size_ida_limit;
         ] );
       ( "designer",
         [

@@ -7,6 +7,7 @@ module Harmonic = P.Harmonic
 module Specialize = P.Specialize
 module Two_chain = P.Two_chain
 module Scheduler = P.Scheduler
+module Plan = P.Plan
 module Gen = P.Gen
 module Q = Pindisk_util.Q
 
@@ -14,6 +15,7 @@ let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
 let sched_of_list l = Schedule.make (Array.of_list l)
+let materialize = Option.map Plan.to_schedule
 
 (* ------------------------------------------------------------------ *)
 (* Task                                                               *)
@@ -69,14 +71,6 @@ let test_max_gap () =
   Alcotest.(check (option int)) "absent task" None (Schedule.max_gap s 9);
   let single = sched_of_list [ 7; Schedule.idle; Schedule.idle ] in
   Alcotest.(check (option int)) "single occurrence" (Some 3) (Schedule.max_gap single 7)
-
-let test_rotate () =
-  let s = sched_of_list [ 1; 2; 3 ] in
-  let r = Schedule.rotate s 1 in
-  check_int "rotated slot 0" 2 (Schedule.task_at r 0);
-  check_int "rotated slot 2" 1 (Schedule.task_at r 2);
-  let r2 = Schedule.rotate s (-1) in
-  check_int "negative rotation" 3 (Schedule.task_at r2 0)
 
 let test_schedule_validation () =
   Alcotest.check_raises "empty" (Invalid_argument "Schedule.make: empty period")
@@ -157,21 +151,6 @@ let prop_verify_matches_brute_force =
       List.for_all
         (fun task -> Verify.min_in_window sched ~task ~window = brute task)
         [ 0; 1; 2 ])
-
-let prop_rotate_preserves_satisfaction =
-  QCheck2.Test.make ~name:"rotation preserves satisfaction" ~count:100
-    QCheck2.Gen.(pair (int_range 1 5) (int_bound 1_000_000))
-    (fun (n, seed) ->
-      let sys = Gen.unit_system_with_density ~seed ~n ~max_b:16 ~target:0.6 in
-      match sys with
-      | [] -> true
-      | _ -> (
-          match Scheduler.schedule sys with
-          | None -> true
-          | Some sched ->
-              let rng = Random.State.make [| seed |] in
-              let k = Random.State.int rng (2 * Schedule.period sched) in
-              Verify.satisfies (Schedule.rotate sched k) sys))
 
 let prop_map_tasks_preserves_counts =
   QCheck2.Test.make ~name:"map_tasks preserves total occurrences" ~count:100
@@ -312,7 +291,7 @@ let prop_exact_multi_never_contradicts_heuristics =
       match sys with
       | [] -> true
       | _ -> (
-          match (Scheduler.schedule sys, Exact_multi.decide sys) with
+          match (Scheduler.plan sys, Exact_multi.decide sys) with
           | Some _, Exact_multi.Infeasible -> false
           | _ -> true))
 
@@ -489,7 +468,7 @@ let test_sa_succeeds_example () =
   let sys = [ Task.unit ~id:1 ~b:4; Task.unit ~id:2 ~b:5; Task.unit ~id:3 ~b:9 ] in
   (* density 1/4+1/5+1/9 = 0.561... > 1/2, but specialization to {4,4,8}
      gives 1/4+1/4+1/8 = 5/8 <= 1: Sa succeeds beyond its guarantee. *)
-  match Specialize.sa sys with
+  match materialize (Specialize.sa_plan sys) with
   | Some sched -> check_bool "verifies" true (Verify.satisfies sched sys)
   | None -> Alcotest.fail "Sa should schedule this"
 
@@ -501,14 +480,14 @@ let test_sx_beats_sa () =
   (match Specialize.sx_base sys with
   | Some x -> check_int "picks base 3" 3 x
   | None -> Alcotest.fail "sx must find a base");
-  match Specialize.sx sys with
+  match materialize (Specialize.sx_plan sys) with
   | Some sched -> check_bool "verifies" true (Verify.satisfies sched sys)
   | None -> Alcotest.fail "Sx should schedule this"
 
 let test_sx_multi_unit () =
   (* Paper Example 1 second instance {(1,2,5),(2,1,3)}: density 11/15. *)
   let sys = [ Task.make ~id:1 ~a:2 ~b:5; Task.unit ~id:2 ~b:3 ] in
-  match Specialize.sx sys with
+  match materialize (Specialize.sx_plan sys) with
   | Some sched -> check_bool "verifies" true (Verify.satisfies sched sys)
   | None -> Alcotest.fail "Sx should schedule the multi-unit example"
 
@@ -527,7 +506,7 @@ let prop_sa_guarantee =
       match sys with
       | [] -> true
       | _ -> (
-          match Specialize.sa sys with
+          match materialize (Specialize.sa_plan sys) with
           | Some sched -> Verify.satisfies sched sys
           | None -> false))
 
@@ -539,7 +518,7 @@ let prop_sx_dominates_sa =
       match sys with
       | [] -> true
       | _ -> (
-          match (Specialize.sa sys, Specialize.sx sys) with
+          match (Specialize.sa_plan sys, materialize (Specialize.sx_plan sys)) with
           | Some _, None -> false
           | _, Some sched -> Verify.satisfies sched sys
           | None, None -> true))
@@ -611,8 +590,8 @@ let test_rotation_two_distinct () =
       Task.unit ~id:3 ~b:7;
     ]
   in
-  check_bool "Sx fails here" true (Specialize.sx sys = None);
-  match Rotation.schedule sys with
+  check_bool "Sx fails here" true (Specialize.sx_plan sys = None);
+  match materialize (Rotation.plan sys) with
   | Some sched -> check_bool "rotation verifies" true (Verify.satisfies sched sys)
   | None -> Alcotest.fail "rotation must place the two-distinct system"
 
@@ -630,14 +609,14 @@ let test_rotation_assign () =
 let test_rotation_exact_period_semantics () =
   (* Each task in a size-k class is served exactly every g*k slots. *)
   let sys = [ Task.unit ~id:0 ~b:4; Task.unit ~id:1 ~b:4 ] in
-  match Rotation.schedule_with_base ~g:1 sys with
+  match materialize (Rotation.plan_with_base ~g:1 sys) with
   | Some sched ->
       Alcotest.(check (option int)) "gap is exactly 2" (Some 2) (Schedule.max_gap sched 0)
   | None -> Alcotest.fail "two windows of 4 at g=1"
 
 let test_rotation_multi_unit () =
   let sys = [ Task.make ~id:0 ~a:2 ~b:6; Task.unit ~id:1 ~b:9 ] in
-  match Rotation.schedule sys with
+  match materialize (Rotation.plan sys) with
   | Some sched -> check_bool "verifies" true (Verify.satisfies sched sys)
   | None -> Alcotest.fail "rotation handles multi-unit via decomposition"
 
@@ -649,7 +628,7 @@ let prop_rotation_schedules_verify =
       match sys with
       | [] -> true
       | _ -> (
-          match Rotation.schedule sys with
+          match materialize (Rotation.plan sys) with
           | Some sched -> Verify.satisfies sched sys
           | None -> true))
 
@@ -661,7 +640,7 @@ let prop_rotation_multiple_structure =
          of window exactly g: density 1, rotation must succeed. *)
       ignore seed;
       let sys = List.init g (fun id -> Task.unit ~id ~b:g) in
-      match Rotation.schedule sys with
+      match materialize (Rotation.plan sys) with
       | Some sched -> Verify.satisfies sched sys
       | None -> false)
 
@@ -690,7 +669,7 @@ let test_two_chain_bimodal () =
       Task.unit ~id:4 ~b:96;
     ]
   in
-  match Two_chain.schedule sys with
+  match materialize (Two_chain.plan sys) with
   | Some sched -> check_bool "verifies" true (Verify.satisfies sched sys)
   | None -> Alcotest.fail "two-chain should handle the bimodal system"
 
@@ -700,7 +679,7 @@ let test_two_chain_bimodal () =
 
 let test_scheduler_auto_verifies () =
   let sys = [ Task.make ~id:1 ~a:2 ~b:5; Task.unit ~id:2 ~b:3 ] in
-  match Scheduler.schedule sys with
+  match materialize (Scheduler.plan sys) with
   | Some sched -> check_bool "verifies" true (Verify.satisfies sched sys)
   | None -> Alcotest.fail "auto should schedule"
 
@@ -708,31 +687,38 @@ let test_scheduler_exact_fallback () =
   (* Density 5/6 pair {2,3}: specialization fails ({2,2} density 1? 1/2+1/2=1
      packs fine actually). Use {(1,1,2),(2,1,3)} anyway and check success. *)
   let sys = [ Task.unit ~id:1 ~b:2; Task.unit ~id:2 ~b:3 ] in
-  check_bool "schedulable" true (Scheduler.schedulable sys)
+  check_bool "schedulable" true (Scheduler.plan sys <> None)
 
 let test_scheduler_validation () =
-  Alcotest.check_raises "empty" (Invalid_argument "Scheduler.schedule: empty system")
-    (fun () -> ignore (Scheduler.schedule []));
+  Alcotest.check_raises "empty" (Invalid_argument "Scheduler.plan: empty system")
+    (fun () -> ignore (Scheduler.plan []));
   Alcotest.check_raises "duplicates"
-    (Invalid_argument "Scheduler.schedule: duplicate task ids in system") (fun () ->
-      ignore (Scheduler.schedule [ Task.unit ~id:1 ~b:2; Task.unit ~id:1 ~b:3 ]))
+    (Invalid_argument "Scheduler.plan: duplicate task ids in system") (fun () ->
+      ignore (Scheduler.plan [ Task.unit ~id:1 ~b:2; Task.unit ~id:1 ~b:3 ]))
 
 let test_guaranteed_density () =
   check_bool "Sa guarantee 1/2" true
     (Scheduler.guaranteed_density Scheduler.Sa = Some (Q.make 1 2));
   check_bool "exact: none" true (Scheduler.guaranteed_density Scheduler.Exact_small = None)
 
+(* Every algorithm's plans, Auto's among them, on unit and multi-unit
+   systems, judged by the window-counting oracle on the materialized
+   array rather than by the closed-form check the constructions run. *)
 let prop_auto_schedules_are_valid =
   QCheck2.Test.make ~name:"every schedule Auto returns verifies" ~count:100
-    QCheck2.Gen.(pair (int_range 1 6) (int_bound 1_000_000))
-    (fun (n, seed) ->
-      let sys = Gen.multi_unit_system ~seed ~n ~max_a:3 ~max_b:32 ~target:0.65 in
-      match sys with
-      | [] -> true
-      | _ -> (
-          match Scheduler.schedule sys with
-          | Some sched -> Verify.satisfies sched sys
-          | None -> true))
+    QCheck2.Gen.(triple bool (int_range 1 6) (int_bound 1_000_000))
+    (fun (multi, n, seed) ->
+      let sys =
+        if multi then Gen.multi_unit_system ~seed ~n ~max_a:3 ~max_b:32 ~target:0.65
+        else Gen.unit_system_with_density ~seed ~n ~max_b:10 ~target:0.8
+      in
+      sys = []
+      || List.for_all
+           (fun algorithm ->
+             match Scheduler.plan ~algorithm sys with
+             | Some p -> Verify.check_system (Plan.to_schedule p) sys = []
+             | None -> true)
+           Scheduler.[ Sa; Sx; Sr; Sxy; Exact_small; Auto ])
 
 let prop_exact_agrees_with_heuristics =
   QCheck2.Test.make ~name:"heuristic success implies exact feasibility" ~count:60
@@ -742,7 +728,7 @@ let prop_exact_agrees_with_heuristics =
       match sys with
       | [] -> true
       | _ -> (
-          match (Specialize.sx sys, Exact.decide ~max_states:500_000 sys) with
+          match (Specialize.sx_plan sys, Exact.decide ~max_states:500_000 sys) with
           | Some _, Exact.Infeasible -> false (* heuristic found what exact denies *)
           | _ -> true))
 
@@ -826,34 +812,6 @@ let prop_analysis_verdicts_sound =
       | Analysis.Unknown -> true)
 
 (* ------------------------------------------------------------------ *)
-(* Distance-constrained tasks                                          *)
-(* ------------------------------------------------------------------ *)
-
-module Distance = P.Distance
-
-let test_distance_schedule () =
-  let tasks = [ Distance.make ~id:0 ~distance:2; Distance.make ~id:1 ~distance:4 ] in
-  match Distance.schedule tasks with
-  | Some sched -> check_bool "gaps respected" true (Distance.respects_distances sched tasks)
-  | None -> Alcotest.fail "distances 2 and 4 fit"
-
-let test_distance_gap_checker () =
-  let sched = sched_of_list [ 0; 1; 0; Schedule.idle ] in
-  check_bool "gap 2 ok" true
-    (Distance.respects_distances sched [ Distance.make ~id:0 ~distance:2 ]);
-  check_bool "gap 2 too tight" false
-    (Distance.respects_distances sched [ Distance.make ~id:1 ~distance:2 ]);
-  check_bool "absent task fails" false
-    (Distance.respects_distances sched [ Distance.make ~id:7 ~distance:10 ])
-
-let test_distance_infeasible () =
-  check_bool "density above 1 rejected" true
-    (Distance.schedule
-       [ Distance.make ~id:0 ~distance:2; Distance.make ~id:1 ~distance:2;
-         Distance.make ~id:2 ~distance:2 ]
-    = None)
-
-(* ------------------------------------------------------------------ *)
 (* Gen                                                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -885,11 +843,9 @@ let test_gen_multi_unit () =
   check_bool "density bounded" true (Q.to_float (Task.system_density sys) <= 0.8 +. 1e-9)
 
 (* ------------------------------------------------------------------ *)
-(* Plan / Online dispatcher                                            *)
+(* Plan dispatcher                                                     *)
 (* ------------------------------------------------------------------ *)
 
-module Plan = P.Plan
-module Online = P.Online
 module Density = P.Density
 
 (* The tentpole equivalence: the online dispatcher replayed for two full
@@ -904,18 +860,15 @@ let prop_online_matches_eager =
         if multi then Gen.multi_unit_system ~seed ~n ~max_a:2 ~max_b:12 ~target:0.8
         else Gen.unit_system_with_density ~seed ~n ~max_b:32 ~target:0.8
       in
-      match (Scheduler.plan sys, Scheduler.schedule sys) with
-      | None, None -> true
-      | Some _, None | None, Some _ -> false (* both paths must agree *)
-      | Some plan, Some sched ->
-          let p = Plan.period plan in
-          p = Schedule.period sched
-          && (let d = Plan.create plan in
-              let ok = ref true in
-              for t = 0 to (2 * p) - 1 do
-                if Plan.next d <> Schedule.task_at sched t then ok := false
-              done;
-              !ok))
+      match Scheduler.plan sys with
+      | None -> true
+      | Some plan ->
+          let sched = Plan.to_schedule plan and d = Plan.create plan in
+          let ok = ref true in
+          for t = 0 to (2 * Plan.period plan) - 1 do
+            if Plan.next d <> Schedule.task_at sched t then ok := false
+          done;
+          !ok)
 
 let prop_online_take_reset =
   QCheck2.Test.make ~name:"Online.take/reset are consistent with to_schedule"
@@ -923,17 +876,17 @@ let prop_online_take_reset =
     QCheck2.Gen.(pair (int_range 1 6) (int_bound 1_000_000))
     (fun (n, seed) ->
       let sys = Gen.unit_system_with_density ~seed ~n ~max_b:16 ~target:0.6 in
-      match Online.of_system sys with
+      match Scheduler.plan sys with
       | None -> true
-      | Some o ->
-          let p = Online.period o in
-          let first = Online.take o p in
-          Online.reset o;
-          let again = Online.take o p in
-          let sched = Online.to_schedule o in
+      | Some plan ->
+          let p = Plan.period plan and d = Plan.create plan in
+          let take () = Array.init p (fun _ -> Plan.next d) in
+          let first = take () in
+          Plan.reset d;
+          let again = take () in
           first = again
-          && first = Array.init p (Schedule.task_at sched)
-          && Online.slot o = p)
+          && first = Array.init p (Schedule.task_at (Plan.to_schedule plan))
+          && Plan.slot d = p)
 
 (* Streaming verification agrees with the seed verifier — including on
    schedules that violate their system (windows drawn independently of
@@ -1090,14 +1043,13 @@ let is_guaranteed = function Density.Guaranteed _ -> true | _ -> false
 let test_density_pigeonhole () =
   let sys = [ Task.unit ~id:0 ~b:2; Task.unit ~id:1 ~b:2; Task.unit ~id:2 ~b:2 ] in
   check_bool "density 3/2 infeasible" true (is_infeasible (Density.classify sys));
-  check_bool "scheduler short-circuits" true (Scheduler.schedule sys = None)
+  check_bool "scheduler short-circuits" true (Scheduler.plan sys = None)
 
 let test_density_example1 () =
   (* Paper Example 1 / Holte et al.: {2, 3, M} is infeasible for any M
      even though its density can be arbitrarily close to 5/6. *)
   let sys = [ Task.unit ~id:0 ~b:2; Task.unit ~id:1 ~b:3; Task.unit ~id:2 ~b:1000 ] in
   check_bool "{2,3,M} infeasible" true (is_infeasible (Density.classify sys));
-  check_bool "scheduler returns None" true (Scheduler.schedule sys = None);
   check_bool "plan returns None" true (Scheduler.plan sys = None)
 
 let test_density_five_sixths_edge () =
@@ -1105,7 +1057,7 @@ let test_density_five_sixths_edge () =
      Kawamura bound guarantees it (and ABAB... indeed schedules it). *)
   let sys = [ Task.unit ~id:0 ~b:2; Task.unit ~id:1 ~b:3 ] in
   check_bool "exactly 5/6 guaranteed" true (is_guaranteed (Density.classify sys));
-  check_bool "and indeed schedulable" true (Scheduler.schedule sys <> None)
+  check_bool "and indeed schedulable" true (Scheduler.plan sys <> None)
 
 let test_density_half_edge () =
   let sys = [ Task.unit ~id:0 ~b:4; Task.unit ~id:1 ~b:4 ] in
@@ -1179,7 +1131,6 @@ let () =
         [
           Alcotest.test_case "basics" `Quick test_schedule_basics;
           Alcotest.test_case "max_gap" `Quick test_max_gap;
-          Alcotest.test_case "rotate" `Quick test_rotate;
           Alcotest.test_case "validation" `Quick test_schedule_validation;
         ] );
       ( "verify",
@@ -1194,7 +1145,6 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [
             prop_verify_matches_brute_force;
-            prop_rotate_preserves_satisfaction;
             prop_map_tasks_preserves_counts;
           ] );
       ( "exact",
@@ -1278,12 +1228,6 @@ let () =
         ] );
       ( "analysis-properties",
         List.map QCheck_alcotest.to_alcotest [ prop_analysis_verdicts_sound ] );
-      ( "distance",
-        [
-          Alcotest.test_case "schedule" `Quick test_distance_schedule;
-          Alcotest.test_case "gap checker" `Quick test_distance_gap_checker;
-          Alcotest.test_case "infeasible" `Quick test_distance_infeasible;
-        ] );
       ( "gen",
         [
           Alcotest.test_case "density bounded" `Quick test_gen_density_bounded;

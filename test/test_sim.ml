@@ -9,10 +9,8 @@ let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
 (* [Client.retrieve] on a request the test knows to be well-formed. *)
-let retrieve_ok ?max_slots ?report ~program ~file ~needed ~start ~fault () =
-  match
-    Client.retrieve ?max_slots ?report ~program ~file ~needed ~start ~fault ()
-  with
+let retrieve_ok ?max_slots ~program ~file ~needed ~start ~fault () =
+  match Client.retrieve ?max_slots ~program ~file ~needed ~start ~fault () with
   | Ok o -> o
   | Error e -> Alcotest.failf "unexpected error: %a" Client.pp_error e
 
@@ -633,30 +631,6 @@ let test_client_validation () =
         (Experiment.run ~program:(toy_flat ()) ~file:0 ~needed:6 ~deadline:5
            ~fault:(fun ~seed:_ -> Fault.none ()) ~trials:1 ~seed:0 ()))
 
-let test_client_report_hook () =
-  let p = toy_ida () in
-  let reports = ref [] in
-  let report ~slot ~file ~lost = reports := (slot, file, lost) :: !reports in
-  let o =
-    retrieve_ok ~report ~program:p ~file:0 ~needed:5 ~start:0
-      ~fault:(Fault.deterministic (fun t -> t = 0)) ()
-  in
-  let reports = List.rev !reports in
-  check_bool "retrieval completed" true (o.Client.completed_at <> None);
-  (* The toy layout is busy every slot; slot 0's A block is lost, so the
-     client watches one extra slot past the error-free 8. *)
-  check_int "one report per busy slot watched" 9 (List.length reports);
-  List.iteri
-    (fun i (slot, file, lost) ->
-      check_int "reports are in slot order" i slot;
-      check_bool "loss verdict reported" (slot = 0) lost;
-      match Program.block_at p slot with
-      | Some (f, _) -> check_int "reported file matches the air" f file
-      | None -> Alcotest.fail "report on an idle slot")
-    reports;
-  check_bool "other files' slots reported too" true
-    (List.exists (fun (_, f, _) -> f = 1) reports)
-
 (* ------------------------------------------------------------------ *)
 (* Adversary                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -799,31 +773,6 @@ let test_transport_validation () =
       ignore
         (Transport.create ~program:(toy_ida ())
            [ (0, 11, Bytes.of_string "x"); (1, 3, Bytes.of_string "y") ]))
-
-let test_transport_report_hook () =
-  let run () =
-    let t = toy_transport () in
-    let count = ref 0 and losses = ref 0 in
-    let report ~slot:_ ~file:_ ~lost =
-      incr count;
-      if lost then incr losses
-    in
-    match
-      Transport.retrieve t ~report ~file:0 ~start:0
-        ~fault:(Fault.bernoulli ~p:0.3 ~seed:13) ()
-    with
-    | Ok bytes ->
-        Alcotest.(check string) "payload still bit-exact"
-          "intelligent vehicle highway system db" (Bytes.to_string bytes);
-        (!count, !losses)
-    | Error _ -> Alcotest.fail "retrieval must complete"
-  in
-  let count, losses = run () in
-  check_bool "at least m busy slots reported" true (count >= 5);
-  check_bool "the lossy channel shows up in the reports" true (losses > 0);
-  let count', losses' = run () in
-  check_int "report stream deterministic (count)" count count';
-  check_int "report stream deterministic (losses)" losses losses'
 
 (* ------------------------------------------------------------------ *)
 (* Experiment                                                          *)
@@ -2221,7 +2170,6 @@ let () =
           Alcotest.test_case "validation" `Quick test_client_validation;
           Alcotest.test_case "typed retrieve_checked" `Quick
             test_client_retrieve_checked;
-          Alcotest.test_case "report hook" `Quick test_client_report_hook;
         ] );
       ( "adversary",
         [
@@ -2240,7 +2188,6 @@ let () =
           Alcotest.test_case "roundtrip error-free" `Quick test_transport_roundtrip_error_free;
           Alcotest.test_case "roundtrip under loss" `Quick test_transport_roundtrip_under_loss;
           Alcotest.test_case "validation" `Quick test_transport_validation;
-          Alcotest.test_case "report hook" `Quick test_transport_report_hook;
         ] );
       ( "transaction",
         [
