@@ -47,7 +47,7 @@ let run () =
           let deadline = File_spec.window f ~bandwidth in
           let miss fault program =
             Experiment.run ~program ~file:f.File_spec.id ~needed:f.File_spec.blocks
-              ~deadline ~fault ~trials:2000 ~seed:77 ()
+              ~deadline ~fault ~trials:2000 ~seed:77
             |> Experiment.miss_ratio
           in
           Format.printf "  %-6s %5.0f%% | %7.1f%% %7.1f%% | %7.1f%% %7.1f%%@."

@@ -45,7 +45,7 @@ let run () =
       let s =
         Experiment.run ~program:base ~file ~needed ~deadline:max_int
           ~fault:(fun ~seed -> Fault.bernoulli ~p ~seed)
-          ~trials:600 ~seed:5 ()
+          ~trials:600 ~seed:5
       in
       (* Indexed protocol with the same loss process. *)
       let acc = ref 0.0 and tun = ref 0.0 and ok = ref 0 in

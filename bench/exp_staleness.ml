@@ -20,7 +20,7 @@ let run () =
   List.iter
     (fun update_period ->
       let s =
-        Staleness.sweep ~program:p ~file:0 ~needed:5 ~update_period ~avi:16 ()
+        Staleness.sweep ~program:p ~file:0 ~needed:5 ~update_period ~avi:16
       in
       Format.printf "  %-14d %10.1f %9d %9.1f %11.0f%% %9d@." update_period
         s.Staleness.mean_age s.Staleness.max_age s.Staleness.mean_latency
@@ -46,7 +46,7 @@ let run () =
     (fun update_period ->
       let s =
         Staleness.sweep ~program:sparse ~file:0 ~needed:5 ~update_period
-          ~avi:24 ()
+          ~avi:24
       in
       Format.printf "  %-14d %9.1f %11.0f%% %9d@." update_period
         s.Staleness.mean_latency
@@ -70,7 +70,7 @@ let run () =
     "max lat" "restarts" "starved";
   List.iter
     (fun update_period ->
-      let s = Snapshot.sweep ~program:p ~reads ~update_period () in
+      let s = Snapshot.sweep ~program:p ~reads ~update_period in
       Format.printf "  %-14d %9.1f %9d %10.2f %9d@." update_period
         s.Snapshot.mean_elapsed s.Snapshot.max_elapsed s.Snapshot.mean_restarts
         s.Snapshot.starved)

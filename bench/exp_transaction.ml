@@ -82,7 +82,7 @@ let run () =
         let start = Random.State.int rng (Program.data_cycle program) in
         let o =
           Transaction.retrieve ~program ~reads ~start
-            ~fault:(Fault.bernoulli ~p ~seed:k) ()
+            ~fault:(Fault.bernoulli ~p ~seed:k)
         in
         match o.Transaction.elapsed with
         | Some e when e <= deadline -> ()

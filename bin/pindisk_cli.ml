@@ -39,6 +39,16 @@ module Multi = Pindisk_sim.Multi
 
 let fail fmt = Format.kasprintf (fun s -> `Error (false, s)) fmt
 
+(* Write [contents] to [path], then continue with [k ()]; a path that
+   cannot be written is the command's error, "PATH: reason". *)
+let write_file path contents k =
+  match
+    Out_channel.with_open_text path (fun oc ->
+        Out_channel.output_string oc contents)
+  with
+  | () -> k ()
+  | exception Sys_error e -> fail "%s" e
+
 (* --verbosity / -v from logs.cli, honoured by every subcommand. *)
 let setup_logs =
   let setup level =
@@ -444,13 +454,15 @@ let export_cmd =
         in
         match result with
         | None -> fail "not schedulable"
-        | Some (b, p) ->
-            (match output with
+        | Some (b, p) -> (
+            match output with
             | Some path ->
-                Pindisk.Codec.write p path;
-                Format.printf "wrote %s (bandwidth %d blocks/sec)@." path b
-            | None -> print_string (Pindisk.Codec.to_string p));
-            `Ok ())
+                write_file path (Pindisk.Codec.to_string p) (fun () ->
+                    Format.printf "wrote %s (bandwidth %d blocks/sec)@." path b;
+                    `Ok ())
+            | None ->
+                print_string (Pindisk.Codec.to_string p);
+                `Ok ()))
   in
   let bw =
     Arg.(
@@ -597,9 +609,26 @@ let hex_of_bytes b =
   Buffer.contents buf
 
 let bytes_of_hex s =
-  if String.length s mod 2 <> 0 then invalid_arg "odd hex length";
-  Bytes.init (String.length s / 2) (fun i ->
-      Char.chr (int_of_string ("0x" ^ String.sub s (2 * i) 2)))
+  let digit c =
+    match c with
+    | '0' .. '9' -> Some (Char.code c - Char.code '0')
+    | 'a' .. 'f' -> Some (Char.code c - Char.code 'a' + 10)
+    | 'A' .. 'F' -> Some (Char.code c - Char.code 'A' + 10)
+    | _ -> None
+  in
+  if String.length s mod 2 <> 0 then Error "odd-length hex payload"
+  else
+    let b = Bytes.create (String.length s / 2) in
+    let rec go i =
+      if i = Bytes.length b then Ok b
+      else
+        match (digit s.[2 * i], digit s.[(2 * i) + 1]) with
+        | Some hi, Some lo ->
+            Bytes.set b i (Char.chr ((hi * 16) + lo));
+            go (i + 1)
+        | _ -> Error "non-hex payload"
+    in
+    go 0
 
 let parse_content i s =
   (* NAME:BLOCKS:LATENCY[:TOL]=TEXT -- the file spec plus its payload. *)
@@ -658,58 +687,112 @@ let serve_cmd =
     (Cmd.info "serve" ~doc:"Broadcast IDA-dispersed content as a line stream on stdout")
     Term.(ret (const (fun () -> run) $ setup_logs $ contents $ slots))
 
+(* Read a stream from stdin until [file] reconstructs: [Ok (Some bytes)],
+   [Ok None] at the end of the stream, or [Error] naming the first
+   malformed line. *)
+let receive_stream ~file ~loss ~seed =
+  let module Ida = Pindisk_ida.Ida in
+  let exception Bad of string in
+  let rng = Random.State.make [| seed |] in
+  let metas = Hashtbl.create 4 in
+  let collected = Hashtbl.create 8 in
+  let piece_size = ref None in
+  let dropped = ref 0 and seen = ref 0 and lineno = ref 0 in
+  let bad fmt =
+    Printf.ksprintf (fun s -> raise (Bad (Printf.sprintf "line %d: %s" !lineno s))) fmt
+  in
+  let int_field what s =
+    match int_of_string_opt s with
+    | Some n -> n
+    | None -> bad "%s %S is not an integer" what s
+  in
+  let piece f idx payload =
+    if idx < 0 || idx >= 255 then bad "piece index %d outside [0, 255)" idx;
+    let data = match bytes_of_hex payload with Ok d -> d | Error e -> bad "%s" e in
+    let m, len =
+      match Hashtbl.find_opt metas f with
+      | Some meta -> meta
+      | None -> bad "piece of file %d before its meta line" f
+    in
+    if f <> file then None
+    else begin
+      incr seen;
+      if Random.State.float rng 1.0 < loss then (incr dropped; None)
+      else begin
+        let size = Bytes.length data in
+        (match !piece_size with
+        | Some s when s <> size ->
+            bad "piece of %d bytes where file %d's earlier pieces hold %d" size f s
+        | _ -> piece_size := Some size);
+        if not (Hashtbl.mem collected idx) then
+          Hashtbl.replace collected idx { Ida.index = idx; data };
+        if Hashtbl.length collected < m then None
+        else if len > m * size then
+          bad "file %d's length %d exceeds its %d pieces of %d bytes" f len m size
+        else
+          let pieces = Hashtbl.fold (fun _ p acc -> p :: acc) collected [] in
+          Some (Ida.reconstruct (Ida.create ~m) ~length:len pieces)
+      end
+    end
+  in
+  let line () =
+    incr lineno;
+    input_line stdin
+  in
+  let rec loop () =
+    match line () with
+    | exception End_of_file -> None
+    | l -> (
+        match String.split_on_char ' ' l with
+        | [ "meta"; f; m; cap; len ] ->
+            let f = int_field "file" f in
+            let m = int_field "m" m in
+            let cap = int_field "capacity" cap in
+            let len = int_field "length" len in
+            if not (1 <= m && m <= cap && cap <= 255 && len >= 0) then
+              bad "meta needs 1 <= m <= capacity <= 255 and a length >= 0";
+            Hashtbl.replace metas f (m, len);
+            loop ()
+        | [ "slot"; t; "." ] ->
+            ignore (int_field "slot" t);
+            loop ()
+        | [ "slot"; t; f; idx; payload ] -> (
+            ignore (int_field "slot" t);
+            let f = int_field "file" f in
+            let idx = int_field "piece index" idx in
+            match piece f idx payload with
+            | Some bytes -> Some bytes
+            | None -> loop ())
+        | _ -> bad "bad stream line %S" l)
+  in
+  match
+    (match line () with
+    | "pindisk-stream v1" -> loop ()
+    | other -> bad "unknown stream header %S" other
+    | exception End_of_file -> bad "empty stream")
+  with
+  | exception Bad msg -> Error msg
+  | None -> (
+      match Hashtbl.find_opt metas file with
+      | None -> Error (Printf.sprintf "file %d never appeared in the stream" file)
+      | Some (m, _) ->
+          Error
+            (Printf.sprintf "stream ended before %d distinct pieces of file %d arrived"
+               m file))
+  | Some bytes -> Ok (bytes, !seen - !dropped, !dropped)
+
 let receive_cmd =
   let run file loss seed =
-    let module Ida = Pindisk_ida.Ida in
-    let rng = Random.State.make [| seed |] in
-    let metas = Hashtbl.create 4 in
-    let collected = Hashtbl.create 8 in
-    let dropped = ref 0 and seen = ref 0 in
-    let result = ref None in
-    (try
-       (match input_line stdin with
-       | "pindisk-stream v1" -> ()
-       | other -> failwith (Printf.sprintf "unknown stream header %S" other));
-       while !result = None do
-         let line = input_line stdin in
-         match String.split_on_char ' ' line with
-         | [ "meta"; f; m; cap; len ] ->
-             Hashtbl.replace metas (int_of_string f)
-               (int_of_string m, int_of_string cap, int_of_string len)
-         | [ "slot"; _; "." ] -> ()
-         | [ "slot"; _; f; idx; payload ] ->
-             let f = int_of_string f in
-             if f = file then begin
-               incr seen;
-               if Random.State.float rng 1.0 < loss then incr dropped
-               else begin
-                 let idx = int_of_string idx in
-                 if not (Hashtbl.mem collected idx) then
-                   Hashtbl.replace collected idx
-                     { Ida.index = idx; data = bytes_of_hex payload };
-                 let m, _, len =
-                   match Hashtbl.find_opt metas file with
-                   | Some meta -> meta
-                   | None -> failwith "block before meta"
-                 in
-                 if Hashtbl.length collected >= m then begin
-                   let ida = Ida.create ~m in
-                   let pieces = Hashtbl.fold (fun _ p acc -> p :: acc) collected [] in
-                   result := Some (Ida.reconstruct ida ~length:len pieces)
-                 end
-               end
-             end
-         | _ -> failwith (Printf.sprintf "bad stream line %S" line)
-       done
-     with End_of_file -> ());
-    match !result with
-    | Some bytes ->
-        Format.eprintf "reconstructed %d bytes from %d receptions (%d dropped)@."
-          (Bytes.length bytes) (!seen - !dropped) !dropped;
-        print_string (Bytes.to_string bytes);
-        print_newline ();
-        `Ok ()
-    | None -> fail "stream ended before %d distinct pieces arrived" file
+    if not (loss >= 0.0 && loss <= 1.0) then fail "loss must be in [0, 1]"
+    else
+      match receive_stream ~file ~loss ~seed with
+      | Error e -> fail "%s" e
+      | Ok (bytes, received, dropped) ->
+          Format.eprintf "reconstructed %d bytes from %d receptions (%d dropped)@."
+            (Bytes.length bytes) received dropped;
+          print_string (Bytes.to_string bytes);
+          print_newline ();
+          `Ok ()
   in
   let file =
     Arg.(required & opt (some int) None & info [ "file" ] ~doc:"File id to reconstruct.")
@@ -750,10 +833,7 @@ let with_metrics metrics f =
       Obs.Control.set_enabled true;
       Obs.Snapshot.reset ();
       let result = f () in
-      let oc = open_out path in
-      output_string oc (snapshot_string ());
-      close_out oc;
-      result
+      write_file path (snapshot_string ()) (fun () -> result)
 
 (* ---------------- stats ---------------- *)
 
@@ -795,8 +875,7 @@ let stats_cmd =
           (fun file ->
             ignore
               (Pindisk_sim.Transport.retrieve transport ~file ~start:0
-                 ~fault:(Pindisk_sim.Fault.bernoulli ~p:0.2 ~seed:(9 + file))
-                 ()))
+                 ~fault:(Pindisk_sim.Fault.bernoulli ~p:0.2 ~seed:(9 + file))))
           [ 0; 1 ];
         `Ok ()
   in
@@ -1157,7 +1236,7 @@ let simulate_cmd =
                       ~needed:f.File_spec.blocks
                       ~deadline:(File_spec.window f ~bandwidth:b)
                       ~fault:(fun ~seed -> Pindisk_sim.Fault.bernoulli ~p:loss ~seed)
-                      ~trials ~seed ()
+                      ~trials ~seed
                   in
                   Format.printf "  %-12s %a@." f.File_spec.name
                     Pindisk_sim.Experiment.pp_summary summary)
@@ -1258,22 +1337,22 @@ let chaos_cmd =
       | [] -> "-"
       | l -> String.concat ", " (List.map string_of_int l))
   in
-  let write_summary path reports =
-    let oc = open_out path in
-    output_string oc "# Chaos scenario suite\n\n";
-    output_string oc
+  let summary_text reports =
+    let b = Buffer.create 1024 in
+    Buffer.add_string b "# Chaos scenario suite\n\n";
+    Buffer.add_string b
       "| scenario | verdict | crashes | down slots | faulted slots | \
        replayed slots | recovery (slots) |\n";
-    output_string oc "|---|---|---|---|---|---|---|\n";
-    List.iter (fun r -> output_string oc (summary_line r ^ "\n")) reports;
+    Buffer.add_string b "|---|---|---|---|---|---|---|\n";
+    List.iter (fun r -> Buffer.add_string b (summary_line r ^ "\n")) reports;
     let violations =
       List.concat_map (fun r -> r.Scenario.violations) reports
     in
     if violations <> [] then begin
-      output_string oc "\n## Violations\n\n";
-      List.iter (fun v -> output_string oc ("- " ^ v ^ "\n")) violations
+      Buffer.add_string b "\n## Violations\n\n";
+      List.iter (fun v -> Buffer.add_string b ("- " ^ v ^ "\n")) violations
     end;
-    close_out oc
+    Buffer.contents b
   in
   let run list only summary channels metrics =
     with_metrics metrics @@ fun () ->
@@ -1297,13 +1376,17 @@ let chaos_cmd =
       else begin
         let reports = List.map Scenario.run specs in
         List.iter (fun r -> Format.printf "%a@." Scenario.pp_report r) reports;
-        Option.iter (fun path -> write_summary path reports) summary;
-        if List.for_all Scenario.ok reports then begin
-          Format.printf "chaos: %d scenario(s), 0 invariant violations@."
-            (List.length reports);
-          `Ok ()
-        end
-        else fail "chaos: invariant violations detected"
+        let verdict () =
+          if List.for_all Scenario.ok reports then begin
+            Format.printf "chaos: %d scenario(s), 0 invariant violations@."
+              (List.length reports);
+            `Ok ()
+          end
+          else fail "chaos: invariant violations detected"
+        in
+        match summary with
+        | Some path -> write_file path (summary_text reports) verdict
+        | None -> verdict ()
       end
   in
   let list =

@@ -48,7 +48,7 @@ let () =
   (* 3. The program as an artifact. *)
   let path = Filename.temp_file "pindisk" ".bdp" in
   Codec.write plan.Designer.program path;
-  Format.printf "program artifact written to %s (%d bytes)@." path
+  Format.printf "program artifact written (%d bytes)@."
     (String.length (Codec.to_string plan.Designer.program));
 
   (* 4-5. Payloads on the air; a vehicle in a tunnel gets them anyway. *)
@@ -81,7 +81,7 @@ let () =
     (fun (r : Designer.requirement) ->
       match
         Transport.retrieve transport ~file:r.Designer.id ~start:5
-          ~fault:(tunnel ~seed:(r.Designer.id + 1)) ()
+          ~fault:(tunnel ~seed:(r.Designer.id + 1))
       with
       | Ok bytes ->
           Format.printf "  %-10s reconstructed: %d bytes, prefix %S@."

@@ -59,7 +59,7 @@ let () =
       let run program =
         Experiment.run ~program ~file:0 ~needed:5 ~deadline:12
           ~fault:(fun ~seed -> Fault.bernoulli ~p ~seed)
-          ~trials:4000 ~seed:31 ()
+          ~trials:4000 ~seed:31
       in
       let a = run ida and f = run flat in
       Format.printf "  %8.0f%% | %5.1f%% %5.1f%%@." (100.0 *. p)

@@ -65,7 +65,7 @@ let () =
     Fault.burst ~p_good_to_bad:0.05 ~p_bad_to_good:0.3 ~loss_good:0.01
       ~loss_bad:0.6 ~seed
   in
-  (match Transport.retrieve transport ~file:0 ~start:11 ~fault:(tunnel_channel ~seed:3) () with
+  (match Transport.retrieve transport ~file:0 ~start:11 ~fault:(tunnel_channel ~seed:3) with
   | Ok bytes ->
       Format.printf "Vehicle reconstructed the incident report through the tunnel:@.  %S@.@."
         (Bytes.to_string bytes)
@@ -83,7 +83,7 @@ let () =
       let deadline = File_spec.window f ~bandwidth in
       let run program =
         Experiment.run ~program ~file:f.File_spec.id ~needed:f.File_spec.blocks
-          ~deadline ~fault:tunnel_channel ~trials:2000 ~seed:17 ()
+          ~deadline ~fault:tunnel_channel ~trials:2000 ~seed:17
       in
       let aida = run program and naive = run flat in
       Format.printf "  %-10s %13.1f%% %13.1f%%@." f.File_spec.name

@@ -10,21 +10,17 @@ type t = {
   policy : Policy.t;
   ladder : Ladder.t;
   swap : Swap.t;
-  decision_windows : int;
   mutable plan : Ladder.plan;
   mutable last_window : int;
 }
 
-let create ?(decision_windows = 1) ~estimator ~policy ladder =
-  if decision_windows < 1 then
-    invalid_arg "Controller.create: decision_windows must be >= 1";
+let create ~estimator ~policy ladder =
   let plan = Ladder.plan ladder ~boost:0 in
   {
     estimator;
     policy;
     ladder;
     swap = Swap.create plan.Ladder.program;
-    decision_windows;
     plan;
     last_window = 0;
   }
@@ -34,7 +30,7 @@ let report t ~lost = Estimator.observe t.estimator ~lost
 
 let decide t ~slot =
   let w = Estimator.windows t.estimator in
-  if w - t.last_window >= t.decision_windows then begin
+  if w > t.last_window then begin
     t.last_window <- w;
     let obs = Obs.Control.enabled () in
     if obs then Obs.Registry.incr obs_decisions;
@@ -71,7 +67,4 @@ let notify_stall t ~slot =
 
 let block_at t slot = Swap.block_at t.swap slot
 let plan t = t.plan
-let estimate t = Estimator.estimate t.estimator
-let level t = Policy.current_level t.policy
-let swap t = t.swap
 let swap_log t = Swap.log t.swap

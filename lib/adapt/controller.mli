@@ -21,12 +21,9 @@
 
 type t
 
-val create :
-  ?decision_windows:int -> estimator:Estimator.t -> policy:Policy.t ->
-  Ladder.t -> t
-(** The loop starts at the ladder's baseline plan, installed at slot 0.
-    [decision_windows] (default 1) is the number of completed estimator
-    windows between policy consultations, [>= 1]. *)
+val create : estimator:Estimator.t -> policy:Policy.t -> Ladder.t -> t
+(** The loop starts at the ladder's baseline plan, installed at slot 0,
+    and consults the policy once per completed estimator window. *)
 
 val tick : t -> int -> Swap.entry option
 (** Start-of-slot: apply a pending swap at a cycle boundary. *)
@@ -53,7 +50,4 @@ val block_at : t -> int -> (int * int) option
 val plan : t -> Ladder.plan
 (** The plan whose program is live or staged most recently. *)
 
-val estimate : t -> float
-val level : t -> Policy.level
-val swap : t -> Swap.t
 val swap_log : t -> Swap.entry list

@@ -147,9 +147,3 @@ let run ?(bucket = 500) ?controller ~program ~losses trace =
     timeline;
     swaps = (match controller with Some c -> Controller.swap_log c | None -> []);
   }
-
-let pp_report ppf r =
-  Format.fprintf ppf "%d requests, %d completed, %d missed (%.1f%%), %d swap(s)"
-    r.requests r.completed r.missed
-    (100.0 *. miss_ratio r)
-    (List.length r.swaps)

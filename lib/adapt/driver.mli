@@ -59,4 +59,3 @@ val run :
     blocks arrived (including requests for items a degraded program shed).
     [bucket] (default 500 slots) sets the timeline granularity. *)
 
-val pp_report : Format.formatter -> report -> unit

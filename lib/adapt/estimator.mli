@@ -25,16 +25,8 @@ val estimate : t -> float
 (** The current smoothed loss-rate estimate in [0, 1]; [0.0] until the
     first window completes. *)
 
-val last_window : t -> float
-(** The most recent completed window's raw loss rate ([0.0] before the
-    first completes) — useful for logging the burst/sustained gap. *)
-
 val windows : t -> int
 (** Completed windows so far. *)
 
 val window : t -> int
 (** The configured reports-per-window size. *)
-
-val reports : t -> int
-(** Total reception reports observed, including the current partial
-    window. *)

@@ -81,9 +81,6 @@ type t = {
   capacities : (int * int) list; (* item id -> fixed dispersal capacity *)
 }
 
-let bandwidth t = t.bandwidth
-let items t = t.items
-
 let capacity_for t (item : Item.t) = List.assoc item.Item.id t.capacities
 
 (* The base mode with [b] extra blocks of tolerance on every item the mode

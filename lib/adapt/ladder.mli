@@ -71,9 +71,6 @@ val create :
     itself is not schedulable at [bandwidth], when [items] is empty, or
     when a provisioned capacity would exceed the IDA limit of 255. *)
 
-val bandwidth : t -> int
-val items : t -> Item.t list
-
 val capacity_for : t -> Item.t -> int
 (** The fixed dispersal capacity provisioned for the item. *)
 

@@ -29,7 +29,6 @@ let create ?(dwell = 3) levels =
   done;
   { levels; dwell; current = 0; candidate = 0; streak = 0 }
 
-let current t = t.current
 let current_level t = t.levels.(t.current)
 let levels t = Array.copy t.levels
 

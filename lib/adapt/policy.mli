@@ -36,9 +36,6 @@ val create : ?dwell:int -> level list -> t
     [0 <= exit < enter <= 1] and both thresholds strictly increase along
     the ladder. *)
 
-val current : t -> int
-(** Index of the current level (0 = baseline). *)
-
 val current_level : t -> level
 
 val levels : t -> level array

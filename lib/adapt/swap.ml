@@ -5,8 +5,6 @@ module Obs = Pindisk_obs
 let obs_swaps = Obs.Registry.counter "adapt.swaps"
 let obs_swap_wait = Obs.Registry.histogram "adapt.swap.wait"
 
-type boundary = Period | Data_cycle
-
 type entry = {
   slot : int;
   phase : int;
@@ -24,7 +22,6 @@ let pp_entry ppf e =
 let digest p = Digest.to_hex (Digest.string (Codec.to_string p))
 
 type t = {
-  boundary : boundary;
   mutable program : Program.t;
   mutable origin : int;
   mutable live_digest : string;
@@ -34,17 +31,9 @@ type t = {
   mutable log : entry list; (* newest first *)
 }
 
-let create ?(boundary = Period) ?(slot = 0) program =
-  { boundary; program; origin = slot; live_digest = digest program;
-    staged = None; staged_at = None; log = [] }
-
-let cycle t =
-  match t.boundary with
-  | Period -> Program.period t.program
-  | Data_cycle -> Program.data_cycle t.program
-
-let program t = t.program
-let origin t = t.origin
+let create program =
+  { program; origin = 0; live_digest = digest program; staged = None;
+    staged_at = None; log = [] }
 
 let block_at t slot =
   if slot < t.origin then invalid_arg "Swap.block_at: slot before origin";
@@ -64,13 +53,11 @@ let stage ?slot t ~cause p =
     if t.staged_at = None then t.staged_at <- slot
   end
 
-let pending t = t.staged <> None
-
 let tick t slot =
   match t.staged with
   | None -> None
   | Some (p, d, cause) ->
-      let phase = (slot - t.origin) mod cycle t in
+      let phase = (slot - t.origin) mod Program.period t.program in
       if phase <> 0 then None
       else begin
         let entry =

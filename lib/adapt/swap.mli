@@ -8,16 +8,13 @@
     seam: a whole number of cycles of the old program followed by the new
     program starting its own cycle at phase 0.
 
-    The boundary is the live program's {e broadcast period} by default.
-    That is the atomic unit of the schedule layer — every file's
-    occurrences for the period have been transmitted. Block-cycling
-    alignment (the {e data cycle}, a possibly enormous multiple of the
+    The boundary is the live program's {e broadcast period}, the atomic
+    unit of the schedule layer — every file's occurrences for the period
+    have been transmitted. Block-cycling alignment (the {e data cycle}, a possibly enormous multiple of the
     period) is deliberately not required: the adaptive machinery disperses
     every item once, to a fixed capacity, so any distinct block indices
     reconstruct regardless of which program aired them, and a retrieval
-    straddling a seam keeps its collected blocks. Pass [`Data_cycle] to
-    demand full content alignment anyway (e.g. for caches keyed on
-    absolute slots).
+    straddling a seam keeps its collected blocks.
 
     Every installed swap is appended to a log recording the slot, the
     phase within the old program's cycle (always 0 — the recorded proof of
@@ -25,8 +22,6 @@
     Staging is idempotent: staging the live program clears any pending
     swap, and re-staging replaces the previous staging, so a controller
     that changes its mind before the boundary costs nothing. *)
-
-type boundary = Period | Data_cycle
 
 type entry = {
   slot : int;  (** the slot the swap took effect *)
@@ -44,15 +39,9 @@ val digest : Pindisk.Program.t -> string
 
 type t
 
-val create : ?boundary:boundary -> ?slot:int -> Pindisk.Program.t -> t
-(** A holder serving [program] from slot [slot] (default 0) onward,
-    swapping only at [boundary] (default [Period]) boundaries. *)
-
-val program : t -> Pindisk.Program.t
-(** The live program. *)
-
-val origin : t -> int
-(** The slot the live program took effect. *)
+val create : Pindisk.Program.t -> t
+(** A holder serving [program] from slot 0 onward, swapping only at
+    broadcast-period boundaries. *)
 
 val block_at : t -> int -> (int * int) option
 (** The block on air at an absolute slot [>= origin]: the live program
@@ -65,8 +54,6 @@ val stage : ?slot:int -> t -> cause:string -> Pindisk.Program.t -> unit
     the observability layer reports the decision-to-installation wait as
     the [adapt.swap.wait] histogram (re-staging before the boundary keeps
     the original decision slot). *)
-
-val pending : t -> bool
 
 val tick : t -> int -> entry option
 (** Call once at the start of every slot, in slot order. If a staged

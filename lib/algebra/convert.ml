@@ -278,7 +278,3 @@ let compile_certified bcs =
   (List.concat_map fst compiled, List.map snd compiled)
 
 let compile bcs = fst (compile_certified bcs)
-
-let is_nice tasks =
-  let ids = List.map (fun (t, _) -> t.Task.id) tasks in
-  List.length (List.sort_uniq compare ids) = List.length ids

@@ -78,6 +78,3 @@ val compile : Bc.t list -> (Task.t * int) list
 val compile_certified : Bc.t list -> (Task.t * int) list * Trace.t list
 (** {!compile} plus one derivation trace per broadcast condition, in input
     order. *)
-
-val is_nice : (Task.t * int) list -> bool
-(** True when no two tasks share an id — what [compile] guarantees. *)

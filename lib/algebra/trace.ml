@@ -41,33 +41,7 @@ let reduction ~file ~m ~tolerance ~window =
     steps;
   }
 
-let cond_of_task t = { a = t.Task.a; b = t.Task.b }
-let task_of_cond ~id c = Task.make ~id ~a:c.a ~b:c.b
 let density t = Q.sum (List.map (fun c -> Q.make c.a c.b) t.nice)
 let step_count t = List.length t.steps
-let equal t u = t = u
 
 let pp_cond ppf c = Format.fprintf ppf "pc(%d,%d)" c.a c.b
-
-let pp_source ppf = function
-  | Emitted i -> Format.fprintf ppf "nice[%d]" i
-  | Derived k -> Format.fprintf ppf "step[%d]" k
-
-let pp_step ppf = function
-  | Implies { premise; scale; target } ->
-      Format.fprintf ppf "implies %a *%d => %a" pp_source premise scale pp_cond
-        target
-  | Conjoin { base; guaranteed; scale; alias; target } ->
-      Format.fprintf ppf "conjoin %a guarantees %d (*%d) + %a => %a" pp_source
-        base guaranteed scale pp_source alias pp_cond target
-  | Align { base; scale; alias; target } ->
-      Format.fprintf ppf "align %a *%d + %a => %a" pp_source base scale
-        pp_source alias pp_cond target
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>trace %s for bc(%d, %d, [%s]):@ nice:" t.transform
-    t.file t.m
-    (String.concat "; " (Array.to_list (Array.map string_of_int t.d)));
-  List.iter (fun c -> Format.fprintf ppf " %a" pp_cond c) t.nice;
-  List.iteri (fun i s -> Format.fprintf ppf "@ %2d. %a" i pp_step s) t.steps;
-  Format.fprintf ppf "@]"

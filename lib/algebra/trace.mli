@@ -73,17 +73,9 @@ val reduction : file:int -> m:int -> tolerance:int -> window:int -> t
     which implies [pc(m + j, B·T)] for every fault level [j <= r] by R0
     alone (witness scale 1). [window] is [B·T] in slots. *)
 
-val cond_of_task : Pindisk_pinwheel.Task.t -> cond
-val task_of_cond : id:int -> cond -> Pindisk_pinwheel.Task.t
-
 val density : t -> Pindisk_util.Q.t
 (** Exact density of the emitted nice conjunct, [Σ aᵢ/bᵢ]. *)
 
 val step_count : t -> int
 
-val equal : t -> t -> bool
-
 val pp_cond : Format.formatter -> cond -> unit
-val pp_source : Format.formatter -> source -> unit
-val pp_step : Format.formatter -> step -> unit
-val pp : Format.formatter -> t -> unit

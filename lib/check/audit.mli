@@ -32,7 +32,6 @@ type band =
   | Above_one  (** > 1: provably infeasible *)
 
 val band_of_density : Q.t -> band
-val band_name : band -> string
 
 type level_report = {
   level : int;  (** fault count [j] *)
@@ -69,13 +68,10 @@ val problems : t -> string list
 (** Violations that make the audit fail: an under-served fault level, a
     rejected trace, a failed MDS check, density above one. *)
 
-val warnings : t -> string list
-(** Non-fatal flags, currently the [(7/10, 5/6]] density band. *)
-
 val ok : t -> bool
 (** [problems] is empty. *)
 
 val to_json : t -> Json.t
 (** The full report, including the derivation traces themselves
-    (re-parseable with {!Witness.trace_of_json} and re-checkable with
-    {!Kernel.validate}). *)
+    (as {!Witness.trace_to_json} renders them, for {!Kernel.validate} to
+    re-check). *)

@@ -41,12 +41,6 @@ val member : string -> t -> t option
 
 val to_int : t -> (int, string) result
 
-val to_float : t -> (float, string) result
-(** Accepts [Float] and (widening) [Int]. *)
-
-val to_str : t -> (string, string) result
-val to_list : t -> (t list, string) result
-
 val get_int : string -> t -> (int, string) result
 (** [get_int k j] is the integer at field [k] of object [j]. *)
 

@@ -13,7 +13,9 @@ let pp_outcome ppf = function
            Format.pp_print_int)
         (Array.to_list rows)
 
-let default_budget = 10_000
+(* Row subsets inverted exhaustively before the structural check takes
+   over. *)
+let budget = 10_000
 
 (* C(n, k), saturating at max_int (n <= 255 here, but stay safe). *)
 let binomial n k =
@@ -55,7 +57,7 @@ let for_all_subsets n k f =
   in
   go 0
 
-let check_matrix ?(budget = default_budget) matrix ~m =
+let check_matrix matrix ~m =
   let n = Matrix.rows matrix in
   if m < 1 then Error "m must be >= 1"
   else if Matrix.cols matrix <> m then
@@ -73,12 +75,12 @@ let check_matrix ?(budget = default_budget) matrix ~m =
     | Ok count -> Ok (Exhaustive count)
     | Error rows -> Ok (Failed rows)
 
-let check ?(budget = default_budget) n ~m =
+let check n ~m =
   if m < 1 then Error "m must be >= 1"
   else if n < m then Error "need n >= m dispersed blocks"
   else if n > 255 then Error "n must be <= 255 over GF(256)"
   else if binomial n m <= budget then
-    check_matrix ~budget (Matrix.vandermonde ~rows:n ~cols:m) ~m
+    check_matrix (Matrix.vandermonde ~rows:n ~cols:m) ~m
   else begin
     (* Vandermonde on pairwise distinct nodes: every square submatrix on
        distinct nodes is invertible, so distinctness of x_i = exp i for

@@ -25,14 +25,14 @@ type outcome =
 
 val pp_outcome : Format.formatter -> outcome -> unit
 
-val check : ?budget:int -> int -> m:int -> (outcome, string) result
+val check : int -> m:int -> (outcome, string) result
 (** [check n ~m] audits the [n x m] dispersal matrix IDA uses for an
     [(m, n)] level. [Error] on nonsensical dimensions
-    ([m < 1 || n < m || n > 255]). [budget] caps the number of subsets
-    inverted exhaustively (default [10_000]). *)
+    ([m < 1 || n < m || n > 255]). At most [10_000] subsets are inverted
+    exhaustively. *)
 
 val check_matrix :
-  ?budget:int -> Pindisk_gf256.Matrix.t -> m:int -> (outcome, string) result
+  Pindisk_gf256.Matrix.t -> m:int -> (outcome, string) result
 (** Exhaustive-only variant for an arbitrary matrix (no structural
     fallback — [Error] when [C(rows, m)] exceeds the budget). Exposed so
     tests can feed handcrafted singular matrices through the same

@@ -49,13 +49,6 @@ let span_fields : Obs.Trace.span -> (string * Json.t) list = function
         ("slot", Json.Int slot);
         ("replayed", Json.Int replayed);
       ]
-  | Obs.Trace.Retry { file; attempt; backoff } ->
-      [
-        ("span", Json.Str "retry");
-        ("file", Json.Int file);
-        ("attempt", Json.Int attempt);
-        ("backoff", Json.Int backoff);
-      ]
 
 let event_to_json (e : Obs.Trace.event) =
   Json.Obj (("tick", Json.Int e.tick) :: span_fields e.span)
@@ -171,11 +164,6 @@ let span_of_json j =
       let* slot = Json.get_int "slot" j in
       let* replayed = Json.get_int "replayed" j in
       Ok (Obs.Trace.Recover { slot; replayed })
-  | "retry" ->
-      let* file = Json.get_int "file" j in
-      let* attempt = Json.get_int "attempt" j in
-      let* backoff = Json.get_int "backoff" j in
-      Ok (Obs.Trace.Retry { file; attempt; backoff })
   | other -> Error (Printf.sprintf "unknown span kind %S" other)
 
 let event_of_json j =

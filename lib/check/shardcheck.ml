@@ -160,68 +160,3 @@ let problems t =
     ]
 
 let ok t = problems t = []
-
-let q_to_json (q : Q.t) = Json.Obj [ ("num", Json.Int q.Q.num); ("den", Json.Int q.Q.den) ]
-
-let to_json t =
-  Json.Obj
-    [
-      ("stripe", Json.Int t.stripe);
-      ( "channels",
-        Json.List
-          (List.map
-             (fun c ->
-               Json.Obj
-                 [
-                   ("channel", Json.Int c.channel);
-                   ("files", Json.Int c.files);
-                   ("period", Json.Int c.period);
-                   ("density", q_to_json c.density);
-                   ("witnessed", Json.Bool c.witnessed);
-                 ])
-             t.channels) );
-      ( "files",
-        Json.List
-          (List.map
-             (fun f ->
-               Json.Obj
-                 [
-                   ("file", Json.Int f.file);
-                   ("name", Json.Str f.name);
-                   ("capacity", Json.Int f.capacity);
-                   ("channels", Json.List (List.map (fun c -> Json.Int c) f.channels));
-                   ("covered", Json.Bool f.covered);
-                   ("disjoint", Json.Bool f.disjoint);
-                   ("outage_tolerant", Json.Bool f.outage_tolerant);
-                 ])
-             t.files) );
-      ("shed", Json.List (List.map (fun i -> Json.Int i) t.shed));
-      ("problems", Json.List (List.map (fun p -> Json.Str p) (problems t)));
-      ("ok", Json.Bool (ok t));
-    ]
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>";
-  List.iter
-    (fun c ->
-      Format.fprintf ppf "channel %d: %d file(s), period %d, density %a, %s@,"
-        c.channel c.files c.period Q.pp c.density
-        (if c.witnessed then "witnessed" else "NOT WITNESSED"))
-    t.channels;
-  List.iter
-    (fun f ->
-      Format.fprintf ppf "file %d (%s): channels %s%s%s%s@," f.file f.name
-        (String.concat "," (List.map string_of_int f.channels))
-        (if f.covered then "" else ", NOT COVERED")
-        (if f.disjoint then "" else ", OVERLAP")
-        (if f.outage_tolerant then ", outage-tolerant" else ""))
-    t.files;
-  (match t.shed with
-  | [] -> ()
-  | shed ->
-      Format.fprintf ppf "shed: %s@,"
-        (String.concat "," (List.map string_of_int shed)));
-  Format.fprintf ppf "%s@]"
-    (match problems t with
-    | [] -> "shardcheck: ok"
-    | ps -> Printf.sprintf "shardcheck: %d problem(s)" (List.length ps))

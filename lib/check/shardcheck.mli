@@ -59,6 +59,3 @@ val problems : t -> string list
     uncovered or overlapping file, a file served by no channel. *)
 
 val ok : t -> bool
-
-val to_json : t -> Json.t
-val pp : Format.formatter -> t -> unit

@@ -131,10 +131,3 @@ let load path =
   match In_channel.with_open_text path In_channel.input_all with
   | text -> of_string text
   | exception Sys_error e -> Error e
-
-let pp ppf = function
-  | Designer { byte_rate; reqs } ->
-      Format.fprintf ppf "designer: %d B/s, %d files" byte_rate
-        (List.length reqs)
-  | Generalized specs ->
-      Format.fprintf ppf "generalized: %d conditions" (List.length specs)

@@ -32,5 +32,3 @@ val of_string : string -> (t, string) result
 
 val load : string -> (t, string) result
 (** {!of_string} on a file's contents; [Error] on I/O failure too. *)
-
-val pp : Format.formatter -> t -> unit

@@ -1,14 +1,4 @@
 module Trace = Pindisk_algebra.Trace
-module Analysis = Pindisk_pinwheel.Analysis
-module Task = Pindisk_pinwheel.Task
-module Exact = Pindisk_pinwheel.Exact
-module Q = Pindisk_util.Q
-
-let ( let* ) = Result.bind
-
-(* ------------------------------------------------------------------ *)
-(* traces                                                              *)
-(* ------------------------------------------------------------------ *)
 
 let cond_to_json (c : Trace.cond) = Json.Obj [ ("a", Int c.a); ("b", Int c.b) ]
 
@@ -55,150 +45,3 @@ let trace_to_json (t : Trace.t) =
       ("nice", List (List.map cond_to_json t.nice));
       ("steps", List (List.map step_to_json t.steps));
     ]
-
-let cond_of_json j =
-  let* a = Json.get_int "a" j in
-  let* b = Json.get_int "b" j in
-  Ok { Trace.a; b }
-
-let source_of_json j =
-  let* kind = Json.get_str "kind" j in
-  let* index = Json.get_int "index" j in
-  match kind with
-  | "emitted" -> Ok (Trace.Emitted index)
-  | "derived" -> Ok (Trace.Derived index)
-  | k -> Error (Printf.sprintf "unknown source kind %S" k)
-
-let field k j =
-  match Json.member k j with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing field %S" k)
-
-let step_of_json j =
-  let* rule = Json.get_str "rule" j in
-  let src k =
-    let* v = field k j in
-    source_of_json v
-  in
-  let cond k =
-    let* v = field k j in
-    cond_of_json v
-  in
-  match rule with
-  | "implies" ->
-      let* premise = src "premise" in
-      let* scale = Json.get_int "scale" j in
-      let* target = cond "target" in
-      Ok (Trace.Implies { premise; scale; target })
-  | "conjoin" ->
-      let* base = src "base" in
-      let* guaranteed = Json.get_int "guaranteed" j in
-      let* scale = Json.get_int "scale" j in
-      let* alias = src "alias" in
-      let* target = cond "target" in
-      Ok (Trace.Conjoin { base; guaranteed; scale; alias; target })
-  | "align" ->
-      let* base = src "base" in
-      let* scale = Json.get_int "scale" j in
-      let* alias = src "alias" in
-      let* target = cond "target" in
-      Ok (Trace.Align { base; scale; alias; target })
-  | r -> Error (Printf.sprintf "unknown rule %S" r)
-
-let list_of decode items =
-  let* rev =
-    List.fold_left
-      (fun acc x ->
-        let* acc = acc in
-        let* v = decode x in
-        Ok (v :: acc))
-      (Ok []) items
-  in
-  Ok (List.rev rev)
-
-let trace_of_json j =
-  let* file = Json.get_int "file" j in
-  let* m = Json.get_int "m" j in
-  let* d = Json.get_list "d" j in
-  let* d = list_of Json.to_int d in
-  let d = Array.of_list d in
-  let* transform = Json.get_str "transform" j in
-  let* nice = Json.get_list "nice" j in
-  let* nice = list_of cond_of_json nice in
-  let* steps = Json.get_list "steps" j in
-  let* steps = list_of step_of_json steps in
-  Ok (Trace.make ~file ~m ~d ~transform ~nice ~steps)
-
-(* ------------------------------------------------------------------ *)
-(* certificates                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let certificate_to_json = function
-  | Analysis.Density_above_one q ->
-      Json.Obj
-        [
-          ("kind", Str "density_above_one");
-          ("num", Int q.Q.num);
-          ("den", Int q.Q.den);
-        ]
-  | Analysis.Pigeonhole { window; demand } ->
-      Json.Obj
-        [ ("kind", Str "pigeonhole"); ("window", Int window); ("demand", Int demand) ]
-  | Analysis.Exhausted -> Json.Obj [ ("kind", Str "exhausted") ]
-
-let certificate_of_json j =
-  let* kind = Json.get_str "kind" j in
-  match kind with
-  | "density_above_one" ->
-      let* num = Json.get_int "num" j in
-      let* den = Json.get_int "den" j in
-      if den = 0 then Error "zero denominator"
-      else Ok (Analysis.Density_above_one (Q.make num den))
-  | "pigeonhole" ->
-      let* window = Json.get_int "window" j in
-      let* demand = Json.get_int "demand" j in
-      Ok (Analysis.Pigeonhole { window; demand })
-  | "exhausted" -> Ok Analysis.Exhausted
-  | k -> Error (Printf.sprintf "unknown certificate kind %S" k)
-
-type recheck = Valid | Refuted of string | Not_rechecked of string
-
-let pp_recheck ppf = function
-  | Valid -> Format.pp_print_string ppf "valid"
-  | Refuted why -> Format.fprintf ppf "REFUTED: %s" why
-  | Not_rechecked why -> Format.fprintf ppf "not re-checked (%s)" why
-
-let revalidate_certificate ?(exact_states = 500_000) sys cert =
-  match cert with
-  | Analysis.Density_above_one q ->
-      let actual = Task.system_density sys in
-      if not (Q.equal actual q) then
-        Refuted
-          (Format.asprintf "claimed density %a but the system's is %a" Q.pp q
-             Q.pp actual)
-      else if Q.( > ) q Q.one then Valid
-      else Refuted (Format.asprintf "density %a is not above one" Q.pp q)
-  | Analysis.Pigeonhole { window; demand } ->
-      if window < 1 then Refuted "window must be positive"
-      else
-        let actual =
-          List.fold_left
-            (fun acc (t : Task.t) -> acc + (t.a * (window / t.b)))
-            0 sys
-        in
-        if actual <> demand then
-          Refuted
-            (Printf.sprintf
-               "claimed demand %d in a %d-window but the system forces %d"
-               demand window actual)
-        else if demand > window then Valid
-        else Refuted (Printf.sprintf "demand %d fits window %d" demand window)
-  | Analysis.Exhausted -> (
-      if not (Task.is_unit_system sys) then
-        Not_rechecked "multi-unit system; exact search not applicable"
-      else
-        match Exact.decide ~max_states:exact_states sys with
-        | Exact.Infeasible -> Valid
-        | Exact.Feasible _ -> Refuted "exact search found a valid schedule"
-        | Exact.Too_large ->
-            Not_rechecked "state space exceeds the recheck bound")

@@ -1,43 +1,7 @@
-(** Serialized witnesses: derivation traces and infeasibility certificates
-    as JSON, with decoding and independent re-validation.
-
-    Audit artifacts are only useful if they survive a trip through disk —
-    an archived trace re-parsed a year later must still validate, and a
-    stored infeasibility certificate must still refute the same system. So
-    every encoder here has a decoder, and certificates can be re-checked
-    against the task system they were issued for. *)
+(** Serialized witnesses: derivation traces as JSON, the form the audit
+    report embeds them in. Semantic validity of a trace is
+    {!Kernel.validate}'s job. *)
 
 module Trace = Pindisk_algebra.Trace
-module Analysis = Pindisk_pinwheel.Analysis
-
-(** {1 Derivation traces} *)
 
 val trace_to_json : Trace.t -> Json.t
-val trace_of_json : Json.t -> (Trace.t, string) result
-(** Inverse of {!trace_to_json} on its image. Decoding only restores the
-    structure; semantic validity is {!Kernel.validate}'s job. *)
-
-(** {1 Infeasibility certificates} *)
-
-val certificate_to_json : Analysis.certificate -> Json.t
-val certificate_of_json : Json.t -> (Analysis.certificate, string) result
-
-type recheck =
-  | Valid  (** the certificate's claim re-verified against the system *)
-  | Refuted of string  (** the certificate is {e wrong} for this system *)
-  | Not_rechecked of string
-      (** could not be re-established independently (e.g. an [Exhausted]
-          certificate for a state space beyond the recheck bound) *)
-
-val pp_recheck : Format.formatter -> recheck -> unit
-
-val revalidate_certificate :
-  ?exact_states:int ->
-  Pindisk_pinwheel.Task.system ->
-  Analysis.certificate ->
-  recheck
-(** Re-establish a certificate against [sys] from scratch:
-    [Density_above_one q] recomputes the exact density and compares;
-    [Pigeonhole] recomputes the forced demand for the recorded window;
-    [Exhausted] re-runs the exact decision procedure when the system is
-    single-unit and within [exact_states] (default [500_000]). *)

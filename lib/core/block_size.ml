@@ -12,10 +12,6 @@ let file ?(tolerance = 0) ~id ~bytes ~latency () =
   if tolerance < 0 then invalid_arg "Block_size.file: negative tolerance";
   { id; bytes; latency; tolerance }
 
-let blocks_needed f ~block =
-  if block < 1 then invalid_arg "Block_size.blocks_needed: block must be >= 1";
-  Intmath.ceil_div f.bytes block
-
 let per_file_multipliers ~byte_rate ~base files =
   if files = [] then invalid_arg "Block_size.per_file_multipliers: no files";
   if base < 1 then invalid_arg "Block_size.per_file_multipliers: base must be >= 1";

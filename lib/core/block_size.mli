@@ -23,9 +23,6 @@ type file = private {
 
 val file : ?tolerance:int -> id:int -> bytes:int -> latency:int -> unit -> file
 
-val blocks_needed : file -> block:int -> int
-(** [⌈bytes / block⌉]. *)
-
 val per_file_multipliers :
   byte_rate:int -> base:int -> file list ->
   ((int * int) list * Pindisk_pinwheel.Schedule.t) option

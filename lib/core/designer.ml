@@ -34,7 +34,8 @@ type t = {
   utilization : Q.t;
 }
 
-let default_candidates byte_rate =
+(* Every power of two up to the byte rate, largest first. *)
+let candidates byte_rate =
   let rec go b acc = if b > byte_rate then acc else go (2 * b) (b :: acc) in
   go 1 []
 
@@ -59,72 +60,60 @@ let specs_for ~block reqs =
   in
   go [] reqs
 
-let plan ?candidates ~byte_rate reqs =
+let plan ~byte_rate reqs =
   if byte_rate < 1 then invalid_arg "Designer.plan: byte_rate must be >= 1";
   if reqs = [] then invalid_arg "Designer.plan: no requirements";
   let ids = List.map (fun r -> r.id) reqs in
   if List.length (List.sort_uniq compare ids) <> List.length ids then
     invalid_arg "Designer.plan: duplicate ids";
-  let candidates =
-    match candidates with
-    | Some c -> List.sort (fun a b -> compare b a) c
-    | None -> default_candidates byte_rate
-  in
-  let last_reason = ref "no candidate block size was given" in
+  let last_reason = ref "" in
   let rec scan = function
     | [] -> Error !last_reason
     | block :: rest -> (
         let slot_rate = byte_rate / block in
-        if slot_rate < 1 then begin
-          last_reason :=
-            Printf.sprintf "%d-byte blocks exceed the %d B/s channel" block
-              byte_rate;
-          scan rest
-        end
-        else
-          match specs_for ~block reqs with
-          | Error reason ->
-              last_reason := reason;
-              scan rest
-          | Ok specs -> (
-              match Program.pinwheel ~bandwidth:slot_rate specs with
-              | None ->
-                  last_reason :=
-                    Printf.sprintf
-                      "unschedulable at %d-byte blocks (demand %s of %d \
-                       slots/sec)"
-                      block
-                      (Q.to_string (Bandwidth.demand specs))
-                      slot_rate;
-                  scan rest
-              | Some program ->
-                  let files =
-                    List.map
-                      (fun spec ->
-                        {
-                          spec;
-                          window = File_spec.window spec ~bandwidth:slot_rate;
-                          slots_per_period =
-                            Program.occurrences_per_period program
-                              spec.File_spec.id;
-                          delta =
-                            (match Program.delta program spec.File_spec.id with
-                            | Some d -> d
-                            | None -> 0);
-                        })
-                      specs
-                  in
-                  Ok
-                    {
-                      block_size = block;
-                      bandwidth = slot_rate;
-                      slot_rate;
-                      program;
-                      files;
-                      utilization = Schedule.utilization (Program.schedule program);
-                    }))
+        match specs_for ~block reqs with
+        | Error reason ->
+            last_reason := reason;
+            scan rest
+        | Ok specs -> (
+            match Program.pinwheel ~bandwidth:slot_rate specs with
+            | None ->
+                last_reason :=
+                  Printf.sprintf
+                    "unschedulable at %d-byte blocks (demand %s of %d \
+                     slots/sec)"
+                    block
+                    (Q.to_string (Bandwidth.demand specs))
+                    slot_rate;
+                scan rest
+            | Some program ->
+                let files =
+                  List.map
+                    (fun spec ->
+                      {
+                        spec;
+                        window = File_spec.window spec ~bandwidth:slot_rate;
+                        slots_per_period =
+                          Program.occurrences_per_period program
+                            spec.File_spec.id;
+                        delta =
+                          (match Program.delta program spec.File_spec.id with
+                          | Some d -> d
+                          | None -> 0);
+                      })
+                    specs
+                in
+                Ok
+                  {
+                    block_size = block;
+                    bandwidth = slot_rate;
+                    slot_rate;
+                    program;
+                    files;
+                    utilization = Schedule.utilization (Program.schedule program);
+                  }))
   in
-  scan candidates
+  scan (candidates byte_rate)
 
 let pp ppf t =
   Format.fprintf ppf

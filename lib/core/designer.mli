@@ -39,11 +39,9 @@ type t = {
   utilization : Pindisk_util.Q.t;  (** busy fraction of the channel *)
 }
 
-val plan :
-  ?candidates:int list -> byte_rate:int -> requirement list ->
-  (t, string) result
+val plan : byte_rate:int -> requirement list -> (t, string) result
 (** [plan ~byte_rate reqs] chooses the largest feasible block size among
-    [candidates] (default: powers of two), derives each file's block
+    the powers of two up to [byte_rate], derives each file's block
     count and capacity, and builds the program. [Error] explains why no
     candidate worked (with the limiting requirement when identifiable). *)
 

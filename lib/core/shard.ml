@@ -169,9 +169,6 @@ let block_at t ~channel slot =
 let entry t file = Inttbl.find_opt t.index.files file
 let spec t file = Option.map (fun e -> e.spec) (entry t file)
 
-let placements_of t file =
-  match entry t file with Some e -> e.placed | None -> []
-
 let channels_of t file =
   match entry t file with Some e -> e.listen | None -> []
 

@@ -103,10 +103,6 @@ val block_at : t -> channel:int -> int -> (int * int) option
 val spec : t -> int -> File_spec.t option
 (** A file's spec, admitted or shed; [None] for an unknown id. O(1). *)
 
-val placements_of : t -> int -> placement list
-(** A file's placements, ascending by channel; [[]] for shed/unknown.
-    O(1). *)
-
 val channels_of : t -> int -> int list
 (** Channels airing a file, by decreasing share size (ties: lower
     channel first) — the order a client with fewer tuners than stripe

@@ -1,8 +1,5 @@
 type t = int
 
-let zero = 0
-let one = 1
-
 (* x^8 + x^4 + x^3 + x + 1, the AES reduction polynomial. *)
 let poly = 0x11b
 
@@ -104,7 +101,6 @@ let rec wide_table c =
 let ensure_tables coeffs = Array.iter (fun c -> ignore (wide_table c)) coeffs
 
 let add a b = (a lxor b) land 0xff
-let sub = add
 
 let mul a b =
   let a = a land 0xff and b = b land 0xff in
@@ -125,10 +121,6 @@ let log a =
   let a = a land 0xff in
   if a = 0 then invalid_arg "Gf256.log: zero has no discrete log";
   log_table.(a)
-
-let mul_table c =
-  let c = c land 0xff in
-  Bytes.sub mul_tab (c lsl 8) 256
 
 let axpy ~acc ~coeff ~src =
   if Bytes.length acc <> Bytes.length src then
@@ -292,9 +284,6 @@ let lanes rows =
   in
   { width; group; tabs }
 
-let lanes_group l = l.group
-let lanes_width l = l.width
-
 (* The accumulators are local refs of the unit loop, which the compiler
    keeps in registers, and every store goes through one loop over the
    [g] destinations. Keep both inline: without flambda a function that
@@ -369,49 +358,6 @@ let encode_lanes l ~dsts ~src ~stride ~pos ~len =
       Bytes.unsafe_set dsts.(r) i (Char.unsafe_chr ((acc lsr (8 * r)) land 0xff))
     done
   done
-
-(* Observability handles: one atomic bump per bulk entry point, never per
-   byte, and only when the metrics flag is up — the kernels stay clean. *)
-let obs_encode_calls = Pindisk_obs.Registry.counter "gf256.encode_rows.calls"
-let obs_encode_bytes = Pindisk_obs.Registry.counter "gf256.encode_rows.bytes"
-
-let encode_rows ~dsts ~rows ~src ~stride =
-  let g = Array.length dsts in
-  if Array.length rows <> g then invalid_arg "Gf256.encode_rows: arity mismatch";
-  if g > 0 then begin
-    let n = Bytes.length dsts.(0) in
-    if Pindisk_obs.Control.enabled () then begin
-      Pindisk_obs.Registry.incr obs_encode_calls;
-      Pindisk_obs.Registry.add obs_encode_bytes (g * n)
-    end;
-    Array.iter
-      (fun d ->
-        if Bytes.length d <> n then
-          invalid_arg "Gf256.encode_rows: dst lengths disagree")
-      dsts;
-    if stride < n then invalid_arg "Gf256.encode_rows: stride < dst length";
-    let k = Array.length rows.(0) in
-    Array.iter
-      (fun r ->
-        if Array.length r <> k then
-          invalid_arg "Gf256.encode_rows: row widths disagree")
-      rows;
-    if Bytes.length src < k * stride then
-      invalid_arg "Gf256.encode_rows: src shorter than row width * stride";
-    (* Groups of up to four rows, each a single SWAR pass over the source
-       units: every loaded unit feeds the whole group through the packed
-       lane tables instead of being re-read once per row. The lane tables
-       are rebuilt per call (256 * k ints per group — noise next to any
-       bulk encode); callers that encode the same rows repeatedly should
-       build {!lanes} once and use {!encode_lanes} directly. *)
-    let i = ref 0 in
-    while !i < g do
-      let w = min 4 (g - !i) in
-      let l = lanes (Array.sub rows !i w) in
-      encode_lanes l ~dsts:(Array.sub dsts !i w) ~src ~stride ~pos:0 ~len:n;
-      i := !i + w
-    done
-  end
 
 let pow x k =
   if k < 0 then invalid_arg "Gf256.pow: negative exponent";

@@ -13,13 +13,8 @@
 type t = int
 (** A field element in [0, 255]. *)
 
-val zero : t
-val one : t
-
 val add : t -> t -> t
 (** Addition = subtraction = XOR in characteristic 2. *)
-
-val sub : t -> t -> t
 
 val mul : t -> t -> t
 
@@ -36,12 +31,9 @@ val exp : int -> t
 (** [exp k] is the generator [3] raised to the [k]-th power (k taken
     mod 255). *)
 
-val mul_table : t -> bytes
-(** [mul_table c] is the 256-entry multiplication table of [c]: byte [x] of
-    the result is [mul c x]. The bulk kernels below index a flattened copy
-    of all 256 such tables (64 KiB, built once at module initialization),
-    so calling this is never needed for speed — it exists for callers that
-    want an explicit table (and for tests). *)
+(** The bulk kernels below index one flattened table of every
+    coefficient's 256 products (64 KiB, built once at module
+    initialization). *)
 
 val axpy : acc:bytes -> coeff:t -> src:bytes -> unit
 (** [axpy ~acc ~coeff ~src] performs [acc.(i) <- acc.(i) + coeff * src.(i)]
@@ -73,18 +65,6 @@ val encode_row_strided :
     [Bytes.length src >= Array.length coeffs * stride]; raises
     [Invalid_argument] otherwise. *)
 
-val encode_rows :
-  dsts:bytes array -> rows:t array array -> src:bytes -> stride:int -> unit
-(** [encode_rows ~dsts ~rows ~src ~stride] applies several dispersal-matrix
-    rows in grouped SWAR passes: [dsts.(g).(i) <- sum_j rows.(g).(j) *
-    src.(j * stride + i)]. Rows are processed up to four at a time through
-    packed {!lanes} tables (built per call), so each source unit loaded
-    feeds up to four output rows — encode the same rows repeatedly via
-    {!lanes} + {!encode_lanes} to amortize the table build too. All
-    destinations must share one length [<= stride], all rows one width [k]
-    with [Bytes.length src >= k * stride]; raises [Invalid_argument]
-    otherwise. *)
-
 type lanes
 (** Packed per-coefficient lane tables for a group of 1 to 4 matrix rows:
     table entry [b] of coefficient column [j] holds the four products
@@ -99,12 +79,6 @@ val lanes : t array array -> lanes
     more than 4 rows, or unequal widths. Zero coefficients are packed
     like any other (their lane is all-zero). *)
 
-val lanes_group : lanes -> int
-(** Number of rows the tables pack (1 to 4). *)
-
-val lanes_width : lanes -> int
-(** Coefficients per row. *)
-
 val encode_lanes :
   lanes ->
   dsts:bytes array -> src:bytes -> stride:int -> pos:int -> len:int -> unit
@@ -112,7 +86,7 @@ val encode_lanes :
     over one column block: [dsts.(r).(pos + i) <- sum_j rows.(r).(j) *
     src.(j * stride + pos + i)] for [0 <= i < len], where [rows] are the
     rows [l] was built from. [dsts] may name fewer destinations than
-    [lanes_group l]; the surplus high lanes are simply not stored, which
+    the rows [l] packs; the surplus high lanes are simply not stored, which
     lets one table set built for a full group serve calls that need only
     a prefix of its rows. The [pos]/[len] window is how callers block the
     columns into cache-sized parallel tasks: distinct blocks write

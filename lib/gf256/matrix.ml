@@ -115,12 +115,3 @@ let systematic ~rows ~cols =
   | Some tinv -> mul v tinv
 
 let equal a b = a.rows = b.rows && a.cols = b.cols && a.data = b.data
-
-let pp ppf m =
-  for i = 0 to m.rows - 1 do
-    if i > 0 then Format.fprintf ppf "@\n";
-    for j = 0 to m.cols - 1 do
-      if j > 0 then Format.fprintf ppf " ";
-      Format.fprintf ppf "%02x" (get m i j)
-    done
-  done

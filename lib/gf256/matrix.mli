@@ -50,5 +50,3 @@ val invert : t -> t option
     Raises [Invalid_argument] if [m] is not square. *)
 
 val equal : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit

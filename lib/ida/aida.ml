@@ -20,10 +20,10 @@ let allocate ~m ~capacity c =
     invalid_arg "Aida.allocate: need 1 <= m <= capacity <= 255";
   min capacity (m + redundancy c)
 
-let transmit ?pool ida ~capacity c file =
+let transmit ida ~capacity c file =
   let m = Ida.m ida in
   let n = allocate ~m ~capacity c in
   (* Dispersal rows are independent of [n], so the [n] allocated pieces
      are exactly the prefix of the capacity-wide dispersal — encode only
      them instead of encoding [capacity] pieces and discarding the rest. *)
-  Ida.disperse ?pool ida ~n file
+  Ida.disperse ida ~n file

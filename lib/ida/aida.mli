@@ -32,12 +32,9 @@ val allocate : m:int -> capacity:int -> criticality -> int
     [m + redundancy c], clamped to [capacity]. Raises [Invalid_argument]
     unless [1 <= m <= capacity <= 255]. *)
 
-val transmit :
-  ?pool:Pindisk_util.Pool.t ->
-  Ida.t -> capacity:int -> criticality -> bytes -> Ida.piece array
+val transmit : Ida.t -> capacity:int -> criticality -> bytes -> Ida.piece array
 (** [transmit ida ~capacity c file] is the AIDA pipeline of Figure 4:
     bandwidth-allocate [n] out of [capacity] blocks, then disperse exactly
     those [n] (dispersal rows do not depend on [n], so this equals the
     [n]-prefix of the [capacity]-wide dispersal without spending encode
-    passes on blocks that are never transmitted). [pool] is forwarded to
-    {!Ida.disperse}. *)
+    passes on blocks that are never transmitted). *)

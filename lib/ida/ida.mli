@@ -59,10 +59,6 @@ val disperse : ?pool:Pindisk_util.Pool.t -> t -> n:int -> bytes -> piece array
     precedes the fan-out; the output is byte-identical to the sequential
     path. *)
 
-val piece_size : t -> file_size:int -> int
-(** Payload size of each dispersed block for a file of [file_size] bytes:
-    [ceil (file_size / m)] (0 gives 0). *)
-
 val reconstruct : ?pool:Pindisk_util.Pool.t -> t -> length:int -> piece list -> bytes
 (** [reconstruct t ~length pieces] rebuilds the original file of [length]
     bytes from any [>= m t] distinct pieces: the [m] lowest distinct

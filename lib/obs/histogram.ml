@@ -92,7 +92,6 @@ let count t = t.count
 let sum t = t.sum
 let min_value t = t.vmin
 let max_value t = t.vmax
-let mean t = if t.count = 0 then 0.0 else float_of_int t.sum /. float_of_int t.count
 
 let buckets t =
   let acc = ref [] in
@@ -100,48 +99,6 @@ let buckets t =
     if t.counts.(b) > 0 then acc := (b, t.counts.(b)) :: !acc
   done;
   !acc
-
-(* Nearest-rank quantile over the bucket counts. Cumulative bucket counts
-   partition the sorted sample by bucket index (bucketing is monotone in
-   the value), so the selected bucket is exactly the bucket holding the
-   rank-r sample; the estimate returned is that bucket's inclusive upper
-   bound, hence within one bucket (a factor of ~sqrt 2) of the exact
-   sorted-sample quantile. *)
-let rank ~count p =
-  if count = 0 then invalid_arg "Histogram.quantile: empty";
-  if not (p >= 0.0 && p <= 1.0) then
-    invalid_arg "Histogram.quantile: p out of [0, 1]";
-  min (count - 1) (max 0 (int_of_float (ceil (p *. float_of_int count)) - 1))
-
-let quantile t p =
-  let r = rank ~count:t.count p in
-  let b = ref 0 and seen = ref 0 in
-  while !seen + t.counts.(!b) <= r do
-    seen := !seen + t.counts.(!b);
-    incr b
-  done;
-  if !b = 0 then 0 else snd (bucket_bounds !b)
-
-let merge a b =
-  let t = create () in
-  t.count <- a.count + b.count;
-  t.sum <- a.sum + b.sum;
-  (if a.count = 0 then begin
-     t.vmin <- b.vmin;
-     t.vmax <- b.vmax
-   end
-   else if b.count = 0 then begin
-     t.vmin <- a.vmin;
-     t.vmax <- a.vmax
-   end
-   else begin
-     t.vmin <- min a.vmin b.vmin;
-     t.vmax <- max a.vmax b.vmax
-   end);
-  for i = 0 to bucket_count - 1 do
-    t.counts.(i) <- a.counts.(i) + b.counts.(i)
-  done;
-  t
 
 let reset t =
   t.count <- 0;

@@ -10,8 +10,7 @@
 
     A histogram is a plain mutable structure, {e not} domain-safe:
     record into one from a single domain (the sharded counters in
-    {!Registry} are the multi-domain primitive) or merge per-domain
-    histograms on read. *)
+    {!Registry} are the multi-domain primitive). *)
 
 type t
 
@@ -34,21 +33,6 @@ val min_value : t -> int
 
 val max_value : t -> int
 (** Exact largest sample; [0] when empty. *)
-
-val mean : t -> float
-(** [sum / count]; [0.0] when empty (never NaN). *)
-
-val quantile : t -> float -> int
-(** [quantile t p] for [p] in [[0, 1]]: the inclusive upper bound of the
-    bucket holding the nearest-rank [p]-quantile sample. Because
-    bucketing is monotone, the returned estimate always lies in the same
-    bucket as the exact sorted-sample quantile — within one bucket's
-    relative-error bound, a factor of about [sqrt 2]. Raises
-    [Invalid_argument] when empty or [p] out of range. *)
-
-val merge : t -> t -> t
-(** Bucket-wise sum into a fresh histogram; equals the histogram of the
-    concatenated samples exactly (buckets, count, sum, min, max). *)
 
 val reset : t -> unit
 (** Zero in place; handles stay valid. *)

@@ -1,7 +1,7 @@
 (* The process-wide metrics registry. Counters are sharded: one atomic
    slot per (hashed) domain id, incremented with a fetch-and-add on the
    caller's own slot, merged by summing on read — so Pool workers inside
-   [Ida.disperse] / [Gf256.encode_rows] count without cross-domain
+   [Ida.disperse] count without cross-domain
    contention. Slots are spaced out at allocation time with dummy blocks
    so neighbouring atomics start on different cache lines (the GC may
    later move them; the sharding itself is what kills the contention).

@@ -40,8 +40,12 @@ let reset () =
 let mean (h : hist) =
   if h.count = 0 then 0.0 else float_of_int h.sum /. float_of_int h.count
 
-(* Same nearest-rank walk as [Histogram.quantile], over the sparse
-   bucket list. *)
+(* Nearest-rank quantile over the sparse bucket list. Cumulative bucket
+   counts partition the sorted sample by bucket index (bucketing is
+   monotone in the value), so the selected bucket is exactly the bucket
+   holding the rank-r sample; the estimate is that bucket's inclusive
+   upper bound, hence within one bucket (a factor of ~sqrt 2) of the
+   exact sorted-sample quantile. *)
 let quantile (h : hist) p =
   if h.count = 0 then invalid_arg "Snapshot.quantile: empty";
   if not (p >= 0.0 && p <= 1.0) then
@@ -57,71 +61,3 @@ let quantile (h : hist) p =
         else go (seen + n) rest
   in
   go 0 h.buckets
-
-(* Subtract sparse bucket lists (both ascending); buckets that cancel to
-   zero are dropped. *)
-let diff_buckets later earlier =
-  let tbl = Hashtbl.create 16 in
-  List.iter (fun (b, n) -> Hashtbl.replace tbl b n) later;
-  List.iter
-    (fun (b, n) ->
-      let cur = Option.value (Hashtbl.find_opt tbl b) ~default:0 in
-      Hashtbl.replace tbl b (cur - n))
-    earlier;
-  Hashtbl.fold (fun b n acc -> if n = 0 then acc else (b, n) :: acc) tbl []
-  |> List.sort compare
-
-let diff_hist (later : hist) (earlier : hist) =
-  let buckets = diff_buckets later.buckets earlier.buckets in
-  (* Exact minima/maxima are not subtractable; report bucket-resolution
-     bounds of the interval's samples instead. *)
-  let lo, hi =
-    match (buckets, List.rev buckets) with
-    | (first, _) :: _, (last, _) :: _ ->
-        let blo = if first = 0 then 0 else fst (Histogram.bucket_bounds first) in
-        (blo, snd (Histogram.bucket_bounds last))
-    | _ -> (0, 0)
-  in
-  {
-    count = later.count - earlier.count;
-    sum = later.sum - earlier.sum;
-    lo;
-    hi;
-    buckets;
-  }
-
-let diff later earlier =
-  let earlier_counter name =
-    Option.value (List.assoc_opt name earlier.counters) ~default:0
-  in
-  let earlier_hist name = List.assoc_opt name earlier.histograms in
-  {
-    tick = later.tick;
-    counters =
-      List.map (fun (k, v) -> (k, v - earlier_counter k)) later.counters;
-    gauges = later.gauges;
-    histograms =
-      List.map
-        (fun (k, h) ->
-          match earlier_hist k with
-          | None -> (k, h)
-          | Some e -> (k, diff_hist h e))
-        later.histograms;
-    events = List.filter (fun e -> e.Trace.tick > earlier.tick) later.events;
-  }
-
-let pp_hist ppf (h : hist) =
-  if h.count = 0 then Format.fprintf ppf "(no observations)"
-  else
-    Format.fprintf ppf "n=%d sum=%d min=%d max=%d mean=%.2f p50<=%d p99<=%d"
-      h.count h.sum h.lo h.hi (mean h) (quantile h 0.5) (quantile h 0.99)
-
-let pp ppf t =
-  Format.fprintf ppf "tick %d" t.tick;
-  List.iter
-    (fun (k, v) -> Format.fprintf ppf "@.%-32s %d" k v)
-    (t.counters @ t.gauges);
-  List.iter
-    (fun (k, h) -> Format.fprintf ppf "@.%-32s %a" k pp_hist h)
-    t.histograms;
-  List.iter (fun e -> Format.fprintf ppf "@.  %a" Trace.pp_event e) t.events

@@ -1,4 +1,4 @@
-(** Immutable captures of the registry and tracer, with interval diffs.
+(** Immutable captures of the registry and tracer.
 
     A snapshot is plain data — every field is public so serializers
     (e.g. [Pindisk_check.Metrics], which renders snapshots through the
@@ -8,8 +8,8 @@
 type hist = {
   count : int;
   sum : int;
-  lo : int;  (** observed minimum (bucket-resolution after {!diff}); 0 when empty *)
-  hi : int;  (** observed maximum (bucket-resolution after {!diff}); 0 when empty *)
+  lo : int;  (** observed minimum; 0 when empty *)
+  hi : int;  (** observed maximum; 0 when empty *)
   buckets : (int * int) list;
       (** sparse non-zero [(bucket index, count)], ascending; indices are
           {!Histogram.bucket_of} indices *)
@@ -31,17 +31,13 @@ val reset : unit -> unit
 (** [Registry.reset] + [Trace.reset] in one call: the conventional
     prologue before an instrumented run. *)
 
-val diff : t -> t -> t
-(** [diff later earlier]: counter and histogram deltas for interval
-    reporting. Gauges keep [later]'s value; events are [later]'s with
-    ticks after [earlier.tick]; a histogram delta's [lo]/[hi] are
-    bucket-resolution bounds (exact minima are not subtractable). *)
-
 val mean : hist -> float
 (** [sum / count]; [0.0] when empty. *)
 
 val quantile : hist -> float -> int
-(** Same estimator as {!Histogram.quantile}, over the sparse buckets. *)
-
-val pp : Format.formatter -> t -> unit
-(** Human-readable multi-line rendering. *)
+(** [quantile h p] for [p] in [[0, 1]]: the inclusive upper bound of the
+    bucket holding the nearest-rank [p]-quantile sample. Because
+    bucketing is monotone, the estimate always lies in the same bucket as
+    the exact sorted-sample quantile — within one bucket's relative-error
+    bound, a factor of about [sqrt 2]. Raises [Invalid_argument] when
+    empty or [p] out of range. *)

@@ -13,7 +13,6 @@ type span =
   | Hot_swap of { slot : int; cause : string }
   | Crash of { slot : int }
   | Recover of { slot : int; replayed : int }
-  | Retry of { file : int; attempt : int; backoff : int }
 
 type event = { tick : int; span : span }
 
@@ -48,23 +47,3 @@ let events () =
 let reset () =
   Atomic.set next 0;
   Array.fill ring.arr 0 ring.cap dummy
-
-let pp_span ppf = function
-  | Slot { slot; file; index } ->
-      Format.fprintf ppf "slot %d: file %d block %d" slot file index
-  | Fault_burst { slot; length } ->
-      Format.fprintf ppf "fault burst at slot %d (%d slots)" slot length
-  | Reconstruct { file; pieces; bytes } ->
-      Format.fprintf ppf "reconstruct file %d from %d pieces (%d bytes)" file
-        pieces bytes
-  | Hot_swap { slot; cause } ->
-      Format.fprintf ppf "hot-swap at slot %d: %s" slot cause
-  | Crash { slot } -> Format.fprintf ppf "crash at slot %d" slot
-  | Recover { slot; replayed } ->
-      Format.fprintf ppf "recover at slot %d (replaying %d slots)" slot
-        replayed
-  | Retry { file; attempt; backoff } ->
-      Format.fprintf ppf "retry %d for file %d (backoff %d slots)" attempt
-        file backoff
-
-let pp_event ppf e = Format.fprintf ppf "[%d] %a" e.tick pp_span e.span

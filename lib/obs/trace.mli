@@ -22,9 +22,6 @@ type span =
   | Recover of { slot : int; replayed : int }
       (** The server restarted from its checkpoint at [slot], re-airing
           [replayed] slots that had been broadcast after the checkpoint. *)
-  | Retry of { file : int; attempt : int; backoff : int }
-      (** A client re-tuned in for [file] after a failed attempt, having
-          backed off [backoff] slots. *)
 
 type event = { tick : int; span : span }
 
@@ -49,5 +46,3 @@ val set_capacity : int -> unit
 val reset : unit -> unit
 (** Drop buffered events and restart ticks from 1. *)
 
-val pp_span : Format.formatter -> span -> unit
-val pp_event : Format.formatter -> event -> unit

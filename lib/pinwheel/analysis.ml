@@ -55,7 +55,10 @@ let is_harmonic sys =
   in
   go windows
 
-let analyze ?(exact_states = 500_000) sys =
+(* The largest product of window sizes the exact decision attempts. *)
+let exact_states = 500_000
+
+let analyze sys =
   (match Task.check_system sys with
   | Error e -> invalid_arg ("Analysis.analyze: " ^ e)
   | Ok () -> ());

@@ -50,10 +50,10 @@ val pigeonhole_violation : Task.system -> (int * int) option
 
 val is_harmonic : Task.system -> bool
 
-val analyze : ?exact_states:int -> Task.system -> report
+val analyze : Task.system -> report
 (** Full analysis: certificates first, then the constructive schedulers,
-    then (for unit systems within [exact_states], default 500,000) the
-    exact decision. Raises [Invalid_argument] on empty or duplicate-id
+    then (for unit systems whose window sizes multiply to at most
+    500,000) the exact decision. Raises [Invalid_argument] on empty or duplicate-id
     systems. *)
 
 val pp_report : Format.formatter -> report -> unit

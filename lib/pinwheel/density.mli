@@ -30,13 +30,6 @@ type verdict =
 
 val pp_verdict : Format.formatter -> verdict -> unit
 
-val schedulable_threshold : min_window:int -> Pindisk_util.Q.t
-(** The density up to which {e every} system with all windows
-    [>= min_window] is schedulable: [5/6] for [min_window >= 2]
-    (Kawamura), [1] (vacuous) for [min_window < 2] — a [pc(1,1)] task
-    admits no density-based guarantee short of having the system to
-    itself. *)
-
 val classify : Task.system -> verdict
 (** Sound on both sides: [Infeasible] only by the pigeonhole bound or the
     [{2, 3, _}] family argument; [Guaranteed] only by the Holte et al. 1/2

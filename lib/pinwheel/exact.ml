@@ -152,8 +152,8 @@ let decide ?(max_states = 2_000_000) sys =
     end
   end
 
-let is_feasible ?max_states sys =
-  match decide ?max_states sys with
+let is_feasible sys =
+  match decide sys with
   | Feasible _ -> Some true
   | Infeasible -> Some false
   | Too_large -> None

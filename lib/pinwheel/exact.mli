@@ -28,5 +28,6 @@ val decide : ?max_states:int -> Task.system -> result
     Raises [Invalid_argument] on a non-unit system, a system with duplicate
     ids, or an empty system. *)
 
-val is_feasible : ?max_states:int -> Task.system -> bool option
-(** [Some true]/[Some false] when decided, [None] when too large. *)
+val is_feasible : Task.system -> bool option
+(** [Some true]/[Some false] when {!decide} at its default [max_states]
+    decides, [None] when too large. *)

@@ -13,7 +13,10 @@ let popcount =
   let rec go m acc = if m = 0 then acc else go (m lsr 1) (acc + (m land 1)) in
   fun m -> go m 0
 
-let decide ?(max_states = 1_000_000) sys =
+(* The largest [Π 2^(b_i - 1)] the search attempts. *)
+let max_states = 1_000_000
+
+let decide sys =
   (match Task.check_system sys with
   | Error e -> invalid_arg ("Exact_multi.decide: " ^ e)
   | Ok () -> ());
@@ -115,9 +118,3 @@ let decide ?(max_states = 1_000_000) sys =
       Feasible sched
     end
   end
-
-let is_feasible ?max_states sys =
-  match decide ?max_states sys with
-  | Feasible _ -> Some true
-  | Infeasible -> Some false
-  | Too_large -> None

@@ -16,9 +16,7 @@
 
 type result = Feasible of Schedule.t | Infeasible | Too_large
 
-val decide : ?max_states:int -> Task.system -> result
-(** [decide sys] decides any pinwheel system exactly. [max_states]
-    (default [1_000_000]) bounds [Π 2^(b_i - 1)]. Raises
+val decide : Task.system -> result
+(** [decide sys] decides any pinwheel system exactly, or answers
+    [Too_large] when [Π 2^(b_i - 1)] exceeds [1_000_000]. Raises
     [Invalid_argument] on empty systems or duplicate ids. *)
-
-val is_feasible : ?max_states:int -> Task.system -> bool option

@@ -1,12 +1,7 @@
-(** Random pinwheel-instance generation for tests and experiments.
+(** Random pinwheel-instance generation for experiments.
 
     Deterministic given the seed (each generator builds its own
     [Random.State.t]); nothing here touches the global RNG state. *)
-
-val unit_system :
-  seed:int -> n:int -> max_b:int -> Task.system
-(** [n] single-unit tasks with windows drawn uniformly from [[2, max_b]]. No
-    density control; may well be infeasible. *)
 
 val unit_system_with_density :
   seed:int -> n:int -> max_b:int -> target:float -> Task.system
@@ -15,8 +10,3 @@ val unit_system_with_density :
     budget is exceeded; the final system's density is the closest the draw
     got to [target] without passing it. Useful for success-rate-vs-density
     sweeps (experiment E6). *)
-
-val multi_unit_system :
-  seed:int -> n:int -> max_a:int -> max_b:int -> target:float -> Task.system
-(** Like {!unit_system_with_density} but with computation requirements
-    [a] drawn from [[1, max_a]] (and [b >= a] enforced). *)

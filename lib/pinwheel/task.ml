@@ -9,8 +9,6 @@ let make ~id ~a ~b =
 
 let unit ~id ~b = make ~id ~a:1 ~b
 let density t = Q.make t.a t.b
-let equal t u = t.id = u.id && t.a = u.a && t.b = u.b
-let compare = Stdlib.compare
 let pp ppf t = Format.fprintf ppf "(%d, %d, %d)" t.id t.a t.b
 
 type system = t list

@@ -24,10 +24,6 @@ val unit : id:int -> b:int -> t
 val density : t -> Q.t
 (** [a/b], exactly. *)
 
-val equal : t -> t -> bool
-val compare : t -> t -> int
-val pp : Format.formatter -> t -> unit
-
 type system = t list
 (** A pinwheel task system sharing a single resource. Well-formed systems
     ({!check_system}) have pairwise-distinct task ids. *)

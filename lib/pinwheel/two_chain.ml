@@ -86,7 +86,10 @@ let try_combo sys units_a units_b split ~max_period =
       | _ -> None)
   | _ -> None
 
-let plan ?(max_period = 4_000_000) sys =
+(* The longest merged period the search accepts. *)
+let max_period = 4_000_000
+
+let plan sys =
   match Task.check_system sys with
   | Error _ -> None
   | Ok () -> (

@@ -26,12 +26,12 @@ val virtual_window : split -> int -> int
     A-task on its virtual timeline. May be [0] (the task cannot be placed
     at this rate). *)
 
-val plan : ?max_period:int -> Task.system -> Plan.t option
+val plan : Task.system -> Plan.t option
 (** [plan sys] searches thresholds partitioning the (unit-decomposed)
     tasks by window size and a small grid of splits, returning the first
     merged dispatch plan (a {!Plan.merge} of two progression plans) that
     verifies against [sys] — by its occurrences in closed form, without
-    materializing the merged hyperperiod. [max_period] (default [4_000_000]) bounds the
-    merged plan's period. Returns [None] when the search fails — callers
+    materializing the merged hyperperiod. The merged plan's period is at
+    most [4_000_000]. Returns [None] when the search fails — callers
     should fall back to {!Specialize.sx_plan} first, which this module does not
     subsume on single-scale systems. *)

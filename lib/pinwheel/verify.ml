@@ -2,11 +2,6 @@ module Inttbl = Pindisk_util.Inttbl
 
 type violation = { task : int; a : int; b : int; window_start : int; found : int }
 
-let pp_violation ppf v =
-  Format.fprintf ppf
-    "pc(%d, %d, %d) violated: window starting at slot %d holds only %d occurrence(s)"
-    v.task v.a v.b v.window_start v.found
-
 (* Occurrences of [task] in the window of [window] slots starting at each
    slot of one period, via a prefix-sum over two concatenated periods plus
    arithmetic for windows longer than the period. The shared scaffolding of
@@ -24,10 +19,6 @@ let window_counts sched ~task ~window =
   let full = window / p and rest = window mod p in
   Array.init p (fun start ->
       (full * occ_per_period) + prefix.(start + rest) - prefix.(start))
-
-let min_in_window sched ~task ~window =
-  if window < 1 then invalid_arg "Verify.min_in_window: window must be >= 1";
-  Array.fold_left min max_int (window_counts sched ~task ~window)
 
 let check_pc sched ~task ~a ~b =
   if a < 1 || b < a then invalid_arg "Verify.check_pc: need 1 <= a <= b";

@@ -10,22 +10,14 @@ type violation = { task : int; a : int; b : int; window_start : int; found : int
 (** A witness: the window of [b] slots starting at [window_start] contains
     only [found < a] occurrences of [task]. *)
 
-val pp_violation : Format.formatter -> violation -> unit
-
 val window_counts : Schedule.t -> task:int -> window:int -> int array
 (** [window_counts s ~task ~window] is the array, indexed by window start
     slot within one period, of the number of occurrences of [task] in the
     [window] consecutive slots beginning there. The doubled-period
-    prefix-sum scaffolding shared by {!min_in_window} and {!check_pc}, and
+    prefix-sum scaffolding of {!check_pc}, and
     the primitive the design auditor ([pindisk.check]) counts fault-level
     windows with. [window] may exceed the schedule period. Raises
     [Invalid_argument] if [window < 1]. *)
-
-val min_in_window : Schedule.t -> task:int -> window:int -> int
-(** [min_in_window s ~task ~window] is the minimum, over all windows of
-    [window] consecutive slots of the repeated schedule, of the number of
-    slots allocated to [task]. [window] may exceed the schedule period.
-    Raises [Invalid_argument] if [window < 1]. *)
 
 val check_pc : Schedule.t -> task:int -> a:int -> b:int -> violation option
 (** [check_pc s ~task ~a ~b] is [None] iff schedule [s] satisfies

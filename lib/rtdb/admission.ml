@@ -44,5 +44,3 @@ let admit ~bandwidth ~mode items =
     | _ -> Program.pinwheel ~bandwidth (Mode.file_specs mode admitted)
   in
   { admitted; rejected; program }
-
-let all_admitted v = v.rejected = []

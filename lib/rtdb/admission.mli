@@ -27,5 +27,3 @@ val admit : bandwidth:int -> mode:Mode.t -> Item.t list -> verdict
     value density (value as a tie-break), each admitted iff the grown set
     is still schedulable. Raises [Invalid_argument] when [bandwidth < 1]
     or item ids collide. *)
-
-val all_admitted : verdict -> bool

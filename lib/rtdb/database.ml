@@ -15,9 +15,6 @@ let create ~items ~modes =
   distinct (fun (m : Mode.t) -> m.Mode.name) "mode names" modes;
   { items; modes }
 
-let items t = t.items
-let modes t = t.modes
-
 let mode t name = List.find_opt (fun (m : Mode.t) -> m.Mode.name = name) t.modes
 
 let provisioned_capacity t (item : Item.t) =
@@ -28,11 +25,4 @@ let file_specs t ~mode =
 
 let required_bandwidth t ~mode = Bandwidth.required (file_specs t ~mode)
 
-let program ?bandwidth t ~mode =
-  let specs = file_specs t ~mode in
-  match bandwidth with
-  | Some b -> (
-      match Program.pinwheel ~bandwidth:b specs with
-      | Some p -> Some (b, p)
-      | None -> None)
-  | None -> Program.auto specs
+let program t ~mode = Program.auto (file_specs t ~mode)

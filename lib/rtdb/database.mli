@@ -11,8 +11,6 @@ val create : items:Item.t list -> modes:Mode.t list -> t
 (** Raises [Invalid_argument] on duplicate item ids/names, duplicate mode
     names, an empty item list or an empty mode list. *)
 
-val items : t -> Item.t list
-val modes : t -> Mode.t list
 val mode : t -> string -> Mode.t option
 
 val provisioned_capacity : t -> Item.t -> int
@@ -25,7 +23,6 @@ val file_specs : t -> mode:Mode.t -> Pindisk.File_spec.t list
 val required_bandwidth : t -> mode:Mode.t -> int
 (** Equation 2's sufficient bandwidth for the mode. *)
 
-val program : ?bandwidth:int -> t -> mode:Mode.t -> (int * Pindisk.Program.t) option
-(** The broadcast program for a mode: at [bandwidth] if given (and
-    feasible), else at the smallest bandwidth the scheduler finds. Returns
-    the bandwidth used alongside the program. *)
+val program : t -> mode:Mode.t -> (int * Pindisk.Program.t) option
+(** The broadcast program for a mode, at the smallest bandwidth the
+    scheduler finds. Returns the bandwidth used alongside the program. *)

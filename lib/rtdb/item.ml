@@ -14,7 +14,3 @@ let avi_of_velocity ~velocity_kmh ~accuracy_m =
     invalid_arg "Item.avi_of_velocity: accuracy";
   let meters_per_second = velocity_kmh *. 1000.0 /. 3600.0 in
   accuracy_m /. meters_per_second
-
-let pp ppf t =
-  Format.fprintf ppf "%s(id=%d, %d blocks, avi=%ds, value=%d)" t.name t.id
-    t.blocks t.avi t.value

@@ -27,5 +27,3 @@ val avi_of_velocity : velocity_kmh:float -> accuracy_m:float -> float
     [accuracy / velocity]. The paper's aircraft: 900 km/h, 100 m →
     0.4 s; its tank: 60 km/h, 100 m → 6 s. Raises [Invalid_argument]
     unless both arguments are positive and finite (NaN included). *)
-
-val pp : Format.formatter -> t -> unit

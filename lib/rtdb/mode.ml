@@ -34,4 +34,3 @@ let file_specs ?capacity_for t items =
 let max_tolerance modes item =
   List.fold_left (fun acc m -> max acc (tolerance m item)) 0 modes
 
-let pp ppf t = Format.fprintf ppf "mode %s (%d overrides)" t.name (List.length t.overrides)

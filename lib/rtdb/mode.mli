@@ -40,5 +40,3 @@ val file_specs :
 val max_tolerance : t list -> Item.t -> int
 (** The largest tolerance any of the modes asks of the item: the dispersal
     level to provision. *)
-
-val pp : Format.formatter -> t -> unit

@@ -12,7 +12,7 @@ type item_state = {
   mutable complete : bool;
 }
 
-let retrieve ?max_slots ~program ~reads ~update_period ~start () =
+let retrieve ~program ~reads ~update_period ~start =
   if reads = [] then invalid_arg "Snapshot.retrieve: empty read set";
   if update_period < 1 then invalid_arg "Snapshot.retrieve: update_period";
   if start < 0 then invalid_arg "Snapshot.retrieve: negative start";
@@ -28,11 +28,7 @@ let retrieve ?max_slots ~program ~reads ~update_period ~start () =
             invalid_arg "Snapshot.retrieve: needed exceeds capacity");
       if r.needed < 1 then invalid_arg "Snapshot.retrieve: needed must be >= 1")
     reads;
-  let max_slots =
-    match max_slots with
-    | Some m -> m
-    | None -> Program.data_cycles program 50
-  in
+  let max_slots = Program.data_cycles program 50 in
   let period = Program.period program in
   let epoch_at t = t / period * period / update_period in
   let states = Hashtbl.create 8 in
@@ -93,7 +89,7 @@ type summary = {
   mean_restarts : float;
 }
 
-let sweep ?max_slots ~program ~reads ~update_period () =
+let sweep ~program ~reads ~update_period =
   let cycle =
     Intmath.lcm (Program.data_cycle program)
       (Intmath.lcm update_period (Program.period program))
@@ -101,7 +97,7 @@ let sweep ?max_slots ~program ~reads ~update_period () =
   let starved = ref 0 in
   let sum = ref 0 and worst = ref 0 and rsum = ref 0 in
   for start = 0 to cycle - 1 do
-    match retrieve ?max_slots ~program ~reads ~update_period ~start () with
+    match retrieve ~program ~reads ~update_period ~start with
     | None -> incr starved
     | Some o ->
         sum := !sum + o.elapsed;
@@ -120,8 +116,3 @@ let sweep ?max_slots ~program ~reads ~update_period () =
       (if completed = 0 then Float.nan
        else float_of_int !rsum /. float_of_int completed);
   }
-
-let pp_summary ppf s =
-  Format.fprintf ppf
-    "%d tune-ins (%d starved): elapsed mean %.1f / max %d; restarts %.2f"
-    s.trials s.starved s.mean_elapsed s.max_elapsed s.mean_restarts

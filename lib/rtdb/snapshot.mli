@@ -24,12 +24,12 @@ type outcome = {
 }
 
 val retrieve :
-  ?max_slots:int -> program:Pindisk.Program.t -> reads:read list ->
-  update_period:int -> start:int -> unit -> outcome option
+  program:Pindisk.Program.t -> reads:read list ->
+  update_period:int -> start:int -> outcome option
 (** Fault-free snapshot retrieval (versioning is the phenomenon under
     study; channel faults compose independently). Epochs advance at
-    broadcast-period boundaries per {!Staleness}. [None] when [max_slots]
-    (default 50 data cycles) elapses first. Raises [Invalid_argument] on
+    broadcast-period boundaries per {!Staleness}. [None] when 50 data cycles
+    elapse first. Raises [Invalid_argument] on
     an empty or duplicate-file read set, unknown files, or [needed]
     beyond a capacity. *)
 
@@ -42,8 +42,6 @@ type summary = {
 }
 
 val sweep :
-  ?max_slots:int -> program:Pindisk.Program.t -> reads:read list ->
-  update_period:int -> unit -> summary
+  program:Pindisk.Program.t -> reads:read list ->
+  update_period:int -> summary
 (** {!retrieve} from every tune-in slot of one joint cycle. *)
-
-val pp_summary : Format.formatter -> summary -> unit

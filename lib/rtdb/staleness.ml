@@ -9,7 +9,7 @@ let version_on_air ~period ~update_period t =
   let boundary = t / period * period in
   boundary / update_period
 
-let retrieve ?max_slots ~program ~file ~needed ~update_period ~start () =
+let retrieve ~program ~file ~needed ~update_period ~start =
   if update_period < 1 then invalid_arg "Staleness.retrieve: update_period";
   if start < 0 then invalid_arg "Staleness.retrieve: negative start";
   if needed < 1 then invalid_arg "Staleness.retrieve: needed must be >= 1";
@@ -20,11 +20,7 @@ let retrieve ?max_slots ~program ~file ~needed ~update_period ~start () =
         invalid_arg "Staleness.retrieve: needed exceeds capacity");
   if Program.occurrences_per_period program file = 0 then
     invalid_arg "Staleness.retrieve: file never broadcast";
-  let max_slots =
-    match max_slots with
-    | Some m -> m
-    | None -> Program.data_cycles program 50
-  in
+  let max_slots = Program.data_cycles program 50 in
   let period = Program.period program in
   let collected = Hashtbl.create 8 in
   let collecting_version = ref (-1) in
@@ -67,15 +63,7 @@ type summary = {
   mean_restarts : float;
 }
 
-let pp_summary ppf s =
-  Format.fprintf ppf
-    "%d tune-ins (%d starved): latency mean %.1f / max %d; age mean %.1f / \
-     max %d; consistent %.1f%%; restarts %.2f"
-    s.trials s.starved s.mean_latency s.max_latency s.mean_age s.max_age
-    (100.0 *. s.consistency_ratio)
-    s.mean_restarts
-
-let sweep ?max_slots ~program ~file ~needed ~update_period ~avi () =
+let sweep ~program ~file ~needed ~update_period ~avi =
   let cycle =
     Intmath.lcm (Program.data_cycle program)
       (Intmath.lcm update_period (Program.period program))
@@ -85,7 +73,7 @@ let sweep ?max_slots ~program ~file ~needed ~update_period ~avi () =
   let age_sum = ref 0 and age_max = ref 0 in
   let consistent = ref 0 and restart_sum = ref 0 in
   for start = 0 to cycle - 1 do
-    match retrieve ?max_slots ~program ~file ~needed ~update_period ~start () with
+    match retrieve ~program ~file ~needed ~update_period ~start with
     | None -> incr starved
     | Some o ->
         lat_sum := !lat_sum + o.latency;

@@ -23,12 +23,12 @@ type outcome = {
 }
 
 val retrieve :
-  ?max_slots:int -> program:Pindisk.Program.t -> file:int -> needed:int ->
-  update_period:int -> start:int -> unit -> outcome option
+  program:Pindisk.Program.t -> file:int -> needed:int ->
+  update_period:int -> start:int -> outcome option
 (** Deterministic (fault-free) retrieval under versioning. Versions are
     sampled at slots [0, update_period, 2·update_period, …] and take
     effect at the next multiple of the broadcast period. [None] when the
-    retrieval starves past [max_slots] (default 50 data cycles). Raises
+    retrieval starves past 50 data cycles. Raises
     [Invalid_argument] if the file is absent or [needed] exceeds its
     capacity. *)
 
@@ -44,11 +44,9 @@ type summary = {
   mean_restarts : float;
 }
 
-val pp_summary : Format.formatter -> summary -> unit
-
 val sweep :
-  ?max_slots:int -> program:Pindisk.Program.t -> file:int -> needed:int ->
-  update_period:int -> avi:int -> unit -> summary
+  program:Pindisk.Program.t -> file:int -> needed:int ->
+  update_period:int -> avi:int -> summary
 (** {!retrieve} from every tune-in slot of one full cycle
     (lcm of data cycle, update period and broadcast period),
     aggregated; starved retrievals count against consistency. *)

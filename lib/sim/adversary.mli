@@ -7,11 +7,7 @@
     retrieval time. The computation is a memoized search over
     (position in data cycle, set of blocks already collected, errors left)
     — exact, not a bound — so it is limited to files with capacity at most
-    {!max_capacity}. *)
-
-val max_capacity : int
-(** Largest file capacity (distinct on-air blocks) supported: 20. The
-    collected-set is a bitmask. *)
+    20 (the collected set is a bitmask). *)
 
 val retrieval_from :
   Pindisk.Program.t -> file:int -> needed:int -> errors:int -> start:int -> int
@@ -26,7 +22,7 @@ val worst_case_retrieval :
     [errors] ruined receptions of this file, of the retrieval time in slots
     (tune-in through completion, inclusive). Raises [Invalid_argument] when
     the file is absent, [needed] exceeds its capacity, or the capacity
-    exceeds {!max_capacity}. *)
+    exceeds 20. *)
 
 val worst_case_delay :
   Pindisk.Program.t -> file:int -> needed:int -> errors:int -> int

@@ -228,7 +228,7 @@ let rows_of_hist ~file ~deadline elapsed_counts ~expired ~losses =
 
 (* ---- Trace mode: exact per-client replay, class-shared sweep ---- *)
 
-let run ?pool ?max_slots ~program ~fault ~seed trace =
+let run ?max_slots ~program ~fault ~seed trace =
   let who = "Cohort.run" in
   let max_slots = window ~who ?max_slots program in
   let period = Program.period program in
@@ -255,7 +255,7 @@ let run ?pool ?max_slots ~program ~fault ~seed trace =
   in
   let outcomes = Array.make n (None, 0) in
   let obs = Obs.Control.enabled () in
-  for_classes ?pool ~n:(Array.length classes) (fun ci ->
+  for_classes ~n:(Array.length classes) (fun ci ->
       let key, members = classes.(ci) in
       let swept = ref 0 in
       List.iter
@@ -538,7 +538,5 @@ let population_rows ?pool ?max_slots ?(sampled = false) ~program ~model ~seed
 
 let retire rows = Retire.retire ~sinks rows
 
-let run_population ?pool ?max_slots ?sampled ~program ~model ~seed classes =
-  retire
-    (population_rows ?pool ?max_slots ?sampled ~program ~model ~seed ~rest:[]
-       classes)
+let run_population ?sampled ~program ~model ~seed classes =
+  retire (population_rows ?sampled ~program ~model ~seed ~rest:[] classes)

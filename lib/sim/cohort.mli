@@ -38,10 +38,11 @@
     member sweep ({!sweep}) is shared with {!Multi.run}, which passes
     one lane per tuned channel.
 
-    Classes shard across {!Pindisk_util.Pool} domains; workers touch
-    only per-class slots and sharded [cohort.*] counters, and the final
-    fold runs on the caller in canonical class order, so pooled and
-    sequential runs produce identical results and merged counters.
+    {!population_rows}' classes shard across {!Pindisk_util.Pool}
+    domains; workers touch only per-class slots and sharded [cohort.*]
+    counters, and the final fold runs on the caller in canonical class
+    order, so pooled and sequential runs produce identical results and
+    merged counters.
 
     Observability (when {!Pindisk_obs.Control.enabled}): the retirement
     namespace [cohort.requests] / [cohort.completed] / [cohort.missed] /
@@ -77,10 +78,6 @@ type model =
       loss_bad : float;
     }
 
-val fault_of_model : model -> seed:int -> Fault.t
-(** The {!Fault} process a given model describes — what {!run} should be
-    handed when cross-checking a sampled population run. *)
-
 type lane
 (** One tuned channel of one member's retrieval: the file's slot offsets
     within the channel program's period, its block count there, the
@@ -113,7 +110,6 @@ val sweep : needed:int -> max_slots:int -> lane array -> int option * int * int
     expiry). *)
 
 val run :
-  ?pool:Pindisk_util.Pool.t ->
   ?max_slots:int ->
   program:Pindisk.Program.t ->
   fault:(seed:int -> Fault.t) ->
@@ -129,9 +125,7 @@ val run :
     the same program, including float accumulation order. Members of a
     class share the occurrence pattern instead of re-walking the
     program per request. [max_slots] is each request's retrieval window
-    (default [100 ·] the program's data cycle). [pool] shards classes
-    across domains (default: inline sequential); [fault] must be pure
-    construction, as it is called from worker domains. Raises
+    (default [100 ·] the program's data cycle). Raises
     [Invalid_argument] on a request naming a file the program has no
     capacity for or never broadcasts, [needed < 1] or beyond the file's
     capacity, or a negative issue slot. *)
@@ -148,18 +142,20 @@ val population_rows :
   Retire.row list
 (** The retirement rows of a closed-form population, in canonical class
     order, followed by [rest]; {!run_population} is {!retire} of these
-    rows with [rest = []]. Each class's rows ascend in elapsed, then
+    rows with [rest = []], no [pool] and the default [max_slots]. [pool]
+    shards classes across domains (default: inline sequential);
+    [max_slots] is each client's retrieval window (default [100 ·] the
+    program's data cycle). Each class's rows ascend in elapsed, then
     hold its expired clients; the class's losses ride on its first row.
     Counts [cohort.classes], [cohort.members], [cohort.analytic],
     [cohort.laws] and [cohort.swept] like {!run_population}, but records
-    no retirement. Validation as {!run_population}. *)
+    no retirement. Validation as {!run_population}, and [max_slots < 1]
+    raises [Invalid_argument] too. *)
 
 val retire : Retire.row list -> Engine.result
 (** {!Retire.retire} under the [cohort.*] sinks. *)
 
 val run_population :
-  ?pool:Pindisk_util.Pool.t ->
-  ?max_slots:int ->
   ?sampled:bool ->
   program:Pindisk.Program.t ->
   model:model ->
@@ -177,7 +173,7 @@ val run_population :
     weight over that law is not: each bucket holds weight × mass
     rounded up or down, so within one client of it. [seed] feeds the
     sampled path's content-derived member seeds; the analytic path
-    ignores it. [max_slots] defaults to [100 ·] the program's data
-    cycle. Raises [Invalid_argument] for [max_slots < 1], a class with
+    ignores it. Each client listens for at most [100 ·] the program's
+    data cycle. Raises [Invalid_argument] for a class with
     [phase] outside [[0, period)], a negative weight, or a file or
     [needed] {!run} rejects. *)

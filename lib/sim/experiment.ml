@@ -17,7 +17,7 @@ let pp_summary ppf s =
     s.trials s.completed s.missed_deadline s.mean_latency s.min_latency
     s.max_latency s.total_losses
 
-let run ?max_slots ~program ~file ~needed ~deadline ~fault ~trials ~seed () =
+let run ~program ~file ~needed ~deadline ~fault ~trials ~seed =
   if trials < 1 then invalid_arg "Experiment.run: trials must be >= 1";
   let rng = Random.State.make [| seed; 0x51b |] in
   let cycle = Program.data_cycle program in
@@ -28,7 +28,7 @@ let run ?max_slots ~program ~file ~needed ~deadline ~fault ~trials ~seed () =
     let start = Random.State.int rng cycle in
     let outcome =
       match
-        Client.retrieve ?max_slots ~program ~file ~needed ~start
+        Client.retrieve ~program ~file ~needed ~start
           ~fault:(fault ~seed:(Pindisk_util.Intmath.mix64 (seed + k))) ()
       with
       | Ok o -> o

@@ -17,10 +17,9 @@ type summary = {
 val pp_summary : Format.formatter -> summary -> unit
 
 val run :
-  ?max_slots:int -> program:Pindisk.Program.t -> file:int -> needed:int ->
-  deadline:int -> fault:(seed:int -> Fault.t) -> trials:int -> seed:int ->
-  unit -> summary
-(** [run ~program ~file ~needed ~deadline ~fault ~trials ~seed ()] starts
+  program:Pindisk.Program.t -> file:int -> needed:int -> deadline:int ->
+  fault:(seed:int -> Fault.t) -> trials:int -> seed:int -> summary
+(** [run ~program ~file ~needed ~deadline ~fault ~trials ~seed] starts
     [trials] clients at uniformly random tune-in slots within one data
     cycle (deterministic in [seed]), each with a fresh fault process
     [fault ~seed:k]. Raises [Invalid_argument] when [trials < 1] or when

@@ -68,15 +68,11 @@ let self_identifying_metrics prog ~file ~needed =
   (* Listening continuously: every waiting slot costs energy. *)
   { access_time = mean; tuning_time = mean }
 
-let indexed_retrieve_lossy ?max_slots prog ~index_file ~index_slots ~file
-    ~needed ~start ~fault =
+let indexed_retrieve_lossy prog ~index_file ~index_slots ~file ~needed ~start
+    ~fault =
   if needed < 1 then invalid_arg "Indexing: needed must be >= 1";
   if start < 0 then invalid_arg "Indexing: negative start";
-  let limit =
-    match max_slots with
-    | Some m -> start + m
-    | None -> start + Program.data_cycles prog 100
-  in
+  let limit = start + Program.data_cycles prog 100 in
   Fault.reset_to fault start;
   (* The fault process must advance once per slot regardless of whether
      the radio is on; advance it lazily up to an absolute slot. *)

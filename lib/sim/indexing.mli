@@ -50,12 +50,12 @@ val indexed_metrics :
     exactly for the file's next [needed] transmissions. *)
 
 val indexed_retrieve_lossy :
-  ?max_slots:int -> Pindisk.Program.t -> index_file:int -> index_slots:int ->
+  Pindisk.Program.t -> index_file:int -> index_slots:int ->
   file:int -> needed:int -> start:int -> fault:Fault.t -> metrics option
 (** The same protocol on a lossy channel — the case the paper's footnote
     3 worries about. A ruined {e data} reception costs one more wake-up; a
     ruined {e index} reception is worse: the dozing client must stay with
     the channel to the next index copy before it can plan again. Losses
     hit receptions the client is awake for (dozing slots can't be lost —
-    the radio is off). [None] if [max_slots] (default 100 data cycles)
-    elapses. *)
+    the radio is off). [None] if 100 data cycles
+    elapse. *)

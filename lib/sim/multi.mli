@@ -35,9 +35,6 @@ type member = {
   weight : int;  (** statistically identical clients *)
 }
 
-val members_of_trace : Workload.request list -> member list
-(** Weight-1 members in trace order. *)
-
 val run :
   ?max_slots:int ->
   design:Pindisk.Shard.t ->

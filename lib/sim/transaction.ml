@@ -24,14 +24,10 @@ let validate program reads =
             invalid_arg "Transaction: needed exceeds the file's capacity")
     reads
 
-let retrieve ?max_slots ~program ~reads ~start ~fault () =
+let retrieve ~program ~reads ~start ~fault =
   validate program reads;
   if start < 0 then invalid_arg "Transaction: negative start";
-  let max_slots =
-    match max_slots with
-    | Some m -> m
-    | None -> Program.data_cycles program 100
-  in
+  let max_slots = Program.data_cycles program 100 in
   let wanted = Hashtbl.create 8 in
   List.iter (fun r -> Hashtbl.replace wanted r.file (r.needed, Hashtbl.create 8)) reads;
   let outstanding = ref (List.length reads) in
@@ -90,8 +86,6 @@ let worst_case program ~reads =
       in
       max worst elapsed)
     0 starts
-
-let guaranteed program ~reads ~deadline = worst_case program ~reads <= deadline
 
 let worst_case_shared program ~reads ~errors =
   if errors < 0 then invalid_arg "Transaction: negative errors";

@@ -20,11 +20,11 @@ type outcome = {
 }
 
 val retrieve :
-  ?max_slots:int -> program:Pindisk.Program.t -> reads:spec list ->
-  start:int -> fault:Fault.t -> unit -> outcome
+  program:Pindisk.Program.t -> reads:spec list -> start:int ->
+  fault:Fault.t -> outcome
 (** Simulate one client executing the transaction: a single fault process
     governs the channel; every on-air block of any read's file is
-    harvested. Raises [Invalid_argument] on an empty read set, duplicate
+    harvested, for at most 100 data cycles. Raises [Invalid_argument] on an empty read set, duplicate
     files, or a read exceeding its file's capacity. *)
 
 val worst_case :
@@ -33,11 +33,8 @@ val worst_case :
     time, with each read [r] attacked by its own budget of
     [r.tolerate] adversarial errors (adversaries on different files are
     independent, which is exact because a ruined reception of one file
-    never helps against another). Subject to {!Adversary.max_capacity}
-    per file. *)
-
-val guaranteed : Pindisk.Program.t -> reads:spec list -> deadline:int -> bool
-(** [worst_case <= deadline]. *)
+    never helps against another). Subject to {!Adversary}'s capacity
+    limit of 20 per file. *)
 
 val worst_case_shared :
   Pindisk.Program.t -> reads:spec list -> errors:int -> int

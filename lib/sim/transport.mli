@@ -17,23 +17,17 @@ val create : program:Pindisk.Program.t -> (int * int * bytes) list -> t
     file_id] pieces (so any [m] of them reconstruct). Every file of the
     program must be given content, with [1 <= m <= capacity]. *)
 
-val program : t -> Pindisk.Program.t
-
 val on_air : t -> int -> (int * Pindisk_ida.Ida.piece) option
 (** [on_air t slot] is the (file, dispersed piece) broadcast in that slot,
     or [None] for an idle slot. *)
-
-val find_source_blocks : t -> int -> int option
-(** The [m] a client needs for the file, or [None] for unknown files. *)
 
 (** {1 Typed retrieval errors}
 
     {!retrieve} distinguishes the three ways a retrieval goes wrong, so
     callers can react differently: a {!Timeout} is transient (re-tune in
-    later — [~attempts] automates that), an {!Unknown_file} is a caller
-    bug, and a {!Reconstruct_failed} means the collected pieces were
-    inconsistent (corruption — there is no point retrying with the same
-    pieces). *)
+    later), an {!Unknown_file} is a caller bug, and a {!Reconstruct_failed}
+    means the collected pieces were inconsistent (corruption — there is no
+    point retrying with the same pieces). *)
 
 type error =
   | Timeout of { slots : int; collected : int; needed : int }
@@ -43,23 +37,11 @@ type error =
   | Reconstruct_failed of string
       (** IDA reconstruction rejected the collected pieces. *)
 
-val pp_error : Format.formatter -> error -> unit
-
 val retrieve :
-  ?attempts:int -> ?backoff:int -> ?max_slots:int ->
-  t -> file:int -> start:int -> fault:Fault.t -> unit ->
-  (bytes, error) result
+  t -> file:int -> start:int -> fault:Fault.t -> (bytes, error) result
 (** Collect pieces of [file] from slot [start] under the fault process
     until [m] distinct pieces arrive, then reconstruct: [Ok bytes] is
     bit-exact equal to the stored content (the tests assert it), and
-    every way the retrieval can fail is an [Error]. Each attempt listens
-    for at most [max_slots] slots (default 100 data cycles). On timeout
-    the client backs off exponentially — attempt [i] waits
-    [backoff * 2^(i-1)] slots (default [backoff] is one broadcast period)
-    — and re-tunes in, up to [attempts] (default 1) attempts in total.
-    Pieces collected before a timeout are kept across re-tune-ins
-    (dispersal is fixed), so attempts make monotone progress. Each
-    re-tune-in records an [Obs.Trace.Retry] span and bumps the
-    [sim.transport.retries] counter. Raises
-    [Invalid_argument] only on a malformed request: a negative [start],
-    [attempts < 1] or [backoff < 1]. *)
+    every way the retrieval can fail is an [Error]. The client listens
+    for at most 100 data cycles. Raises [Invalid_argument] only on a
+    negative [start]. *)

@@ -19,7 +19,7 @@ type request = {
   status : status;
 }
 
-type stored = { m : int; length : int; content : bytes; pieces : Ida.piece array }
+type stored = { m : int; pieces : Ida.piece array }
 
 type t = {
   prog : Program.t;
@@ -46,8 +46,7 @@ let create ?(depth = 8) ~latency ~program files =
         invalid_arg "Block_store.create: need 1 <= m <= capacity";
       let ida = Ida.create ~m in
       let pieces = Ida.disperse ida ~n:capacity content in
-      Hashtbl.replace store file
-        { m; length = Bytes.length content; content = Bytes.copy content; pieces })
+      Hashtbl.replace store file { m; pieces })
     files;
   List.iter
     (fun f ->
@@ -58,22 +57,17 @@ let create ?(depth = 8) ~latency ~program files =
   { prog = program; store; latency; depth; queue = []; next_read = 0 }
 
 let program t = t.prog
-let depth t = t.depth
 
 let source_blocks t file =
   Option.map (fun s -> s.m) (Hashtbl.find_opt t.store file)
-
-let length t file =
-  Option.map (fun s -> s.length) (Hashtbl.find_opt t.store file)
-
-let content t file =
-  Option.map (fun s -> Bytes.copy s.content) (Hashtbl.find_opt t.store file)
 
 let stored_exn t file name =
   match Hashtbl.find_opt t.store file with
   | Some s -> s
   | None -> invalid_arg (Printf.sprintf "Block_store.%s: unknown file %d" name file)
 
+(* The piece the [occurrence]-th transmission of the file carries:
+   [occurrence mod capacity], the program's block-cycling discipline. *)
 let piece t ~file ~occurrence =
   let s = stored_exn t file "piece" in
   s.pieces.(occurrence mod Array.length s.pieces)

@@ -53,21 +53,8 @@ val create :
     8, [>= 1]) bounds the outstanding-request queue. *)
 
 val program : t -> Pindisk.Program.t
-val depth : t -> int
 val source_blocks : t -> int -> int option
 (** The [m] of a stored file, or [None]. *)
-
-val length : t -> int -> int option
-(** Stored content length in bytes, or [None]. *)
-
-val content : t -> int -> bytes option
-(** A copy of the stored content (ground truth for the invariant
-    checks). *)
-
-val piece : t -> file:int -> occurrence:int -> Ida.piece
-(** The piece the [occurrence]-th transmission of the file carries
-    ([occurrence mod capacity] — the program's block-cycling discipline).
-    Raises [Invalid_argument] for unknown files. *)
 
 val outstanding : t -> slot:int -> int
 (** Reads in flight at the slot: submitted, not failed or shed, and not

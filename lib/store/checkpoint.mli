@@ -32,8 +32,6 @@ type t = {
   queue : Block_store.request list;
 }
 
-val to_json : t -> Pindisk_check.Json.t
-val of_json : Pindisk_check.Json.t -> (t, string) result
 val to_string : t -> string
 val of_string : string -> (t, string) result
 

@@ -442,5 +442,3 @@ let suite () =
       retrievals = [ { file = 0; tune_in = 55 }; { file = 1; tune_in = 65 } ];
     };
   ]
-
-let run_all () = List.map run (suite ())

@@ -86,5 +86,3 @@ val suite : unit -> spec list
     baseline, single crashes early and late, a double crash, a stuck
     reader (with escalation), overflow pressure, and a burst-plus-crash
     compound. *)
-
-val run_all : unit -> report list

@@ -8,16 +8,6 @@ type fault_reason = Read_late of int | Read_failed | Queue_overflow
 
 type output = Piece of int * Ida.piece | Idle | Faulted of fault_reason
 
-let pp_output ppf = function
-  | Piece (file, piece) ->
-      Format.fprintf ppf "piece %d of file %d" piece.Ida.index file
-  | Idle -> Format.pp_print_string ppf "idle"
-  | Faulted (Read_late ready_at) ->
-      Format.fprintf ppf "faulted (read late, ready at %d)" ready_at
-  | Faulted Read_failed -> Format.pp_print_string ppf "faulted (read failed)"
-  | Faulted Queue_overflow ->
-      Format.pp_print_string ppf "faulted (queue overflow)"
-
 type t = {
   store : Block_store.t;
   plan : Plan.t;
@@ -72,9 +62,6 @@ let create ?(lookahead = 4) ~plan store =
   t
 
 let slot t = Plan.slot t.air
-let lookahead t = t.lookahead
-let store t = t.store
-
 let step t =
   let now = Plan.slot t.air in
   prefetch_one t ~issued:now;

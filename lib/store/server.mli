@@ -27,8 +27,6 @@ type output =
   | Idle  (** the plan airs nothing at the slot *)
   | Faulted of fault_reason  (** busy slot, but the read missed it *)
 
-val pp_output : Format.formatter -> output -> unit
-
 type t
 
 val create : ?lookahead:int -> plan:Plan.t -> Block_store.t -> t
@@ -39,10 +37,6 @@ val create : ?lookahead:int -> plan:Plan.t -> Block_store.t -> t
 
 val slot : t -> int
 (** The slot {!step} will air next. *)
-
-val lookahead : t -> int
-
-val store : t -> Block_store.t
 
 val step : t -> int * output
 (** Air one slot: submit the prefetch read for [slot + lookahead], then

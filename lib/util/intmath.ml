@@ -50,10 +50,6 @@ let floor_log2 n =
 
 let is_power_of_two n = n > 0 && n land (n - 1) = 0
 
-let floor_pow2 n =
-  if n < 1 then invalid_arg "Intmath.floor_pow2: n must be >= 1";
-  1 lsl floor_log2 n
-
 let mix64 x =
   (* splitmix64's finalizer (Steele, Lea & Flood 2014), over Int64 because
      the multiplier constants do not fit OCaml's 63-bit int. The result is
@@ -64,10 +60,6 @@ let mix64 x =
   let z = mul (logxor z (shift_right_logical z 27)) 0x94d049bb133111ebL in
   let z = logxor z (shift_right_logical z 31) in
   to_int (logand z 0x3fffffffffffffffL)
-
-let range lo hi =
-  let rec go i acc = if i < lo then acc else go (i - 1) (i :: acc) in
-  go (hi - 1) []
 
 let sum = List.fold_left ( + ) 0
 

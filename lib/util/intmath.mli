@@ -39,18 +39,12 @@ val floor_log2 : int -> int
 val is_power_of_two : int -> bool
 (** [is_power_of_two n] holds iff [n] is a positive power of two (1, 2, 4, …). *)
 
-val floor_pow2 : int -> int
-(** [floor_pow2 n] is the largest power of two [<= n]; requires [n >= 1]. *)
-
 val mix64 : int -> int
 (** [mix64 x] is splitmix64's avalanche finalizer applied to [x]: a
     deterministic bijective-style scramble in which adjacent inputs map to
     decorrelated outputs. Use it to derive independent RNG seeds from
     sequential counters ([seed + k] alone makes adjacent streams
     correlated). The result is always in [\[0, 2{^62})]. *)
-
-val range : int -> int -> int list
-(** [range lo hi] is [[lo; lo+1; …; hi-1]] (empty when [lo >= hi]). *)
 
 val sum : int list -> int
 

@@ -161,19 +161,3 @@ let shutdown t =
   Condition.broadcast t.wake;
   Mutex.unlock t.lock;
   Array.iter Domain.join t.workers
-
-let shared = ref None
-let shared_lock = Mutex.create ()
-
-let default () =
-  Mutex.lock shared_lock;
-  let p =
-    match !shared with
-    | Some p -> p
-    | None ->
-        let p = create () in
-        shared := Some p;
-        p
-  in
-  Mutex.unlock shared_lock;
-  p

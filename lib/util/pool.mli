@@ -37,7 +37,3 @@ val parallel_for : t -> n:int -> (int -> unit) -> unit
 val shutdown : t -> unit
 (** Terminates and joins the worker domains. Subsequent {!parallel_for}
     calls on the pool raise [Invalid_argument]. *)
-
-val default : unit -> t
-(** A lazily-created process-wide shared pool, sized by
-    [Domain.recommended_domain_count ()]. *)

@@ -39,8 +39,6 @@ let add a b =
          (Intmath.mul_exn b.num (a.den / g)))
       (Intmath.mul_exn a.den (b.den / g))
 
-let neg a = { a with num = -a.num }
-let sub a b = add a (neg b)
 let mul a b = make (Intmath.mul_exn a.num b.num) (Intmath.mul_exn a.den b.den)
 
 let inv a =
@@ -70,11 +68,9 @@ let ( <= ) a b = compare a b <= 0
 let ( < ) a b = compare a b < 0
 let ( >= ) a b = compare a b >= 0
 let ( > ) a b = compare a b > 0
-let min a b = if a <= b then a else b
 let max a b = if a >= b then a else b
 let sum = List.fold_left add zero
 let to_float a = float_of_int a.num /. float_of_int a.den
-let floor a = Intmath.floor_div a.num a.den
 let ceil a = Intmath.ceil_div a.num a.den
 
 let pp ppf a =

@@ -24,13 +24,9 @@ val zero : t
 val one : t
 
 val add : t -> t -> t
-val sub : t -> t -> t
 val mul : t -> t -> t
 val div : t -> t -> t
 (** [div] raises [Division_by_zero] on a zero divisor. *)
-
-val neg : t -> t
-val inv : t -> t
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
@@ -39,7 +35,6 @@ val ( < ) : t -> t -> bool
 val ( >= ) : t -> t -> bool
 val ( > ) : t -> t -> bool
 
-val min : t -> t -> t
 val max : t -> t -> t
 
 val sum : t list -> t
@@ -48,9 +43,6 @@ val to_float : t -> float
 
 val ceil : t -> int
 (** Smallest integer [>= t]. *)
-
-val floor : t -> int
-(** Largest integer [<= t]. *)
 
 val pp : Format.formatter -> t -> unit
 (** Prints ["num/den"], or just ["num"] when the denominator is 1. *)

@@ -154,24 +154,6 @@ let percentile t p =
 
 let median t = percentile t 50.0
 
-let histogram t ~buckets =
-  if buckets < 1 then invalid_arg "Stats.histogram: buckets must be >= 1";
-  if t.count = 0 then []
-  else begin
-    let lo = min_value t and hi = max_value t in
-    let width = (hi -. lo) /. float_of_int buckets in
-    let width = if width <= 0.0 then 1.0 else width in
-    let counts = Array.make buckets 0 in
-    for i = 0 to t.len - 1 do
-      let b =
-        min (buckets - 1) (int_of_float ((t.values.(i) -. lo) /. width))
-      in
-      counts.(b) <- counts.(b) + t.weights.(i)
-    done;
-    List.init buckets (fun b ->
-        (lo +. (float_of_int b *. width), lo +. (float_of_int (b + 1) *. width), counts.(b)))
-  end
-
 let pp_summary ppf t =
   if t.count = 0 then Format.fprintf ppf "(no observations)"
   else

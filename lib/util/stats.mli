@@ -53,8 +53,6 @@ val variance : t -> float
     stored observations (centered sum of squares), so it stays accurate
     for large-offset data where the naive streaming formula cancels. *)
 
-val stddev : t -> float
-
 val min_value : t -> float
 (** Raises [Invalid_argument] when empty. *)
 
@@ -67,10 +65,6 @@ val percentile : t -> float -> float
     [Invalid_argument] when empty or [p] out of range. *)
 
 val median : t -> float
-
-val histogram : t -> buckets:int -> (float * float * int) list
-(** Equal-width buckets over the observed range:
-    [(lower, upper, count)]. *)
 
 val pp_summary : Format.formatter -> t -> unit
 (** "n=…, mean=…, sd=…, min/median/p99/max=…". *)

@@ -240,7 +240,8 @@ let test_compile_nice_and_sound () =
     ]
   in
   let tasks = Convert.compile bcs in
-  check_bool "nice" true (Convert.is_nice tasks);
+  let ids = List.map (fun (t, _) -> t.Task.id) tasks in
+  check_bool "nice" true (List.length (List.sort_uniq compare ids) = List.length ids);
   check_bool "pseudo ids above file ids" true
     (List.for_all (fun (t, _) -> t.Task.id > 2) tasks);
   (* Schedule the nice system, project pseudo-tasks onto files, and check
@@ -259,7 +260,10 @@ let test_compile_nice_and_sound () =
         (fun bc ->
           match Bc.check projected bc with
           | None -> ()
-          | Some v -> Alcotest.failf "violated: %a" (fun ppf -> Verify.pp_violation ppf) v)
+          | Some v ->
+              Alcotest.failf "pc(%d, %d, %d) violated at slot %d: %d found"
+                v.Verify.task v.Verify.a v.Verify.b v.Verify.window_start
+                v.Verify.found)
         bcs
 
 let test_compile_duplicate_files () =

@@ -285,83 +285,6 @@ let prop_mutation_rejected =
       | Ok () -> false
       | Error r -> r.Kernel.step = Some k)
 
-(* ------------------------------------------------------------------ *)
-(* witnesses: JSON round trips                                         *)
-(* ------------------------------------------------------------------ *)
-
-let test_trace_roundtrip () =
-  List.iter
-    (fun bc ->
-      let _, _, tr = Convert.best_certified bc in
-      let json = Witness.trace_to_json tr in
-      let text = Json.to_string json in
-      match Json.of_string text with
-      | Error e -> Alcotest.failf "reparse: %s" e
-      | Ok json' -> (
-          match Witness.trace_of_json json' with
-          | Error e -> Alcotest.failf "decode: %s" e
-          | Ok tr' ->
-              check_bool "equal after round trip" true (Trace.equal tr tr');
-              accepted "still validates" tr'))
-    paper_bcs
-
-let test_trace_decode_rejects_garbage () =
-  let bad s =
-    match Result.bind (Json.of_string s) Witness.trace_of_json with
-    | Ok _ -> Alcotest.failf "accepted %s" s
-    | Error _ -> ()
-  in
-  bad {|{"m": 1}|};
-  bad {|{"file":0,"m":1,"d":[4],"transform":"x","nice":[],"steps":[{"rule":"mystery"}]}|};
-  bad {|{"file":0,"m":1,"d":["4"],"transform":"x","nice":[],"steps":[]}|}
-
-let test_certificate_roundtrip () =
-  let roundtrip cert =
-    let text = Json.to_string (Witness.certificate_to_json cert) in
-    match Result.bind (Json.of_string text) Witness.certificate_of_json with
-    | Error e -> Alcotest.failf "certificate: %s" e
-    | Ok c -> check_bool "same certificate" true (c = cert)
-  in
-  roundtrip (Analysis.Density_above_one (Q.make 4 3));
-  roundtrip (Analysis.Pigeonhole { window = 5; demand = 6 });
-  roundtrip Analysis.Exhausted
-
-let test_certificate_revalidation () =
-  let sys_dense =
-    [ Task.make ~id:0 ~a:2 ~b:3; Task.make ~id:1 ~a:2 ~b:3 ]
-  in
-  let valid v = check_bool "valid" true (v = Witness.Valid) in
-  let refuted = function
-    | Witness.Refuted _ -> ()
-    | v -> Alcotest.failf "expected refutation, got %a" Witness.pp_recheck v
-  in
-  valid
-    (Witness.revalidate_certificate sys_dense
-       (Analysis.Density_above_one (Q.make 4 3)));
-  refuted
-    (Witness.revalidate_certificate sys_dense
-       (Analysis.Density_above_one (Q.make 3 2)));
-  let sys_pigeon = [ Task.make ~id:0 ~a:3 ~b:5; Task.make ~id:1 ~a:3 ~b:5 ] in
-  valid
-    (Witness.revalidate_certificate sys_pigeon
-       (Analysis.Pigeonhole { window = 5; demand = 6 }));
-  refuted
-    (Witness.revalidate_certificate sys_pigeon
-       (Analysis.Pigeonhole { window = 5; demand = 7 }));
-  (* Example 1's family: {(1,2), (1,3), (1,12)} is infeasible. *)
-  let infeasible =
-    [ Task.unit ~id:0 ~b:2; Task.unit ~id:1 ~b:3; Task.unit ~id:2 ~b:12 ]
-  in
-  valid (Witness.revalidate_certificate infeasible Analysis.Exhausted);
-  (* ... while the harmonic {(1,2), (1,4)} is schedulable, so an Exhausted
-     claim for it is a lie the recheck catches. *)
-  let feasible = [ Task.unit ~id:0 ~b:2; Task.unit ~id:1 ~b:4 ] in
-  refuted (Witness.revalidate_certificate feasible Analysis.Exhausted)
-
-(* ------------------------------------------------------------------ *)
-(* json corner cases                                                   *)
-(* ------------------------------------------------------------------ *)
-
 let test_json_parser () =
   let ok s = match Json.of_string s with
     | Ok v -> v
@@ -527,15 +450,11 @@ let test_window_counts () =
   Alcotest.(check (array int))
     "window 5 counts (exceeds period)" [| 3; 2; 3; 2 |]
     (Verify.window_counts s ~task:0 ~window:5);
-  (* min_in_window and check_pc must agree with the shared primitive. *)
+  (* check_pc must agree with the shared primitive. *)
   List.iter
     (fun window ->
       let counts = Verify.window_counts s ~task:0 ~window in
       let min_count = Array.fold_left min max_int counts in
-      check_int
-        (Printf.sprintf "min for window %d" window)
-        min_count
-        (Verify.min_in_window s ~task:0 ~window);
       check_bool
         (Printf.sprintf "check_pc for window %d" window)
         (min_count >= 1)
@@ -601,8 +520,7 @@ let test_audit_generalized () =
   check_bool "ok" true (Audit.ok report);
   Alcotest.(check string) "kind" "generalized" report.Audit.kind;
   check_bool "no problems" true (Audit.problems report = []);
-  (* The report's embedded traces survive a JSON round trip and still
-     validate. *)
+  (* The report embeds one trace per file, and its JSON re-parses. *)
   let json = Audit.to_json report in
   let reparsed =
     match Json.of_string (Json.to_string json) with
@@ -611,14 +529,7 @@ let test_audit_generalized () =
   in
   match Json.get_list "traces" reparsed with
   | Error e -> Alcotest.fail e
-  | Ok traces ->
-      check_int "one trace per file" 3 (List.length traces);
-      List.iter
-        (fun tj ->
-          match Witness.trace_of_json tj with
-          | Error e -> Alcotest.fail e
-          | Ok tr -> accepted "embedded trace" tr)
-        traces
+  | Ok traces -> check_int "one trace per file" 3 (List.length traces)
 
 let test_audit_bands () =
   check_bool "1/3" true (Audit.band_of_density (Q.make 1 3) = Audit.Sa_guarantee);
@@ -660,17 +571,6 @@ let () =
       ( "kernel-properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_producer_traces_validate; prop_mutation_rejected ] );
-      ( "witness",
-        [
-          Alcotest.test_case "trace JSON round trip" `Quick
-            test_trace_roundtrip;
-          Alcotest.test_case "trace decode rejects garbage" `Quick
-            test_trace_decode_rejects_garbage;
-          Alcotest.test_case "certificate round trip" `Quick
-            test_certificate_roundtrip;
-          Alcotest.test_case "certificate revalidation" `Quick
-            test_certificate_revalidation;
-        ] );
       ( "json",
         [
           Alcotest.test_case "parser" `Quick test_json_parser;

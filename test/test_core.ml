@@ -293,24 +293,36 @@ let induced ~byte_rate ~block =
     (List.map
        (fun (f : Block_size.file) ->
          File_spec.make ~id:f.Block_size.id
-           ~blocks:(Block_size.blocks_needed f ~block)
+           ~blocks:(Pindisk_util.Intmath.ceil_div f.Block_size.bytes block)
            ~latency:f.Block_size.latency ~tolerance:f.Block_size.tolerance ())
        bs_files)
 
+(* The designer's per-candidate step, as an oracle: [reqs] at [block]
+   bytes per block leave no schedule on a [byte_rate] channel. *)
+let unschedulable_at ~byte_rate ~block reqs =
+  let slot_rate = byte_rate / block in
+  slot_rate < 1
+  || Program.pinwheel ~bandwidth:slot_rate
+       (List.map
+          (fun (r : Designer.requirement) ->
+            File_spec.make ~id:r.Designer.id ~tolerance:r.Designer.tolerance
+              ~blocks:(Pindisk_util.Intmath.ceil_div r.Designer.bytes block)
+              ~latency:r.Designer.latency_s ())
+          reqs)
+     = None
+
 let test_block_size_tasks () =
-  check_int "blocks at 1KiB" 4
-    (Block_size.blocks_needed (List.hd bs_files) ~block:1024);
-  (match Designer.plan ~candidates:[ 1024 ] ~byte_rate:4096 bs_reqs with
-  | Ok { Designer.files = [ f0; f1 ]; _ } ->
+  (match Designer.plan ~byte_rate:4096 bs_reqs with
+  | Ok { Designer.files = [ f0; f1 ]; block_size = 4096; _ } ->
       let a f = f.Designer.spec.File_spec.blocks + f.Designer.spec.File_spec.tolerance in
-      check_int "F0: a = 4+2" 6 (a f0);
-      check_int "F0: window = 4 slots/s * 4 s" 16 f0.Designer.window;
-      check_int "F1: a = 16+1" 17 (a f1);
-      check_int "F1: window" 120 f1.Designer.window
-  | _ -> Alcotest.fail "two files expected");
-  (* Block bigger than the byte rate: zero slots per second. *)
-  check_bool "block > rate infeasible" true
-    (Result.is_error (Designer.plan ~candidates:[ 1024 ] ~byte_rate:512 bs_reqs))
+      check_int "F0: a = 1+2" 3 (a f0);
+      check_int "F0: window = 1 slot/s * 4 s" 4 f0.Designer.window;
+      check_int "F1: a = 4+1" 5 (a f1);
+      check_int "F1: window" 30 f1.Designer.window
+  | _ -> Alcotest.fail "two files at 4096-byte blocks expected");
+  (* A 512 B/s channel: every block size leaves F0 above the IDA cap. *)
+  check_bool "512 B/s infeasible" true
+    (Result.is_error (Designer.plan ~byte_rate:512 bs_reqs))
 
 let test_block_size_largest_uniform () =
   match Designer.plan ~byte_rate:4096 bs_reqs with
@@ -325,8 +337,7 @@ let test_block_size_largest_uniform () =
            (induced ~byte_rate:4096 ~block));
       (* Maximality among the candidates: the next power of two fails. *)
       check_bool "next candidate unschedulable" true
-        (Result.is_error
-           (Designer.plan ~candidates:[ 2 * block ] ~byte_rate:4096 bs_reqs))
+        (unschedulable_at ~byte_rate:4096 ~block:(2 * block) bs_reqs)
 
 let test_block_size_smaller_is_more_efficient () =
   (* The paper's Section-5 observation: with tolerance > 0, halving the
@@ -390,11 +401,7 @@ let test_designer_plan () =
       let bigger = 2 * plan.Designer.block_size in
       if bigger <= 8192 then
         check_bool "next block size fails" true
-          (match
-             Designer.plan ~candidates:[ bigger ] ~byte_rate:8192 design_reqs
-           with
-          | Error _ -> true
-          | Ok _ -> false)
+          (unschedulable_at ~byte_rate:8192 ~block:bigger design_reqs)
 
 let test_designer_reports_reason () =
   (* A channel too slow for the tight file: the error names a cause. *)
@@ -632,7 +639,10 @@ let prop_offsets_count_occurrences =
 (* Programs indexed from their plans                                   *)
 (* ------------------------------------------------------------------ *)
 
-module Pgen = Pindisk_pinwheel.Gen
+module Pgen = struct
+  include Pindisk_pinwheel.Gen
+  include Gen_systems
+end
 
 (* Whether both builders fail, and with the same message. *)
 let same_outcome plan caps =

@@ -271,7 +271,7 @@ let test_staleness_slow_updates () =
   (* Updates much slower than retrieval: no restarts, full consistency. *)
   let p = toy_ida () in
   match
-    Staleness.retrieve ~program:p ~file:0 ~needed:5 ~update_period:1000 ~start:0 ()
+    Staleness.retrieve ~program:p ~file:0 ~needed:5 ~update_period:1000 ~start:0
   with
   | Some o ->
       check_int "no restarts" 0 o.Staleness.restarts;
@@ -282,7 +282,7 @@ let test_staleness_restart_on_version_change () =
   (* Updates every period: a client spanning a boundary restarts. *)
   let p = toy_ida () in
   match
-    Staleness.retrieve ~program:p ~file:0 ~needed:5 ~update_period:8 ~start:4 ()
+    Staleness.retrieve ~program:p ~file:0 ~needed:5 ~update_period:8 ~start:4
   with
   | Some o ->
       check_bool "restarted at the boundary" true (o.Staleness.restarts >= 1);
@@ -299,19 +299,19 @@ let test_staleness_starvation () =
     Program.of_layout [ (0, 0); (0, 1); (1, 0) ] ~capacities:[ (0, 6); (1, 1) ]
   in
   let s =
-    Staleness.sweep ~program:p ~file:0 ~needed:3 ~update_period:3 ~avi:10 ()
+    Staleness.sweep ~program:p ~file:0 ~needed:3 ~update_period:3 ~avi:10
   in
   check_int "everyone starves" s.Staleness.trials s.Staleness.starved;
   (* Slowing updates to two periods ends the starvation. *)
   let s' =
-    Staleness.sweep ~program:p ~file:0 ~needed:3 ~update_period:6 ~avi:10 ()
+    Staleness.sweep ~program:p ~file:0 ~needed:3 ~update_period:6 ~avi:10
   in
   check_int "no starvation at half rate" 0 s'.Staleness.starved
 
 let test_staleness_sweep_consistency_monotone () =
   let p = toy_ida () in
   let ratio avi =
-    (Staleness.sweep ~program:p ~file:0 ~needed:5 ~update_period:20 ~avi ())
+    (Staleness.sweep ~program:p ~file:0 ~needed:5 ~update_period:20 ~avi)
       .Staleness.consistency_ratio
   in
   check_bool "larger avi, more consistent" true (ratio 40 >= ratio 10);
@@ -322,7 +322,7 @@ let test_staleness_large_start () =
   let p = toy_ida () in
   let at start =
     Option.get
-      (Staleness.retrieve ~program:p ~file:0 ~needed:5 ~update_period:16 ~start ())
+      (Staleness.retrieve ~program:p ~file:0 ~needed:5 ~update_period:16 ~start)
   in
   let near = at 3 and far = at (3 + (16 * 50)) in
   check_int "same latency" near.Staleness.latency far.Staleness.latency;
@@ -330,7 +330,7 @@ let test_staleness_large_start () =
 
 let test_staleness_age_bounded_by_update_period_plus_latency () =
   let p = toy_ida () in
-  let s = Staleness.sweep ~program:p ~file:0 ~needed:5 ~update_period:16 ~avi:32 () in
+  let s = Staleness.sweep ~program:p ~file:0 ~needed:5 ~update_period:16 ~avi:32 in
   check_bool "max age <= update_period + period + max latency" true
     (s.Staleness.max_age <= 16 + 8 + s.Staleness.max_latency)
 
@@ -349,7 +349,7 @@ let test_snapshot_slow_updates () =
   let p = toy_ida () in
   match
     Snapshot.retrieve ~program:p ~reads:snapshot_reads ~update_period:1000
-      ~start:0 ()
+      ~start:0
   with
   | Some o ->
       check_int "no restarts" 0 o.Snapshot.restarts;
@@ -365,7 +365,7 @@ let test_snapshot_epoch_agreement () =
   for start = 0 to 15 do
     match
       Snapshot.retrieve ~program:p ~reads:snapshot_reads ~update_period:16
-        ~start ()
+        ~start
     with
     | Some o -> check_bool "epoch non-negative" true (o.Snapshot.epoch >= 0)
     | None -> Alcotest.failf "starved from %d" start
@@ -374,7 +374,7 @@ let test_snapshot_epoch_agreement () =
 let test_snapshot_restarts_happen () =
   let p = toy_ida () in
   let s =
-    Snapshot.sweep ~program:p ~reads:snapshot_reads ~update_period:8 ()
+    Snapshot.sweep ~program:p ~reads:snapshot_reads ~update_period:8
   in
   (* Epoch flips every period; transactions that straddle a boundary must
      restart at least sometimes. *)
@@ -390,7 +390,7 @@ let test_snapshot_starvation () =
   let s =
     Snapshot.sweep ~program:p
       ~reads:[ { Snapshot.file = 0; needed = 3 }; { Snapshot.file = 1; needed = 1 } ]
-      ~update_period:3 ()
+      ~update_period:3
   in
   check_int "all starved" s.Snapshot.trials s.Snapshot.starved
 
@@ -401,7 +401,7 @@ let test_snapshot_validation () =
       ignore
         (Snapshot.retrieve ~program:p
            ~reads:[ { Snapshot.file = 0; needed = 1 }; { Snapshot.file = 0; needed = 2 } ]
-           ~update_period:10 ~start:0 ()))
+           ~update_period:10 ~start:0))
 
 let () =
   Alcotest.run "extensions"

@@ -115,10 +115,13 @@ let ref_row ~coeffs ~srcs ~len =
 
 let rand_bytes rng len = Bytes.init len (fun _ -> Char.chr (Random.State.int rng 256))
 
+(* Every entry of the kernels' flattened multiplication table, read
+   through [mul_into] over all 256 source bytes. *)
 let test_mul_table () =
+  let all = Bytes.init 256 Char.chr in
   for c = 0 to 255 do
-    let tab = Gf.mul_table c in
-    check_int (Printf.sprintf "table %d length" c) 256 (Bytes.length tab);
+    let tab = Bytes.create 256 in
+    Gf.mul_into ~dst:tab ~coeff:c ~src:all;
     for x = 0 to 255 do
       check_int
         (Printf.sprintf "tab.(%d).(%d)" c x)
@@ -195,41 +198,6 @@ let test_encode_row_matches_reference () =
     (Invalid_argument "Gf256.encode_row: arity mismatch") (fun () ->
       Gf.encode_row ~dst ~coeffs:[| 1 |] ~srcs:[||])
 
-let test_encode_rows_matches_reference () =
-  let rng = Random.State.make [| 10 |] in
-  (* Group counts around the 4/2/1 grouping boundaries, odd and even
-     lengths, strided sources with slack between blocks. *)
-  List.iter
-    (fun g ->
-      List.iter
-        (fun len ->
-          let k = 3 in
-          let stride = len + 5 in
-          let src = rand_bytes rng (k * stride) in
-          let blocks =
-            Array.init k (fun j -> Bytes.sub src (j * stride) len)
-          in
-          let rows =
-            Array.init g (fun _ -> Array.init k (fun _ -> Random.State.int rng 256))
-          in
-          let dsts = Array.init g (fun _ -> rand_bytes rng len) in
-          Gf.encode_rows ~dsts ~rows ~src ~stride;
-          Array.iteri
-            (fun i dst ->
-              Alcotest.(check bool)
-                (Printf.sprintf "encode_rows g=%d len=%d row %d" g len i)
-                true
-                (Bytes.equal dst (ref_row ~coeffs:rows.(i) ~srcs:blocks ~len)))
-            dsts)
-        [ 0; 1; 17; 64 ])
-    [ 0; 1; 2; 3; 4; 5; 7; 8; 9 ];
-  Alcotest.check_raises "stride too small"
-    (Invalid_argument "Gf256.encode_rows: stride < dst length") (fun () ->
-      Gf.encode_rows
-        ~dsts:[| Bytes.create 4 |]
-        ~rows:[| [| 1 |] |]
-        ~src:(Bytes.create 4) ~stride:3)
-
 let test_ensure_tables () =
   (* Must be callable on any coefficients, repeatedly, without changing
      kernel results. *)
@@ -271,8 +239,6 @@ let test_lanes_windows_and_prefix () =
     Array.init 4 (fun _ -> Array.init k (fun _ -> Random.State.int rng 256))
   in
   let l = Gf.lanes rows in
-  check_int "group" 4 (Gf.lanes_group l);
-  check_int "width" k (Gf.lanes_width l);
   (* Disjoint [pos, len) windows — deliberately unaligned — must compose
      to exactly the full-width result. *)
   let dsts = Array.init 4 (fun _ -> rand_bytes rng len) in
@@ -340,25 +306,6 @@ let kernel_props =
       pair (int_range 0 200) (int_bound 1_000_000))
   in
   [
-    prop "encode_rows == per-row encode_row on random strided input" 200 gen
-      (fun (len, seed) ->
-        let rng = Random.State.make [| seed |] in
-        let k = 1 + Random.State.int rng 6 in
-        let g = 1 + Random.State.int rng 6 in
-        let stride = len + Random.State.int rng 3 in
-        let src = rand_bytes rng (k * stride) in
-        let blocks = Array.init k (fun j -> Bytes.sub src (j * stride) len) in
-        let rows =
-          Array.init g (fun _ -> Array.init k (fun _ -> Random.State.int rng 256))
-        in
-        let dsts = Array.init g (fun _ -> Bytes.create len) in
-        Gf.encode_rows ~dsts ~rows ~src ~stride;
-        Array.for_all2
-          (fun dst row ->
-            let one = Bytes.create len in
-            Gf.encode_row ~dst:one ~coeffs:row ~srcs:blocks;
-            Bytes.equal dst one)
-          dsts rows);
     (* Adversarial shapes for the SWAR kernel: odd lengths, strides not
        divisible by 8, unaligned window offsets, zero/one coefficients
        and systematic (unit) rows, and destination prefixes narrower
@@ -485,8 +432,6 @@ let () =
             test_mul_into_matches_reference;
           Alcotest.test_case "encode_row matches reference" `Quick
             test_encode_row_matches_reference;
-          Alcotest.test_case "encode_rows matches reference" `Quick
-            test_encode_rows_matches_reference;
           Alcotest.test_case "ensure_tables" `Quick test_ensure_tables;
           Alcotest.test_case "wide tables build once under race" `Quick
             test_wide_tables_build_once_under_race;

@@ -150,13 +150,13 @@ let test_awacs_bytes_end_to_end () =
       for seed = 0 to 9 do
         (match
            Transport.retrieve transport ~file:0 ~start:(3 * seed)
-             ~fault:(Fault.bernoulli ~p:0.25 ~seed) ()
+             ~fault:(Fault.bernoulli ~p:0.25 ~seed)
          with
         | Ok bytes -> check_bool "aircraft exact" true (Bytes.equal bytes aircraft_feed)
         | Error _ -> Alcotest.fail "aircraft retrieval starved");
         match
           Transport.retrieve transport ~file:1 ~start:(7 * seed)
-            ~fault:(Fault.bernoulli ~p:0.25 ~seed:(seed + 100)) ()
+            ~fault:(Fault.bernoulli ~p:0.25 ~seed:(seed + 100))
         with
         | Ok bytes -> check_bool "tank exact" true (Bytes.equal bytes tank_feed)
         | Error _ -> Alcotest.fail "tank retrieval starved"

@@ -16,6 +16,13 @@ module Shard = Pindisk.Shard
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
+(* A file's placements, ascending by channel: a scan of the design's
+   placement list. *)
+let placements_of (t : Shard.t) file =
+  List.filter
+    (fun (p : Shard.placement) -> p.Shard.file = file)
+    t.Shard.placements
+
 let render_schedule s = Format.asprintf "%a" Schedule.pp s
 let render_program p = Format.asprintf "%a" Program.pp p
 
@@ -316,7 +323,7 @@ let test_shard_striping_partitions_pieces () =
       List.iter
         (fun f ->
           let id = f.File_spec.id in
-          let ps = Shard.placements_of t id in
+          let ps = placements_of t id in
           check_int "striped over two channels" 2 (List.length ps);
           let all =
             List.concat_map
@@ -437,7 +444,7 @@ let prop_shard_shares_disjoint_cover =
       | Ok t ->
           List.for_all
             (fun f ->
-              let ps = Shard.placements_of t f.File_spec.id in
+              let ps = placements_of t f.File_spec.id in
               ps = []
               || begin
                    let all =
@@ -459,10 +466,7 @@ let prop_shard_shares_disjoint_cover =
 
 (* The accessors as scans of the placement and spec lists: the
    reference the index is held to. *)
-let oracle_placements_of (t : Shard.t) file =
-  List.filter
-    (fun (p : Shard.placement) -> p.Shard.file = file)
-    t.Shard.placements
+let oracle_placements_of = placements_of
 
 let oracle_channels_of t file =
   oracle_placements_of t file
@@ -529,8 +533,6 @@ let prop_index_matches_oracles =
         (fun id ->
           if Shard.spec t id <> oracle_spec t id then
             QCheck2.Test.fail_reportf "spec %d" id;
-          if Shard.placements_of t id <> oracle_placements_of t id then
-            QCheck2.Test.fail_reportf "placements_of %d" id;
           if Shard.channels_of t id <> oracle_channels_of t id then
             QCheck2.Test.fail_reportf "channels_of %d" id;
           if Shard.outage_tolerant t id <> oracle_outage_tolerant t id then
@@ -973,7 +975,7 @@ let test_multi_tuner_budget_matters () =
      must miss; two tuners pool the disjoint shares and complete. *)
   let specs = [ File_spec.make ~id:0 ~blocks:2 ~latency:8 ~tolerance:0 () ] in
   let design = design_exn ~stripe:2 ~channels:2 ~bandwidth:1 specs in
-  check_int "two placements" 2 (List.length (Shard.placements_of design 0));
+  check_int "two placements" 2 (List.length (placements_of design 0));
   let trace = [ { Workload.issued = 0; file = 0; needed = 2; deadline = 64 } ] in
   let run tuners = Multi.run ~design ~tuners ~fault:clean ~seed:1 trace in
   check_int "one tuner cannot cover the stripe" 1 (run 1).Engine.missed;
@@ -1211,10 +1213,11 @@ let multi_population_reference ~max_slots ~design ~tuners ~model ~seed members
         in
         acc :=
           Retire.merge !acc
-            (Cohort.run_population ~max_slots ~program:(program c)
-               ~model:(model ~channel:c)
-               ~seed:(Intmath.mix64 (seed + c))
-               classes)
+            (Cohort.retire
+               (Cohort.population_rows ~max_slots ~program:(program c)
+                  ~model:(model ~channel:c)
+                  ~seed:(Intmath.mix64 (seed + c))
+                  ~rest:[] classes))
   done;
   !acc
 
@@ -1365,7 +1368,7 @@ let test_shardcheck_detects_corruption () =
   check_bool "channel 2 not witnessed" false
     (List.nth report.Shardcheck.channels 2).Shardcheck.witnessed;
   let design = fresh () in
-  (match Shard.placements_of design 5 with
+  (match placements_of design 5 with
   | a :: b :: _ -> b.Shard.pieces.(0) <- a.Shard.pieces.(0)
   | _ -> Alcotest.fail "file 5 is striped over two channels");
   let report = Shardcheck.run design in

@@ -629,7 +629,7 @@ let test_client_validation () =
     (fun () ->
       ignore
         (Experiment.run ~program:(toy_flat ()) ~file:0 ~needed:6 ~deadline:5
-           ~fault:(fun ~seed:_ -> Fault.none ()) ~trials:1 ~seed:0 ()))
+           ~fault:(fun ~seed:_ -> Fault.none ()) ~trials:1 ~seed:0))
 
 (* ------------------------------------------------------------------ *)
 (* Adversary                                                           *)
@@ -735,17 +735,16 @@ let test_transport_on_air () =
   | _ -> Alcotest.fail "slot 0 is file A");
   (match Transport.on_air t 8 with
   | Some (0, piece) -> check_int "slot 8 carries A piece 5" 5 piece.Ida.index
-  | _ -> Alcotest.fail "slot 8 is file A");
-  Alcotest.(check (option int)) "m for A" (Some 5) (Transport.find_source_blocks t 0)
+  | _ -> Alcotest.fail "slot 8 is file A")
 
 let test_transport_roundtrip_error_free () =
   let t = toy_transport () in
-  (match Transport.retrieve t ~file:0 ~start:3 ~fault:(Fault.none ()) () with
+  (match Transport.retrieve t ~file:0 ~start:3 ~fault:(Fault.none ()) with
   | Ok bytes ->
       Alcotest.(check string) "bytes back" "intelligent vehicle highway system db"
         (Bytes.to_string bytes)
   | Error _ -> Alcotest.fail "retrieval must complete");
-  match Transport.retrieve t ~file:1 ~start:5 ~fault:(Fault.none ()) () with
+  match Transport.retrieve t ~file:1 ~start:5 ~fault:(Fault.none ()) with
   | Ok bytes -> Alcotest.(check string) "B back" "awacs feed" (Bytes.to_string bytes)
   | Error _ -> Alcotest.fail "retrieval must complete"
 
@@ -755,7 +754,7 @@ let test_transport_roundtrip_under_loss () =
   for seed = 0 to 19 do
     match
       Transport.retrieve t ~file:0 ~start:(seed mod 16)
-        ~fault:(Fault.bernoulli ~p:0.2 ~seed) ()
+        ~fault:(Fault.bernoulli ~p:0.2 ~seed)
     with
     | Ok bytes ->
         Alcotest.(check string) "bit-exact under loss"
@@ -782,7 +781,7 @@ let test_experiment_error_free () =
   let s =
     Experiment.run ~program:(toy_ida ()) ~file:0 ~needed:5 ~deadline:8
       ~fault:(fun ~seed:_ -> Fault.none ())
-      ~trials:100 ~seed:5 ()
+      ~trials:100 ~seed:5
   in
   check_int "all complete" 100 s.Experiment.completed;
   check_int "no misses at deadline 8" 0 s.Experiment.missed_deadline;
@@ -795,7 +794,7 @@ let test_experiment_lossy_monotone () =
   let run p_loss =
     Experiment.run ~program:(toy_ida ()) ~file:0 ~needed:5 ~deadline:10
       ~fault:(fun ~seed -> Fault.bernoulli ~p:p_loss ~seed)
-      ~trials:400 ~seed:11 ()
+      ~trials:400 ~seed:11
   in
   let low = run 0.05 and high = run 0.5 in
   check_bool "monotone misses" true
@@ -806,7 +805,7 @@ let test_experiment_ida_beats_flat_under_loss () =
   let run program =
     Experiment.run ~program ~file:0 ~needed:5 ~deadline:12
       ~fault:(fun ~seed -> Fault.bernoulli ~p:0.15 ~seed)
-      ~trials:500 ~seed:23 ()
+      ~trials:500 ~seed:23
   in
   let ida = run (toy_ida ()) and flat = run (toy_flat ()) in
   check_bool "ida misses fewer deadlines" true
@@ -831,7 +830,7 @@ let test_transaction_concurrent_harvest () =
   let p = toy_ida () in
   let o =
     Transaction.retrieve ~program:p ~reads:both_reads ~start:0
-      ~fault:(Fault.none ()) ()
+      ~fault:(Fault.none ())
   in
   Alcotest.(check (option int)) "done at 7" (Some 7) o.Transaction.completed_at;
   Alcotest.(check (option int)) "elapsed 8" (Some 8) o.Transaction.elapsed
@@ -842,11 +841,7 @@ let test_transaction_worst_case_is_max_not_sum () =
   let wa = Adversary.worst_case_retrieval p ~file:0 ~needed:5 ~errors:0 in
   let wb = Adversary.worst_case_retrieval p ~file:1 ~needed:3 ~errors:0 in
   check_bool "at least each read's worst case" true (wc >= max wa wb);
-  check_bool "well below the sum" true (wc < wa + wb);
-  check_bool "guaranteed at its worst case" true
-    (Transaction.guaranteed p ~reads:both_reads ~deadline:wc);
-  check_bool "not guaranteed below it" false
-    (Transaction.guaranteed p ~reads:both_reads ~deadline:(wc - 1))
+  check_bool "well below the sum" true (wc < wa + wb)
 
 let test_transaction_worst_case_dominates_simulation () =
   let p = toy_ida () in
@@ -862,7 +857,7 @@ let test_transaction_worst_case_dominates_simulation () =
     let start = Random.State.int rng 16 in
     let o =
       Transaction.retrieve ~program:p ~reads ~start
-        ~fault:(Fault.bernoulli ~p:0.1 ~seed:(Random.State.int rng 99999)) ()
+        ~fault:(Fault.bernoulli ~p:0.1 ~seed:(Random.State.int rng 99999))
     in
     (* Only runs whose per-file losses stay within the budgets are
        covered by the guarantee; losses are per-channel here so use the
@@ -915,8 +910,8 @@ let test_transaction_validation () =
 let test_transaction_starved () =
   let p = toy_ida () in
   let o =
-    Transaction.retrieve ~max_slots:30 ~program:p ~reads:both_reads ~start:0
-      ~fault:(Fault.deterministic (fun _ -> true)) ()
+    Transaction.retrieve ~program:p ~reads:both_reads ~start:0
+      ~fault:(Fault.deterministic (fun _ -> true))
   in
   check_bool "never completes under total loss" true (o.Transaction.elapsed = None)
 
@@ -1446,9 +1441,9 @@ let test_cohort_population_validation () =
         (Invalid_argument "Cohort.run_population: max_slots must be >= 1")
         (fun () ->
           ignore
-            (Cohort.run_population ~max_slots ~program
+            (Cohort.population_rows ~max_slots ~program
                ~model:(Cohort.Bernoulli { p = 0.1 })
-               ~seed:0
+               ~seed:0 ~rest:[]
                [ cls ~needed:2 1000 ])))
     [ 0; -3; -10 ]
 
@@ -1479,6 +1474,14 @@ let result_equal_bool (a : Engine.result) (b : Engine.result) =
 (* qcheck: permuting a trace never changes its class partition, and
    permuting/splitting the class list never changes the population
    result (member fault seeds are content-derived, not index-derived). *)
+(* A closed-form population with a pool or a retrieval window: the
+   retirement of [Cohort.population_rows], the path [Multi] runs and
+   [Cohort.run_population] takes with neither. *)
+let population ?pool ?max_slots ~program ~model ~seed classes =
+  Cohort.retire
+    (Cohort.population_rows ?pool ?max_slots ~program ~model ~seed ~rest:[]
+       classes)
+
 let prop_cohort_permutation_invariant =
   let gen =
     QCheck2.Gen.(
@@ -1514,7 +1517,7 @@ let prop_cohort_permutation_invariant =
             loss_bad = 0.5 }
       in
       let run cs =
-        Cohort.run_population ~max_slots:64 ~program ~model ~seed:9 cs
+        population ~max_slots:64 ~program ~model ~seed:9 cs
       in
       classes = classes'
       && result_equal_bool (run classes) (run (List.rev classes))
@@ -1786,7 +1789,7 @@ let prop_population_matches_oracle =
       let oracle = render_result (oracle_population ?max_slots ~program ~p classes) in
       let run ?pool () =
         render_result
-          (Cohort.run_population ?pool ?max_slots ~program ~model ~seed:0 classes)
+          (population ?pool ?max_slots ~program ~model ~seed:0 classes)
       in
       let seq = run () and pooled = run ~pool:(Lazy.force oracle_pool) () in
       (seq = oracle && pooled = oracle)
@@ -2050,66 +2053,50 @@ let prop_burst_loss_rate_converges =
 
 let test_transport_unknown_file_typed () =
   let t = toy_transport () in
-  check_bool "find_source_blocks known" true
-    (Transport.find_source_blocks t 0 = Some 5);
-  check_bool "find_source_blocks unknown" true
-    (Transport.find_source_blocks t 9 = None);
-  match Transport.retrieve t ~file:9 ~start:0 ~fault:(Fault.none ()) () with
+  match Transport.retrieve t ~file:9 ~start:0 ~fault:(Fault.none ()) with
   | Error (Transport.Unknown_file 9) -> ()
   | _ -> Alcotest.fail "expected Unknown_file 9"
 
 let test_retrieve_typed () =
   let t = toy_transport () in
-  (match Transport.retrieve t ~file:0 ~start:3 ~fault:(Fault.none ()) () with
+  (match Transport.retrieve t ~file:0 ~start:3 ~fault:(Fault.none ()) with
   | Ok bytes ->
       Alcotest.(check string) "bit-exact"
         "intelligent vehicle highway system db" (Bytes.to_string bytes)
-  | Error e -> Alcotest.failf "unexpected error: %a" Transport.pp_error e);
-  (* Lose every slot: a 10-slot budget times out with nothing collected,
-     and the error carries the exact accounting. *)
+  | Error _ -> Alcotest.fail "unexpected error");
+  (* Lose every slot: the 100-data-cycle budget times out with nothing
+     collected, and the error carries the exact accounting. *)
   let lose_all = Fault.deterministic (fun _ -> true) in
-  match
-    Transport.retrieve ~max_slots:10 t ~file:0 ~start:0 ~fault:lose_all ()
-  with
-  | Error (Transport.Timeout { slots = 10; collected = 0; needed = 5 }) -> ()
-  | Error e -> Alcotest.failf "unexpected error: %a" Transport.pp_error e
+  let budget = Program.data_cycles (toy_ida ()) 100 in
+  match Transport.retrieve t ~file:0 ~start:0 ~fault:lose_all with
+  | Error (Transport.Timeout { slots; collected = 0; needed = 5 })
+    when slots = budget -> ()
+  | Error _ -> Alcotest.fail "unexpected error"
   | Ok _ -> Alcotest.fail "cannot succeed under total loss"
 
 let test_retrieve_retries_across_cycles () =
   let t = toy_transport () in
-  let dc = Program.data_cycle (Transport.program t) in
-  (* Blackout for the whole first attempt's one-data-cycle budget:
-     attempt 1 times out, the client backs off one period and re-tunes in
-     error-free. *)
+  let dc = Program.data_cycle (toy_ida ()) in
+  (* Blackout for the whole first data cycle: the client keeps listening
+     across cycles and completes error-free afterwards. *)
   let blackout = Fault.deterministic (fun slot -> slot < dc) in
-  (match
-     Transport.retrieve ~attempts:4 ~max_slots:dc t ~file:0 ~start:0
-       ~fault:blackout ()
-   with
+  (match Transport.retrieve t ~file:0 ~start:0 ~fault:blackout with
   | Ok bytes ->
-      Alcotest.(check string) "bit-exact after retry"
+      Alcotest.(check string) "bit-exact after the blackout"
         "intelligent vehicle highway system db" (Bytes.to_string bytes)
-  | Error e ->
-      Alcotest.failf "resilient retrieval failed: %a" Transport.pp_error e);
-  (* Pieces collected before a timeout survive the re-tune-in: a budget
-     too small for any single attempt still completes across attempts. *)
-  (match
-     Transport.retrieve ~attempts:4 ~max_slots:5 t ~file:0 ~start:0
-       ~fault:(Fault.none ()) ()
-   with
+  | Error _ -> Alcotest.fail "retrieval across the blackout failed");
+  (match Transport.retrieve t ~file:0 ~start:0 ~fault:(Fault.none ()) with
   | Ok bytes ->
-      Alcotest.(check string) "monotone progress across attempts"
+      Alcotest.(check string) "error-free"
         "intelligent vehicle highway system db" (Bytes.to_string bytes)
-  | Error e ->
-      Alcotest.failf "cross-attempt accumulation failed: %a" Transport.pp_error
-        e);
-  (* Total loss exhausts every attempt and reports the final timeout. *)
+  | Error _ -> Alcotest.fail "error-free retrieval failed");
+  (* Total loss exhausts the budget and reports the timeout. *)
   match
-    Transport.retrieve ~attempts:3 ~max_slots:dc t ~file:0 ~start:0
-      ~fault:(Fault.deterministic (fun _ -> true)) ()
+    Transport.retrieve t ~file:0 ~start:0
+      ~fault:(Fault.deterministic (fun _ -> true))
   with
   | Error (Transport.Timeout _) -> ()
-  | _ -> Alcotest.fail "total loss must exhaust attempts"
+  | _ -> Alcotest.fail "total loss must time out"
 
 let test_retrieve_records_retries () =
   let module Obs = Pindisk_obs in
@@ -2117,21 +2104,20 @@ let test_retrieve_records_retries () =
       Obs.Registry.reset ();
       Obs.Trace.reset ();
       let t = toy_transport () in
-      let dc = Program.data_cycle (Transport.program t) in
+      let dc = Program.data_cycle (toy_ida ()) in
       let blackout = Fault.deterministic (fun slot -> slot < dc) in
-      (match
-         Transport.retrieve ~attempts:4 ~max_slots:dc t ~file:0 ~start:0
-           ~fault:blackout ()
-       with
+      (match Transport.retrieve t ~file:0 ~start:0 ~fault:blackout with
       | Ok _ -> ()
-      | Error e -> Alcotest.failf "failed: %a" Transport.pp_error e);
-      check_int "one retry counted" 1
-        (List.assoc "sim.transport.retries" (Obs.Registry.counters ()));
-      check_bool "retry span traced" true
+      | Error _ -> Alcotest.fail "retrieval across the blackout failed");
+      check_int "one request counted" 1
+        (List.assoc "sim.transport.requests" (Obs.Registry.counters ()));
+      check_int "one reconstruct counted" 1
+        (List.assoc "sim.transport.reconstructs" (Obs.Registry.counters ()));
+      check_bool "reconstruct span traced" true
         (List.exists
            (fun e ->
              match e.Obs.Trace.span with
-             | Obs.Trace.Retry { file = 0; attempt = 1; _ } -> true
+             | Obs.Trace.Reconstruct { file = 0; _ } -> true
              | _ -> false)
            (Obs.Trace.events ())))
 

@@ -322,7 +322,7 @@ let test_scenario_suite_green () =
       if not (Scenario.ok r) then
         Alcotest.failf "scenario %s violated invariants:@ %a" r.Scenario.spec.Scenario.name
           Scenario.pp_report r)
-    (Scenario.run_all ())
+    (List.map Scenario.run (Scenario.suite ()))
 
 let test_scenario_crash_reports_recovery () =
   let r =
