@@ -2,8 +2,9 @@
 
    The constructive schedulers turn a multi-unit task (a, b) into a unit
    tasks of window b placed at exact periods -- sufficient, never
-   necessary. The multi-unit exact solver measures the gap on an
-   exhaustive family of small instances. *)
+   necessary. The exact search (Exact.decide, which takes multi-unit
+   tasks as they are) measures the gap on an exhaustive family of small
+   instances. *)
 
 module P = Pindisk_pinwheel
 module Task = P.Task
@@ -21,14 +22,14 @@ let run () =
       List.iter
         (fun sys ->
           incr total;
-          match P.Exact_multi.decide sys with
-          | P.Exact_multi.Feasible _ ->
+          match P.Exact.decide sys with
+          | P.Exact.Feasible _ ->
               incr feasible;
               if P.Scheduler.plan sys <> None then incr heur
-          | P.Exact_multi.Infeasible ->
+          | P.Exact.Infeasible ->
               (* Soundness: the heuristics must not "schedule" it. *)
               assert (P.Scheduler.plan sys = None)
-          | P.Exact_multi.Too_large -> decr total)
+          | P.Exact.Too_large -> decr total)
         instances;
       Format.printf "  %-26s %9d %9d %9d %7.0f%%@." label !total !feasible !heur
         (if !feasible = 0 then 100.0

@@ -2,9 +2,11 @@
 
    Theory landmarks: any system needs density <= 1; Holte et al.'s
    single-integer reduction handles <= 1/2; Chan & Chin reach 7/10;
+   Kawamura proves every system up to 5/6 schedulable, and
    {(1,2),(1,3),(1,n)} shows 5/6 + eps is infeasible for three tasks.
    The sweep measures each scheduler's success rate on random unit
-   systems, and calibrates against exact feasibility on small windows. *)
+   systems (Auto ends with Exact.decide's state-bounded search), and
+   calibrates against exact feasibility on small windows. *)
 
 module P = Pindisk_pinwheel
 module Gen = P.Gen
@@ -71,11 +73,11 @@ let run () =
         if sys <> [] && Q.to_float (Task.system_density sys) > target -. 0.08
         then begin
           incr total;
-          match Exact.is_feasible sys with
-          | Some true ->
+          match Exact.decide sys with
+          | Exact.Feasible _ ->
               incr feasible;
               if Scheduler.plan sys <> None then incr found
-          | Some false | None -> ()
+          | Exact.Infeasible | Exact.Too_large -> ()
         end
       done;
       if !total > 0 && !feasible > 0 then

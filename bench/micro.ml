@@ -22,6 +22,10 @@ let ida_tests =
 let scheduler_tests =
   let sys = P.Gen.unit_system_with_density ~seed:5 ~n:12 ~max_b:64 ~target:0.65 in
   let small = P.Gen.unit_system_with_density ~seed:9 ~n:4 ~max_b:10 ~target:0.85 in
+  (* Density 349/420: past Sx, Sr and Sxy, planned by the search. *)
+  let kawamura =
+    List.mapi (fun id b -> P.Task.unit ~id ~b) [ 4; 6; 7; 10; 15; 21; 35; 35 ]
+  in
   let sched =
     match P.Scheduler.plan sys with
     | Some p -> P.Plan.to_schedule p
@@ -33,6 +37,8 @@ let scheduler_tests =
            ignore (Option.map P.Plan.to_schedule (P.Specialize.sx_plan sys))));
     Test.make ~name:"pinwheel/exact 4 tasks"
       (Staged.stage (fun () -> ignore (P.Exact.decide small)));
+    Test.make ~name:"pinwheel/exact search 8 tasks"
+      (Staged.stage (fun () -> ignore (P.Exact.decide kawamura)));
     Test.make ~name:"pinwheel/verify 12 tasks"
       (Staged.stage (fun () -> ignore (P.Verify.check_system sched sys)));
   ]

@@ -2,28 +2,23 @@ module Q = Pindisk_util.Q
 module Trace = Pindisk_algebra.Trace
 module Bc = Pindisk_algebra.Bc
 module Verify = Pindisk_pinwheel.Verify
+module Density = Pindisk_pinwheel.Density
 module Program = Pindisk.Program
 module Designer = Pindisk.Designer
 module Generalized = Pindisk.Generalized
 
-type band =
-  | Sa_guarantee
-  | Chan_chin
-  | Guarantee_gap
-  | Above_five_sixths
-  | Above_one
+type band = Sa_guarantee | Kawamura | Above_five_sixths | Above_one
 
 let band_of_density d =
-  if Q.( <= ) d (Q.make 1 2) then Sa_guarantee
-  else if Q.( <= ) d (Q.make 7 10) then Chan_chin
-  else if Q.( <= ) d (Q.make 5 6) then Guarantee_gap
-  else if Q.( <= ) d Q.one then Above_five_sixths
-  else Above_one
+  match Density.of_density d with
+  | Density.Guaranteed _ -> Sa_guarantee
+  | Density.Exists _ -> Kawamura
+  | Density.Unknown -> Above_five_sixths
+  | Density.Infeasible _ -> Above_one
 
 let band_name = function
   | Sa_guarantee -> "sa-guarantee"
-  | Chan_chin -> "chan-chin"
-  | Guarantee_gap -> "guarantee-gap"
+  | Kawamura -> "kawamura"
   | Above_five_sixths -> "above-five-sixths"
   | Above_one -> "above-one"
 
@@ -199,11 +194,11 @@ let problems t =
   level_problems @ mds_problems @ trace_problems @ density_problems
 
 let warnings t =
-  if t.band = Guarantee_gap then
+  if t.band = Kawamura then
     [
       Format.asprintf
-        "density %a lies in (7/10, 5/6]: beyond the Chan–Chin guarantee, \
-         below the conjectured 5/6 threshold"
+        "density %a lies in (1/2, 5/6]: a schedule exists (Kawamura), but \
+         the planner guarantees one only up to 1/2"
         Q.pp t.density;
     ]
   else []

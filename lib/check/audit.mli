@@ -12,9 +12,9 @@
       simple-model reduction, for Designer specs) are validated by the
       trusted {!Kernel};
     - {b density} — the exact rational density of the scheduled system is
-      recomputed and classified against the guarantee thresholds, flagging
-      the [(7/10, 5/6]] band where the schedulers give no guarantee but
-      instances remain (conjecturally) feasible;
+      recomputed and banded by {!Pindisk_pinwheel.Density.of_density},
+      flagging the [(1/2, 5/6]] band where a schedule exists by Kawamura's
+      theorem but the planner guarantees none;
     - {b dispersal} — every file's [(m, capacity)] IDA level is checked
       for the MDS property ({!Mds}).
 
@@ -24,12 +24,13 @@
 module Q = Pindisk_util.Q
 module Trace = Pindisk_algebra.Trace
 
+(** The density verdict ({!Pindisk_pinwheel.Density.of_density}) as a
+    band. *)
 type band =
-  | Sa_guarantee  (** density <= 1/2: within the reduction schedulers' bound *)
-  | Chan_chin  (** <= 7/10: within the Chan–Chin single-unit bound *)
-  | Guarantee_gap  (** in (7/10, 5/6]: feasible instances exist, no guarantee *)
-  | Above_five_sixths  (** in (5/6, 1]: beyond the Kawamura threshold *)
-  | Above_one  (** > 1: provably infeasible *)
+  | Sa_guarantee  (** [Guaranteed], density <= 1/2: the planner always plans *)
+  | Kawamura  (** [Exists], in (1/2, 5/6]: a schedule exists, none guaranteed *)
+  | Above_five_sixths  (** [Unknown], in (5/6, 1]: beyond the Kawamura threshold *)
+  | Above_one  (** [Infeasible], > 1 *)
 
 val band_of_density : Q.t -> band
 

@@ -66,25 +66,28 @@ let plan ~byte_rate reqs =
   let ids = List.map (fun r -> r.id) reqs in
   if List.length (List.sort_uniq compare ids) <> List.length ids then
     invalid_arg "Designer.plan: duplicate ids";
-  let last_reason = ref "" in
+  (* Candidates go largest first, so the last reason of each kind is the
+     smallest block's. The channel binds once any candidate fits IDA. *)
+  let ida_cap = ref "" and unschedulable = ref None in
   let rec scan = function
-    | [] -> Error !last_reason
+    | [] -> Error (Option.value !unschedulable ~default:!ida_cap)
     | block :: rest -> (
         let slot_rate = byte_rate / block in
         match specs_for ~block reqs with
         | Error reason ->
-            last_reason := reason;
+            ida_cap := reason;
             scan rest
         | Ok specs -> (
             match Program.pinwheel ~bandwidth:slot_rate specs with
             | None ->
-                last_reason :=
-                  Printf.sprintf
-                    "unschedulable at %d-byte blocks (demand %s of %d \
-                     slots/sec)"
-                    block
-                    (Q.to_string (Bandwidth.demand specs))
-                    slot_rate;
+                unschedulable :=
+                  Some
+                    (Printf.sprintf
+                       "unschedulable at %d-byte blocks (demand %s of %d \
+                        slots/sec)"
+                       block
+                       (Q.to_string (Bandwidth.demand specs))
+                       slot_rate);
                 scan rest
             | Some program ->
                 let files =

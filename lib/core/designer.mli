@@ -43,7 +43,9 @@ val plan : byte_rate:int -> requirement list -> (t, string) result
 (** [plan ~byte_rate reqs] chooses the largest feasible block size among
     the powers of two up to [byte_rate], derives each file's block
     count and capacity, and builds the program. [Error] explains why no
-    candidate worked (with the limiting requirement when identifiable). *)
+    candidate worked: the smallest block size that fit IDA's 255 pieces
+    but did not schedule, or, when none fit, the requirement past the
+    cap at 1-byte blocks. *)
 
 val pp : Format.formatter -> t -> unit
 (** A human-readable deployment report. *)

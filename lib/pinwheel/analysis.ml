@@ -55,16 +55,12 @@ let is_harmonic sys =
   in
   go windows
 
-(* The largest product of window sizes the exact decision attempts. *)
-let exact_states = 500_000
-
 let analyze sys =
   (match Task.check_system sys with
   | Error e -> invalid_arg ("Analysis.analyze: " ^ e)
   | Ok () -> ());
   if sys = [] then invalid_arg "Analysis.analyze: empty system";
   let density = Task.system_density sys in
-  let unit_system = Task.is_unit_system sys in
   let certificate =
     if Q.( > ) density Q.one then Some (Density_above_one density)
     else
@@ -78,13 +74,11 @@ let analyze sys =
     | None -> (
         match Scheduler.plan sys with
         | Some plan -> Schedulable (Plan.to_schedule plan)
-        | None ->
-            if unit_system then
-              match Exact.decide ~max_states:exact_states sys with
-              | Exact.Feasible sched -> Schedulable sched
-              | Exact.Infeasible -> Infeasible Exhausted
-              | Exact.Too_large -> Unknown
-            else Unknown)
+        | None -> (
+            match Exact.decide sys with
+            | Exact.Feasible sched -> Schedulable sched
+            | Exact.Infeasible -> Infeasible Exhausted
+            | Exact.Too_large -> Unknown))
   in
   let certificate =
     match (certificate, verdict) with
@@ -96,7 +90,7 @@ let analyze sys =
     harmonic = is_harmonic sys;
     distinct_windows =
       List.length (List.sort_uniq compare (List.map (fun t -> t.Task.b) sys));
-    unit_system;
+    unit_system = Task.is_unit_system sys;
     within_sa_guarantee = Q.( <= ) density (Q.make 1 2);
     certificate;
     verdict;
@@ -120,4 +114,4 @@ let pp_report ppf r =
   | Schedulable sched ->
       Format.fprintf ppf "SCHEDULABLE (period %d)" (Schedule.period sched)
   | Infeasible c -> Format.fprintf ppf "INFEASIBLE: %a" pp_certificate c
-  | Unknown -> Format.fprintf ppf "UNKNOWN (heuristics failed, too large for exact search)"
+  | Unknown -> Format.fprintf ppf "UNKNOWN (heuristics failed, search budget spent)"

@@ -10,8 +10,8 @@
       collectively force more than [w] slot demands
       ([Σ_i a_i·⌊w/b_i⌋ > w] — every aligned span of [w] slots is
       over-committed);
-    - exhaustion: the exact state-space search proved no infinite
-      schedule exists (small unit systems only).
+    - exhaustion: the exact search ({!Exact.decide}) proved no infinite
+      schedule exists.
 
     The classification records whether the windows are harmonic (every
     window divides every larger one — schedulable iff density <= 1, by
@@ -31,7 +31,7 @@ type certificate =
 type verdict =
   | Schedulable of Schedule.t
   | Infeasible of certificate
-  | Unknown  (** heuristics failed; instance too large for exact search *)
+  | Unknown  (** heuristics failed; the search spent its state budget *)
 
 type report = {
   density : Q.t;
@@ -52,8 +52,7 @@ val is_harmonic : Task.system -> bool
 
 val analyze : Task.system -> report
 (** Full analysis: certificates first, then the constructive schedulers,
-    then (for unit systems whose window sizes multiply to at most
-    500,000) the exact decision. Raises [Invalid_argument] on empty or duplicate-id
-    systems. *)
+    then {!Exact.decide} at its default budget. Raises [Invalid_argument]
+    on empty or duplicate-id systems. *)
 
 val pp_report : Format.formatter -> report -> unit

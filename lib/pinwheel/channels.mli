@@ -21,7 +21,8 @@
     verbatim to densities: the heaviest channel carries at most
     [avg + (1 - 1/K) · max_task], so e.g. a system of tasks with
     individual densities <= 1/3 and total density <= K/2 always shards
-    with every channel <= 5/6 — inside the Kawamura guarantee. Round-robin offers no such bound (it can stack
+    with every channel <= 5/6, where a schedule exists by Kawamura's
+    theorem. Round-robin offers no such bound (it can stack
     the K heaviest tasks onto one channel); the test suite pins the LPT
     bound as a qcheck property.
 

@@ -1,33 +1,32 @@
-(** Exact schedulability decision for small single-unit pinwheel systems.
+(** Exact schedulability of a pinwheel system, by a search bounded by the
+    states it explores.
 
-    The pinwheel problem is PSPACE-hard in general, but small instances are
-    decided exactly by search over the deadline-vector automaton: the state
-    is, per task, the number of slots remaining before the window constraint
-    forces the task to be served. An infinite schedule exists iff the initial
-    (all-slack) state can reach a cycle of "live" states; the cycle itself is
-    a valid cyclic schedule.
+    The pinwheel problem is PSPACE-hard in general. This module walks the
+    deadline automaton depth-first: a state holds, per task [(i, a, b)],
+    the deadlines of its next [a] required occurrences. The walk serves
+    the most urgent task first and idles last, treats tasks with equal
+    [(a, b)] as interchangeable, prunes a state whose k-th earliest
+    deadline falls before slot k (one occurrence per slot), and remembers
+    the states it has exhausted. It stops at the first state repeated on
+    its path: that cycle is a valid cyclic schedule, repeated with
+    relabelled tasks until the permutation of interchangeable tasks
+    closes. Exhausting every state reachable from the all-slack start
+    proves that no infinite schedule exists.
 
-    This is the ground truth the heuristic schedulers (and the paper's
-    density thresholds) are tested against: it certifies both feasibility
-    (with a verified schedule) and {e infeasibility} — e.g. it proves the
-    paper's Example-1 claim that [{(1,1,2), (2,1,3), (3,1,n)}] is infeasible.
-
-    Only single-unit systems ([a = 1]) are supported; multi-unit tasks can be
-    decomposed first with {!Task.decompose_units}, though the decomposition
-    is sufficient, not necessary, so infeasibility of the decomposition does
-    not certify infeasibility of the original system. *)
+    It is [Scheduler]'s last stage and the ground truth the heuristics
+    are tested against: it proves, e.g., the paper's Example-1 claim that
+    [{(1,1,2), (2,1,3), (3,1,n)}] is infeasible, and, taking multi-unit
+    tasks as they are, measures what the exact-period decomposition
+    ({!Task.decompose_units}) gives up (experiment E16). *)
 
 type result =
   | Feasible of Schedule.t  (** a verified cyclic schedule *)
   | Infeasible  (** no infinite schedule exists: proof by exhaustion *)
-  | Too_large  (** state space exceeds [max_states]; not attempted *)
+  | Too_large  (** [max_states] states explored without a decision *)
 
 val decide : ?max_states:int -> Task.system -> result
-(** [decide sys] decides schedulability of the single-unit system [sys].
-    [max_states] (default [2_000_000]) bounds the product of window sizes.
-    Raises [Invalid_argument] on a non-unit system, a system with duplicate
-    ids, or an empty system. *)
-
-val is_feasible : Task.system -> bool option
-(** [Some true]/[Some false] when {!decide} at its default [max_states]
-    decides, [None] when too large. *)
+(** [decide sys] decides schedulability of [sys], exploring at most
+    [max_states] states (default [100_000]); a state of [k > 32]
+    deadlines counts as [k/32] states, so memory and time stay within
+    those of [max_states] states of 32. Raises [Invalid_argument] on a
+    system with duplicate ids, or an empty system. *)

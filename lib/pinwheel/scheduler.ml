@@ -17,7 +17,7 @@ let pp_algorithm ppf = function
 let exact_small sys =
   if not (Task.is_unit_system sys) then None
   else
-    match Exact.decide ~max_states:2_000_000 sys with
+    match Exact.decide sys with
     | Exact.Feasible sched -> Some sched
     | Exact.Infeasible | Exact.Too_large -> None
 
@@ -54,7 +54,7 @@ let plan ?(algorithm = Auto) sys =
       None
   | verdict -> (
       (match verdict with
-      | Density.Guaranteed reason ->
+      | Density.Guaranteed reason | Density.Exists reason ->
           Log.debug (fun m -> m "density pre-check: %s" reason)
       | _ -> ());
       match run_plan algorithm sys with

@@ -534,9 +534,9 @@ let test_audit_generalized () =
 let test_audit_bands () =
   check_bool "1/3" true (Audit.band_of_density (Q.make 1 3) = Audit.Sa_guarantee);
   check_bool "1/2" true (Audit.band_of_density (Q.make 1 2) = Audit.Sa_guarantee);
-  check_bool "7/10" true (Audit.band_of_density (Q.make 7 10) = Audit.Chan_chin);
-  check_bool "3/4" true (Audit.band_of_density (Q.make 3 4) = Audit.Guarantee_gap);
-  check_bool "5/6" true (Audit.band_of_density (Q.make 5 6) = Audit.Guarantee_gap);
+  check_bool "7/10" true (Audit.band_of_density (Q.make 7 10) = Audit.Kawamura);
+  check_bool "3/4" true (Audit.band_of_density (Q.make 3 4) = Audit.Kawamura);
+  check_bool "5/6" true (Audit.band_of_density (Q.make 5 6) = Audit.Kawamura);
   check_bool "9/10" true
     (Audit.band_of_density (Q.make 9 10) = Audit.Above_five_sixths);
   check_bool "1" true (Audit.band_of_density Q.one = Audit.Above_five_sixths);

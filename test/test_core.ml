@@ -320,7 +320,8 @@ let test_block_size_tasks () =
       check_int "F1: a = 4+1" 5 (a f1);
       check_int "F1: window" 30 f1.Designer.window
   | _ -> Alcotest.fail "two files at 4096-byte blocks expected");
-  (* A 512 B/s channel: every block size leaves F0 above the IDA cap. *)
+  (* A 512 B/s channel: from 128-byte blocks up every file fits IDA's
+     255 pieces, but the demand exceeds the slots. *)
   check_bool "512 B/s infeasible" true
     (Result.is_error (Designer.plan ~byte_rate:512 bs_reqs))
 
@@ -405,9 +406,17 @@ let test_designer_plan () =
 
 let test_designer_reports_reason () =
   (* A channel too slow for the tight file: the error names a cause. *)
-  match Designer.plan ~byte_rate:4 design_reqs with
+  (match Designer.plan ~byte_rate:4 design_reqs with
   | Ok _ -> Alcotest.fail "4 B/s cannot carry 3000 B within 4 s"
-  | Error reason -> check_bool "reason non-empty" true (String.length reason > 0)
+  | Error reason -> check_bool "reason non-empty" true (String.length reason > 0));
+  (* The channel binds, not IDA: the smallest block size that fits 255
+     pieces is named, not the last (1-byte) candidate. *)
+  match Designer.plan ~byte_rate:512 bs_reqs with
+  | Ok _ -> Alcotest.fail "512 B/s cannot carry F0 within 4 s"
+  | Error reason ->
+      Alcotest.(check string)
+        "binding reason" "unschedulable at 128-byte blocks (demand 64/5 of 4 slots/sec)"
+        reason
 
 let test_designer_validation () =
   Alcotest.check_raises "duplicate ids" (Invalid_argument "Designer.plan: duplicate ids")

@@ -8,6 +8,7 @@ module Specialize = P.Specialize
 module Two_chain = P.Two_chain
 module Scheduler = P.Scheduler
 module Plan = P.Plan
+module Density = P.Density
 module Gen = struct
   include P.Gen
   include Gen_systems
@@ -223,13 +224,29 @@ let test_exact_density_above_one_infeasible () =
     = Exact.Infeasible)
 
 let test_exact_too_large () =
-  let sys = List.init 12 (fun id -> Task.unit ~id ~b:9) in
-  check_bool "cap respected" true (Exact.decide ~max_states:1000 sys = Exact.Too_large)
+  (* The search proves {2, 3, 100} infeasible in a few hundred states; a
+     smaller budget leaves it undecided. *)
+  let sys = [ Task.unit ~id:0 ~b:2; Task.unit ~id:1 ~b:3; Task.unit ~id:2 ~b:100 ] in
+  check_bool "decided" true (Exact.decide sys = Exact.Infeasible);
+  check_bool "cap respected" true (Exact.decide ~max_states:100 sys = Exact.Too_large)
 
-let test_exact_rejects_multi_unit () =
-  Alcotest.check_raises "multi-unit rejected"
-    (Invalid_argument "Exact.decide: only single-unit systems (a = 1) are supported")
-    (fun () -> ignore (Exact.decide [ Task.make ~id:0 ~a:2 ~b:5 ]))
+let test_exact_relabels_interchangeable () =
+  (* Tasks with equal (a, b) share one canonical state; the schedule the
+     search returns still serves every one of them under its own id. *)
+  List.iter
+    (fun sys ->
+      match Exact.decide sys with
+      | Exact.Feasible s ->
+          check_bool "verifies" true (Verify.check_system s sys = []);
+          List.iter
+            (fun (t : Task.t) -> check_bool "served" true (Schedule.count s t.Task.id > 0))
+            sys
+      | _ -> Alcotest.fail "feasible system expected")
+    [
+      List.init 4 (fun id -> Task.unit ~id ~b:4);
+      List.init 3 (fun id -> Task.unit ~id ~b:5) @ [ Task.unit ~id:3 ~b:3 ];
+      [ Task.make ~id:0 ~a:2 ~b:5; Task.make ~id:1 ~a:2 ~b:5; Task.unit ~id:2 ~b:7 ];
+    ]
 
 let test_exact_lin_lin_boundary () =
   (* Lin & Lin: three-task systems are schedulable up to density 5/6, and
@@ -240,59 +257,69 @@ let test_exact_lin_lin_boundary () =
   | _ -> Alcotest.fail "harmonic 2/4/12 must be feasible"
 
 (* ------------------------------------------------------------------ *)
-(* Exact_multi                                                        *)
+(* Exact on multi-unit systems, against the oracles                   *)
 (* ------------------------------------------------------------------ *)
 
-module Exact_multi = P.Exact_multi
+module Oracle = Exact_oracle
+
+(* Verdicts only, comparable across the search and the oracles. *)
+let verdict = function
+  | Exact.Feasible _ -> Some true
+  | Exact.Infeasible -> Some false
+  | Exact.Too_large -> None
+
+let oracle_verdict = function
+  | Oracle.Feasible _ -> Some true
+  | Oracle.Infeasible -> Some false
+  | Oracle.Too_large -> None
 
 let test_exact_multi_paper_example () =
   (* {(1,2,5),(2,1,3)} from the paper's Example 1. *)
   let sys = [ Task.make ~id:1 ~a:2 ~b:5; Task.unit ~id:2 ~b:3 ] in
-  match Exact_multi.decide sys with
-  | Exact_multi.Feasible s -> check_bool "verifies" true (Verify.satisfies s sys)
+  match Exact.decide sys with
+  | Exact.Feasible s -> check_bool "verifies" true (Verify.satisfies s sys)
   | _ -> Alcotest.fail "paper example must be feasible"
 
 let test_exact_multi_density_bound () =
   check_bool "density > 1 infeasible" true
-    (Exact_multi.decide [ Task.make ~id:0 ~a:3 ~b:4; Task.make ~id:1 ~a:2 ~b:4 ]
-    = Exact_multi.Infeasible)
+    (Exact.decide [ Task.make ~id:0 ~a:3 ~b:4; Task.make ~id:1 ~a:2 ~b:4 ]
+    = Exact.Infeasible)
 
 let test_exact_multi_agrees_with_unit_exact () =
-  (* On unit systems both solvers must agree. *)
+  (* On unit systems the search and both oracles agree. *)
   for b1 = 2 to 5 do
     for b2 = b1 to 6 do
       for b3 = b2 to 6 do
         let sys =
           [ Task.unit ~id:0 ~b:b1; Task.unit ~id:1 ~b:b2; Task.unit ~id:2 ~b:b3 ]
         in
-        let unit_answer = Exact.is_feasible sys in
-        let multi_answer =
-          match Exact_multi.decide sys with
-          | Exact_multi.Feasible _ -> Some true
-          | Exact_multi.Infeasible -> Some false
-          | Exact_multi.Too_large -> None
-        in
-        if unit_answer <> None && multi_answer <> None then
-          check_bool
-            (Printf.sprintf "agree on {%d,%d,%d}" b1 b2 b3)
-            true (unit_answer = multi_answer)
+        let answer = verdict (Exact.decide sys) in
+        check_bool
+          (Printf.sprintf "agree on {%d,%d,%d}" b1 b2 b3)
+          true
+          (answer <> None
+          && answer = oracle_verdict (Oracle.Unit.decide sys)
+          && answer = oracle_verdict (Oracle.Multi.decide sys))
       done
     done
   done
 
 let test_exact_multi_saturated () =
   (* (b, b) tasks demand every slot; two of them cannot coexist. *)
-  (match Exact_multi.decide [ Task.make ~id:0 ~a:3 ~b:3 ] with
-  | Exact_multi.Feasible s -> check_int "period-1-ish full schedule" 0 (Schedule.count s Schedule.idle)
+  (match Exact.decide [ Task.make ~id:0 ~a:3 ~b:3 ] with
+  | Exact.Feasible s -> check_int "period-1-ish full schedule" 0 (Schedule.count s Schedule.idle)
   | _ -> Alcotest.fail "a single saturated task is feasible");
   check_bool "two saturated tasks" true
-    (Exact_multi.decide [ Task.make ~id:0 ~a:2 ~b:2; Task.make ~id:1 ~a:2 ~b:2 ]
-    = Exact_multi.Infeasible)
+    (Exact.decide [ Task.make ~id:0 ~a:2 ~b:2; Task.make ~id:1 ~a:2 ~b:2 ]
+    = Exact.Infeasible)
 
 let test_exact_multi_too_large () =
-  let sys = List.init 10 (fun id -> Task.make ~id ~a:2 ~b:8) in
-  check_bool "cap respected" true
-    (Exact_multi.decide sys = Exact_multi.Too_large)
+  (* Density 163/168 and infeasible: the proof takes a few hundred
+     states. *)
+  let sys = [ Task.make ~id:0 ~a:3 ~b:8; Task.unit ~id:1 ~b:6; Task.make ~id:2 ~a:3 ~b:7 ] in
+  check_bool "decided as the oracle does" true
+    (Exact.decide sys = Exact.Infeasible && Oracle.Multi.decide sys = Oracle.Infeasible);
+  check_bool "cap respected" true (Exact.decide ~max_states:100 sys = Exact.Too_large)
 
 let prop_exact_multi_never_contradicts_heuristics =
   QCheck2.Test.make ~name:"heuristic schedules imply multi-unit exact feasibility"
@@ -303,9 +330,33 @@ let prop_exact_multi_never_contradicts_heuristics =
       match sys with
       | [] -> true
       | _ -> (
-          match (Scheduler.plan sys, Exact_multi.decide sys) with
-          | Some _, Exact_multi.Infeasible -> false
+          match (Scheduler.plan sys, Exact.decide sys) with
+          | Some _, Exact.Infeasible -> false
           | _ -> true))
+
+(* The search against the exhaustive deciders it replaced: unit systems
+   with n <= 5 and windows <= 12 against [Oracle.Unit], multi-unit ones
+   with n <= 3, windows <= 7 and a <= 3 against [Oracle.Multi]. Equal
+   verdicts, and every schedule passes the window-counting check. *)
+let prop_exact_matches_oracles =
+  QCheck2.Test.make ~name:"search verdicts equal the exhaustive oracles" ~count:400
+    QCheck2.Gen.(
+      bool >>= fun multi ->
+      let task =
+        if multi then
+          int_range 1 7 >>= fun b -> map (fun a -> (a, b)) (int_range 1 (min 3 b))
+        else map (fun b -> (1, b)) (int_range 1 12)
+      in
+      map (fun l -> (multi, l)) (list_size (int_range 1 (if multi then 3 else 5)) task))
+    (fun (multi, pairs) ->
+      let sys = List.mapi (fun id (a, b) -> Task.make ~id ~a ~b) pairs in
+      let result = Exact.decide sys in
+      let oracle = if multi then Oracle.Multi.decide sys else Oracle.Unit.decide sys in
+      verdict result = oracle_verdict oracle
+      &&
+      match result with
+      | Exact.Feasible s -> Verify.check_system s sys = []
+      | Exact.Infeasible | Exact.Too_large -> true)
 
 (* ------------------------------------------------------------------ *)
 (* Harmonic                                                           *)
@@ -711,7 +762,37 @@ let test_scheduler_validation () =
 let test_guaranteed_density () =
   check_bool "Sa guarantee 1/2" true
     (Scheduler.guaranteed_density Scheduler.Sa = Some (Q.make 1 2));
-  check_bool "exact: none" true (Scheduler.guaranteed_density Scheduler.Exact_small = None)
+  check_bool "exact: none" true (Scheduler.guaranteed_density Scheduler.Exact_small = None);
+  (* Auto's guarantee is where classify stops saying Guaranteed. *)
+  check_bool "Auto guarantee 1/2" true
+    (Scheduler.guaranteed_density Scheduler.Auto = Some (Q.make 1 2));
+  check_bool "1/2 guaranteed" true
+    (match Density.classify [ Task.unit ~id:0 ~b:4; Task.unit ~id:1 ~b:4 ] with
+    | Density.Guaranteed _ -> true
+    | _ -> false);
+  check_bool "just above 1/2 only exists" true
+    (match Density.classify [ Task.unit ~id:0 ~b:4; Task.unit ~id:1 ~b:3 ] with
+    | Density.Exists _ -> true
+    | _ -> false)
+
+(* Unit systems of density at most 5/6 that Sx, Sr and Sxy leave
+   unplanned, with window products past 2·10⁶: the search plans them. *)
+let test_scheduler_plans_kawamura_band () =
+  List.iter
+    (fun windows ->
+      let sys = List.mapi (fun id b -> Task.unit ~id ~b) windows in
+      check_bool "a schedule exists" true
+        (match Density.classify sys with Density.Exists _ -> true | _ -> false);
+      match Scheduler.plan sys with
+      | Some p -> check_bool "verifies" true (Verify.satisfies (Plan.to_schedule p) sys)
+      | None -> Alcotest.failf "no plan for %a" Task.pp_system sys)
+    [
+      [ 4; 6; 7; 10; 15; 21; 35; 35 ];
+      [ 5; 7; 8; 9; 11; 11; 22 ];
+      [ 20; 6; 4; 15; 8; 7; 38 ];
+      [ 22; 7; 8; 10; 28; 8; 5; 24 ];
+      [ 4; 11; 17; 3; 26; 38; 31 ];
+    ]
 
 (* Every algorithm's plans, Auto's among them, on unit and multi-unit
    systems, judged by the window-counting oracle on the materialized
@@ -740,7 +821,7 @@ let prop_exact_agrees_with_heuristics =
       match sys with
       | [] -> true
       | _ -> (
-          match (Specialize.sx_plan sys, Exact.decide ~max_states:500_000 sys) with
+          match (Specialize.sx_plan sys, Exact.decide sys) with
           | Some _, Exact.Infeasible -> false (* heuristic found what exact denies *)
           | _ -> true))
 
@@ -819,8 +900,8 @@ let prop_analysis_verdicts_sound =
       match r.Analysis.verdict with
       | Analysis.Schedulable sched -> Verify.satisfies sched sys
       | Analysis.Infeasible _ ->
-          (* Cross-check with the exact decision. *)
-          Exact.is_feasible sys <> Some true
+          (* Cross-check with the exhaustive oracle. *)
+          oracle_verdict (Oracle.Unit.decide sys) <> Some true
       | Analysis.Unknown -> true)
 
 (* ------------------------------------------------------------------ *)
@@ -857,8 +938,6 @@ let test_gen_multi_unit () =
 (* ------------------------------------------------------------------ *)
 (* Plan dispatcher                                                     *)
 (* ------------------------------------------------------------------ *)
-
-module Density = P.Density
 
 (* The tentpole equivalence: the online dispatcher replayed for two full
    periods is slot-for-slot the eager schedule, on generated feasible
@@ -1065,10 +1144,12 @@ let test_density_example1 () =
   check_bool "plan returns None" true (Scheduler.plan sys = None)
 
 let test_density_five_sixths_edge () =
-  (* {2, 3} alone sits exactly at density 5/6 with min window 2: the
-     Kawamura bound guarantees it (and ABAB... indeed schedules it). *)
+  (* {2, 3} alone sits exactly at density 5/6 with min window 2: a
+     schedule exists by Kawamura's bound (and ABAB... indeed schedules
+     it), though only 1/2 is guaranteed to plan. *)
   let sys = [ Task.unit ~id:0 ~b:2; Task.unit ~id:1 ~b:3 ] in
-  check_bool "exactly 5/6 guaranteed" true (is_guaranteed (Density.classify sys));
+  check_bool "exactly 5/6 exists" true
+    (match Density.classify sys with Density.Exists _ -> true | _ -> false);
   check_bool "and indeed schedulable" true (Scheduler.plan sys <> None)
 
 let test_density_half_edge () =
@@ -1087,8 +1168,22 @@ let prop_density_infeasible_is_sound =
     (fun (n, seed) ->
       let sys = Gen.unit_system ~seed ~n ~max_b:8 in
       match Density.classify sys with
-      | Density.Infeasible _ -> Exact.is_feasible sys <> Some true
-      | Density.Guaranteed _ | Density.Unknown -> true)
+      | Density.Infeasible _ -> oracle_verdict (Oracle.Unit.decide sys) <> Some true
+      | Density.Guaranteed _ | Density.Exists _ | Density.Unknown -> true)
+
+(* qcheck: whatever classify calls Guaranteed, unit or multi-unit,
+   Scheduler.plan plans. *)
+let prop_guaranteed_plans =
+  QCheck2.Test.make ~name:"every Guaranteed system plans" ~count:300
+    QCheck2.Gen.(triple bool (int_range 1 8) (int_bound 1_000_000))
+    (fun (multi, n, seed) ->
+      let sys =
+        if multi then Gen.multi_unit_system ~seed ~n ~max_a:3 ~max_b:48 ~target:0.5
+        else Gen.unit_system_with_density ~seed ~n ~max_b:48 ~target:0.5
+      in
+      sys = []
+      || (not (is_guaranteed (Density.classify sys)))
+      || Scheduler.plan sys <> None)
 
 (* qcheck: a load folded from [tasks] admits [t] exactly when classify
    does not call [t :: tasks] infeasible. The inputs mix random small
@@ -1167,7 +1262,8 @@ let () =
           Alcotest.test_case "two-task theorem (Holte)" `Slow test_exact_two_task_theorem;
           Alcotest.test_case "density > 1 infeasible" `Quick test_exact_density_above_one_infeasible;
           Alcotest.test_case "state cap" `Quick test_exact_too_large;
-          Alcotest.test_case "multi-unit rejected" `Quick test_exact_rejects_multi_unit;
+          Alcotest.test_case "interchangeable tasks relabelled" `Quick
+            test_exact_relabels_interchangeable;
           Alcotest.test_case "harmonic 5/6 boundary" `Quick test_exact_lin_lin_boundary;
         ] );
       ( "exact-multi",
@@ -1181,7 +1277,7 @@ let () =
         ] );
       ( "exact-multi-properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_exact_multi_never_contradicts_heuristics ] );
+          [ prop_exact_multi_never_contradicts_heuristics; prop_exact_matches_oracles ] );
       ( "harmonic",
         [
           Alcotest.test_case "pack simple" `Quick test_harmonic_pack_simple;
@@ -1226,6 +1322,8 @@ let () =
           Alcotest.test_case "exact fallback" `Quick test_scheduler_exact_fallback;
           Alcotest.test_case "validation" `Quick test_scheduler_validation;
           Alcotest.test_case "guaranteed density" `Quick test_guaranteed_density;
+          Alcotest.test_case "plans the Kawamura band" `Quick
+            test_scheduler_plans_kawamura_band;
         ] );
       ( "scheduler-properties",
         List.map QCheck_alcotest.to_alcotest
@@ -1275,5 +1373,6 @@ let () =
           [
             prop_density_infeasible_is_sound;
             prop_density_admits_matches_classify;
+            prop_guaranteed_plans;
           ] );
     ]

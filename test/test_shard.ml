@@ -166,8 +166,8 @@ let test_channels_no_overflow () =
 
 (* qcheck: every task lands on exactly one channel (or is shed), and for
    inputs inside the LPT bound — individual densities <= 1/3, total
-   <= K/2 — every shard stays within the Kawamura 5/6 guarantee with
-   nothing shed. *)
+   <= K/2 — every shard stays within Kawamura's 5/6 bound with nothing
+   shed. *)
 let prop_channels_partition_balanced =
   QCheck2.Test.make
     ~name:"LPT partition: exact cover, 5/6 bound inside LPT budget"
