@@ -1,4 +1,4 @@
-(* E20 -- codec engine throughput: the SWAR lane kernels and the
+(* E20 -- codec engine throughput: the table-free row kernel and the
    domain-parallel IDA engine against two fixed comparators: the seed
    implementation (log/exp lookups with a zero-branch per byte, one axpy
    sweep per matrix coefficient) and a frozen copy of the v1 table
@@ -12,7 +12,9 @@
    kernels run at the end.
 
    Quick mode (PINDISK_CODEC_QUICK=1, used by CI and `make bench-codec`)
-   trims the grid to the headline configurations. *)
+   trims the grid to the headline configurations. Both grids add the
+   shape a broadcast client mostly decodes: m = 4, n = 5, 128 KiB, one
+   erased row over 32 KiB pieces. *)
 
 module Gf256 = Pindisk_gf256.Gf256
 module Matrix = Pindisk_gf256.Matrix
@@ -87,7 +89,7 @@ let baseline_reconstruct ~matrix ~m ~length pieces =
 (* The pre-engine disperse path, kept as a fixed comparator: one
    wide-table [encode_row_strided] sweep per output row of a
    non-systematic Vandermonde matrix (every row pays the full GF(256)
-   sweep -- no systematic blits, no SWAR lanes, no parallel tasks). The
+   sweep -- no systematic blits, no row kernel, no parallel tasks). The
    engine's speedup over THIS is the gated number, so it must never be
    "improved". *)
 let v1_row_coeffs ~matrix ~m ~n =
@@ -157,12 +159,16 @@ let iter_grid ~quick f =
   let ms = if quick then [ 8 ] else [ 4; 8; 16 ] in
   let rs = if quick then [ 0; 2 ] else [ 0; 2; 4 ] in
   let sizes = if quick then [ 4096; 65536 ] else [ 4096; 65536; 1048576 ] in
+  let grid =
+    List.map (fun m -> (m, List.map (fun r -> (r, sizes)) rs)) ms
+    @ [ (4, [ (1, [ 131072 ]) ]) ]
+  in
   List.iter
-    (fun m ->
+    (fun (m, rows) ->
       let matrix = Matrix.vandermonde ~rows:255 ~cols:m in
       let ida = Ida.create ~m in
       List.iter
-        (fun r ->
+        (fun (r, sizes) ->
           let n = m + r in
           let v1_rows = v1_row_coeffs ~matrix ~m ~n in
           List.iter
@@ -188,8 +194,8 @@ let iter_grid ~quick f =
                     Array.map (fun p -> (p.Ida.index, p.Ida.data)) keep;
                 })
             sizes)
-        rs)
-    ms
+        rows)
+    grid
 
 (* Two passes: every 1-domain cell is measured before any pool domain is
    spawned. Parked domains are not free — each minor collection is a
@@ -252,6 +258,8 @@ type headline = {
   scaling : float; (* engine pool-domains over engine 1-domain *)
   recon_engine_over_baseline : float;
       (* reconstruct at r=2 from pieces 2..9: two erased rows *)
+  recon_m4_engine_over_baseline : float;
+      (* reconstruct m=4, n=5, 128 KiB from pieces 1..4: one erased row *)
 }
 
 let headline cells ~pool_domains =
@@ -270,9 +278,14 @@ let headline cells ~pool_domains =
       pick ~n:8 "table" 1,
       pick ~n:8 "engine" 1,
       pick ~op:"reconstruct" "baseline" 1,
-      pick ~op:"reconstruct" "engine" 1 )
+      pick ~op:"reconstruct" "engine" 1,
+      find cells ~op:"reconstruct" ~impl:"baseline" ~m:4 ~n:5 ~size:131072
+        ~domains:1,
+      find cells ~op:"reconstruct" ~impl:"engine" ~m:4 ~n:5 ~size:131072
+        ~domains:1 )
   with
-  | Some b, Some t1, Some e1, Some en, Some st, Some se, Some rb, Some re ->
+  | ( Some b, Some t1, Some e1, Some en, Some st, Some se, Some rb, Some re,
+      Some rb4, Some re4 ) ->
       Some
         {
           table_over_baseline = t1.mb_per_s /. b.mb_per_s;
@@ -281,6 +294,7 @@ let headline cells ~pool_domains =
           sys_engine_over_table = se.mb_per_s /. st.mb_per_s;
           scaling = en.mb_per_s /. e1.mb_per_s;
           recon_engine_over_baseline = re.mb_per_s /. rb.mb_per_s;
+          recon_m4_engine_over_baseline = re4.mb_per_s /. rb4.mb_per_s;
         }
   | _ -> None
 
@@ -310,7 +324,10 @@ let write_json ~path ~quick ~pool_domains cells =
         h.sys_engine_over_table;
       out "  \"disperse_m8_64KiB_scaling_4dom_over_1dom\": %.2f,\n" h.scaling;
       out "  \"reconstruct_m8_64KiB_engine_over_baseline\": %.2f,\n"
-        h.recon_engine_over_baseline
+        h.recon_engine_over_baseline;
+      out
+        "  \"reconstruct_m4_128KiB_one_erased_engine_over_baseline\": %.2f,\n"
+        h.recon_m4_engine_over_baseline
   | None -> ());
   out "  \"results\": [\n";
   List.iteri
@@ -334,12 +351,13 @@ let micro () =
   let srcs = Array.init 8 (fun j -> Bytes.init (size / 8) (fun i -> Char.chr ((i + j) land 0xff))) in
   let coeffs = Array.init 8 (fun j -> j + 2) in
   let dst = Bytes.create (size / 8) in
-  let l4 =
-    Gf256.lanes
-      (Array.init 4 (fun r ->
-           Array.init 8 (fun j -> ((((r * 8) + j) * 37) + 1) land 0xff)))
-  in
-  let dsts4 = Array.init 4 (fun _ -> Bytes.create (size / 8)) in
+  (* One coded row of m = 8 over 8 KiB pieces, from one strided buffer,
+     and one of m = 4 over 32 KiB pieces. *)
+  let row8 = Gf256.schedule (Array.init 8 (fun j -> ((j * 37) + 1) land 0xff)) in
+  let row4 = Gf256.schedule (Array.init 4 (fun j -> ((j * 37) + 1) land 0xff)) in
+  let strided k = (Array.make k src, Array.init k (fun j -> j * (size / k))) in
+  let srcs8, offs8 = strided 8 and srcs4, offs4 = strided 4 in
+  let dst4 = Bytes.create (size / 4) in
   let tests =
     Test.make_grouped ~name:"codec"
       [
@@ -351,10 +369,14 @@ let micro () =
           (Staged.stage (fun () -> Gf256.mul_into ~dst:acc ~coeff:0x53 ~src));
         Test.make ~name:"encode_row m=8 8KiB"
           (Staged.stage (fun () -> Gf256.encode_row ~dst ~coeffs ~srcs));
-        Test.make ~name:"encode_lanes 4x8 8KiB"
+        Test.make ~name:"encode m=8 8KiB"
           (Staged.stage (fun () ->
-               Gf256.encode_lanes l4 ~dsts:dsts4 ~src ~stride:(size / 8)
-                 ~pos:0 ~len:(size / 8)));
+               Gf256.encode row8 ~srcs:srcs8 ~offs:offs8 ~pos:0 ~dst
+                 ~dst_pos:0 ~len:(size / 8)));
+        Test.make ~name:"encode m=4 32KiB"
+          (Staged.stage (fun () ->
+               Gf256.encode row4 ~srcs:srcs4 ~offs:offs4 ~pos:0 ~dst:dst4
+                 ~dst_pos:0 ~len:(size / 4)));
       ]
   in
   let ols =
@@ -374,7 +396,7 @@ let micro () =
 let run () =
   let quick = Sys.getenv_opt "PINDISK_CODEC_QUICK" <> None in
   if quick then time_budget := 0.3;
-  Format.printf "== E20 / codec engine: SWAR lanes + systematic prefix + domain pool ==@.";
+  Format.printf "== E20 / codec engine: row kernel + systematic prefix + domain pool ==@.";
   let pool_domains, cells = run_grid ~quick in
   Format.printf "  %-12s %-9s m=%-3s n=%-3s %-9s dom %-3s MB/s@." "op" "impl"
     "" "" "size" "";
@@ -389,10 +411,11 @@ let run () =
         "  headline (disperse m=8 n=10 64KiB): engine/v1-table %.2fx, \
          engine/seed %.2fx, v1-table/seed %.2fx, %d-domain/1-domain %.2fx; \
          systematic n=8: engine/v1-table %.2fx; reconstruct from pieces \
-         2..9: engine/seed %.2fx@."
+         2..9: engine/seed %.2fx; m=4 n=5 128KiB one erased row: \
+         engine/seed %.2fx@."
         h.engine_over_table h.engine_over_baseline h.table_over_baseline
         pool_domains h.scaling h.sys_engine_over_table
-        h.recon_engine_over_baseline
+        h.recon_engine_over_baseline h.recon_m4_engine_over_baseline
   | None -> ());
   (* PINDISK_CODEC_OUT redirects the artifact so the metrics-overhead run
      (`make bench-obs`, PINDISK_METRICS=1) does not clobber the baseline

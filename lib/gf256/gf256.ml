@@ -49,11 +49,9 @@ let () =
    primitives [Stdlib.Bytes] builds its checked accessors from. Native
    byte order on both ends keeps the wide tables endian-agnostic: a unit
    read from a source buffer and the unit stored in the table transpose
-   bytes identically. The 64-bit load feeds the SWAR lane kernel below,
-   which consumes eight source bytes per load. *)
+   bytes identically. *)
 external unsafe_get16 : bytes -> int -> int = "%caml_bytes_get16u"
 external unsafe_set16 : bytes -> int -> int -> unit = "%caml_bytes_set16u"
-external unsafe_get64 : bytes -> int -> int64 = "%caml_bytes_get64u"
 
 (* Wide tables: [wide_tabs.(c)] maps every 16-bit source unit [(x0, x1)]
    to the unit [(c*x0, c*x1)], halving the lookups per output byte in the
@@ -242,121 +240,116 @@ let encode_row_strided ~dst ~coeffs ~src ~stride =
     end
   end
 
-(* SWAR lane tables: for a group of up to four matrix rows, [tabs.(j)] is
-   a 256-entry int array whose entry [b] packs the four products
-   [rows.(r).(j) * b] into byte lanes [r] of one native int. The kernel
-   then reads eight source bytes per [unsafe_get64] load and, per
-   coefficient, does one table lookup per source byte that accumulates
-   into {e all} rows of the group at once via a single XOR-fold — the
-   per-output-byte cost is [k/4] lookups for a 4-row group, against [k/2]
-   (from 128 KiB tables that overflow L1) for the retired wide-table
-   grouped kernels. Zero coefficients are not skipped: their lane is
-   all-zero and costs nothing extra, and dispersal matrices have none.
+(* The row kernel. With S_b the XOR of the sources whose coefficient has
+   bit [b] set, a row [sum_k c_k * src_k] is, by Horner's rule,
+   [(..(S_top * x + S_(top-1)) * x + ..) * x + S_0]: a word of eight
+   byte lanes costs one lane-wise multiplication by x per level below
+   the row's highest set bit, plus one load and XOR per set coefficient
+   bit, and reads no table. [steps] lists the levels from that bit
+   down, each as its source count followed by the source indices. *)
+type schedule = { width : int; levels : int; steps : int array }
 
-   A [lanes] value is immutable after construction, so it is safe to
-   build once and share across domains (publish it through an [Atomic]
-   or build it before spawning). *)
-
-type lanes = { width : int; group : int; tabs : int array array }
-
-let lanes rows =
-  let group = Array.length rows in
-  if group < 1 || group > 4 then invalid_arg "Gf256.lanes: need 1 to 4 rows";
-  let width = Array.length rows.(0) in
-  Array.iter
-    (fun r ->
-      if Array.length r <> width then
-        invalid_arg "Gf256.lanes: row widths disagree")
-    rows;
-  let tabs =
-    Array.init width (fun j ->
-        let t = Array.make 256 0 in
-        for lane = 0 to group - 1 do
-          let base = (rows.(lane).(j) land 0xff) lsl 8 in
-          let sh = lane * 8 in
-          for b = 0 to 255 do
-            t.(b) <-
-              t.(b)
-              lor (Char.code (Bytes.unsafe_get mul_tab (base lor b)) lsl sh)
-          done
-        done;
-        t)
+let schedule coeffs =
+  let width = Array.length coeffs in
+  let bits = Array.fold_left (fun acc c -> acc lor (c land 0xff)) 0 coeffs in
+  let rec top b =
+    if b < 0 || bits land (1 lsl b) <> 0 then b else top (b - 1)
   in
-  { width; group; tabs }
+  let levels = top 7 + 1 in
+  let rec popcount c = if c = 0 then 0 else 1 + popcount (c land (c - 1)) in
+  let set = Array.fold_left (fun n c -> n + popcount (c land 0xff)) 0 coeffs in
+  let steps = Array.make (levels + set) 0 in
+  let i = ref 0 in
+  for b = levels - 1 downto 0 do
+    let head = !i in
+    incr i;
+    Array.iteri
+      (fun k c ->
+        if c land (1 lsl b) <> 0 then begin
+          steps.(!i) <- k;
+          incr i
+        end)
+      coeffs;
+    steps.(head) <- !i - head - 1
+  done;
+  { width; levels; steps }
 
-(* The accumulators are local refs of the unit loop, which the compiler
-   keeps in registers, and every store goes through one loop over the
-   [g] destinations. Keep both inline: without flambda a function that
-   contains a loop is never inlined, so refs passed to such a helper are
-   boxed on every 8-byte unit, as is any per-unit closure — 16 to 29
-   words per unit, against none here. *)
-let encode_lanes l ~dsts ~src ~stride ~pos ~len =
-  let g = Array.length dsts in
-  if g < 1 || g > l.group then
-    invalid_arg "Gf256.encode_lanes: need 1 to lanes-group destinations";
-  if pos < 0 || len < 0 then
-    invalid_arg "Gf256.encode_lanes: negative pos or len";
-  for r = 0 to g - 1 do
-    if Bytes.length dsts.(r) < pos + len then
-      invalid_arg "Gf256.encode_lanes: dst shorter than pos + len"
-  done;
-  let k = l.width in
-  if k > 0 then begin
-    if stride < 0 then invalid_arg "Gf256.encode_lanes: negative stride";
-    if Bytes.length src < ((k - 1) * stride) + pos + len then
-      invalid_arg "Gf256.encode_lanes: src too short"
-  end;
-  let tabs = l.tabs in
-  let units = len / 8 in
-  for u = 0 to units - 1 do
-    let off = pos + (8 * u) in
-    (* Coefficient [j]'s lane table folded over the eight source bytes at
-       [off]: row lanes for bytes 0..3 land in [a0..a3], for bytes 4..7
-       in [b0..b3]. Two quartets rather than one 64-bit packing: OCaml
-       ints are 63-bit, so packing the high half with [lsl 32] would drop
-       lane 4's top bit. *)
-    let a0 = ref 0 and a1 = ref 0 and a2 = ref 0 and a3 = ref 0 in
-    let b0 = ref 0 and b1 = ref 0 and b2 = ref 0 and b3 = ref 0 in
-    for j = 0 to k - 1 do
-      let x = unsafe_get64 src ((j * stride) + off) in
-      let xl = Int64.to_int x land 0xffffffff in
-      let xh = Int64.to_int (Int64.shift_right_logical x 32) land 0xffffffff in
-      let t = Array.unsafe_get tabs j in
-      a0 := !a0 lxor Array.unsafe_get t (xl land 0xff);
-      a1 := !a1 lxor Array.unsafe_get t ((xl lsr 8) land 0xff);
-      a2 := !a2 lxor Array.unsafe_get t ((xl lsr 16) land 0xff);
-      a3 := !a3 lxor Array.unsafe_get t (xl lsr 24);
-      b0 := !b0 lxor Array.unsafe_get t (xh land 0xff);
-      b1 := !b1 lxor Array.unsafe_get t ((xh lsr 8) land 0xff);
-      b2 := !b2 lxor Array.unsafe_get t ((xh lsr 16) land 0xff);
-      b3 := !b3 lxor Array.unsafe_get t (xh lsr 24)
+(* Eight lanes per unaligned, unchecked access; lane-wise arithmetic
+   does not care which byte order fills them. *)
+external get64 : bytes -> int -> int64 = "%caml_bytes_get64u"
+external set64 : bytes -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+(* x times each of the eight byte lanes: shift every lane left one bit
+   and reduce the lanes whose top bit fell out by 0x1b. *)
+let[@inline] xtime w =
+  Int64.(
+    logxor
+      (shift_left (logand w 0x7f7f7f7f7f7f7f7fL) 1)
+      (mul (shift_right_logical (logand w 0x8080808080808080L) 7) 0x1bL))
+
+(* Four words per step, so that four independent chains hide each
+   other's latency. The accumulators are local refs, which the compiler
+   keeps unboxed in registers; keep the level loop inline, since without
+   flambda a function that contains a loop is never inlined, and refs
+   passed to one are boxed on every step. *)
+let encode sc ~srcs ~offs ~pos ~dst ~dst_pos ~len =
+  if Array.length srcs <> sc.width || Array.length offs <> sc.width then
+    invalid_arg "Gf256.encode: need one source and offset per coefficient";
+  if pos < 0 || len < 0 || dst_pos < 0 || Bytes.length dst < dst_pos + len then
+    invalid_arg "Gf256.encode: window outside dst";
+  Array.iteri
+    (fun k src ->
+      let o = offs.(k) + pos in
+      if o < 0 || Bytes.length src < o + len then
+        invalid_arg "Gf256.encode: window outside a source")
+    srcs;
+  let steps = sc.steps and levels = sc.levels in
+  let quads = len / 32 in
+  for q = 0 to quads - 1 do
+    let at = pos + (32 * q) in
+    let a0 = ref 0L and a1 = ref 0L and a2 = ref 0L and a3 = ref 0L in
+    let i = ref 0 in
+    for l = 1 to levels do
+      if l > 1 then begin
+        a0 := xtime !a0;
+        a1 := xtime !a1;
+        a2 := xtime !a2;
+        a3 := xtime !a3
+      end;
+      let n = Array.unsafe_get steps !i in
+      for e = !i + 1 to !i + n do
+        let k = Array.unsafe_get steps e in
+        let src = Array.unsafe_get srcs k and o = Array.unsafe_get offs k + at in
+        a0 := Int64.logxor !a0 (get64 src o);
+        a1 := Int64.logxor !a1 (get64 src (o + 8));
+        a2 := Int64.logxor !a2 (get64 src (o + 16));
+        a3 := Int64.logxor !a3 (get64 src (o + 24))
+      done;
+      i := !i + n + 1
     done;
-    let a0 = !a0 and a1 = !a1 and a2 = !a2 and a3 = !a3 in
-    let b0 = !b0 and b1 = !b1 and b2 = !b2 and b3 = !b3 in
-    for r = 0 to g - 1 do
-      let sh = 8 * r in
-      let d = Array.unsafe_get dsts r in
-      unsafe_set16 d off
-        (((a0 lsr sh) land 0xff) lor (((a1 lsr sh) land 0xff) lsl 8));
-      unsafe_set16 d (off + 2)
-        (((a2 lsr sh) land 0xff) lor (((a3 lsr sh) land 0xff) lsl 8));
-      unsafe_set16 d (off + 4)
-        (((b0 lsr sh) land 0xff) lor (((b1 lsr sh) land 0xff) lsl 8));
-      unsafe_set16 d (off + 6)
-        (((b2 lsr sh) land 0xff) lor (((b3 lsr sh) land 0xff) lsl 8))
-    done
+    let d = dst_pos + (32 * q) in
+    set64 dst d !a0;
+    set64 dst (d + 8) !a1;
+    set64 dst (d + 16) !a2;
+    set64 dst (d + 24) !a3
   done;
-  (* Scalar tail for the 0..7 bytes past the last full 8-byte unit. *)
-  for i = pos + (8 * units) to pos + len - 1 do
-    let acc = ref 0 in
-    for j = 0 to k - 1 do
-      let x = Char.code (Bytes.unsafe_get src ((j * stride) + i)) in
-      acc := !acc lxor Array.unsafe_get (Array.unsafe_get tabs j) x
+  (* The 0..31 bytes past the last full step, one at a time. *)
+  for b = 32 * quads to len - 1 do
+    let acc = ref 0 and i = ref 0 in
+    for _ = 1 to levels do
+      acc := (!acc lsl 1) lxor ((!acc lsr 7) * 0x11b);
+      let n = Array.unsafe_get steps !i in
+      for e = !i + 1 to !i + n do
+        let k = Array.unsafe_get steps e in
+        acc :=
+          !acc
+          lxor Char.code
+                 (Bytes.unsafe_get (Array.unsafe_get srcs k)
+                    (Array.unsafe_get offs k + pos + b))
+      done;
+      i := !i + n + 1
     done;
-    let acc = !acc in
-    for r = 0 to g - 1 do
-      Bytes.unsafe_set dsts.(r) i (Char.unsafe_chr ((acc lsr (8 * r)) land 0xff))
-    done
+    Bytes.unsafe_set dst (dst_pos + b) (Char.unsafe_chr !acc)
   done
 
 let pow x k =

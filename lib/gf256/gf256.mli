@@ -31,9 +31,11 @@ val exp : int -> t
 (** [exp k] is the generator [3] raised to the [k]-th power (k taken
     mod 255). *)
 
-(** The bulk kernels below index one flattened table of every
+(** The table kernels below ({!axpy}, {!mul_into}, {!encode_row},
+    {!encode_row_strided}) index one flattened table of every
     coefficient's 256 products (64 KiB, built once at module
-    initialization). *)
+    initialization); the row kernel {!encode}, which dispersal and
+    reconstruction run, reads no table. *)
 
 val axpy : acc:bytes -> coeff:t -> src:bytes -> unit
 (** [axpy ~acc ~coeff ~src] performs [acc.(i) <- acc.(i) + coeff * src.(i)]
@@ -65,38 +67,40 @@ val encode_row_strided :
     [Bytes.length src >= Array.length coeffs * stride]; raises
     [Invalid_argument] otherwise. *)
 
-type lanes
-(** Packed per-coefficient lane tables for a group of 1 to 4 matrix rows:
-    table entry [b] of coefficient column [j] holds the four products
-    [rows.(r).(j) * b] in byte lanes [r] of one native int, so the SWAR
-    kernel accumulates every row of the group with a single lookup per
-    source byte (eight source bytes per 64-bit load). Immutable once
-    built — safe to share across domains. *)
+type schedule
+(** A row of coefficients [c_0 .. c_(k-1)] compiled for {!encode}: for
+    each bit from the row's highest set bit down, the sources whose
+    coefficient has that bit set. Immutable once built, so safe to
+    share across domains. *)
 
-val lanes : t array array -> lanes
-(** [lanes rows] builds the packed tables for 1 to 4 rows of equal width
-    (256 ints per coefficient column). Raises [Invalid_argument] on 0 or
-    more than 4 rows, or unequal widths. Zero coefficients are packed
-    like any other (their lane is all-zero). *)
+val schedule : t array -> schedule
+(** [schedule coeffs] compiles one row. Linear in the row's width. *)
 
-val encode_lanes :
-  lanes ->
-  dsts:bytes array -> src:bytes -> stride:int -> pos:int -> len:int -> unit
-(** [encode_lanes l ~dsts ~src ~stride ~pos ~len] runs the SWAR kernel
-    over one column block: [dsts.(r).(pos + i) <- sum_j rows.(r).(j) *
-    src.(j * stride + pos + i)] for [0 <= i < len], where [rows] are the
-    rows [l] was built from. [dsts] may name fewer destinations than
-    the rows [l] packs; the surplus high lanes are simply not stored, which
-    lets one table set built for a full group serve calls that need only
-    a prefix of its rows. The [pos]/[len] window is how callers block the
-    columns into cache-sized parallel tasks: distinct blocks write
-    disjoint byte ranges, so tasks never race. No alignment is required
-    of [pos], [len] or [stride]. The kernel allocates nothing: its
-    accumulators stay in registers whatever [len] and the number of
-    destinations. Raises [Invalid_argument] when [dsts] is
-    empty or larger than the group, any destination is shorter than
-    [pos + len], or [src] is shorter than [(width-1) * stride + pos +
-    len]. *)
+val encode :
+  schedule ->
+  srcs:bytes array ->
+  offs:int array ->
+  pos:int ->
+  dst:bytes ->
+  dst_pos:int ->
+  len:int ->
+  unit
+(** [encode sc ~srcs ~offs ~pos ~dst ~dst_pos ~len] is the row kernel:
+    [dst.(dst_pos + i) <- sum_k c_k * srcs.(k).(offs.(k) + pos + i)] for
+    [0 <= i < len], where [c] is the row [sc] was compiled from. Source
+    [k] is the pair [(srcs.(k), offs.(k))], so sources are read in
+    place, several from one buffer or each from its own. It needs no
+    table: by Horner's rule over the coefficients' bits, each level
+    multiplies the eight byte lanes of a 64-bit word by x, and the
+    sources whose coefficient has that bit set are XORed in, four words
+    at a time. The walk starts at the row's highest set bit, so a row
+    of 1s is a plain copy or XOR of its sources. [pos] and [len] select
+    a window, which is how callers split the columns into parallel
+    tasks that write disjoint bytes. No alignment is required, and the
+    kernel allocates nothing per word. [dst]'s window must not overlap
+    a source window. Raises [Invalid_argument] when [srcs] or [offs] do
+    not have one entry per coefficient, or a window falls outside
+    [dst] or a source. *)
 
 val ensure_tables : t array -> unit
 (** Pre-build the lazily-constructed 128 KiB wide multiplication tables

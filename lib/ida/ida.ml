@@ -3,10 +3,12 @@ module Matrix = Pindisk_gf256.Matrix
 module Pool = Pindisk_util.Pool
 module Obs = Pindisk_obs
 
-(* Observability handles, registered once at module init. [obs_tasks] is
-   bumped inside the task closures, i.e. from whichever domain runs the
-   task — exactly the cross-domain pattern the sharded counters exist
-   for (and what the parallel-correctness test exercises). *)
+(* Observability handles, registered once at module init. [obs_tasks]
+   counts kernel calls, one per coded (disperse) or erased (reconstruct)
+   row x column block, and is bumped inside the task closures, i.e. from
+   whichever domain runs the task — exactly the cross-domain pattern the
+   sharded counters exist for (and what the parallel-correctness test
+   exercises). *)
 let obs_disperse_calls = Obs.Registry.counter "ida.disperse.calls"
 let obs_disperse_bytes = Obs.Registry.counter "ida.disperse.bytes"
 let obs_reconstruct_calls = Obs.Registry.counter "ida.reconstruct.calls"
@@ -20,16 +22,16 @@ type piece = { index : int; data : bytes }
 (* One cached reconstruction inverse. Entries are immutable: publication
    into the lock-free cache below is a CAS of the whole entry, so a
    reader either sees nothing or sees the complete entry with its
-   prebuilt lane tables — no seqlock or per-field synchronization is
-   needed. Each inverse row is classified once: row [j] equal to the
-   unit vector e_k means source block [j] arrived verbatim as chosen
-   piece [k] (every systematic piece, and every piece when m = 1), so
-   only the remaining, erased rows carry lane tables. *)
+   compiled rows — no seqlock or per-field synchronization is needed.
+   Each inverse row is classified once: row [j] equal to the unit vector
+   e_k means source block [j] arrived verbatim as chosen piece [k]
+   (every systematic piece, and every piece when m = 1), so only the
+   remaining, erased rows carry a kernel schedule. *)
 type inverse_entry = {
   key : int array; (* sorted piece indices *)
   verbatim : int array; (* verbatim.(j) = k if row j is e_k, else -1 *)
   erased : int array; (* the rows j with verbatim.(j) = -1, ascending *)
-  erased_lanes : Gf256.lanes array; (* groups of up to 4 [erased] rows *)
+  schedules : Gf256.schedule array; (* schedules.(e) rebuilds erased.(e) *)
   stamp : int; (* creation order, for oldest-first replacement *)
 }
 
@@ -48,12 +50,6 @@ type cache = {
 type t = {
   m : int;
   dispersal : Matrix.t; (* 255 x m systematic; row i produces piece i *)
-  rows : int array array; (* rows.(i) = coefficients of dispersal row i *)
-  coded_lanes : Gf256.lanes option Atomic.t array;
-  (* Lane tables for coded row group c (dispersal rows m+4c .. m+4c+3),
-     built inside the first fan-out task that needs them and published
-     once with CAS; independent of the dispersal width n, so every
-     disperse call shares them. *)
   cache : cache Atomic.t;
   stamp : int Atomic.t;
   hits : int Atomic.t;
@@ -88,9 +84,6 @@ let create ~m =
   {
     m;
     dispersal;
-    rows = Array.init 255 (row_coeffs dispersal);
-    coded_lanes =
-      Array.init (((255 - m) + 3) / 4) (fun _ -> Atomic.make None);
     cache = Atomic.make (make_cache 256);
     stamp = Atomic.make 0;
     hits = Atomic.make 0;
@@ -107,13 +100,11 @@ let piece_size t ~file_size =
    byte), fan-out overhead beats the parallel win; stay sequential. *)
 let parallel_cutoff = 1 lsl 16
 
-(* Rows encoded per fused pass; matches the widest Gf256 lane group. *)
-let row_group = 4
-
-(* Output columns per task. Small enough that a row group's lane tables
-   (256 * m ints) plus the block's source and destination stripes sit in
-   cache, and that tasks per call (groups * blocks) comfortably exceed
-   any pool width; large enough that task-claim overhead stays noise. *)
+(* Output columns per task. Small enough that the block's source and
+   destination stripes sit in cache, and that tasks per call (rows *
+   blocks) comfortably exceed any pool width; large enough that
+   task-claim overhead stays noise. A multiple of the kernel's 32-byte
+   step, so only a piece's last block has a byte tail. *)
 let col_block = 16384
 
 let run_tasks pool ~work ~n f =
@@ -125,24 +116,13 @@ let run_tasks pool ~work ~n f =
         f i
       done
 
-let coded_lanes_for t c =
-  let slot = t.coded_lanes.(c) in
-  match Atomic.get slot with
-  | Some l -> l
-  | None ->
-      let lo = t.m + (row_group * c) in
-      let w = min row_group (255 - lo) in
-      let l = Gf256.lanes (Array.sub t.rows lo w) in
-      if Atomic.compare_and_set slot None (Some l) then l
-      else Option.get (Atomic.get slot)
-
 let disperse ?pool t ~n file =
   if n < t.m || n > 255 then invalid_arg "Ida.disperse: need m <= n <= 255";
   let len = Bytes.length file in
   let s = piece_size t ~file_size:len in
   (* Source block j is file bytes [j*s, (j+1)*s), zero-padded. When the
-     length divides evenly the strided kernel reads the caller's buffer in
-     place; otherwise one padded copy stands in — never a copy per block. *)
+     length divides evenly the kernel reads the caller's buffer in place;
+     otherwise one padded copy stands in — never a copy per block. *)
   let src =
     if t.m * s = len then file
     else begin
@@ -151,43 +131,33 @@ let disperse ?pool t ~n file =
       b
     end
   in
+  let srcs = Array.make t.m src and offs = Array.init t.m (fun j -> j * s) in
   let pieces = Array.init n (fun i -> { index = i; data = Bytes.create s }) in
+  let coded =
+    Array.init (n - t.m) (fun c ->
+        Gf256.schedule (row_coeffs t.dispersal (t.m + c)))
+  in
   let obs = Obs.Control.enabled () in
   if obs then begin
     Obs.Registry.incr obs_disperse_calls;
     Obs.Registry.add obs_disperse_bytes (n * s)
   end;
-  (* 2-D decomposition: (row group) x (column block). The systematic
-     prefix (rows < m) is pure blits; coded groups run the SWAR lane
-     kernel over their column block, building the group's lane tables
-     inside the first task that touches them. Task count is
-     groups * blocks — far more than any pool width, so every domain
-     stays busy — and distinct tasks write disjoint byte ranges. *)
-  let sys = min n t.m in
-  let sys_groups = (sys + row_group - 1) / row_group in
-  let coded_groups = (n - sys + row_group - 1) / row_group in
+  (* 2-D decomposition: row x column block. The systematic prefix
+     (rows < m) is blits; a coded row runs the kernel over its column
+     block. Task count is rows * blocks — more than any pool width, so
+     every domain stays busy — and distinct tasks write disjoint byte
+     ranges. *)
   let blocks = (s + col_block - 1) / col_block in
-  let tasks = (sys_groups + coded_groups) * blocks in
-  run_tasks pool ~work:(n * s * t.m) ~n:tasks (fun ti ->
-      if obs then Obs.Registry.incr obs_tasks;
-      let g = ti / blocks and b = ti mod blocks in
+  run_tasks pool ~work:(n * s * t.m) ~n:(n * blocks) (fun ti ->
+      let r = ti / blocks and b = ti mod blocks in
       let pos = b * col_block in
       let blen = min col_block (s - pos) in
-      if g < sys_groups then begin
-        let lo = row_group * g in
-        let w = min row_group (sys - lo) in
-        for r = lo to lo + w - 1 do
-          Bytes.blit src ((r * s) + pos) pieces.(r).data pos blen
-        done
-      end
+      let dst = pieces.(r).data in
+      if r < t.m then Bytes.blit src ((r * s) + pos) dst pos blen
       else begin
-        let c = g - sys_groups in
-        let lanes = coded_lanes_for t c in
-        let lo = t.m + (row_group * c) in
-        let w = min row_group (n - lo) in
-        Gf256.encode_lanes lanes
-          ~dsts:(Array.init w (fun j -> pieces.(lo + j).data))
-          ~src ~stride:s ~pos ~len:blen
+        if obs then Obs.Registry.incr obs_tasks;
+        Gf256.encode coded.(r - t.m) ~srcs ~offs ~pos ~dst ~dst_pos:pos
+          ~len:blen
       end);
   ignore (Atomic.fetch_and_add passes n);
   pieces
@@ -280,19 +250,11 @@ let build_entry t indices =
         Array.of_list
           (List.filter (fun j -> verbatim.(j) < 0) (List.init t.m Fun.id))
       in
-      let e = Array.length erased in
       {
         key = Array.copy indices;
         verbatim;
         erased;
-        erased_lanes =
-          Array.init
-            ((e + row_group - 1) / row_group)
-            (fun g ->
-              let lo = row_group * g in
-              Gf256.lanes
-                (Array.init (min row_group (e - lo)) (fun r ->
-                     inv_rows.(erased.(lo + r)))));
+        schedules = Array.map (fun j -> Gf256.schedule inv_rows.(j)) erased;
         stamp = Atomic.fetch_and_add t.stamp 1;
       }
 
@@ -379,42 +341,34 @@ let reconstruct ?pool t ~length pieces =
     Obs.Registry.incr obs_reconstruct_calls;
     Obs.Registry.add obs_reconstruct_bytes (t.m * s)
   end;
-  (* Source block j is chosen piece k verbatim when verbatim.(j) = k;
-     every other block is rebuilt into a buffer of its own. *)
-  let blocks =
-    Array.map
-      (fun k -> if k >= 0 then chosen.(k).data else Bytes.create s)
-      entry.verbatim
-  in
+  (* Source block j is chosen piece k verbatim when verbatim.(j) = k,
+     and is copied into the result; every other block is rebuilt from
+     the chosen pieces in place, straight into the result. Only the
+     bytes below [length] are written. *)
+  let out = Bytes.create length in
+  Array.iteri
+    (fun j k ->
+      let blen = min s (length - (j * s)) in
+      if k >= 0 && blen > 0 then Bytes.blit chosen.(k).data 0 out (j * s) blen)
+    entry.verbatim;
   let erased = Array.length entry.erased in
   if erased > 0 then begin
-    (* Erased block j = sum over chosen pieces k of inv[j][k] * piece_k.
-       The pieces are gathered into one contiguous buffer (a single
-       memcpy-speed pass) so the lane kernel rebuilds up to four erased
-       blocks per pass over the piece units, 2-D decomposed exactly like
+    (* One kernel task per erased row x column block, decomposed like
        disperse. *)
-    let gathered = Bytes.create (t.m * s) in
-    Array.iteri (fun k p -> Bytes.blit p.data 0 gathered (k * s) s) chosen;
-    let groups = Array.length entry.erased_lanes in
-    let col_blocks = (s + col_block - 1) / col_block in
-    run_tasks pool ~work:(erased * s * t.m) ~n:(groups * col_blocks)
-      (fun ti ->
-        if obs then Obs.Registry.incr obs_tasks;
-        let g = ti / col_blocks and b = ti mod col_blocks in
+    let srcs = Array.map (fun p -> p.data) chosen in
+    let offs = Array.make t.m 0 in
+    let blocks = (s + col_block - 1) / col_block in
+    run_tasks pool ~work:(erased * s * t.m) ~n:(erased * blocks) (fun ti ->
+        let e = ti / blocks and b = ti mod blocks in
         let pos = b * col_block in
-        let lo = row_group * g in
-        Gf256.encode_lanes entry.erased_lanes.(g)
-          ~dsts:
-            (Array.init (min row_group (erased - lo)) (fun r ->
-                 blocks.(entry.erased.(lo + r))))
-          ~src:gathered ~stride:s ~pos ~len:(min col_block (s - pos)))
+        let dst_pos = (entry.erased.(e) * s) + pos in
+        let len = min (min col_block (s - pos)) (length - dst_pos) in
+        if len > 0 then begin
+          if obs then Obs.Registry.incr obs_tasks;
+          Gf256.encode entry.schedules.(e) ~srcs ~offs ~pos ~dst:out ~dst_pos
+            ~len
+        end)
   end;
-  let out = Bytes.create length in
-  for j = 0 to t.m - 1 do
-    let off = j * s in
-    let blen = min s (length - off) in
-    if blen > 0 then Bytes.blit blocks.(j) 0 out off blen
-  done;
   ignore (Atomic.fetch_and_add passes t.m);
   out
 

@@ -21,10 +21,10 @@ type piece = { index : int; data : bytes }
 type t
 (** A dispersal context for fixed [m]: caches the systematic dispersal
     matrix (rows [0 .. m-1] are the identity, so the first [m] pieces are
-    source blocks verbatim), its rows' packed lane tables for the SWAR
-    encode kernel, and the reconstruction inverses for row subsets
-    already seen (the paper notes the inverse transformations "could be
-    precomputed"). The inverse cache is a fixed-size lock-free hash table
+    source blocks verbatim) and the reconstruction inverses for row
+    subsets already seen (the paper notes the inverse transformations
+    "could be precomputed"), each with its erased rows compiled for the
+    row kernel ({!Pindisk_gf256.Gf256.encode}). The inverse cache is a fixed-size lock-free hash table
     of atomic slots holding immutable entries: lookups and inserts are
     safe from any number of domains concurrently, the entry count never
     exceeds the cap (so adversarial loss patterns — up to [C(255, m)]
@@ -52,12 +52,13 @@ val disperse : ?pool:Pindisk_util.Pool.t -> t -> n:int -> bytes -> piece array
     [file] is padded internally to a multiple of [m] bytes; use
     {!reconstruct} with the original length to strip the padding. The result
     has pieces in index order [0 .. n-1]; pieces [0 .. m-1] are the source
-    blocks verbatim (systematic prefix, emitted by memcpy). When [pool] is
-    given and the encode work is large enough to amortize fan-out, the
-    (row group) x (column block) task grid is spread across its domains —
-    each task builds any lane tables it needs itself, so no serial warm-up
-    precedes the fan-out; the output is byte-identical to the sequential
-    path. *)
+    blocks verbatim (systematic prefix, emitted by memcpy); each coded
+    piece is one run of the row kernel over the file, read in place (one
+    zero-padded copy stands in when the length is not a multiple of [m]).
+    When [pool] is given and the encode work is large enough to
+    amortize fan-out, the (row) x (16 KiB column block) task grid is
+    spread across its domains; the output is byte-identical to the
+    sequential path. *)
 
 val reconstruct : ?pool:Pindisk_util.Pool.t -> t -> length:int -> piece list -> bytes
 (** [reconstruct t ~length pieces] rebuilds the original file of [length]
@@ -67,8 +68,9 @@ val reconstruct : ?pool:Pindisk_util.Pool.t -> t -> length:int -> piece list -> 
     even when a corrupted duplicate disagrees. Only erased source blocks
     cost field arithmetic: a block that arrived verbatim (every
     systematic piece, and every piece when [m = 1]) is copied straight
-    into the result, and the SWAR kernel runs over the gathered pieces
-    for the remaining rows alone. Raises [Invalid_argument] if any
+    into the result, and the row kernel rebuilds each remaining block
+    from the chosen pieces in place, straight into the result at its
+    offset (only bytes below [length] are written). Raises [Invalid_argument] if any
     supplied index, extras included, lies outside [0 .. 254], if fewer
     than [m] distinct indices are supplied, if the chosen pieces' sizes
     disagree, or if [length] exceeds what the pieces encode. [pool]

@@ -1,10 +1,6 @@
 module Q = Pindisk_util.Q
-module Intmath = Pindisk_util.Intmath
 
-type certificate =
-  | Density_above_one of Q.t
-  | Pigeonhole of { window : int; demand : int }
-  | Exhausted
+type certificate = Density_above_one of Q.t | Exhausted
 
 type verdict = Schedulable of Schedule.t | Infeasible of certificate | Unknown
 
@@ -17,35 +13,6 @@ type report = {
   certificate : certificate option;
   verdict : verdict;
 }
-
-let pigeonhole_violation sys =
-  let windows = List.map (fun t -> t.Task.b) sys in
-  (* If the density exceeds 1 then w = lcm(windows) is a witness
-     (demand(lcm) = lcm * density > lcm), so scanning up to the lcm is
-     complete whenever it is affordable. *)
-  let cap =
-    match Intmath.lcm_list windows with
-    | lcm -> min 100_000 lcm
-    | exception Intmath.Overflow -> 100_000
-  in
-  (* The demand function only jumps at multiples of some window, so only
-     those w need checking. *)
-  let candidates =
-    List.concat_map
-      (fun b -> List.init (cap / b) (fun k -> (k + 1) * b))
-      (List.sort_uniq compare windows)
-    |> List.sort_uniq compare
-  in
-  let demand w =
-    Intmath.sum (List.map (fun t -> t.Task.a * (w / t.Task.b)) sys)
-  in
-  let rec scan = function
-    | [] -> None
-    | w :: rest ->
-        let d = demand w in
-        if d > w then Some (w, d) else scan rest
-  in
-  scan candidates
 
 let is_harmonic sys =
   let windows = List.sort_uniq compare (List.map (fun t -> t.Task.b) sys) in
@@ -62,11 +29,7 @@ let analyze sys =
   if sys = [] then invalid_arg "Analysis.analyze: empty system";
   let density = Task.system_density sys in
   let certificate =
-    if Q.( > ) density Q.one then Some (Density_above_one density)
-    else
-      match pigeonhole_violation sys with
-      | Some (window, demand) -> Some (Pigeonhole { window; demand })
-      | None -> None
+    if Q.( > ) density Q.one then Some (Density_above_one density) else None
   in
   let verdict =
     match certificate with
@@ -98,10 +61,6 @@ let analyze sys =
 
 let pp_certificate ppf = function
   | Density_above_one d -> Format.fprintf ppf "density %a > 1" Q.pp d
-  | Pigeonhole { window; demand } ->
-      Format.fprintf ppf
-        "pigeonhole: every %d-slot span is forced to carry %d demands" window
-        demand
   | Exhausted -> Format.fprintf ppf "exhaustive search: no infinite schedule"
 
 let pp_report ppf r =

@@ -6,12 +6,12 @@
 
     Infeasibility certificates:
     - density above 1 (the basic necessary condition of Section 3.1);
-    - a {e pigeonhole window}: a window length [w] into which the tasks
-      collectively force more than [w] slot demands
-      ([Σ_i a_i·⌊w/b_i⌋ > w] — every aligned span of [w] slots is
-      over-committed);
     - exhaustion: the exact search ({!Exact.decide}) proved no infinite
       schedule exists.
+
+    No window-counting certificate is needed beside the density one: at
+    density [<= 1], [Σ_i a_i·⌊w/b_i⌋ <= w·density <= w] for every window
+    length [w], so no span of slots is ever over-committed.
 
     The classification records whether the windows are harmonic (every
     window divides every larger one — schedulable iff density <= 1, by
@@ -23,9 +23,6 @@ module Q = Pindisk_util.Q
 
 type certificate =
   | Density_above_one of Q.t
-  | Pigeonhole of { window : int; demand : int }
-      (** [demand > window] forced slot demands in every aligned
-          [window]-slot span *)
   | Exhausted  (** exact search: no infinite schedule exists *)
 
 type verdict =
@@ -42,11 +39,6 @@ type report = {
   certificate : certificate option;  (** first infeasibility proof found *)
   verdict : verdict;
 }
-
-val pigeonhole_violation : Task.system -> (int * int) option
-(** The smallest window [w] (searched up to the product of the two
-    largest windows, capped at 100,000) with [Σ a_i·⌊w/b_i⌋ > w], with
-    its demand. *)
 
 val is_harmonic : Task.system -> bool
 

@@ -1,5 +1,6 @@
 module Ida = Pindisk_ida.Ida
 module Program = Pindisk.Program
+module Swap = Pindisk_adapt.Swap
 module Obs = Pindisk_obs
 
 let obs_reads = Obs.Registry.counter "store.reads"
@@ -23,6 +24,10 @@ type stored = { m : int; pieces : Ida.piece array }
 
 type t = {
   prog : Program.t;
+  mutable digest : string option;
+      (* [Swap.digest prog], taken on first use and set once: every
+         checkpoint and restore needs it, and taking it prints the whole
+         program. Racing first uses compute and store the same string. *)
   store : (int, stored) Hashtbl.t;
   latency : Latency.t;
   depth : int;
@@ -54,9 +59,25 @@ let create ?(depth = 8) ~latency ~program files =
         invalid_arg
           (Printf.sprintf "Block_store.create: no content for file %d" f))
     (Program.files program);
-  { prog = program; store; latency; depth; queue = []; next_read = 0 }
+  {
+    prog = program;
+    digest = None;
+    store;
+    latency;
+    depth;
+    queue = [];
+    next_read = 0;
+  }
 
 let program t = t.prog
+
+let program_digest t =
+  match t.digest with
+  | Some d -> d
+  | None ->
+      let d = Swap.digest t.prog in
+      t.digest <- Some d;
+      d
 
 let source_blocks t file =
   Option.map (fun s -> s.m) (Hashtbl.find_opt t.store file)

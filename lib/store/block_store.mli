@@ -53,6 +53,12 @@ val create :
     8, [>= 1]) bounds the outstanding-request queue. *)
 
 val program : t -> Pindisk.Program.t
+
+val program_digest : t -> string
+(** [Pindisk_adapt.Swap.digest (program t)], taken on first use and kept
+    for the store's lifetime (the program never changes). Safe to call
+    from several domains: racing first calls compute the same digest. *)
+
 val source_blocks : t -> int -> int option
 (** The [m] of a stored file, or [None]. *)
 

@@ -2,7 +2,6 @@ module Ida = Pindisk_ida.Ida
 module Plan = Pindisk_pinwheel.Plan
 module Schedule = Pindisk_pinwheel.Schedule
 module Program = Pindisk.Program
-module Swap = Pindisk_adapt.Swap
 
 type fault_reason = Read_late of int | Read_failed | Queue_overflow
 
@@ -88,7 +87,7 @@ let checkpoint t =
     Checkpoint.slot;
     period;
     period_stamp = slot / period;
-    program_digest = Swap.digest (Block_store.program t.store);
+    program_digest = Block_store.program_digest t.store;
     next_read = Block_store.next_read t.store;
     counts =
       List.sort compare
@@ -99,7 +98,7 @@ let checkpoint t =
 let restore ?(lookahead = 4) ~plan store (c : Checkpoint.t) =
   if lookahead < 1 then invalid_arg "Server.restore: lookahead must be >= 1";
   validate ~plan store;
-  let digest = Swap.digest (Block_store.program store) in
+  let digest = Block_store.program_digest store in
   if c.Checkpoint.program_digest <> digest then
     Error
       (Printf.sprintf "checkpoint program digest %s does not match %s"

@@ -69,12 +69,15 @@ let sched_checks =
 (* The floors trace the codec acceptance criteria at m=8 / 64 KiB: the
    engine must beat the seed codec >= 10x and the frozen v1 wide-table
    kernel >= 5x in the fault-tolerant shape (n=10, where the two coded
-   rows still pay an op-bound SWAR sweep), >= 10x over v1 on the pure
+   rows still pay a row-kernel sweep each), >= 10x over v1 on the pure
    systematic shape (n=8, dispersal degenerates to blits), and 4-domain
    dispersal must scale >= 2x over 1-domain wherever the runner actually
    has the cores to show it. Reconstruction from pieces 2..9 of n=10
    (two erased rows) must beat the seed codec >= 8x; that floor alone
-   gates it. *)
+   gates it. The shape a broadcast client decodes most, m=4, n=5,
+   128 KiB from pieces 1..4 (one erased row over 32 KiB pieces), read
+   12.0-15.4x here; it must clear 6x and the baseline within tolerance,
+   so an injected 2x slowdown fails it. *)
 let codec_checks =
   [
     { metric = "disperse_m8_64KiB_table_over_baseline";
@@ -94,6 +97,9 @@ let codec_checks =
       requires = Some "parallel_capable" };
     { metric = "reconstruct_m8_64KiB_engine_over_baseline";
       dir = Higher_is_better; floor = Some 8.0; gate_vs_baseline = false;
+      requires = None };
+    { metric = "reconstruct_m4_128KiB_one_erased_engine_over_baseline";
+      dir = Higher_is_better; floor = Some 6.0; gate_vs_baseline = true;
       requires = None };
   ]
 

@@ -229,125 +229,128 @@ let test_wide_tables_build_once_under_race () =
   Alcotest.(check bool) "post-race table correct" true
     (Bytes.equal dst (ref_row ~coeffs:[| 0x8e |] ~srcs:[| src |] ~len:257))
 
-let test_lanes_windows_and_prefix () =
+(* Scalar reference for [Gf.encode]: source [k] is [srcs.(k)] read from
+   [offs.(k) + pos]. *)
+let ref_encode ~coeffs ~srcs ~offs ~pos ~len =
+  let windows = Array.mapi (fun k b -> Bytes.sub b (offs.(k) + pos) len) srcs in
+  ref_row ~coeffs ~srcs:windows ~len
+
+let test_encode_windows_and_offsets () =
   let rng = Random.State.make [| 11 |] in
   let k = 5 and len = 100 in
   let stride = len + 3 in
-  let src = rand_bytes rng (k * stride) in
-  let blocks = Array.init k (fun j -> Bytes.sub src (j * stride) len) in
-  let rows =
-    Array.init 4 (fun _ -> Array.init k (fun _ -> Random.State.int rng 256))
-  in
-  let l = Gf.lanes rows in
-  (* Disjoint [pos, len) windows — deliberately unaligned — must compose
-     to exactly the full-width result. *)
-  let dsts = Array.init 4 (fun _ -> rand_bytes rng len) in
+  (* Sources 0..3 in place in one buffer, source 4 in a buffer of its
+     own at an odd offset. *)
+  let shared = rand_bytes rng (4 * stride) and own = rand_bytes rng (len + 7) in
+  let srcs = [| shared; shared; shared; shared; own |] in
+  let offs = [| 0; stride; 2 * stride; 3 * stride; 7 |] in
+  let coeffs = [| 0x80; 0xff; 1; 0; 0x53 |] in
+  let sc = Gf.schedule coeffs in
+  let expect = ref_encode ~coeffs ~srcs ~offs ~pos:0 ~len in
+  (* Disjoint [pos, len) windows — deliberately unaligned — written at a
+     destination offset must compose to exactly the full-width result
+     and leave the destination's other bytes alone. *)
+  let dst = Bytes.make (len + 10) 'x' in
   List.iter
-    (fun (pos, wlen) -> Gf.encode_lanes l ~dsts ~src ~stride ~pos ~len:wlen)
+    (fun (pos, wlen) ->
+      Gf.encode sc ~srcs ~offs ~pos ~dst ~dst_pos:(5 + pos) ~len:wlen)
     [ (0, 13); (13, 1); (14, 57); (71, 29) ];
-  Array.iteri
-    (fun i dst ->
-      Alcotest.(check bool)
-        (Printf.sprintf "windows compose, row %d" i)
-        true
-        (Bytes.equal dst (ref_row ~coeffs:rows.(i) ~srcs:blocks ~len)))
-    dsts;
-  (* A dsts prefix shorter than the group uses the same tables and must
-     leave the missing rows' work unwritten. *)
-  let two = Array.init 2 (fun _ -> Bytes.create len) in
-  Gf.encode_lanes l ~dsts:two ~src ~stride ~pos:0 ~len;
-  Array.iteri
-    (fun i dst ->
-      Alcotest.(check bool)
-        (Printf.sprintf "prefix row %d" i)
-        true
-        (Bytes.equal dst (ref_row ~coeffs:rows.(i) ~srcs:blocks ~len)))
-    two;
-  Alcotest.check_raises "too many dsts"
-    (Invalid_argument "Gf256.encode_lanes: need 1 to lanes-group destinations")
+  Alcotest.(check bool) "windows compose" true
+    (Bytes.equal (Bytes.sub dst 5 len) expect);
+  Alcotest.(check string) "outside untouched" "xxxxxxxxxx"
+    (Bytes.sub_string dst 0 5 ^ Bytes.sub_string dst (5 + len) 5);
+  (* An all-zero row blanks its window. *)
+  let z = Bytes.make len 'x' in
+  Gf.encode (Gf.schedule (Array.make k 0)) ~srcs ~offs ~pos:0 ~dst:z ~dst_pos:0
+    ~len;
+  Alcotest.(check bool) "zero row blanks" true (Bytes.equal z (Bytes.make len '\000'));
+  Alcotest.check_raises "arity"
+    (Invalid_argument "Gf256.encode: need one source and offset per coefficient")
     (fun () ->
-      Gf.encode_lanes
-        (Gf.lanes [| [| 1 |] |])
-        ~dsts:(Array.init 2 (fun _ -> Bytes.create 4))
-        ~src:(Bytes.create 4) ~stride:4 ~pos:0 ~len:4);
+      Gf.encode (Gf.schedule [| 1; 2 |]) ~srcs:[| own |] ~offs:[| 0 |] ~pos:0
+        ~dst:z ~dst_pos:0 ~len:4);
   Alcotest.check_raises "window past dst"
-    (Invalid_argument "Gf256.encode_lanes: dst shorter than pos + len")
-    (fun () ->
-      Gf.encode_lanes
-        (Gf.lanes [| [| 1 |] |])
-        ~dsts:[| Bytes.create 4 |]
-        ~src:(Bytes.create 8) ~stride:8 ~pos:2 ~len:3)
+    (Invalid_argument "Gf256.encode: window outside dst") (fun () ->
+      Gf.encode (Gf.schedule [| 1 |]) ~srcs:[| own |] ~offs:[| 0 |] ~pos:0
+        ~dst:(Bytes.create 4) ~dst_pos:2 ~len:3);
+  Alcotest.check_raises "window past a source"
+    (Invalid_argument "Gf256.encode: window outside a source") (fun () ->
+      Gf.encode (Gf.schedule [| 1; 1 |]) ~srcs:[| own; shared |]
+        ~offs:[| 0; (4 * stride) - 3 |] ~pos:0 ~dst:z ~dst_pos:0 ~len:4)
 
-(* The kernel keeps its accumulators in registers and stores through
-   one loop, so a bulk window allocates nothing per 8-byte unit: the
-   whole 64 KiB call stays under a fixed handful of minor words. *)
-let test_encode_lanes_allocation_free () =
-  let k = 4 and len = 65536 in
-  let src = Bytes.init (k * len) (fun i -> Char.chr ((i * 131) land 0xff)) in
-  for g = 1 to 4 do
-    let l =
-      Gf.lanes
-        (Array.init g (fun r ->
-             Array.init k (fun j -> ((((r * k) + j) * 37) + 1) land 0xff)))
-    in
-    let dsts = Array.init g (fun _ -> Bytes.create len) in
-    Gf.encode_lanes l ~dsts ~src ~stride:len ~pos:0 ~len;
-    let before = Gc.minor_words () in
-    Gf.encode_lanes l ~dsts ~src ~stride:len ~pos:0 ~len;
-    let words = Gc.minor_words () -. before in
-    Alcotest.(check bool)
-      (Printf.sprintf "g = %d: %.0f minor words < 64" g words)
-      true (words < 64.)
-  done
+(* The kernel keeps its four accumulators unboxed in registers, so a
+   bulk window allocates nothing per word: the whole 64 KiB call stays
+   under a fixed handful of minor words, for any row width. *)
+let test_encode_allocation_free () =
+  let len = 65536 in
+  List.iter
+    (fun k ->
+      let src = Bytes.init (k * len) (fun i -> Char.chr ((i * 131) land 0xff)) in
+      let sc = Gf.schedule (Array.init k (fun j -> ((j * 37) + 0xff) land 0xff)) in
+      let srcs = Array.make k src and offs = Array.init k (fun j -> j * len) in
+      let dst = Bytes.create len in
+      Gf.encode sc ~srcs ~offs ~pos:0 ~dst ~dst_pos:0 ~len;
+      let before = Gc.minor_words () in
+      Gf.encode sc ~srcs ~offs ~pos:0 ~dst ~dst_pos:0 ~len;
+      let words = Gc.minor_words () -. before in
+      Alcotest.(check bool)
+        (Printf.sprintf "k = %d: %.0f minor words < 64" k words)
+        true (words < 64.))
+    [ 1; 2; 4; 8 ]
 
 let kernel_props =
   let gen =
     QCheck2.Gen.(
-      pair (int_range 0 200) (int_bound 1_000_000))
+      pair (frequency [ (2, int_range 0 40); (3, int_range 0 200) ])
+        (int_bound 1_000_000))
   in
   [
-    (* Adversarial shapes for the SWAR kernel: odd lengths, strides not
-       divisible by 8, unaligned window offsets, zero/one coefficients
-       and systematic (unit) rows, and destination prefixes narrower
-       than the lane group. Bytes outside the window must be
-       untouched. *)
-    prop "SWAR encode_lanes == scalar reference on adversarial shapes" 300
-      gen
+    (* Adversarial shapes for the row kernel: windows whose length
+       leaves a tail shorter than a word and shorter than the kernel's
+       32-byte step, unaligned offsets, sources sharing one buffer or
+       each in its own, zero, one and systematic (unit) rows, and the
+       coefficients 0x80 and 0xff that exercise the xtime reduction on
+       every level. Bytes outside the window must be untouched. *)
+    prop "row kernel == scalar reference on adversarial shapes" 300 gen
       (fun (len, seed) ->
         let rng = Random.State.make [| seed; 77 |] in
         let k = Random.State.int rng 7 in
-        let g = 1 + Random.State.int rng 4 in
-        let stride = len + Random.State.int rng 7 in
         let pos = Random.State.int rng (len + 1) in
         let wlen = Random.State.int rng (len - pos + 1) in
-        let src = rand_bytes rng (max 1 (k * stride)) in
-        let blocks = Array.init k (fun j -> Bytes.sub src (j * stride) len) in
-        let rows =
-          Array.init g (fun r ->
-              Array.init k (fun j ->
-                  match Random.State.int rng 6 with
-                  | 0 -> 0
-                  | 1 -> 1
-                  | 2 -> if j = r then 1 else 0
-                  | _ -> Random.State.int rng 256))
+        let shared = Random.State.bool rng in
+        let stride = len + Random.State.int rng 7 in
+        let buf = rand_bytes rng (max 1 (k * stride)) in
+        let srcs, offs =
+          if shared then (Array.make k buf, Array.init k (fun j -> j * stride))
+          else
+            let pad = Array.init k (fun _ -> Random.State.int rng 9) in
+            ( Array.init k (fun j -> rand_bytes rng (pad.(j) + len)),
+              pad )
         in
-        let l = Gf.lanes rows in
-        let g' = 1 + Random.State.int rng g in
-        let dsts = Array.init g' (fun _ -> rand_bytes rng len) in
-        let before = Array.map Bytes.copy dsts in
-        Gf.encode_lanes l ~dsts ~src ~stride ~pos ~len:wlen;
+        let unit = Random.State.int rng (max 1 k) in
+        let coeffs =
+          Array.init k (fun j ->
+              match Random.State.int rng 8 with
+              | 0 -> 0
+              | 1 -> 1
+              | 2 -> if j = unit then 1 else 0
+              | 3 -> 0x80
+              | 4 -> 0xff
+              | _ -> Random.State.int rng 256)
+        in
+        let dst_pos = Random.State.int rng 5 in
+        let dst = rand_bytes rng (dst_pos + len) in
+        let before = Bytes.copy dst in
+        Gf.encode (Gf.schedule coeffs) ~srcs ~offs ~pos ~dst ~dst_pos ~len:wlen;
+        let expect = ref_encode ~coeffs ~srcs ~offs ~pos ~len:wlen in
         let ok = ref true in
-        Array.iteri
-          (fun r dst ->
-            let expect = ref_row ~coeffs:rows.(r) ~srcs:blocks ~len in
-            for i = 0 to len - 1 do
-              let want =
-                if i >= pos && i < pos + wlen then Bytes.get expect i
-                else Bytes.get before.(r) i
-              in
-              if Bytes.get dst i <> want then ok := false
-            done)
-          dsts;
+        for i = 0 to dst_pos + len - 1 do
+          let want =
+            if i >= dst_pos && i < dst_pos + wlen then Bytes.get expect (i - dst_pos)
+            else Bytes.get before i
+          in
+          if Bytes.get dst i <> want then ok := false
+        done;
         !ok);
   ]
 
@@ -435,10 +438,10 @@ let () =
           Alcotest.test_case "ensure_tables" `Quick test_ensure_tables;
           Alcotest.test_case "wide tables build once under race" `Quick
             test_wide_tables_build_once_under_race;
-          Alcotest.test_case "lanes windows and prefix" `Quick
-            test_lanes_windows_and_prefix;
-          Alcotest.test_case "encode_lanes allocates nothing per unit" `Quick
-            test_encode_lanes_allocation_free;
+          Alcotest.test_case "row kernel windows and offsets" `Quick
+            test_encode_windows_and_offsets;
+          Alcotest.test_case "row kernel allocates nothing" `Quick
+            test_encode_allocation_free;
         ] );
       ("kernel-properties", List.map QCheck_alcotest.to_alcotest kernel_props);
       ( "matrix",

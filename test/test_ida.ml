@@ -171,8 +171,8 @@ let test_reconstruct_allocation () =
     true (words < 1024.)
 
 let test_reconstruct_kernel_tasks () =
-  (* Kernel tasks run only for erased rows: one per (group of up to four
-     erased rows) x (16 KiB column block). *)
+  (* Kernel tasks run only for erased rows: one per erased row x 16 KiB
+     column block. *)
   Obs.Control.with_enabled true @@ fun () ->
   let groups = Obs.Registry.counter "ida.encode.groups" in
   let tasks ida ~file pieces =
@@ -189,8 +189,25 @@ let test_reconstruct_kernel_tasks () =
   let file = random_bytes 6 (512 * 1024) in
   let ida = Ida.create ~m:8 in
   let pieces = Ida.disperse ida ~n:10 file in
-  Alcotest.(check int) "m = 8 from pieces 2..9 rebuilds two rows" 4
+  Alcotest.(check int) "m = 8 from pieces 2..9 rebuilds two rows" 8
     (tasks ida ~file (Array.to_list (Array.sub pieces 2 8)))
+
+let test_short_last_block_erased () =
+  (* The last source block is short when the length is not a multiple
+     of m; rebuilt in place into the result, it must stop at [length]. *)
+  List.iter
+    (fun (m, len) ->
+      let file = random_bytes (m + len) len in
+      let ida = Ida.create ~m in
+      let pieces = Ida.disperse ida ~n:(m + 2) file in
+      let kept =
+        List.filter (fun p -> p.Ida.index <> m - 1) (Array.to_list pieces)
+      in
+      let back = Ida.reconstruct ida ~length:len kept in
+      Alcotest.(check int) (Printf.sprintf "m = %d: length" m) len
+        (Bytes.length back);
+      check_bytes (Printf.sprintf "m = %d, %d bytes" m len) file back)
+    [ (3, 100); (4, 40_001); (5, 6); (8, 65_537) ]
 
 (* Golden dispersal: the wire format must never drift. Expected bytes are
    pinned literally and re-derived from an independent scalar GF(256)
@@ -673,6 +690,8 @@ let () =
             test_reconstruct_allocation;
           Alcotest.test_case "kernel tasks only for erased rows" `Quick
             test_reconstruct_kernel_tasks;
+          Alcotest.test_case "short last block erased" `Quick
+            test_short_last_block_erased;
           Alcotest.test_case "golden dispersal" `Quick test_golden_dispersal;
           Alcotest.test_case "inverse cache capped" `Quick test_inverse_cache_capped;
           Alcotest.test_case "cache replaces oldest" `Quick test_cache_replaces_oldest;

@@ -848,27 +848,9 @@ let test_analysis_density_certificate () =
       Alcotest.(check string) "5/4" "5/4" (Q.to_string d)
   | _ -> Alcotest.fail "density certificate expected"
 
-let test_analysis_pigeonhole_certificate () =
-  (* {(1,2),(1,3),(1,6)}: density exactly 1 but w = 6 forces
-     3 + 2 + 1 = 6 demands... that's feasible (= w). Use {(1,2),(1,3),(1,5)}:
-     density 31/30 > 1 -> density cert. Pigeonhole below density 1:
-     {(1,2),(1,3),(1,6)} demands exactly 6 in 6 -- no violation; actually a
-     system with density <= 1 can still violate pigeonhole? No: demand(w)
-     <= sum w/b_i = w * density <= w. So pigeonhole only triggers at
-     density > 1 windows... with multi-unit a similar bound holds. The
-     pigeonhole check matters when density slightly exceeds 1 with a small
-     witness window. *)
-  match Analysis.pigeonhole_violation
-          [ Task.unit ~id:0 ~b:2; Task.unit ~id:1 ~b:3; Task.unit ~id:2 ~b:5 ]
-  with
-  | Some (w, d) ->
-      check_bool "witness window" true (w >= 1);
-      check_bool "demand exceeds window" true (d > w)
-  | None -> Alcotest.fail "density 31/30 must have a pigeonhole witness"
-
 let test_analysis_exhausted_certificate () =
-  (* {(1,2),(1,3),(1,12)}: density 11/12 < 1, no pigeonhole, heuristics
-     fail, exact proves infeasible. *)
+  (* {(1,2),(1,3),(1,12)}: density 11/12 < 1, heuristics fail, exact
+     proves infeasible. *)
   let r =
     Analysis.analyze
       [ Task.unit ~id:0 ~b:2; Task.unit ~id:1 ~b:3; Task.unit ~id:2 ~b:12 ]
@@ -1332,7 +1314,6 @@ let () =
         [
           Alcotest.test_case "schedulable report" `Quick test_analysis_schedulable;
           Alcotest.test_case "density certificate" `Quick test_analysis_density_certificate;
-          Alcotest.test_case "pigeonhole witness" `Quick test_analysis_pigeonhole_certificate;
           Alcotest.test_case "exhaustion certificate" `Quick test_analysis_exhausted_certificate;
           Alcotest.test_case "harmonic classification" `Quick test_analysis_harmonic;
         ] );

@@ -7,6 +7,7 @@ module Block_store = Pindisk_store.Block_store
 module Checkpoint = Pindisk_store.Checkpoint
 module Server = Pindisk_store.Server
 module Scenario = Pindisk_store.Scenario
+module Swap = Pindisk_adapt.Swap
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -312,6 +313,30 @@ let test_restore_rejects_mismatch () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "period mismatch must be refused"
 
+let test_program_digest_kept () =
+  let store = toy_store Latency.immediate in
+  let d = Block_store.program_digest store in
+  Alcotest.(check string) "Swap.digest of the program"
+    (Swap.digest (Block_store.program store)) d;
+  Alcotest.(check string) "kept" d (Block_store.program_digest store);
+  let server = Server.create ~plan:(toy_plan ()) store in
+  ignore (Server.step server);
+  let c = Server.checkpoint server in
+  Alcotest.(check string) "checkpoint carries it" d c.Checkpoint.program_digest;
+  (* Another program's store keeps its own digest, so restore still
+     refuses the checkpoint once that digest is taken. *)
+  let other_prog = Program.of_layout toy_layout ~capacities:[ (0, 5); (1, 3) ] in
+  let other =
+    Block_store.create ~latency:Latency.immediate ~program:other_prog toy_files
+  in
+  Alcotest.(check bool) "digests differ" true
+    (Block_store.program_digest other <> d);
+  match
+    Server.restore ~plan:(Plan.explicit (Program.schedule other_prog)) other c
+  with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "digest mismatch must be refused"
+
 (* ------------------------------------------------------------------ *)
 (* Scenarios                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -384,6 +409,8 @@ let () =
             test_crash_restart_determinism;
           Alcotest.test_case "restore rejects mismatch" `Quick
             test_restore_rejects_mismatch;
+          Alcotest.test_case "program digest kept" `Quick
+            test_program_digest_kept;
         ] );
       ( "scenario",
         [
