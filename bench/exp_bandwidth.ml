@@ -37,7 +37,7 @@ let sweep ~label ~fault_tolerant ~trials =
     overhead_sum := !overhead_sum +. o_eq;
     overhead_max := max !overhead_max o_eq;
     match Bandwidth.minimum files with
-    | Some (b, _) ->
+    | Some b ->
         incr ok;
         let o = Bandwidth.overhead ~achieved:b files in
         achieved_overhead_sum := !achieved_overhead_sum +. o;

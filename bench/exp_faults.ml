@@ -18,8 +18,11 @@ let run () =
   Format.printf
     "== E9 / fault-model ablation: deadline-miss ratio (2000 clients per \
      cell) ==@.";
-  let bandwidth, pinwheel =
-    match Program.auto files with Some r -> r | None -> assert false
+  let bandwidth = Option.get (Pindisk.Bandwidth.minimum files) in
+  let pinwheel =
+    Option.get
+      (Pindisk.Shard.program
+         (Result.get_ok (Pindisk.Shard.design ~channels:1 ~bandwidth files)))
   in
   let flat =
     Program.flat (List.map (fun f -> (f.File_spec.id, f.File_spec.blocks)) files)

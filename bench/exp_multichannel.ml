@@ -20,8 +20,8 @@
        hardware-dependent.
      - certification: every sharded design must pass Shardcheck
        (per-channel witnesses, cover, disjointness), and the K = 1
-       design must be byte-identical to the single-channel
-       Program.pinwheel pipeline on a schedulable subset.
+       design must be byte-identical to the paper's single-channel
+       program on a schedulable subset with 0-3 spare pieces.
      - size independence: the mean cost of one one-slot request
        against a 768-file design over the same request against a
        32-file design, both from perfbench's fleet generator at K = 4,
@@ -188,17 +188,28 @@ let run () =
   in
   let files_ratio = served 4 /. served 1 in
   let completed_ratio = completed 4 /. completed 1 in
-  (* K = 1 byte-identity on a subset one channel can carry: the sharded
-     design's program must be the single-channel pipeline's, bytes and
-     all. *)
+  (* K = 1 byte-identity on a subset one channel can carry, given 0-3
+     spare pieces: the design's program must be the paper's, the plan of
+     {(i, m + r, B·T)} cycling all N pieces, bytes and all. *)
   let identity_ok =
-    let subset = List.filteri (fun i _ -> i < 4) files in
-    match
-      (Shard.design ~channels:1 ~bandwidth subset, Program.pinwheel ~bandwidth subset)
-    with
-    | Ok t, Some reference ->
-        Format.asprintf "%a" Program.pp t.Shard.channels.(0).Shard.program
-        = Format.asprintf "%a" Program.pp reference
+    let subset =
+      List.filteri (fun i _ -> i < 4) files
+      |> List.mapi (fun i (f : File_spec.t) ->
+             File_spec.make ~name:f.File_spec.name ~id:f.File_spec.id
+               ~blocks:f.File_spec.blocks ~latency:f.File_spec.latency
+               ~capacity:(f.File_spec.blocks + i) ())
+    in
+    let oracle =
+      Pindisk_pinwheel.Scheduler.plan (Pindisk.Bandwidth.tasks ~bandwidth subset)
+      |> Option.map (fun plan ->
+             Program.make
+               ~schedule:(Pindisk_pinwheel.Plan.to_schedule plan)
+               ~capacities:
+                 (List.map (fun f -> (f.File_spec.id, f.File_spec.capacity)) subset))
+    in
+    match (Result.map Shard.program (Shard.design ~channels:1 ~bandwidth subset), oracle) with
+    | Ok (Some p), Some reference ->
+        Format.asprintf "%a" Program.pp p = Format.asprintf "%a" Program.pp reference
     | _ -> false
   in
   (* Cohort throughput at K = 4, wall clock. *)

@@ -32,9 +32,9 @@ let run () =
     ]
   in
   let pin =
-    match Program.pinwheel ~bandwidth:1 files with
-    | Some p -> p
-    | None -> failwith "pinwheel program expected"
+    Option.get
+      (Pindisk.Shard.program
+         (Result.get_ok (Pindisk.Shard.design ~channels:1 ~bandwidth:1 files)))
   in
   Format.printf "  %-9s %9s | %-23s | %-23s@." "" "" "classic multi-disk"
     "pinwheel (this paper)";

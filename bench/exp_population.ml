@@ -21,8 +21,11 @@ let files =
 let run () =
   Format.printf
     "== E15 / population run: one trace, three programs (3000+ requests) ==@.";
-  let bandwidth, pinwheel =
-    match Program.auto files with Some r -> r | None -> assert false
+  let bandwidth = Option.get (Pindisk.Bandwidth.minimum files) in
+  let pinwheel =
+    Option.get
+      (Pindisk.Shard.program
+         (Result.get_ok (Pindisk.Shard.design ~channels:1 ~bandwidth files)))
   in
   let flat =
     Program.flat (List.map (fun f -> (f.File_spec.id, f.File_spec.blocks)) files)

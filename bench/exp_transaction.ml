@@ -21,8 +21,11 @@ let files =
 
 let run () =
   Format.printf "== E18 / transactions: joint worst case vs per-file bounds ==@.";
-  let bandwidth, program =
-    match Program.auto files with Some r -> r | None -> assert false
+  let bandwidth = Option.get (Pindisk.Bandwidth.minimum files) in
+  let program =
+    Option.get
+      (Pindisk.Shard.program
+         (Result.get_ok (Pindisk.Shard.design ~channels:1 ~bandwidth files)))
   in
   Format.printf "  (program at %d blocks/sec)@." bandwidth;
   Format.printf "  %-34s %10s %10s %10s@." "transaction (tolerances)" "joint WC"

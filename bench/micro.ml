@@ -65,8 +65,10 @@ let program_tests =
     ]
   in
   [
-    Test.make ~name:"program/auto 3 files"
-      (Staged.stage (fun () -> ignore (Pindisk.Program.auto files)));
+    Test.make ~name:"program/design 3 files"
+      (Staged.stage (fun () ->
+           let bandwidth = Option.get (Pindisk.Bandwidth.minimum files) in
+           ignore (Pindisk.Shard.design ~channels:1 ~bandwidth files)));
   ]
 
 let all_tests =

@@ -143,6 +143,25 @@ let shard_bandwidth files =
       max acc ((need + f.File_spec.latency - 1) / f.File_spec.latency))
     1 files
 
+(* The one-channel design's program at [bandwidth] (>= 1), by default
+   the smallest the scheduler finds, with that bandwidth; [None] when the
+   design sheds a file. *)
+let single_channel ?bandwidth files =
+  Option.bind
+    (match bandwidth with Some b -> Some b | None -> Bandwidth.minimum files)
+    (fun b ->
+      Result.to_option (Shard.design ~channels:1 ~bandwidth:b files)
+      |> Fun.flip Option.bind Shard.program
+      |> Option.map (fun p -> (b, p)))
+
+let bandwidth_below_one = function Some b -> b < 1 | None -> false
+
+let bandwidth_arg =
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "b"; "bandwidth" ] ~doc:"Bandwidth in blocks/sec (default: search).")
+
 (* ---------------- schedule ---------------- *)
 
 let algorithm_arg =
@@ -323,7 +342,7 @@ let bandwidth_cmd =
         Format.printf "equation-2 sufficient bandwidth: %d blocks/sec@."
           (Bandwidth.required files);
         (match Bandwidth.minimum files with
-        | Some (b, _) ->
+        | Some b ->
             Format.printf "smallest schedulable bandwidth: %d (overhead %.2fx)@."
               b
               (Bandwidth.overhead ~achieved:b files)
@@ -340,14 +359,9 @@ let program_cmd =
   let run files bandwidth =
     match collect parse_file files with
     | Error e -> fail "%s" e
+    | Ok _ when bandwidth_below_one bandwidth -> fail "bandwidth must be >= 1"
     | Ok files -> (
-        let result =
-          match bandwidth with
-          | Some b ->
-              Program.pinwheel ~bandwidth:b files |> Option.map (fun p -> (b, p))
-          | None -> Program.auto files
-        in
-        match result with
+        match single_channel ?bandwidth files with
         | None -> fail "not schedulable at that bandwidth"
         | Some (b, p) ->
             Format.printf "bandwidth: %d blocks/sec@." b;
@@ -367,15 +381,9 @@ let program_cmd =
             Format.printf "period layout: %a@." Program.pp p;
             `Ok ())
   in
-  let bw =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "b"; "bandwidth" ] ~doc:"Bandwidth in blocks/sec (default: search).")
-  in
   Cmd.v
     (Cmd.info "program" ~doc:"Build and print a broadcast program")
-    Term.(ret (const (fun () -> run) $ setup_logs $ files_arg $ bw))
+    Term.(ret (const (fun () -> run) $ setup_logs $ files_arg $ bandwidth_arg))
 
 (* ---------------- convert ---------------- *)
 
@@ -445,14 +453,9 @@ let export_cmd =
   let run files bandwidth output =
     match collect parse_file files with
     | Error e -> fail "%s" e
+    | Ok _ when bandwidth_below_one bandwidth -> fail "bandwidth must be >= 1"
     | Ok files -> (
-        let result =
-          match bandwidth with
-          | Some b ->
-              Program.pinwheel ~bandwidth:b files |> Option.map (fun p -> (b, p))
-          | None -> Program.auto files
-        in
-        match result with
+        match single_channel ?bandwidth files with
         | None -> fail "not schedulable"
         | Some (b, p) -> (
             match output with
@@ -464,15 +467,9 @@ let export_cmd =
                 print_string (Pindisk.Codec.to_string p);
                 `Ok ()))
   in
-  let bw =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "b"; "bandwidth" ] ~doc:"Bandwidth in blocks/sec (default: search).")
-  in
   Cmd.v
     (Cmd.info "export" ~doc:"Design a program and serialize it")
-    Term.(ret (const (fun () -> run) $ setup_logs $ files_arg $ bw $ out_arg))
+    Term.(ret (const (fun () -> run) $ setup_logs $ files_arg $ bandwidth_arg $ out_arg))
 
 let inspect_cmd =
   let run path =
@@ -647,7 +644,7 @@ let serve_cmd =
     | Error e -> fail "%s" e
     | Ok pairs -> (
         let files = List.map fst pairs in
-        match Program.auto files with
+        match single_channel files with
         | None -> fail "not schedulable"
         | Some (_, program) ->
             let module Ida = Pindisk_ida.Ida in
@@ -850,7 +847,7 @@ let stats_cmd =
         File_spec.make ~name:"map" ~id:1 ~blocks:4 ~latency:16 ~tolerance:0 ();
       ]
     in
-    match Program.auto files with
+    match single_channel files with
     | None -> fail "internal: canned stats workload not schedulable"
     | Some (b, program) ->
         let spec id = List.nth files id in
@@ -1222,7 +1219,7 @@ let simulate_cmd =
         simulate_multichannel ~channels ~tuners ~loss ~trials ~seed ~cohort
           ~clients files
     | Ok files -> (
-        match Program.auto files with
+        match single_channel files with
         | None -> fail "not schedulable"
         | Some (b, program) ->
             Format.printf "bandwidth %d, period %d, loss rate %.0f%%@." b

@@ -17,6 +17,7 @@
 module File_spec = Pindisk.File_spec
 module Program = Pindisk.Program
 module Bandwidth = Pindisk.Bandwidth
+module Shard = Pindisk.Shard
 module Fault = Pindisk_sim.Fault
 module Transport = Pindisk_sim.Transport
 module Experiment = Pindisk_sim.Experiment
@@ -43,8 +44,9 @@ let () =
       File_spec.make ~name:"maps" ~id:2 ~blocks:8 ~latency:40 ~tolerance:2 ();
     ]
   in
-  let bandwidth, program =
-    match Program.auto files with Some r -> r | None -> assert false
+  let bandwidth = Option.get (Bandwidth.minimum files) in
+  let program =
+    Option.get (Shard.program (Result.get_ok (Shard.design ~channels:1 ~bandwidth files)))
   in
   Format.printf "IVHS downlink: %d blocks/sec (Equation-2 bound: %d)@." bandwidth
     (Bandwidth.required files);

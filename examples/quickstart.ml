@@ -10,6 +10,7 @@
 module File_spec = Pindisk.File_spec
 module Bandwidth = Pindisk.Bandwidth
 module Program = Pindisk.Program
+module Shard = Pindisk.Shard
 module Schedule = Pindisk_pinwheel.Schedule
 module Fault = Pindisk_sim.Fault
 module Client = Pindisk_sim.Client
@@ -35,10 +36,15 @@ let () =
 
   (* 3. Build the broadcast program at the smallest bandwidth the
      schedulers realize. *)
-  let bandwidth, program =
-    match Program.auto files with
-    | Some r -> r
+  let bandwidth =
+    match Bandwidth.minimum files with
+    | Some b -> b
     | None -> failwith "unschedulable (cannot happen within 2x the bound)"
+  in
+  let program =
+    match Shard.design ~channels:1 ~bandwidth files with
+    | Ok design -> Option.get (Shard.program design)
+    | Error e -> failwith e
   in
   Format.printf "Achieved bandwidth: %d blocks/sec (overhead %.2fx)@." bandwidth
     (Bandwidth.overhead ~achieved:bandwidth files);

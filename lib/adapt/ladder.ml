@@ -4,6 +4,7 @@ module Admission = Pindisk_rtdb.Admission
 module Aida = Pindisk_ida.Aida
 module File_spec = Pindisk.File_spec
 module Program = Pindisk.Program
+module Shard = Pindisk.Shard
 
 type rung =
   | Baseline
@@ -26,16 +27,15 @@ let pp_rung ppf = function
 (* Channel-outage response: re-place every share of the failing channel
    onto the least-loaded surviving channel whose load still admits it,
    committing loads as we go; shares that fit nowhere are stranded. *)
-let evacuate (design : Pindisk.Shard.t) ~channel =
+let evacuate (design : Shard.t) ~channel =
   let module P = Pindisk_pinwheel in
   let module Q = Pindisk_util.Q in
-  let module Shard = Pindisk.Shard in
   let k = Array.length design.Shard.channels in
   if channel < 0 || channel >= k then
     invalid_arg "Ladder.evacuate: no such channel";
   let task_of (p : Shard.placement) =
     let f = Option.get (Shard.spec design p.Shard.file) in
-    P.Task.make ~id:p.Shard.file ~a:(Array.length p.Shard.pieces)
+    P.Task.make ~id:p.Shard.file ~a:p.Shard.per_window
       ~b:(File_spec.window f ~bandwidth:design.Shard.bandwidth)
   in
   let load = P.Channels.loads k in
@@ -102,6 +102,15 @@ let boosted mode b items =
            (item.Item.name, crit))
          items)
 
+(* A mode is realized iff its items' single-channel design at the
+   ladder's bandwidth sheds nothing; capacities are the fixed dispersal
+   levels, so every rung's program cycles blocks of the same dispersal. *)
+let try_mode t mode items =
+  let specs = Mode.file_specs ~capacity_for:(capacity_for t) mode items in
+  Result.to_option (Shard.design ~channels:1 ~bandwidth:t.bandwidth specs)
+  |> Fun.flip Option.bind Shard.program
+  |> Option.map (fun program -> (mode, specs, program))
+
 let create ?(fallbacks = []) ?(max_boost = 4) ~bandwidth ~base_mode items =
   if items = [] then invalid_arg "Ladder.create: no items";
   if bandwidth < 1 then invalid_arg "Ladder.create: bandwidth must be >= 1";
@@ -120,53 +129,26 @@ let create ?(fallbacks = []) ?(max_boost = 4) ~bandwidth ~base_mode items =
       items
   in
   let t = { bandwidth; base = base_mode; fallbacks; items; max_boost; capacities } in
-  let base_specs =
-    Mode.file_specs ~capacity_for:(capacity_for t) base_mode items
-  in
-  (match Program.pinwheel ~bandwidth base_specs with
-  | Some _ -> ()
-  | None ->
-      invalid_arg "Ladder.create: base mode not schedulable at this bandwidth");
+  if try_mode t base_mode items = None then
+    invalid_arg "Ladder.create: base mode not schedulable at this bandwidth";
   t
-
-(* A mode is realized iff the pinwheel scheduler places its file specs at
-   the ladder's bandwidth; capacities are the fixed dispersal levels, so
-   every rung's program cycles blocks of the same dispersal. *)
-let try_mode t mode =
-  let specs = Mode.file_specs ~capacity_for:(capacity_for t) mode t.items in
-  Program.pinwheel ~bandwidth:t.bandwidth specs
-  |> Option.map (fun program -> (mode, specs, program))
 
 let plan t ~boost =
   let b = max 0 (min boost t.max_boost) in
-  let base_b = boosted t.base b t.items in
-  match try_mode t base_b with
-  | Some (mode, specs, program) ->
-      {
-        rung = (if b = 0 then Baseline else Boost b);
-        boost = b;
-        mode;
-        admitted = t.items;
-        shed = [];
-        specs;
-        program;
-      }
+  let rung_plan rung ?(shed = []) admitted (mode, specs, program) =
+    { rung; boost = b; mode; admitted; shed; specs; program }
+  in
+  match try_mode t (boosted t.base b t.items) t.items with
+  | Some realized ->
+      rung_plan (if b = 0 then Baseline else Boost b) t.items realized
   | None -> (
       let fallback =
         List.find_map
-          (fun fb -> try_mode t (boosted fb b t.items)) t.fallbacks
+          (fun fb -> try_mode t (boosted fb b t.items) t.items) t.fallbacks
       in
       match fallback with
-      | Some (mode, specs, program) ->
-          {
-            rung = Mode_switch mode.Mode.name;
-            boost = b;
-            mode;
-            admitted = t.items;
-            shed = [];
-            specs;
-            program;
-          }
+      | Some ((mode, _, _) as realized) ->
+          rung_plan (Mode_switch mode.Mode.name) t.items realized
       | None ->
           (* Last rung: keep the boost for whoever survives admission and
              shed the lowest value-density items. The most austere mode we
@@ -179,26 +161,8 @@ let plan t ~boost =
           let admitted = verdict.Admission.admitted in
           if admitted = [] then
             invalid_arg "Ladder.plan: no item admissible at this bandwidth";
-          let specs =
-            Mode.file_specs ~capacity_for:(capacity_for t) mode admitted
-          in
-          let program =
-            match Program.pinwheel ~bandwidth:t.bandwidth specs with
-            | Some p -> p
-            | None -> (
-                (* Admission certified schedulability with default
-                   capacities; fall back to its program if the provisioned
-                   capacities perturb the (deterministic) scheduler. *)
-                match verdict.Admission.program with
-                | Some p -> p
-                | None -> assert false)
-          in
-          {
-            rung = Shed verdict.Admission.rejected;
-            boost = b;
-            mode;
-            admitted;
-            shed = verdict.Admission.rejected;
-            specs;
-            program;
-          })
+          (* Admission planned the admitted items' tasks, and capacities do
+             not enter a task, so their provisioned design sheds nothing. *)
+          rung_plan (Shed verdict.Admission.rejected) ~shed:verdict.Admission.rejected
+            admitted
+            (Option.get (try_mode t mode admitted)))

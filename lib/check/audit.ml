@@ -101,7 +101,12 @@ let audit_designer ~byte_rate reqs =
           plan.Designer.files
         |> List.split
       in
-      let density = plan.Designer.utilization in
+      (* The density of the scheduled system {(i, m + r, B·T)} — its
+         demand over the slot rate — not the program's busy fraction. *)
+      let specs = List.map (fun fp -> fp.Designer.spec) plan.Designer.files in
+      let density =
+        Q.div (Pindisk.Bandwidth.demand specs) (Q.of_int plan.Designer.bandwidth)
+      in
       Ok
         {
           kind = "designer";

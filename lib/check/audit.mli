@@ -11,8 +11,10 @@
     - {b derivation traces} — the algebra's certified rewrites (or the
       simple-model reduction, for Designer specs) are validated by the
       trusted {!Kernel};
-    - {b density} — the exact rational density of the scheduled system is
-      recomputed and banded by {!Pindisk_pinwheel.Density.of_density},
+    - {b density} — the exact rational density of the scheduled system
+      ([Σ (m_i + r_i) / (B·T_i)] at the chosen bandwidth for Designer
+      specs, not the program's busy fraction) is recomputed and banded
+      by {!Pindisk_pinwheel.Density.of_density},
       flagging the [(1/2, 5/6]] band where a schedule exists by Kawamura's
       theorem but the planner guarantees none;
     - {b dispersal} — every file's [(m, capacity)] IDA level is checked

@@ -18,6 +18,8 @@ type file_report = {
   name : string;
   capacity : int;
   channels : int list;
+  aired : bool;
+  cycled : bool;
   covered : bool;
   disjoint : bool;
   outage_tolerant : bool;
@@ -35,10 +37,11 @@ let rec strictly_ascending = function
   | a :: (b :: _ as rest) -> a < b && strictly_ascending rest
   | _ -> true
 
-(* Everything is recounted from the placement map in one pass — share
-   size over the file's window, pieces and channels per file — never
-   read off the channel records or the design's index, so a lying
-   optimizer is caught by arithmetic, not echoed. *)
+(* Everything is recounted from the placement map in one pass — each
+   share's per-window count over the file's window and its size, pieces
+   and channels per file — never read off the channel records or the
+   design's index, so a lying optimizer is caught by arithmetic, not
+   echoed. *)
 let run (design : Shard.t) =
   let spec_of = Inttbl.create 64 in
   List.iter (fun f -> Inttbl.replace spec_of f.File_spec.id f) design.Shard.specs;
@@ -50,8 +53,7 @@ let run (design : Shard.t) =
       Inttbl.find_opt spec_of p.Shard.file
       |> Option.iter (fun f ->
              on_channel.(p.Shard.channel) <-
-               P.Task.make ~id:p.Shard.file
-                 ~a:(Array.length p.Shard.pieces)
+               P.Task.make ~id:p.Shard.file ~a:p.Shard.per_window
                  ~b:(File_spec.window f ~bandwidth:design.Shard.bandwidth)
                :: on_channel.(p.Shard.channel)))
     design.Shard.placements;
@@ -74,12 +76,22 @@ let run (design : Shard.t) =
     let ps = Inttbl.find_all of_file f.File_spec.id in
     let capacity = f.File_spec.capacity in
     let seen = Array.make (max 0 capacity) 0 in
-    let pieces = ref 0 and largest = ref 0 and twice = ref false and stray = ref [] in
+    let pieces = ref 0 and twice = ref false and stray = ref [] in
+    let aired = ref 0 and largest = ref 0 and within = ref true and cycled = ref true in
     List.iter
       (fun (p : Shard.placement) ->
         let share = p.Shard.pieces in
         pieces := !pieces + Array.length share;
-        largest := max !largest (Array.length share);
+        aired := !aired + p.Shard.per_window;
+        largest := max !largest p.Shard.per_window;
+        within := !within && p.Shard.per_window <= Array.length share;
+        (* Shard.block_at indexes the share with the program's capacity. *)
+        let program = design.Shard.channels.(p.Shard.channel).Shard.program in
+        (cycled :=
+           !cycled
+           && match Program.capacity program f.File_spec.id with
+              | c -> c = Array.length share
+              | exception Not_found -> false);
         Array.iter
           (fun k ->
             if 0 <= k && k < capacity then begin
@@ -95,14 +107,16 @@ let run (design : Shard.t) =
       name = f.File_spec.name;
       capacity;
       channels = chans;
+      aired = !within && !aired = f.File_spec.blocks + f.File_spec.tolerance;
+      cycled = !cycled;
       covered = (not !twice) && !stray = [] && !pieces = capacity;
       disjoint =
         (not !twice)
         && strictly_ascending (List.sort Int.compare !stray)
         && strictly_ascending chans;
-      (* The worst single-channel outage leaves N - largest share
-         pieces: none when the file lives on one channel. *)
-      outage_tolerant = !pieces - !largest >= f.File_spec.blocks;
+      (* The worst single-channel outage leaves m + r - largest n_j
+         pieces a window: none when the file lives on one channel. *)
+      outage_tolerant = !aired - !largest >= f.File_spec.blocks;
     }
   in
   {
@@ -118,45 +132,30 @@ let run (design : Shard.t) =
   }
 
 let problems t =
-  List.concat
-    [
-      List.filter_map
-        (fun c ->
-          if not c.witnessed then
-            Some
-              (Printf.sprintf "channel %d: schedule fails its sub-task system"
-                 c.channel)
-          else None)
-        t.channels;
-      List.filter_map
-        (fun c ->
-          if Q.( > ) c.density Q.one then
-            Some
-              (Printf.sprintf "channel %d: density above one (infeasible)"
-                 c.channel)
-          else None)
-        t.channels;
-      List.concat_map
-        (fun (f : file_report) ->
-          List.filter_map Fun.id
-            [
-              (if f.channels = [] then
-                 Some (Printf.sprintf "file %d: served by no channel" f.file)
-               else None);
-              (if not f.covered then
-                 Some
-                   (Printf.sprintf
-                      "file %d: shares do not cover pieces 0..%d" f.file
-                      (f.capacity - 1))
-               else None);
-              (if not f.disjoint then
-                 Some
-                   (Printf.sprintf
-                      "file %d: overlapping shares or duplicated channel"
-                      f.file)
-               else None);
-            ])
-        t.files;
-    ]
+  let say kind id what = Some (Printf.sprintf "%s %d: %s" kind id what) in
+  let failed checks = List.filter_map Fun.id checks in
+  List.concat_map
+    (fun c ->
+      let say = say "channel" c.channel in
+      failed
+        [
+          (if c.witnessed then None else say "schedule fails its sub-task system");
+          (if Q.( > ) c.density Q.one then say "density above one (infeasible)" else None);
+        ])
+    t.channels
+  @ List.concat_map
+      (fun (f : file_report) ->
+        let say = say "file" f.file in
+        failed
+          [
+            (if f.channels = [] then say "served by no channel" else None);
+            (if f.aired then None
+             else say "windows do not air m + r pieces within its shares");
+            (if f.cycled then None else say "a program capacity differs from its share size");
+            (if f.covered then None
+             else say (Printf.sprintf "shares do not cover pieces 0..%d" (f.capacity - 1)));
+            (if f.disjoint then None else say "overlapping shares or duplicated channel");
+          ])
+      t.files
 
 let ok t = problems t = []

@@ -1,17 +1,21 @@
 (** Independent certification of a multi-channel shard design.
 
-    {!Pindisk.Shard.design} promises four things; this checker
-    re-establishes each one by direct counting on the materialized
+    {!Pindisk.Shard.design} promises the AIDA cycle on every file; this
+    checker re-establishes it by direct counting on the materialized
     design, without trusting the optimizer:
 
     - {b per-channel witnesses}: every channel's broadcast schedule is
-      re-verified against that channel's sub-task system with
-      {!Pindisk_pinwheel.Verify} — each sub-task [(i, n_j, B·T_i)] gets
-      its [n_j] occurrences in every window of [B·T_i] slots — and the
-      channel program's capacities are re-read off the placement map;
+      re-verified against the sub-task system read off the placement map
+      with {!Pindisk_pinwheel.Verify} — each sub-task [(i, n_j, B·T_i)]
+      gets its [n_j] occurrences in every window of [B·T_i] slots — and
+      the channel program's capacity for each file is its share size
+      [N_j], the count {!Pindisk.Shard.block_at} indexes the share with;
+    - {b every window airs [m + r]}: a file's [n_j] sum to [m_i + r_i],
+      each within its share ([n_j <= N_j]), so the stripe set airs
+      [m_i + r_i] distinct pieces in every window;
     - {b cover}: for every admitted file, the union of its per-channel
-      piece shares is exactly [{0, …, N_i - 1}] — a client scanning the
-      whole stripe set sees every dispersed piece;
+      piece shares is exactly [{0, …, N_i - 1}] — every data cycle airs
+      every dispersed piece;
     - {b disjointness}: no piece is assigned to two channels and no file
       is placed twice on one channel — cross-channel receptions always
       make progress;
@@ -38,6 +42,8 @@ type file_report = {
   name : string;
   capacity : int;
   channels : int list;  (** serving channels, ascending *)
+  aired : bool;  (** the [n_j] sum to [m + r], each [<= N_j] *)
+  cycled : bool;  (** each serving program's capacity is its share size *)
   covered : bool;  (** shares union to [{0..capacity-1}] *)
   disjoint : bool;  (** no piece on two channels *)
   outage_tolerant : bool;
@@ -55,7 +61,9 @@ val run : Pindisk.Shard.t -> t
     design. *)
 
 val problems : t -> string list
-(** Violations: an unwitnessed channel, a channel above density one, an
-    uncovered or overlapping file, a file served by no channel. *)
+(** Violations: an unwitnessed channel, a channel above density one, a
+    file served by no channel, whose windows do not air [m + r] pieces,
+    whose program capacity is not its share size, or whose shares are
+    uncovered or overlapping. *)
 
 val ok : t -> bool

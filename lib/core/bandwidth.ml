@@ -32,7 +32,7 @@ let minimum files =
       | exception Invalid_argument _ -> scan (b + 1)
       | sys -> (
           match Scheduler.plan sys with
-          | Some plan -> Some (b, plan)
+          | Some _ -> Some b
           | None -> scan (b + 1))
   in
   scan lo

@@ -30,11 +30,12 @@ val schedulable : bandwidth:int -> File_spec.t list -> bool
 (** Whether {!Pindisk_pinwheel.Scheduler.plan} places the system at that
     bandwidth. *)
 
-val minimum : File_spec.t list -> (int * Pindisk_pinwheel.Plan.t) option
+val minimum : File_spec.t list -> int option
 (** The smallest bandwidth (searched upward from [⌈demand⌉]) at which
-    {!Pindisk_pinwheel.Scheduler.plan} succeeds, with its plan. Searches
-    up to twice {!required}; [None] beyond that (never observed: density
-    halves by then, meeting the schedulers' 1/2 guarantee). *)
+    {!Pindisk_pinwheel.Scheduler.plan} succeeds, where
+    [Shard.design ~channels:1] builds the program. Searches up to twice
+    {!required}; [None] beyond that (never observed: density halves by
+    then, meeting the schedulers' 1/2 guarantee). *)
 
 val overhead : achieved:int -> File_spec.t list -> float
 (** [achieved / demand]: 1.0 is perfect; the paper guarantees [<= ~1.43]

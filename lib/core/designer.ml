@@ -28,7 +28,6 @@ type file_plan = {
 type t = {
   block_size : int;
   bandwidth : int;
-  slot_rate : int;
   program : Program.t;
   files : file_plan list;
   utilization : Q.t;
@@ -72,22 +71,29 @@ let plan ~byte_rate reqs =
   let rec scan = function
     | [] -> Error (Option.value !unschedulable ~default:!ida_cap)
     | block :: rest -> (
-        let slot_rate = byte_rate / block in
+        let bandwidth = byte_rate / block in
         match specs_for ~block reqs with
         | Error reason ->
             ida_cap := reason;
             scan rest
         | Ok specs -> (
-            match Program.pinwheel ~bandwidth:slot_rate specs with
+            let demand = Bandwidth.demand specs in
+            (* Demand above the slot rate is density above one: no design
+               can air it, so none is built. *)
+            let program =
+              if Q.( > ) demand (Q.of_int bandwidth) then None
+              else
+                Result.to_option (Shard.design ~channels:1 ~bandwidth specs)
+                |> Fun.flip Option.bind Shard.program
+            in
+            match program with
             | None ->
                 unschedulable :=
                   Some
                     (Printf.sprintf
                        "unschedulable at %d-byte blocks (demand %s of %d \
                         slots/sec)"
-                       block
-                       (Q.to_string (Bandwidth.demand specs))
-                       slot_rate);
+                       block (Q.to_string demand) bandwidth);
                 scan rest
             | Some program ->
                 let files =
@@ -95,7 +101,7 @@ let plan ~byte_rate reqs =
                     (fun spec ->
                       {
                         spec;
-                        window = File_spec.window spec ~bandwidth:slot_rate;
+                        window = File_spec.window spec ~bandwidth;
                         slots_per_period =
                           Program.occurrences_per_period program
                             spec.File_spec.id;
@@ -109,8 +115,7 @@ let plan ~byte_rate reqs =
                 Ok
                   {
                     block_size = block;
-                    bandwidth = slot_rate;
-                    slot_rate;
+                    bandwidth;
                     program;
                     files;
                     utilization = Schedule.utilization (Program.schedule program);

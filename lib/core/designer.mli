@@ -32,8 +32,7 @@ type file_plan = {
 
 type t = {
   block_size : int;  (** bytes per block *)
-  bandwidth : int;  (** blocks per second *)
-  slot_rate : int;  (** slots per second the channel carries *)
+  bandwidth : int;  (** blocks (slots) per second the channel carries *)
   program : Program.t;
   files : file_plan list;
   utilization : Pindisk_util.Q.t;  (** busy fraction of the channel *)
@@ -42,7 +41,9 @@ type t = {
 val plan : byte_rate:int -> requirement list -> (t, string) result
 (** [plan ~byte_rate reqs] chooses the largest feasible block size among
     the powers of two up to [byte_rate], derives each file's block
-    count and capacity, and builds the program. [Error] explains why no
+    count and capacity, and builds the program with
+    [Shard.design ~channels:1]; a candidate whose demand exceeds its
+    slot rate is rejected before any design. [Error] explains why no
     candidate worked: the smallest block size that fit IDA's 255 pieces
     but did not schedule, or, when none fit, the requirement past the
     cap at 1-byte blocks. *)

@@ -1,6 +1,5 @@
 module Schedule = Pindisk_pinwheel.Schedule
 module Plan = Pindisk_pinwheel.Plan
-module Scheduler = Pindisk_pinwheel.Scheduler
 module Intmath = Pindisk_util.Intmath
 module Inttbl = Pindisk_util.Inttbl
 
@@ -235,15 +234,3 @@ let aida_flat files =
   let layout = evd_layout (List.map (fun (f, m, _) -> (f, m)) files) in
   of_layout (Array.to_list layout)
     ~capacities:(List.map (fun (f, _, n) -> (f, n)) files)
-
-let capacities files = List.map (fun f -> (f.File_spec.id, f.File_spec.capacity)) files
-
-let pinwheel ~bandwidth files =
-  match Bandwidth.tasks ~bandwidth files with
-  | exception Invalid_argument _ -> None
-  | sys -> Option.map (of_plan ~capacities:(capacities files)) (Scheduler.plan sys)
-
-let auto files =
-  Option.map
-    (fun (b, plan) -> (b, of_plan plan ~capacities:(capacities files)))
-    (Bandwidth.minimum files)

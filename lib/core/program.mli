@@ -15,7 +15,11 @@
 
     With [N_i = m_i] and no dispersal this degenerates to the flat program
     of Figure 5 (the same physical block returns only once per data
-    cycle); with IDA it is the AIDA-based program of Figure 6.
+    cycle); with IDA it is the AIDA-based program of Figure 6. The
+    paper's headline construction (Section 3.2), which plans the pinwheel
+    system [{(i, m_i + r_i, B·T_i)}] and cycles the [N_i] pieces, is
+    {!Shard.design}: with one channel it builds exactly that program
+    through {!of_plan}.
 
     A program is indexed once, when it is built, straight from its
     plan: one pass over the plan's occurrences
@@ -106,14 +110,3 @@ val aida_flat : (int * int * int) list -> t
     [(id, m, n)] triples: the same [Σ m_i]-slot layout as {!flat} but with
     capacities [N_i = n >= m], so consecutive periods transmit different
     dispersed blocks. *)
-
-val pinwheel : bandwidth:int -> File_spec.t list -> t option
-(** The paper's headline construction (Section 3.2): files become the
-    pinwheel system [{(i, m_i + r_i, B·T_i)}]; the plan
-    {!Pindisk_pinwheel.Scheduler.plan} returns for it is the broadcast
-    period, indexed by {!of_plan}, and the AIDA capacities [N_i] drive the
-    block cycling. [None] when the scheduler fails at this bandwidth. *)
-
-val auto : File_spec.t list -> (int * t) option
-(** {!of_plan} of the plan {!Bandwidth.minimum} finds at the smallest
-    bandwidth, returning the bandwidth too. *)

@@ -2,7 +2,7 @@ module P = Pindisk_pinwheel
 module Q = Pindisk_util.Q
 module Inttbl = Pindisk_util.Inttbl
 
-type placement = { file : int; channel : int; pieces : int array }
+type placement = { file : int; channel : int; pieces : int array; per_window : int }
 
 type channel = {
   index : int;
@@ -49,7 +49,7 @@ let make ~channels ~placements ~specs ~shed ~bandwidth ~stripe =
       let placed = Inttbl.find_all by_file spec.File_spec.id in
       let listen =
         List.stable_sort
-          (fun a b -> compare (Array.length b.pieces) (Array.length a.pieces))
+          (fun a b -> compare b.per_window a.per_window)
           placed
         |> List.map (fun p -> p.channel)
       in
@@ -65,10 +65,11 @@ let make ~channels ~placements ~specs ~shed ~bandwidth ~stripe =
     index = { files; shares };
   }
 
-(* Round-robin dealing of [n] global piece indices over [s] stripe
-   members: member [j] airs the pieces [{k | k mod s = j}]. Member 0
-   holds the largest share. *)
-let share ~s ~n j = Array.init ((n - j + s - 1) / s) (fun i -> j + (i * s))
+(* Round-robin dealing of [n] over [s] stripe members: member [j] gets
+   [{k < n | k mod s = j}], so member 0 gets the most. The N pieces and
+   the m + r a window airs are dealt alike. *)
+let dealt ~s ~n j = (n - j + s - 1) / s
+let share ~s ~n j = Array.init (dealt ~s ~n j) (fun i -> j + (i * s))
 
 let design ?(stripe = 1) ~channels ~bandwidth specs =
   if channels < 1 then invalid_arg "Shard.design: channels must be >= 1";
@@ -82,18 +83,20 @@ let design ?(stripe = 1) ~channels ~bandwidth specs =
     let load = P.Channels.loads channels in
     (* file -> its (channel, task, pieces) shares *)
     let placed = Inttbl.create 64 in
+    (* The pieces every window airs, the paper's m + r. *)
+    let aired f = f.File_spec.blocks + f.File_spec.tolerance in
     (* Shares in decreasing size onto distinct channels; a file is placed
-       only when every share finds a channel. A share larger than its
-       window fits no channel, and is not even a task. *)
+       only when every share finds a channel. A share airing more pieces
+       than its window has slots fits no channel, and is not even a
+       task. *)
     let place f =
       let window = File_spec.window f ~bandwidth in
-      let n = f.File_spec.capacity in
-      let s = min (min stripe channels) n in
+      let s = min (min stripe channels) (aired f) in
       let rec go chosen j =
         if j = s then Some chosen
         else
-          let pieces = share ~s ~n j in
-          let a = Array.length pieces in
+          let pieces = share ~s ~n:f.File_spec.capacity j in
+          let a = dealt ~s ~n:(aired f) j in
           if a > window then None
           else
             let task = P.Task.make ~id:f.File_spec.id ~a ~b:window in
@@ -111,7 +114,7 @@ let design ?(stripe = 1) ~channels ~bandwidth specs =
     (* Decreasing density, each key made once; stable, so equal
        densities keep spec order. *)
     List.map
-      (fun f -> (Q.make f.File_spec.capacity (File_spec.window f ~bandwidth), f))
+      (fun f -> (Q.make (aired f) (File_spec.window f ~bandwidth), f))
       specs
     |> List.stable_sort (fun (a, _) (b, _) -> Q.compare b a)
     |> List.iter (fun (_, f) -> place f);
@@ -125,6 +128,13 @@ let design ?(stripe = 1) ~channels ~bandwidth specs =
       (List.rev specs);
     let settled, shed_ids = P.Channels.settle tasks in
     List.iter (Inttbl.remove placed) shed_ids;
+    (* A channel program cycles the N_j pieces of each share. *)
+    let capacity index (t : P.Task.t) =
+      let _, _, pieces =
+        List.find (fun (c, _, _) -> c = index) (Inttbl.find placed t.P.Task.id)
+      in
+      (t.P.Task.id, Array.length pieces)
+    in
     let channels =
       Array.mapi
         (fun index (tasks, plan) ->
@@ -133,10 +143,7 @@ let design ?(stripe = 1) ~channels ~bandwidth specs =
             tasks;
             density = P.Task.system_density tasks;
             plan;
-            program =
-              Program.of_plan plan
-                ~capacities:
-                  (List.map (fun (t : P.Task.t) -> (t.P.Task.id, t.P.Task.a)) tasks);
+            program = Program.of_plan plan ~capacities:(List.map (capacity index) tasks);
           })
         settled
     in
@@ -147,7 +154,8 @@ let design ?(stripe = 1) ~channels ~bandwidth specs =
       List.concat_map
         (fun f ->
           List.map
-            (fun (channel, _, pieces) -> { file = f.File_spec.id; channel; pieces })
+            (fun (channel, (task : P.Task.t), pieces) ->
+              { file = f.File_spec.id; channel; pieces; per_window = task.P.Task.a })
             (Inttbl.find placed f.File_spec.id))
         admitted
       |> List.sort (fun a b ->
@@ -166,17 +174,20 @@ let block_at t ~channel slot =
   | Some (file, local) ->
       Some (file, (Inttbl.find t.index.shares.(channel) file).(local))
 
+let program t =
+  match (t.channels, t.shed) with [| c |], [] -> Some c.program | _ -> None
+
 let entry t file = Inttbl.find_opt t.index.files file
 let spec t file = Option.map (fun e -> e.spec) (entry t file)
 
 let channels_of t file =
   match entry t file with Some e -> e.listen | None -> []
 
-(* N - largest share >= m; a single share leaves 0 < m. *)
+(* m + r - largest n_j >= m; a single share leaves 0 < m. *)
 let outage_tolerant t file =
   match entry t file with
   | Some { spec; placed; _ } ->
-      let sizes = List.map (fun p -> Array.length p.pieces) placed in
+      let sizes = List.map (fun p -> p.per_window) placed in
       List.fold_left ( + ) 0 sizes - List.fold_left max 0 sizes
       >= spec.File_spec.blocks
   | None -> false

@@ -9,39 +9,39 @@
     [(channel, slot)], and {!block_at} resolves it to a {e global}
     dispersed-piece index.
 
-    {b Piece striping.} With [stripe = 1] (the default) every file lives
-    on exactly one channel, as in the single-channel paper model. With
-    [stripe = s > 1] a file's [N_i] dispersed pieces are dealt
-    round-robin over [s] {e distinct} channels (piece [k] to stripe
-    member [k mod s]); the member holding [n_j] pieces carries the
-    pinwheel sub-task [(i, n_j, B·T_i)], so any latency window still airs
-    all [N_i] distinct pieces across the stripe set, and the file's
-    guarantee follows from the per-channel guarantees exactly as in the
-    single-channel proof. Striping is what makes a whole-channel outage
+    {b Piece striping.} A file's [N_i] dispersed pieces are dealt
+    round-robin over [s = min stripe K (m_i + r_i)] {e distinct}
+    channels (piece [k] to stripe member [k mod s]; [stripe = 1], the
+    default, is the single-channel paper model), and so are the
+    [m_i + r_i] pieces each window must air (AIDA, the paper's §2):
+    member [j] holds [N_j] pieces, carries the pinwheel sub-task
+    [(i, n_j, B·T_i)] for its share [n_j <= N_j] of [m_i + r_i], and its
+    program cycles its [N_j] pieces. Every window thus airs
+    [Σ n_j = m_i + r_i] distinct pieces, every data cycle airs all
+    [N_i], and the file's guarantee follows from the per-channel ones as
+    in the single-channel proof. Striping makes a whole-channel outage
     {e degrade} a file instead of destroying it: losing one channel
-    removes at most [max_j n_j] pieces, so reconstruction survives
-    whenever [N_i - max_j n_j >= m_i] ({!outage_tolerant}) — the
-    Goemans–Lynch–Saias motivation for placing IDA pieces across
+    removes at most [max_j n_j] of a window's pieces, so reconstruction
+    survives whenever [Σ n_j - max_j n_j >= m_i] ({!outage_tolerant}) —
+    the Goemans–Lynch–Saias motivation for placing IDA pieces across
     channels.
 
-    {b Placement.} Files are packed in decreasing density by
-    {!Pindisk_pinwheel.Channels}, the library's one channel packer: each
-    share, largest first, goes to the least-loaded channel whose load
-    admits it ({!Pindisk_pinwheel.Channels.lightest}), the file's other
-    stripe members excluded, and the channels are then planned by
+    {b Placement.} Files are packed in decreasing density
+    [(m_i + r_i) / (B·T_i)] by {!Pindisk_pinwheel.Channels}, the
+    library's one channel packer: each share, largest first, goes to the
+    least-loaded channel whose load admits it
+    ({!Pindisk_pinwheel.Channels.lightest}), the file's other stripe
+    members excluded, and the channels are then planned by
     {!Pindisk_pinwheel.Channels.settle}. Files no channel set can take,
     and files a channel's scheduler subsequently rejects, are shed — a
-    feasible design sheds nothing. Every channel, at every K, schedules
-    each of its shares as the task [(file, share size, B·T)].
+    feasible design sheds nothing.
 
-    {b K = 1, stripe = 1 is the single-channel pipeline} for specs whose
-    capacity is [blocks + tolerance], the only specs the CLI, the
-    benches, the examples and perfbench build: when [Program.pinwheel
-    ~bandwidth files] succeeds, the design's one program equals it byte
-    for byte. The test suite pins this. A spec with spare capacity
-    ([capacity > blocks + tolerance]) is scheduled for all its
-    [capacity] pieces, as at every other K, so that every design passes
-    its own certificate. *)
+    {b K = 1, stripe = 1 is the single-channel pipeline} for every spec:
+    when {!Pindisk_pinwheel.Scheduler.plan} plans
+    [{(i, m_i + r_i, B·T_i)}], the design sheds nothing and its one
+    program ({!program}) is that plan's with capacities [N_i], byte for
+    byte; when it does not, the design sheds. The test suite pins this
+    on specs with spare capacity. *)
 
 module P = Pindisk_pinwheel
 
@@ -51,6 +51,9 @@ type placement = {
   pieces : int array;
       (** ascending global piece indices this channel airs; the channel's
           local block index [i] cycles [pieces.(i)] *)
+  per_window : int;
+      (** [n_j <= Array.length pieces]: the pieces this channel airs in
+          every window, its round-robin share of [m + r] *)
 }
 
 type channel = {
@@ -58,7 +61,7 @@ type channel = {
   tasks : P.Task.system;  (** per-channel sub-tasks, original file order *)
   density : Pindisk_util.Q.t;
   plan : P.Plan.t;
-  program : Program.t;  (** capacities are the local share sizes *)
+  program : Program.t;  (** capacities are the local share sizes [N_j] *)
 }
 
 type index
@@ -86,7 +89,7 @@ val design :
   (t, string) result
 (** Shard the files over [channels] channels of [bandwidth] blocks/sec
     each, striping each file over [min stripe channels] (further capped
-    by its capacity) channels. [Error] only on structurally bad input
+    by [m + r]) channels. [Error] only on structurally bad input
     (no files, duplicate ids); an unschedulable file is shed, not an
     error. Raises [Invalid_argument] if [channels < 1], [stripe < 1] or
     [bandwidth < 1]. *)
@@ -103,15 +106,20 @@ val block_at : t -> channel:int -> int -> (int * int) option
 val spec : t -> int -> File_spec.t option
 (** A file's spec, admitted or shed; [None] for an unknown id. O(1). *)
 
+val program : t -> Program.t option
+(** The design's program when it has one channel and sheds nothing —
+    the single-channel broadcast disk — and [None] otherwise. Reads the
+    design; never plans. *)
+
 val channels_of : t -> int -> int list
-(** Channels airing a file, by decreasing share size (ties: lower
+(** Channels airing a file, by decreasing [per_window] (ties: lower
     channel first) — the order a client with fewer tuners than stripe
     members should prefer. O(1). *)
 
 val outage_tolerant : t -> int -> bool
-(** Whether the file reconstructs ([>= m] pieces still on air) after the
-    outage of any single channel. Single-channel placements are never
-    outage tolerant. O(stripe). *)
+(** Whether every window still airs [>= m] of the file's pieces after
+    the outage of any single channel: [Σ n_j - max_j n_j >= m].
+    Single-channel placements are never outage tolerant. O(stripe). *)
 
 val aggregate_density : t -> Pindisk_util.Q.t
 (** Sum of per-channel densities — the served broadcast demand; scales

@@ -1,5 +1,5 @@
 module Q = Pindisk_util.Q
-module Program = Pindisk.Program
+module Shard = Pindisk.Shard
 module Bandwidth = Pindisk.Bandwidth
 
 type verdict = {
@@ -41,6 +41,9 @@ let admit ~bandwidth ~mode items =
   let program =
     match admitted with
     | [] -> None
-    | _ -> Program.pinwheel ~bandwidth (Mode.file_specs mode admitted)
+    | _ ->
+        Result.to_option
+          (Shard.design ~channels:1 ~bandwidth (Mode.file_specs mode admitted))
+        |> Fun.flip Option.bind Shard.program
   in
   { admitted; rejected; program }

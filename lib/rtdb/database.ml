@@ -1,4 +1,4 @@
-module Program = Pindisk.Program
+module Shard = Pindisk.Shard
 module Bandwidth = Pindisk.Bandwidth
 
 type t = { items : Item.t list; modes : Mode.t list }
@@ -25,4 +25,9 @@ let file_specs t ~mode =
 
 let required_bandwidth t ~mode = Bandwidth.required (file_specs t ~mode)
 
-let program t ~mode = Program.auto (file_specs t ~mode)
+let program t ~mode =
+  let specs = file_specs t ~mode in
+  Option.bind (Bandwidth.minimum specs) (fun bandwidth ->
+      Result.to_option (Shard.design ~channels:1 ~bandwidth specs)
+      |> Fun.flip Option.bind Shard.program
+      |> Option.map (fun program -> (bandwidth, program)))

@@ -4,8 +4,8 @@
     broadcast programs; this engine is the client side. A client owns
     [tuners] tuners and, per request, listens to the first
     [min tuners stripe-members] channels carrying its file (in
-    {!Pindisk.Shard.channels_of} preference order — largest share
-    first). Channels are physically independent, so each listened
+    {!Pindisk.Shard.channels_of} preference order — most pieces a
+    window first). Channels are physically independent, so each listened
     channel gets its {e own} fault process: per-request, per-channel
     seeds derived with {!Pindisk_util.Intmath.mix64}, each a function of
     the slot exactly like the single-channel engines' (the

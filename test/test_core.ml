@@ -1,6 +1,7 @@
 module File_spec = Pindisk.File_spec
 module Bandwidth = Pindisk.Bandwidth
 module Program = Pindisk.Program
+module Shard = Pindisk.Shard
 module Generalized = Pindisk.Generalized
 module Bounds = Pindisk.Bounds
 module Bc = Pindisk_algebra.Bc
@@ -91,13 +92,14 @@ let test_required_bandwidth_schedulable () =
 let test_minimum () =
   match Bandwidth.minimum awacs_files with
   | None -> Alcotest.fail "minimum bandwidth must exist"
-  | Some (b, plan) ->
+  | Some b ->
       check_bool "at most eq-2 bound" true (b <= Bandwidth.required awacs_files);
       check_bool "at least the demand" true
         Q.(Q.of_int b >= Bandwidth.demand awacs_files);
-      check_bool "schedule verifies" true
-        (Verify.satisfies (Plan.to_schedule plan)
-           (Bandwidth.tasks ~bandwidth:b awacs_files));
+      check_bool "schedulable there" true
+        (Bandwidth.schedulable ~bandwidth:b awacs_files);
+      check_bool "not one below" false
+        (Bandwidth.schedulable ~bandwidth:(b - 1) awacs_files);
       check_bool "overhead within 43%%" true
         (Bandwidth.overhead ~achieved:(Bandwidth.required awacs_files) awacs_files
          <= 10.0 /. 7.0 +. 1.0 /. Q.to_float (Bandwidth.demand awacs_files) +. 1e-9)
@@ -162,8 +164,13 @@ let test_aida_flat_builder () =
     (Invalid_argument "Program.aida_flat: capacity below size") (fun () ->
       ignore (Program.aida_flat [ (0, 5, 4) ]))
 
+(* The single-channel design's one program, when it sheds nothing. *)
+let single ~bandwidth files =
+  Result.to_option (Shard.design ~channels:1 ~bandwidth files)
+  |> Fun.flip Option.bind Shard.program
+
 let test_pinwheel_builder () =
-  match Program.pinwheel ~bandwidth:(Bandwidth.required awacs_files) awacs_files with
+  match single ~bandwidth:(Bandwidth.required awacs_files) awacs_files with
   | None -> Alcotest.fail "pinwheel program must exist at eq-2 bandwidth"
   | Some p ->
       (* Every file's pinwheel condition must hold on the program schedule. *)
@@ -176,9 +183,10 @@ let test_pinwheel_builder () =
       check_int "capacity of F0" 5 (Program.capacity p 0)
 
 let test_auto_builder () =
-  match Program.auto awacs_files with
-  | None -> Alcotest.fail "auto program must exist"
-  | Some (b, p) ->
+  let b = Option.get (Bandwidth.minimum awacs_files) in
+  match single ~bandwidth:b awacs_files with
+  | None -> Alcotest.fail "a program must exist at the minimum bandwidth"
+  | Some p ->
       check_bool "bandwidth sane" true (b >= 1);
       check_bool "satisfies" true
         (Verify.satisfies (Program.schedule p) (Bandwidth.tasks ~bandwidth:b awacs_files))
@@ -300,16 +308,14 @@ let induced ~byte_rate ~block =
 (* The designer's per-candidate step, as an oracle: [reqs] at [block]
    bytes per block leave no schedule on a [byte_rate] channel. *)
 let unschedulable_at ~byte_rate ~block reqs =
-  let slot_rate = byte_rate / block in
-  slot_rate < 1
-  || Program.pinwheel ~bandwidth:slot_rate
+  not
+    (Bandwidth.schedulable ~bandwidth:(byte_rate / block)
        (List.map
           (fun (r : Designer.requirement) ->
             File_spec.make ~id:r.Designer.id ~tolerance:r.Designer.tolerance
               ~blocks:(Pindisk_util.Intmath.ceil_div r.Designer.bytes block)
               ~latency:r.Designer.latency_s ())
-          reqs)
-     = None
+          reqs))
 
 let test_block_size_tasks () =
   (match Designer.plan ~byte_rate:4096 bs_reqs with
@@ -389,8 +395,8 @@ let test_designer_plan () =
   | Ok plan ->
       check_bool "block size is a power of two" true
         (Pindisk_util.Intmath.is_power_of_two plan.Designer.block_size);
-      check_int "slot rate consistent" plan.Designer.slot_rate
-        (8192 / plan.Designer.block_size);
+      check_int "bandwidth is the slot rate" (8192 / plan.Designer.block_size)
+        plan.Designer.bandwidth;
       (* Guarantees: every file's pinwheel condition holds on the
          program. *)
       let specs = List.map (fun fp -> fp.Designer.spec) plan.Designer.files in
@@ -535,7 +541,7 @@ let prop_bandwidth_bounds_ordered =
       let required = Bandwidth.required files in
       match Bandwidth.minimum files with
       | None -> false (* must always exist within the search bound *)
-      | Some (b, _) ->
+      | Some b ->
           (* demand <= b (b is a real bandwidth) and b within the search
              ceiling; required covers demand with the 10/7 factor. *)
           Q.( <= ) (Bandwidth.demand files) (Q.of_int b)
@@ -555,9 +561,9 @@ let prop_pinwheel_programs_meet_conditions =
               ~tolerance:(Random.State.int rng 3)
               ())
       in
-      match Program.auto files with
-      | None -> false (* must always succeed within 2x the eq-2 bound *)
-      | Some (b, p) ->
+      match Option.map (fun b -> (b, single ~bandwidth:b files)) (Bandwidth.minimum files) with
+      | None | Some (_, None) -> false (* must always succeed within 2x the eq-2 bound *)
+      | Some (b, Some p) ->
           Verify.satisfies (Program.schedule p) (Bandwidth.tasks ~bandwidth:b files))
 
 let prop_data_cycle_periodicity =

@@ -104,9 +104,10 @@ let test_regular_guarantee () =
       File_spec.make ~id:1 ~blocks:3 ~latency:9 ~tolerance:1 ();
     ]
   in
-  match Program.auto files with
-  | None -> Alcotest.fail "program must exist"
-  | Some (b, program) ->
+  let b = Option.get (Bandwidth.minimum files) in
+  match Result.map Pindisk.Shard.program (Pindisk.Shard.design ~channels:1 ~bandwidth:b files) with
+  | Error _ | Ok None -> Alcotest.fail "program must exist"
+  | Ok (Some program) ->
       List.iter
         (fun f ->
           let window = File_spec.window f ~bandwidth:b in

@@ -241,11 +241,23 @@ let specs_small () =
     File_spec.make ~name:"feed" ~id:2 ~blocks:2 ~latency:16 ~tolerance:0 ();
   ]
 
+(* The paper's program for [specs]: the plan Scheduler.plan finds for
+   {(i, m + r, B·T)}, cycling all N pieces of each file. *)
+let papers_program ~bandwidth specs =
+  match P.Scheduler.plan (Pindisk.Bandwidth.tasks ~bandwidth specs) with
+  | exception Invalid_argument _ -> None
+  | plan ->
+      Option.map
+        (Program.of_plan
+           ~capacities:
+             (List.map (fun f -> (f.File_spec.id, f.File_spec.capacity)) specs))
+        plan
+
 let test_shard_k1_is_program_pinwheel () =
   let specs = specs_small () in
   let bandwidth = 2 in
   match
-    (Shard.design ~channels:1 ~bandwidth specs, Program.pinwheel ~bandwidth specs)
+    (Shard.design ~channels:1 ~bandwidth specs, papers_program ~bandwidth specs)
   with
   | Ok t, Some reference ->
       check_int "one channel" 1 (Array.length t.Shard.channels);
@@ -260,14 +272,45 @@ let test_shard_k1_block_at_matches_program () =
   let specs = specs_small () in
   let bandwidth = 2 in
   match
-    (Shard.design ~channels:1 ~bandwidth specs, Program.pinwheel ~bandwidth specs)
+    (Shard.design ~channels:1 ~bandwidth specs, papers_program ~bandwidth specs)
   with
   | Ok t, Some reference ->
-      for slot = 0 to (2 * Program.period reference) - 1 do
+      for slot = 0 to (2 * Program.data_cycle reference) - 1 do
         check_bool "block_at agrees" true
           (Shard.block_at t ~channel:0 slot = Program.block_at reference slot)
       done
   | _ -> Alcotest.fail "design failed"
+
+(* qcheck: at K = 1 the design is the paper's program on specs with 0-3
+   spare pieces: the same verdict, the same program bytes and the same
+   blocks over two data cycles. *)
+let prop_shard_k1_is_the_papers_program =
+  QCheck2.Test.make ~name:"K=1 == the paper's program" ~count:200
+    QCheck2.Gen.(triple (int_range 1 6) (int_range 1 2) (int_bound 1_000_000))
+    (fun (files, bandwidth, seed) ->
+      let st = Random.State.make [| seed |] in
+      let specs =
+        List.init files (fun id ->
+            let blocks = 1 + Random.State.int st 4 in
+            let tolerance = Random.State.int st 3 in
+            File_spec.make ~id ~blocks ~tolerance
+              ~capacity:(blocks + tolerance + Random.State.int st 4)
+              ~latency:(2 + Random.State.int st 15)
+              ())
+      in
+      match Shard.design ~channels:1 ~bandwidth specs with
+      | Error e -> QCheck2.Test.fail_reportf "design: %s" e
+      | Ok t -> (
+          match (Shard.program t, papers_program ~bandwidth specs) with
+          | None, None -> true
+          | Some p, Some reference ->
+              render_program p = render_program reference
+              && List.for_all
+                   (fun slot ->
+                     Shard.block_at t ~channel:0 slot = Program.block_at reference slot)
+                   (List.init (2 * Program.data_cycle reference) Fun.id)
+          | Some _, None -> QCheck2.Test.fail_report "design plans, oracle does not"
+          | None, Some _ -> QCheck2.Test.fail_report "oracle plans, design sheds"))
 
 let test_shard_k1_placements_by_file () =
   (* Placements ascend by file id at every K, whatever the spec order. *)
@@ -468,25 +511,30 @@ let prop_shard_shares_disjoint_cover =
    reference the index is held to. *)
 let oracle_placements_of = placements_of
 
-let oracle_channels_of t file =
-  oracle_placements_of t file
-  |> List.stable_sort (fun (a : Shard.placement) (b : Shard.placement) ->
-         compare (Array.length b.Shard.pieces) (Array.length a.Shard.pieces))
-  |> List.map (fun (p : Shard.placement) -> p.Shard.channel)
-
 let oracle_spec (t : Shard.t) file =
   List.find_opt
     (fun f -> f.File_spec.id = file)
     (t.Shard.specs @ t.Shard.shed)
+
+(* A share's per-window count by hand: the m + r pieces a window airs
+   are dealt like all N, so a channel airs the first m + r it holds. *)
+let oracle_per_window (t : Shard.t) (p : Shard.placement) =
+  let spec = Option.get (oracle_spec t p.Shard.file) in
+  let aired = spec.File_spec.blocks + spec.File_spec.tolerance in
+  Array.fold_left (fun n k -> if k < aired then n + 1 else n) 0 p.Shard.pieces
+
+let oracle_channels_of t file =
+  oracle_placements_of t file
+  |> List.stable_sort (fun (a : Shard.placement) (b : Shard.placement) ->
+         compare (oracle_per_window t b) (oracle_per_window t a))
+  |> List.map (fun (p : Shard.placement) -> p.Shard.channel)
 
 let oracle_outage_tolerant (t : Shard.t) file =
   match oracle_placements_of t file with
   | [] | [ _ ] -> false
   | ps ->
       let spec = List.find (fun f -> f.File_spec.id = file) t.Shard.specs in
-      let sizes =
-        List.map (fun (p : Shard.placement) -> Array.length p.Shard.pieces) ps
-      in
+      let sizes = List.map (oracle_per_window t) ps in
       List.fold_left ( + ) 0 sizes - List.fold_left max 0 sizes
       >= spec.File_spec.blocks
 
@@ -502,9 +550,9 @@ let oracle_block_at (t : Shard.t) ~channel slot =
       in
       Some (file, p.Shard.pieces.(local))
 
-(* Random designs, K 1-4, stripe 1-3, 2-12 files: windows of 4-16 slots
-   and capacities up to 5, so small fleets fit and large ones shed. File
-   ids step by 3, leaving unknown ids between them. *)
+(* Random designs, K 1-4, stripe 1-3, 2-12 files: windows of 4-16 slots,
+   m + r up to 5 and 0-3 spare pieces, so small fleets fit and large ones
+   shed. File ids step by 3, leaving unknown ids between them. *)
 let gen_design =
   QCheck2.Gen.(
     quad (int_range 1 4) (int_range 1 3) (int_range 2 12) (int_bound 1_000_000))
@@ -513,9 +561,10 @@ let random_design (channels, stripe, files, seed) =
   let st = Random.State.make [| seed |] in
   let specs =
     List.init files (fun i ->
-        File_spec.make ~id:(3 * i)
-          ~blocks:(1 + Random.State.int st 3)
-          ~tolerance:(Random.State.int st 3)
+        let blocks = 1 + Random.State.int st 3 in
+        let tolerance = Random.State.int st 3 in
+        File_spec.make ~id:(3 * i) ~blocks ~tolerance
+          ~capacity:(blocks + tolerance + Random.State.int st 4)
           ~latency:(4 * (1 + Random.State.int st 4))
           ())
   in
@@ -721,21 +770,19 @@ let oracle_share ~s ~n j = Array.init ((n - j + s - 1) / s) (fun i -> j + (i * s
 let oracle_design_digest ~stripe ~channels ~bandwidth specs =
   let load = Array.make channels P.Density.empty in
   let placed = Hashtbl.create 16 in
-  let density f = Q.make f.File_spec.capacity (File_spec.window f ~bandwidth) in
+  let aired f = f.File_spec.blocks + f.File_spec.tolerance in
+  let density f = Q.make (aired f) (File_spec.window f ~bandwidth) in
   List.stable_sort (fun a b -> Q.compare (density b) (density a)) specs
   |> List.iter (fun f ->
          let window = File_spec.window f ~bandwidth in
-         let n = f.File_spec.capacity in
-         let s = min (min stripe channels) n in
+         let s = min (min stripe channels) (aired f) in
          let rec go chosen j =
            if j = s then Some chosen
            else
-             let pieces = oracle_share ~s ~n j in
-             if Array.length pieces > window then None
+             let a = Array.length (oracle_share ~s ~n:(aired f) j) in
+             if a > window then None
              else
-               let task =
-                 Task.make ~id:f.File_spec.id ~a:(Array.length pieces) ~b:window
-               in
+               let task = Task.make ~id:f.File_spec.id ~a ~b:window in
                let avoid = List.map (fun (c, _, _) -> c) chosen in
                match oracle_lightest ~avoid load task with
                | Some c -> go ((c, j, task) :: chosen) (j + 1)
@@ -760,6 +807,13 @@ let oracle_design_digest ~stripe ~channels ~bandwidth specs =
   let lists, plans, shed_ids = oracle_settle lists in
   List.iter (Hashtbl.remove placed) shed_ids;
   let admitted, shed = List.partition (fun f -> Hashtbl.mem placed f.File_spec.id) specs in
+  (* Each share's size N_j on channel [c]: a program's capacity. *)
+  let size c (t : Task.t) =
+    let f = List.find (fun f -> f.File_spec.id = t.Task.id) specs in
+    let chosen = Hashtbl.find placed t.Task.id in
+    let _, j, _ = List.find (fun (c', _, _) -> c' = c) chosen in
+    (t.Task.id, Array.length (oracle_share ~s:(List.length chosen) ~n:f.File_spec.capacity j))
+  in
   let placements =
     List.concat_map
       (fun f ->
@@ -796,11 +850,11 @@ let oracle_design_digest ~stripe ~channels ~bandwidth specs =
     ~shed:(List.map (fun f -> f.File_spec.id) shed)
     ~programs:
       (Array.to_list
-         (Array.map2
-            (fun tasks plan ->
+         (Array.mapi
+            (fun c plan ->
               Program.make ~schedule:(Plan.to_schedule plan)
-                ~capacities:(List.map (fun (t : Task.t) -> (t.Task.id, t.Task.a)) tasks))
-            lists plans))
+                ~capacities:(List.map (size c) lists.(c)))
+            plans))
 
 (* Random designs, K 1-6, stripe 1-3, 2-24 files: windows of 2-16
    slots, capacities up to 9 with up to two spare pieces, and file ids
@@ -1383,8 +1437,9 @@ let test_shardcheck_detects_corruption () =
 (* qcheck: Shardcheck's outage verdict is its own recount, equal to a
    hand count over the placement list. *)
 let test_shardcheck_k1_spare_capacity () =
-  (* File a keeps 6 pieces for m + r = 3. Its one channel schedules all
-     six, the count Shardcheck recounts, as a channel does at every K. *)
+  (* File a keeps 6 pieces for m + r = 3. Its one channel airs three a
+     window and cycles all six, the counts Shardcheck recounts, as a
+     channel does at every K. *)
   let specs =
     [
       File_spec.make ~name:"a" ~id:0 ~blocks:2 ~tolerance:1 ~capacity:6
@@ -1395,7 +1450,7 @@ let test_shardcheck_k1_spare_capacity () =
   let t = design_exn ~channels:1 ~bandwidth:1 specs in
   check_bool "nothing shed" true (t.Shard.shed = []);
   Alcotest.(check (list (pair int int)))
-    "(file, share size) tasks" [ (0, 6); (1, 2) ]
+    "(file, m + r) tasks" [ (0, 3); (1, 2) ]
     (List.map
        (fun (tk : Task.t) -> (tk.Task.id, tk.Task.a))
        t.Shard.channels.(0).Shard.tasks);
@@ -1494,6 +1549,7 @@ let () =
             test_shard_k1_is_program_pinwheel;
           Alcotest.test_case "K=1 block_at" `Quick
             test_shard_k1_block_at_matches_program;
+          QCheck_alcotest.to_alcotest prop_shard_k1_is_the_papers_program;
           Alcotest.test_case "spread covers files" `Quick
             test_shard_spread_covers_files;
           Alcotest.test_case "striping partitions pieces" `Quick

@@ -1729,8 +1729,14 @@ let random_program st =
             File_spec.make ~id ~blocks:(1 + int 3) ~tolerance:(int 3)
               ~latency:(4 * (1 + int 4)) ())
       in
-      match Program.auto specs with
-      | Some (_, program) -> program
+      let design bandwidth =
+        Result.to_option (Pindisk.Shard.design ~channels:1 ~bandwidth specs)
+      in
+      match
+        Option.bind (Pindisk.Bandwidth.minimum specs) design
+        |> Fun.flip Option.bind Pindisk.Shard.program
+      with
+      | Some program -> program
       | None -> Program.flat [ (0, 2); (1, 1) ])
 
 (* Several phases per file, weights 0, 1, up to 5000 or in the
